@@ -18,7 +18,6 @@ import numpy as np
 from .autodiff import GradientTape, Tensor, backward
 from .config import RunConfig, parse_config
 from .eigen import symmetric_eig
-from .encoder import predict_link
 from .events import EventStream, chronological_split
 from .fourier import dft_time_axis, idft_time_axis
 from .losses import loss_lp, loss_pe, total_loss
@@ -33,6 +32,7 @@ from .training import (
     _BatchContext,
     _batch_terms,
     _commit_batch,
+    _link_probs,
     _score_segment,
     build_initial_pe,
     collect_pe_trace,
@@ -415,8 +415,9 @@ def check_synthetic(seed: int = 0, max_epochs: int | None = None) -> dict:
     }
 
 
-def _median_batch_seconds(num_nodes: int, seed: int, trials: int = 5) -> float:
-    """Median wall time of one scored-and-committed batch (no gradients)."""
+def _timed_batches(num_nodes: int, seed: int, trials: int):
+    """Set up a stream of ``trials + 1`` batches with B = n / 5; returns a
+    function that scores and commits batch k (no gradients), timing it."""
     cfg = parse_config(
         "d_t = 8\nd_n = 8\nd_e = 8\nd_p = 6\nhistory_len = 8\n"
         f"t_gap = 10.0\nrecent_k = 5\nbatch_size = {num_nodes // 5}\n"
@@ -428,29 +429,36 @@ def _median_batch_seconds(num_nodes: int, seed: int, trials: int = 5) -> float:
     tcfg = TimeEncoderConfig(cfg.d_t, cfg.alpha, cfg.beta)
     store = PositionalStore(num_nodes, cfg.d_p, cfg.history_len)
     store.reset(zero_pe(num_nodes, cfg.d_p))
-    times = []
-    enc = params.encoder
-    for k in range(trials + 1):
+
+    def run(k: int) -> float:
         batch = np.arange(k * b, (k + 1) * b)
         t0 = time.monotonic()
         neg = sample_negatives(stream, split, batch, "random", seed=seed + k)
         ctx = _BatchContext(stream, store, params, cfg, tcfg)
-        for i, ev in enumerate(batch.tolist()):
-            u, v, t = int(stream.src[ev]), int(stream.dst[ev]), float(stream.ts[ev])
-            predict_link(ctx.rep(u, t), ctx.rep(v, t), enc)
-            nu, nv = int(neg.src[i]), int(neg.dst[i])
-            predict_link(ctx.rep(nu, t), ctx.rep(nv, t), enc)
+        _link_probs(ctx, batch, neg)
         _commit_batch(ctx, batch)
-        if k > 0:  # first batch warms caches (twiddle tables, frequencies)
-            times.append(time.monotonic() - t0)
-    return float(np.median(times))
+        return time.monotonic() - t0
+
+    return run
 
 
 def check_scaling(seed: int = 0) -> dict:
-    """Per-batch forward+commit time ratio for 500 -> 1000 nodes, B ~ n."""
+    """Per-batch forward+commit time ratio for 500 -> 1000 nodes, B ~ n.
+
+    The two sizes' batches alternate, so a change in machine speed during
+    the check reaches both medians instead of only one of them.
+    """
     t0 = time.monotonic()
-    small = _median_batch_seconds(500, seed)
-    large = _median_batch_seconds(1000, seed)
+    trials = 5
+    runs = {n: _timed_batches(n, seed, trials) for n in (500, 1000)}
+    times: dict[int, list[float]] = {n: [] for n in runs}
+    for k in range(trials + 1):
+        for n, run in runs.items():
+            seconds = run(k)
+            if k > 0:  # each size's first batch warms caches (frequencies)
+                times[n].append(seconds)
+    small = float(np.median(times[500]))
+    large = float(np.median(times[1000]))
     ratio = large / small
     return {
         "name": "scaling",

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -72,6 +73,8 @@ PRESETS: dict[str, dict[str, object]] = {
 }
 
 _REQUIRED_POSITIVE = ("history_len", "t_gap", "recent_k", "batch_size")
+_MINIMUM = {"d_t": 1, "d_n": 1, "d_e": 1, "d_p": 1, "max_epochs": 1, "patience": 0,
+            "eigen_size_cap": 1}
 
 
 def _coerce(kind: type, raw: str, key: str):
@@ -154,11 +157,14 @@ def config_problems(cfg: RunConfig) -> list[str]:
     """Every validation problem, not just the first."""
     problems = []
     for key in _REQUIRED_POSITIVE:
-        if getattr(cfg, key) <= 0:
-            problems.append(f"config field {key!r} must be set to a positive value")
-    for key in ("d_t", "d_n", "d_e", "d_p"):
-        if getattr(cfg, key) < 1:
-            problems.append(f"config field {key!r} must be >= 1")
+        if not 0 < getattr(cfg, key) < math.inf:
+            problems.append(f"config field {key!r} must be set to a finite positive value")
+    for key in ("lr", "alpha", "beta"):
+        if not 0.0 < getattr(cfg, key) < math.inf:
+            problems.append(f"config field {key!r} must be finite and > 0")
+    for key, low in _MINIMUM.items():
+        if getattr(cfg, key) < low:
+            problems.append(f"config field {key!r} must be >= {low}")
     if cfg.pe_init not in ("laplacian", "random_walk", "zero"):
         problems.append(f"unknown pe_init {cfg.pe_init!r}")
     for key in ("alpha_neg", "alpha_pe"):

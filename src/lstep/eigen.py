@@ -1,143 +1,17 @@
 """Dense symmetric eigendecomposition.
 
-Cyclic Jacobi sweeps handle matrices up to 512 rows; larger inputs go
-through Householder tridiagonalization followed by implicit QL with
-shifts. Both paths return eigenvalues in ascending order and orthonormal
-eigenvector columns with a fixed sign convention: the entry of largest
-magnitude in each column (lowest index on ties) is non-negative.
+Validates the input, then calls LAPACK through ``np.linalg.eigh``.
+Eigenvalues come back in ascending order with orthonormal eigenvector
+columns under a fixed sign convention: the entry of largest magnitude
+in each column (lowest index on ties) is non-negative.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-__all__ = ["symmetric_eig", "DEFAULT_SIZE_CAP", "JACOBI_MAX_N"]
+__all__ = ["symmetric_eig", "DEFAULT_SIZE_CAP"]
 
 DEFAULT_SIZE_CAP = 5000
-JACOBI_MAX_N = 512
-_MAX_SWEEPS = 100
-_MAX_QL_ITER = 60
-
-
-def _off_norm(a: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0))
-
-
-def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = a.shape[0]
-    v = np.eye(n)
-    scale = float(np.linalg.norm(a)) + 1e-300
-    for _ in range(_MAX_SWEEPS):
-        if _off_norm(a) <= 1e-14 * scale:
-            return np.diag(a).copy(), v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-20 * scale:
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(tau) > 1e150:
-                    t = 1.0 / (2.0 * tau)
-                else:
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, q] = a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    if _off_norm(a) <= 1e-10 * scale:
-        return np.diag(a).copy(), v
-    raise RuntimeError(f"Jacobi eigensolver did not converge in {_MAX_SWEEPS} sweeps")
-
-
-def _tridiagonalize(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Householder reduction; returns (diagonal, subdiagonal, transform)."""
-    a = m.copy()
-    n = a.shape[0]
-    q = np.eye(n)
-    for k in range(n - 2):
-        x = a[k + 1 :, k].copy()
-        nx = float(np.linalg.norm(x))
-        if nx == 0.0 or float(np.linalg.norm(x[1:])) == 0.0:
-            continue
-        alpha = -math.copysign(nx, x[0]) if x[0] != 0.0 else -nx
-        v = x
-        v[0] -= alpha
-        v /= np.linalg.norm(v)
-        a[k + 1 :, :] -= 2.0 * np.outer(v, v @ a[k + 1 :, :])
-        a[:, k + 1 :] -= 2.0 * np.outer(a[:, k + 1 :] @ v, v)
-        q[:, k + 1 :] -= 2.0 * np.outer(q[:, k + 1 :] @ v, v)
-    d = np.diag(a).copy()
-    e = np.zeros(n)
-    if n > 1:
-        e[1:] = np.diag(a, -1)
-    return d, e, q
-
-
-def _tql2(d: np.ndarray, e: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Implicit QL with shifts on a symmetric tridiagonal (d, e[1:])."""
-    n = d.shape[0]
-    eps = np.finfo(np.float64).eps
-    e = np.roll(e, -1)  # e[i] pairs d[i], d[i+1]; e[n-1] = 0
-    e[n - 1] = 0.0
-    for l in range(n):
-        it = 0
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= eps * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            it += 1
-            if it > _MAX_QL_ITER:
-                raise RuntimeError(
-                    f"QL eigensolver did not converge in {_MAX_QL_ITER} iterations"
-                )
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                col_i = v[:, i].copy()
-                col_j = v[:, i + 1].copy()
-                v[:, i + 1] = s * col_i + c * col_j
-                v[:, i] = c * col_i - s * col_j
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-    return d, v
 
 
 def symmetric_eig(
@@ -160,22 +34,8 @@ def symmetric_eig(
     asym = float(np.max(np.abs(m - m.T))) if n > 1 else 0.0
     if asym > 1e-10:
         raise ValueError(f"matrix is not symmetric: max asymmetry {asym:.3e}")
-    m = (m + m.T) / 2.0
 
-    if n == 1:
-        return m[0].copy(), np.array([[1.0]])
-    if n <= JACOBI_MAX_N:
-        w, v = _jacobi(m.copy())
-    else:
-        d, e, q = _tridiagonalize(m)
-        w, v = _tql2(d, e, q)
-
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    for j in range(n):
-        col = v[:, j]
-        lead = int(np.argmax(np.abs(col)))
-        if col[lead] < 0.0:
-            v[:, j] = -col
+    w, v = np.linalg.eigh((m + m.T) / 2.0)
+    lead = np.argmax(np.abs(v), axis=0)
+    v *= np.where(v[lead, np.arange(n)] < 0.0, -1.0, 1.0)
     return w, v

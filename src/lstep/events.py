@@ -10,6 +10,7 @@ a look-back window [t - t_gap, t).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,37 +33,28 @@ _LABEL_NAMES = {"label", "state_label"}
 
 
 def _count_inversions(values: np.ndarray) -> int:
-    """Number of out-of-order pairs repaired by a stable sort."""
-    a = list(map(float, values))
-    n = len(a)
-    buf = [0.0] * n
+    """Number of out-of-order pairs repaired by a stable sort.
+
+    Stable ranks turn ties into ordered pairs, so they never count. A
+    bottom-up merge count then adds, level by level, the pairs that
+    straddle the two halves of each block of ``2 * width`` positions.
+    """
+    n = values.size
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(values, kind="stable")] = np.arange(n)
+    pos = np.arange(n)
     count = 0
     width = 1
     while width < n:
-        for lo in range(0, n, 2 * width):
-            mid = min(lo + width, n)
-            hi = min(lo + 2 * width, n)
-            if mid >= hi:
-                continue
-            i, j, k = lo, mid, lo
-            while i < mid and j < hi:
-                if a[j] < a[i]:
-                    buf[k] = a[j]
-                    count += mid - i
-                    j += 1
-                else:
-                    buf[k] = a[i]
-                    i += 1
-                k += 1
-            while i < mid:
-                buf[k] = a[i]
-                i += 1
-                k += 1
-            while j < hi:
-                buf[k] = a[j]
-                j += 1
-                k += 1
-            a[lo:hi] = buf[lo:hi]
+        block = pos // (2 * width)
+        left = pos % (2 * width) < width
+        # keys order by block first, so one sorted array holds every left half
+        left_keys = np.sort(block[left] * n + rank[left])
+        block_r = block[~left]
+        above = np.searchsorted(left_keys, (block_r + 1) * n) - np.searchsorted(
+            left_keys, block_r * n + rank[~left], side="right"
+        )
+        count += int(above.sum())
         width *= 2
     return count
 
@@ -123,6 +115,9 @@ class EventStream:
             )
         if src.size == 0:
             raise ValueError("event stream is empty")
+        bad = np.flatnonzero(~np.isfinite(ts))
+        if bad.size:
+            raise ValueError(f"non-finite timestamp {ts[bad[0]]} at event {int(bad[0])}")
         if ts.size > 1 and np.any(np.diff(ts) < 0.0):
             sort_warnings += _count_inversions(ts)
             order = np.argsort(ts, kind="stable")
@@ -170,23 +165,17 @@ class EventStream:
         self._build_index()
 
     def _build_index(self) -> None:
-        nbr: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        nts: list[list[float]] = [[] for _ in range(self.num_nodes)]
-        eid: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for i in range(self.num_events):
-            u = int(self.src[i])
-            v = int(self.dst[i])
-            t = float(self.ts[i])
-            nbr[u].append(v)
-            nts[u].append(t)
-            eid[u].append(i)
-            if v != u:
-                nbr[v].append(u)
-                nts[v].append(t)
-                eid[v].append(i)
-        self._nbr = [np.asarray(x, dtype=np.int64) for x in nbr]
-        self._nts = [np.asarray(x, dtype=np.float64) for x in nts]
-        self._eid = [np.asarray(x, dtype=np.int64) for x in eid]
+        # one (node, neighbor, event) entry per endpoint, a self-loop once,
+        # grouped by node and kept in event order within each node
+        other = self.src != self.dst
+        eid = np.concatenate([np.arange(self.num_events), np.flatnonzero(other)])
+        node = np.concatenate([self.src, self.dst[other]])
+        nbr = np.concatenate([self.dst, self.src[other]])
+        order = np.lexsort((eid, node))
+        cuts = np.cumsum(np.bincount(node, minlength=self.num_nodes))[:-1]
+        self._nbr = np.split(nbr[order], cuts)
+        self._nts = np.split(self.ts[eid[order]], cuts)
+        self._eid = np.split(eid[order], cuts)
 
     def _recent(self, node: int, hi: int, t: float, k: int) -> RecentInteractions:
         if k < 1:
@@ -319,20 +308,22 @@ def load_events(
             try:
                 src.append(int(float(row[0])))
                 dst.append(int(float(row[1])))
-                ts.append(float(row[2]))
-                if n_feat:
-                    feats.append([float(x) for x in row[feat_start:]])
-            except ValueError as exc:
+                t = float(row[2])
+                feat = [float(x) for x in row[feat_start:]]
+            except (ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed row ({exc})") from None
+            if not math.isfinite(t):
+                raise ValueError(f"{path}:{lineno}: non-finite timestamp {t}")
+            if not all(map(math.isfinite, feat)):
+                raise ValueError(f"{path}:{lineno}: non-finite edge feature")
+            ts.append(t)
+            if n_feat:
+                feats.append(feat)
     if not src:
         raise ValueError(f"{path}: empty event file")
 
-    src_a = np.asarray(src, dtype=np.int64)
-    dst_a = np.asarray(dst, dtype=np.int64)
-    ids = np.unique(np.concatenate([src_a, dst_a]))
-    remap = {int(orig): new for new, orig in enumerate(ids.tolist())}
-    src_a = np.asarray([remap[int(x)] for x in src_a], dtype=np.int64)
-    dst_a = np.asarray([remap[int(x)] for x in dst_a], dtype=np.int64)
+    _, dense = np.unique(np.asarray(src + dst, dtype=np.int64), return_inverse=True)
+    src_a, dst_a = np.split(dense.astype(np.int64), 2)
     edge_features = np.asarray(feats, dtype=np.float64) if n_feat else None
     return EventStream(
         src_a,

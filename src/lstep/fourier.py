@@ -9,9 +9,8 @@ carries the 1/L normalization and returns the real part, which makes
 ``idft_time_axis(dft_time_axis(x))`` recover a real ``x`` to roundoff.
 
 The transform is a fixed linear map, so both kernels are differentiable;
-each one's adjoint is computed by the other's forward machinery. A
-radix-2 FFT path activates when the history length is a power of two,
-otherwise cached cosine/sine matrices give the direct O(L^2) form.
+each one's adjoint is computed by the other's forward machinery, an
+``np.fft.fft`` of the rows rotated by one position.
 """
 from __future__ import annotations
 
@@ -22,64 +21,15 @@ from .autodiff import ComplexTensor, Tensor, add, elementwise_mul, sub
 
 __all__ = ["dft_time_axis", "idft_time_axis", "complex_elementwise_mul"]
 
-_MATRIX_CACHE: dict[int, np.ndarray] = {}
-_FFT_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _transform_matrix(length: int) -> np.ndarray:
-    """Complex matrix M[k, j] = exp(-i 2 pi (j+1)(k+1) / L)."""
-    m = _MATRIX_CACHE.get(length)
-    if m is None:
-        idx = np.arange(1, length + 1, dtype=np.float64)
-        ang = -2.0 * np.pi * np.outer(idx, idx) / length
-        m = np.cos(ang) + 1j * np.sin(ang)
-        _MATRIX_CACHE[length] = m
-    return m
-
-
-def _fft_tables(length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    tabs = _FFT_CACHE.get(length)
-    if tabs is None:
-        bits = length.bit_length() - 1
-        rev = np.zeros(length, dtype=np.int64)
-        for i in range(length):
-            r, v = 0, i
-            for _ in range(bits):
-                r = (r << 1) | (v & 1)
-                v >>= 1
-            rev[i] = r
-        n = np.arange(length, dtype=np.float64)
-        w_in = np.exp(-2j * np.pi * n / length)
-        w_out = np.exp(-2j * np.pi * (n + 1.0) / length)
-        tabs = (rev, w_in, w_out)
-        _FFT_CACHE[length] = tabs
-    return tabs
-
-
-def _fft_pow2(z: np.ndarray, rev: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 Cooley-Tukey along the last axis."""
-    length = z.shape[-1]
-    a = z[..., rev].copy()
-    size = 2
-    while size <= length:
-        half = size // 2
-        tw = np.exp(-2j * np.pi * np.arange(half) / size)
-        a = a.reshape(*a.shape[:-1], length // size, size)
-        lo = a[..., :half]
-        hi = a[..., half:] * tw
-        a = np.concatenate([lo + hi, lo - hi], axis=-1)
-        a = a.reshape(*a.shape[:-2], length)
-        size *= 2
-    return a
-
 
 def _forward(z: np.ndarray) -> np.ndarray:
-    """Apply the 1-based transform to complex rows."""
-    length = z.shape[-1]
-    if length >= 2 and (length & (length - 1)) == 0:
-        rev, w_in, w_out = _fft_tables(length)
-        return w_out * _fft_pow2(z * w_in, rev)
-    return z @ _transform_matrix(length)
+    """Apply the 1-based transform to complex rows.
+
+    Index L is 0 mod L, so rotating the rows right by one turns the
+    1-based sum into numpy's 0-based FFT; bin L lands at position 0 and
+    rotating the output left by one puts it back at the end.
+    """
+    return np.roll(np.fft.fft(np.roll(z, 1, axis=-1), axis=-1), -1, axis=-1)
 
 
 def dft_time_axis(x: Tensor) -> ComplexTensor:

@@ -21,6 +21,9 @@ def _validate(scores, labels) -> tuple[np.ndarray, np.ndarray]:
         )
     if scores.size == 0:
         raise ValueError("empty metric input")
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise ValueError(f"non-finite score {scores[bad[0]]} at index {int(bad[0])}")
     uniq = set(np.unique(labels).tolist())
     if not uniq <= {0, 1}:
         raise ValueError(f"labels must be 0/1, got {sorted(uniq)}")
@@ -33,15 +36,11 @@ def average_precision(scores, labels) -> float:
     num_pos = int(labels.sum())
     if num_pos == 0:
         raise ValueError("average precision needs at least one positive")
-    order = np.argsort(-scores, kind="stable")
-    ranked = labels[order]
-    total = 0.0
-    hits = 0
-    for k, y in enumerate(ranked.tolist(), start=1):
-        if y == 1:
-            hits += 1
-            total += hits / k
-    return total / num_pos
+    ranked = labels[np.argsort(-scores, kind="stable")]
+    hit = ranked == 1
+    precision = np.cumsum(ranked)[hit] / np.arange(1, ranked.size + 1)[hit]
+    # summed left to right, as the ranking is walked; np.sum adds pairwise
+    return float(np.cumsum(precision)[-1]) / num_pos
 
 
 def roc_auc(scores, labels) -> float:
@@ -51,22 +50,10 @@ def roc_auc(scores, labels) -> float:
     num_neg = int(labels.size - num_pos)
     if num_pos == 0 or num_neg == 0:
         raise ValueError("roc_auc needs both classes present")
-    order = np.argsort(scores, kind="stable")
-    s = scores[order]
-    y = labels[order]
-    wins = 0  # positive strictly above negative
-    ties = 0
-    neg_below = 0
-    i = 0
-    n = s.shape[0]
-    while i < n:
-        j = i
-        while j < n and s[j] == s[i]:
-            j += 1
-        group_pos = int(y[i:j].sum())
-        group_neg = (j - i) - group_pos
-        wins += group_pos * neg_below
-        ties += group_pos * group_neg
-        neg_below += group_neg
-        i = j
+    _, group = np.unique(scores, return_inverse=True)
+    group_pos = np.bincount(group, weights=labels).astype(np.int64)
+    group_neg = np.bincount(group) - group_pos
+    neg_below = np.cumsum(group_neg) - group_neg
+    wins = int(group_pos @ neg_below)  # positive strictly above negative
+    ties = int(group_pos @ group_neg)
     return (2 * wins + ties) / float(2 * num_pos * num_neg)

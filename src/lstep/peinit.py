@@ -51,13 +51,12 @@ def snapshot_graph(
 
 
 def _adjacency(edges: np.ndarray, present: np.ndarray) -> np.ndarray:
-    pos = {int(node): i for i, node in enumerate(present.tolist())}
+    """Dense 0/1 adjacency over ``present`` (sorted), rows in that order."""
+    i, j = np.searchsorted(present, edges.T)
     n = present.shape[0]
     a = np.zeros((n, n))
-    for u, v in edges.tolist():
-        i, j = pos[int(u)], pos[int(v)]
-        a[i, j] = 1.0
-        a[j, i] = 1.0
+    a[i, j] = 1.0
+    a[j, i] = 1.0
     return a
 
 

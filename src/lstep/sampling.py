@@ -58,13 +58,10 @@ class NegativeSampler:
         self._pool: list[tuple[int, int]] = []
         self._pool_set: set[tuple[int, int]] = set()
         if strategy == "inductive":
-            first_seen: dict[tuple[int, int], int] = {}
-            for i in range(stream.num_events):
-                key = (int(stream.src[i]), int(stream.dst[i]))
-                first_seen.setdefault(key, i)
-            self._pool = sorted(
-                k for k, i in first_seen.items() if i >= split.train_end
+            pairs, first = np.unique(
+                np.stack([stream.src, stream.dst], axis=1), axis=0, return_index=True
             )
+            self._pool = list(map(tuple, pairs[first >= split.train_end].tolist()))
             self._pool_set = set(self._pool)
 
     def _advance_pool(self, t: float) -> None:

@@ -165,9 +165,7 @@ class _BatchContext:
 def _commit_batch(ctx: _BatchContext, batch: np.ndarray) -> None:
     """Commit updated encodings for every endpoint of the batch's events."""
     stream, store = ctx.stream, ctx.store
-    touched = sorted(
-        set(stream.src[batch].tolist()) | set(stream.dst[batch].tolist())
-    )
+    touched = np.union1d(stream.src[batch], stream.dst[batch]).tolist()
     t_commit = float(stream.ts[batch].max())
     k = ctx.cfg.recent_k
     updates: dict[int, np.ndarray] = {}
@@ -189,17 +187,29 @@ def _commit_batch(ctx: _BatchContext, batch: np.ndarray) -> None:
     store.advance()
 
 
-def _batch_terms(ctx: _BatchContext, batch: np.ndarray, neg) -> tuple[list, list, list, list]:
-    stream = ctx.stream
-    pos_probs, neg_probs, pos_pairs, neg_pairs = [], [], [], []
-    enc = ctx.params.encoder
-    for i, ev in enumerate(batch.tolist()):
+def _link_probs(ctx: _BatchContext, events: np.ndarray, neg) -> tuple[list, list]:
+    """Positive and negative link probabilities, one pair per event.
+
+    Representations are memoized per batch, so this call order fixes the
+    tape order and, through it, every report hash.
+    """
+    stream, enc = ctx.stream, ctx.params.encoder
+    pos_probs, neg_probs = [], []
+    for i, ev in enumerate(events.tolist()):
         u, v, t = int(stream.src[ev]), int(stream.dst[ev]), float(stream.ts[ev])
         nu, nv = int(neg.src[i]), int(neg.dst[i])
         pos_probs.append(predict_link(ctx.rep(u, t), ctx.rep(v, t), enc))
         neg_probs.append(predict_link(ctx.rep(nu, t), ctx.rep(nv, t), enc))
-        pos_pairs.append((ctx.ptilde(u), ctx.ptilde(v)))
-        neg_pairs.append((ctx.ptilde(nu), ctx.ptilde(nv)))
+    return pos_probs, neg_probs
+
+
+def _batch_terms(ctx: _BatchContext, batch: np.ndarray, neg) -> tuple[list, list, list, list]:
+    pos_probs, neg_probs = _link_probs(ctx, batch, neg)
+    # rep() already memoized every endpoint's encoding, so these record nothing
+    pt = ctx.ptilde
+    pos = zip(ctx.stream.src[batch].tolist(), ctx.stream.dst[batch].tolist())
+    pos_pairs = [(pt(u), pt(v)) for u, v in pos]
+    neg_pairs = [(pt(u), pt(v)) for u, v in zip(neg.src.tolist(), neg.dst.tolist())]
     return pos_probs, neg_probs, pos_pairs, neg_pairs
 
 
@@ -238,30 +248,19 @@ def _score_segment(
     scores: list[float] = []
     labels: list[int] = []
     fallbacks = 0
+    new_nodes = np.fromiter(split.new_nodes, dtype=np.int64)
     for _, batch in batch_iter(start, end, cfg.batch_size):
         ctx = _BatchContext(stream, store, params, cfg, tcfg)
+        scored = batch
         if setting == "inductive":
-            mask = np.array(
-                [
-                    int(stream.src[ev]) in split.new_nodes
-                    or int(stream.dst[ev]) in split.new_nodes
-                    for ev in batch.tolist()
-                ]
-            )
-            scored = batch[mask]
-        else:
-            scored = batch
+            ends = np.stack([stream.src[batch], stream.dst[batch]])
+            scored = batch[np.isin(ends, new_nodes).any(axis=0)]
         if scored.size:
             neg = sampler.sample(scored)
             fallbacks += neg.fallbacks
-            enc = params.encoder
-            for i, ev in enumerate(scored.tolist()):
-                u, v, t = int(stream.src[ev]), int(stream.dst[ev]), float(stream.ts[ev])
-                nu, nv = int(neg.src[i]), int(neg.dst[i])
-                scores.append(float(predict_link(ctx.rep(u, t), ctx.rep(v, t), enc).data[0]))
-                labels.append(1)
-                scores.append(float(predict_link(ctx.rep(nu, t), ctx.rep(nv, t), enc).data[0]))
-                labels.append(0)
+            for p, q in zip(*_link_probs(ctx, scored, neg)):
+                scores += [float(p.data[0]), float(q.data[0])]
+                labels += [1, 0]
         _commit_batch(ctx, batch)
     if not scores:
         raise ValueError(f"no qualifying positives in segment for setting {setting!r}")

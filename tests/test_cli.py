@@ -1,8 +1,11 @@
 """End-to-end tests of the command-line interface."""
 import csv
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +110,14 @@ def test_ingest_parse_error_names_line(tmp_path, capsys):
     raw.write_text("src,dst,timestamp\n1,2,1.0\n1,oops,2.0\n")
     assert main(["ingest", str(raw), "--out", str(tmp_path / "x")]) == 1
     assert "bad.csv:3" in capsys.readouterr().err
+
+
+def test_ingest_non_finite_timestamp_names_line(tmp_path, capsys):
+    raw = tmp_path / "nan.csv"
+    raw.write_text("src,dst,timestamp\n1,2,1.0\n1,3,nan\n2,3,inf\n")
+    assert main(["ingest", str(raw), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert "nan.csv:3" in err and "non-finite timestamp" in err
 
 
 def test_train_writes_checkpoint_report_and_loss_csv(tmp_path):
@@ -262,10 +273,15 @@ def test_argparse_usage_errors_exit_1():
 
 
 def test_console_script_installed():
+    """The `lstep` script, or the module it points at when not installed."""
+    cmd, env = ["lstep"], None
     if shutil.which("lstep") is None:
-        pytest.skip("console script not on PATH")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        cmd = [sys.executable, "-m", "lstep.cli"]
     proc = subprocess.run(
-        ["lstep", "check", "--suite", "nope"], capture_output=True, text=True
+        cmd + ["check", "--suite", "nope"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 1
     assert "unknown suite" in proc.stderr

@@ -141,3 +141,11 @@ def test_validate_catches_bad_values():
         validate_config(parse_config(base + "d_p = 0\n"))
     with pytest.raises(ValueError, match="room for a test split"):
         validate_config(parse_config(base + "train_ratio = 0.9\nval_ratio = 0.2\n"))
+    for line in (
+        "lr = nan", "lr = -1", "t_gap = nan", "t_gap = inf", "alpha = -2",
+        "alpha = inf", "beta = 0", "beta = nan", "max_epochs = 0",
+        "patience = -3", "eigen_size_cap = -1",
+    ):
+        field = line.split(" = ")[0]
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            validate_config(parse_config(base + line + "\n"))

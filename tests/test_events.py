@@ -84,6 +84,25 @@ def test_out_of_order_input_is_sorted_and_counted():
     assert s.src.tolist() == [1, 2, 0]
 
 
+def test_sort_count_and_index_match_loop_references():
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 17, 64, 101):
+        ts = rng.integers(0, 6, size=n).astype(np.float64)  # many ties
+        src, dst = rng.integers(0, 9, size=n), rng.integers(0, 9, size=n)
+        s = EventStream(src, dst, ts, num_nodes=10)
+        assert s.sort_warnings == sum(
+            1 for i in range(n) for j in range(i + 1, n) if ts[j] < ts[i]
+        )
+        for node in range(10):
+            ends = zip(s.src.tolist(), s.dst.tolist())
+            touching = [(i, v if u == node else u) for i, (u, v) in enumerate(ends)
+                        if node in (u, v)]
+            rec = s.recent_interactions_inclusive(node, 99.0, k=n)
+            real = ~rec.pad_mask
+            got = list(zip(rec.event_ids[real].tolist(), rec.neighbors[real].tolist()))
+            assert got == touching
+
+
 def test_tied_timestamps_keep_input_order():
     s = EventStream(np.array([0, 0]), np.array([1, 2]), np.array([5.0, 5.0]))
     assert s.sort_warnings == 0
@@ -111,6 +130,12 @@ def test_negative_ids_rejected():
 def test_num_nodes_lower_than_ids_rejected():
     with pytest.raises(ValueError, match="outside"):
         EventStream(np.array([0]), np.array([7]), np.array([1.0]), num_nodes=4)
+
+
+def test_non_finite_timestamps_rejected():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite timestamp .* at event 1"):
+            EventStream(np.array([0, 1]), np.array([1, 2]), np.array([1.0, bad]))
 
 
 def test_default_feature_tables_are_zero():
@@ -202,6 +227,16 @@ def test_load_events_malformed_row_names_line(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("src,dst,timestamp\n0,1,1.0\n0,oops,2.0\n")
     with pytest.raises(ValueError, match=r"bad\.csv:3"):
+        load_events(p)
+
+
+def test_load_events_non_finite_values_name_line(tmp_path):
+    p = tmp_path / "nan.csv"
+    p.write_text("src,dst,timestamp\n0,1,1.0\n0,2,nan\n1,2,inf\n")
+    with pytest.raises(ValueError, match=r"nan\.csv:3: non-finite timestamp"):
+        load_events(p)
+    p.write_text("src,dst,timestamp,f0\n0,1,1.0,0.5\n0,2,2.0,-inf\n")
+    with pytest.raises(ValueError, match=r"nan\.csv:3: non-finite edge feature"):
         load_events(p)
 
 

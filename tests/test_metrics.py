@@ -91,3 +91,13 @@ def test_input_validation():
         roc_auc(np.zeros(0), np.zeros(0))
     with pytest.raises(ValueError, match="0/1"):
         roc_auc(np.zeros(2), np.array([1, 2]))
+
+
+def test_non_finite_scores_rejected():
+    labels = np.array([1, 0, 1])
+    for bad in (np.nan, np.inf, -np.inf):
+        scores = np.array([0.3, bad, 0.1])
+        with pytest.raises(ValueError, match="non-finite score .* at index 1"):
+            average_precision(scores, labels)
+        with pytest.raises(ValueError, match="non-finite score .* at index 1"):
+            roc_auc(scores, labels)
