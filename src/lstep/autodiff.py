@@ -17,8 +17,9 @@ __all__ = [
     "matmul",
     "add",
     "sub",
-    "add_n",
     "concat",
+    "gather_rows",
+    "gather_sum_rows",
     "relu",
     "tanh",
     "sigmoid",
@@ -26,7 +27,6 @@ __all__ = [
     "clamp",
     "elementwise_mul",
     "scale",
-    "mean_rows",
     "weighted_sum_cols",
     "sum_all",
     "norm2",
@@ -146,8 +146,8 @@ def backward(
         )
         gins = vjp(*gouts)
         for t, g in zip(inputs, gins):
-            if g is None:
-                continue
+            if g is None or not (t.learnable or t._rec):
+                continue  # constants take no gradient
             _absorb(t, g)
             if t.learnable:
                 leaf_grads[id(t)] = grads[id(t)]
@@ -213,34 +213,64 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _emit(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
-def add_n(terms: list[Tensor]) -> Tensor:
-    """Sum of same-shape tensors as a single tape node."""
-    if not terms:
-        raise ValueError("add_n needs at least one term")
-    terms = [_as_tensor(t) for t in terms]
-    shape = terms[0].data.shape
-    for t in terms[1:]:
-        if t.data.shape != shape:
-            raise ValueError(f"add_n shape mismatch: {shape} vs {t.data.shape}")
-    total = terms[0].data.copy()
-    for t in terms[1:]:
-        total += t.data
-    return _emit(total, tuple(terms), lambda g: tuple(g for _ in terms))
-
-
 def concat(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate two 1-D tensors."""
+    """Concatenate along the last axis; leading shapes must agree."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 1 or b.data.ndim != 1:
+    if a.data.ndim != b.data.ndim or a.data.shape[:-1] != b.data.shape[:-1]:
         raise ValueError(
-            f"concat expects 1-D inputs, got {a.data.shape} and {b.data.shape}"
+            f"concat shape mismatch: {a.data.shape} and {b.data.shape}"
         )
-    na = a.data.shape[0]
+    na = a.data.shape[-1]
     return _emit(
-        np.concatenate([a.data, b.data]),
+        np.concatenate([a.data, b.data], axis=-1),
         (a, b),
-        lambda g: (g[:na], g[na:]),
+        lambda g: (g[..., :na], g[..., na:]),
     )
+
+
+def _scatter_rows(shape: tuple[int, ...], index: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Zeros of ``shape`` with each row ``g[i]`` added at row ``index[i]``."""
+    out = np.zeros(shape)
+    if index.size:
+        order = np.argsort(index, kind="stable")
+        rows = index[order]
+        starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+        out[rows[starts]] = np.add.reduceat(g[order], starts, axis=0)
+    return out
+
+
+def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
+    """Rows ``x[index]`` of a 2-D tensor; repeated rows add their gradients."""
+    x = _as_tensor(x)
+    index = np.asarray(index, dtype=np.int64)
+    if x.data.ndim != 2 or index.ndim != 1:
+        raise ValueError(
+            f"gather_rows expects 2-D data and 1-D index, got {x.data.shape}, {index.shape}"
+        )
+
+    return _emit(x.data[index], (x,), lambda g: (_scatter_rows(x.data.shape, index, g),))
+
+
+def gather_sum_rows(x: Tensor, index: np.ndarray, mask: np.ndarray) -> Tensor:
+    """(n, d) sums of the rows ``x[index[i, k]]`` over the slots k where
+    ``mask[i, k]``; the gradient scatter-adds back to those rows."""
+    x = _as_tensor(x)
+    index = np.asarray(index, dtype=np.int64)
+    mask = np.asarray(mask, dtype=bool)
+    if x.data.ndim != 2 or index.ndim != 2 or mask.shape != index.shape:
+        raise ValueError(
+            f"gather_sum_rows expects 2-D data and matching 2-D index and mask, "
+            f"got {x.data.shape}, {index.shape}, {mask.shape}"
+        )
+    picked = x.data[index]
+    picked[~mask] = 0.0
+    out_data = picked.sum(axis=1)
+    owner = np.nonzero(mask)[0]
+
+    def vjp(g):
+        return (_scatter_rows(x.data.shape, index[mask], g[owner]),)
+
+    return _emit(out_data, (x,), vjp)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -297,34 +327,34 @@ def scale(x: Tensor, s: float) -> Tensor:
     return elementwise_mul(x, float(s))
 
 
-def mean_rows(x: Tensor) -> Tensor:
-    """Mean over the rows of a 2-D tensor; (m, n) -> (n,)."""
-    x = _as_tensor(x)
-    if x.data.ndim != 2:
-        raise ValueError(f"mean_rows expects 2-D, got {x.data.shape}")
-    m = x.data.shape[0]
-    return _emit(
-        x.data.mean(axis=0),
-        (x,),
-        lambda g: (np.broadcast_to(g / m, x.data.shape).copy(),),
-    )
-
-
 def weighted_sum_cols(x: Tensor, w: Tensor) -> Tensor:
-    """Weighted sum of the columns of x: (d, L) x (L, 1) -> (d,)."""
+    """Weighted sum of the columns of x: (..., d, L) -> (..., d).
+
+    ``w`` is (L, 1), one weight per column shared by every row, or
+    (d, L), one set of weights per row. The gradient of ``x`` is formed
+    only when ``x`` can carry one, so a large constant input costs
+    nothing in the backward pass.
+    """
     x, w = _as_tensor(x), _as_tensor(w)
-    if x.data.ndim != 2:
-        raise ValueError(f"weighted_sum_cols expects 2-D input, got {x.data.shape}")
-    wv = w.data.reshape(-1)
-    if wv.shape[0] != x.data.shape[1]:
+    if x.data.ndim < 2:
+        raise ValueError(f"weighted_sum_cols expects >= 2-D input, got {x.data.shape}")
+    d, length = x.data.shape[-2:]
+    shared = w.data.shape == (length, 1)
+    if not shared and w.data.shape != (d, length):
         raise ValueError(
             f"weighted_sum_cols shape mismatch: {x.data.shape} vs {w.data.shape}"
         )
+    kern = np.broadcast_to(w.data.T, (d, length)) if shared else w.data
+    xs = x.data.reshape((-1, d, length))
+    need_x = x.learnable or x._rec
 
     def vjp(g):
-        return np.outer(g, wv), (x.data.T @ g).reshape(w.data.shape)
+        gx = g[..., None] * kern if need_x else None
+        gk = np.einsum("ndl,nd->dl", xs, g.reshape(xs.shape[:2]))
+        return gx, gk.sum(axis=0).reshape(w.data.shape) if shared else gk
 
-    return _emit(x.data @ wv, (x, w), vjp)
+    out = np.einsum("ndl,dl->nd", xs, kern).reshape(x.data.shape[:-1])
+    return _emit(out, (x, w), vjp)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -344,15 +374,17 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def norm2(x: Tensor) -> Tensor:
-    """Euclidean norm of a 1-D tensor; subgradient 0 at the origin."""
+    """Euclidean norm along the last axis: (d,) -> (), (n, d) -> (n,).
+
+    The subgradient at a zero vector is 0.
+    """
     x = _as_tensor(x)
-    if x.data.ndim != 1:
-        raise ValueError(f"norm2 expects 1-D, got {x.data.shape}")
-    n = float(np.sqrt(np.dot(x.data, x.data)))
+    if x.data.ndim not in (1, 2):
+        raise ValueError(f"norm2 expects 1-D or 2-D, got {x.data.shape}")
+    n = np.sqrt(np.einsum("...i,...i->...", x.data, x.data))
 
     def vjp(g):
-        if n == 0.0:
-            return (np.zeros_like(x.data),)
-        return (g * x.data / n,)
+        safe = np.where(n == 0.0, 1.0, n)
+        return (np.where(n == 0.0, 0.0, g / safe)[..., None] * x.data,)
 
-    return _emit(np.asarray(n), (x,), vjp)
+    return _emit(n, (x,), vjp)

@@ -29,10 +29,9 @@ from .sampling import sample_negatives
 from .synthetic import make_periodic_stream, make_random_stream, make_static_stream
 from .timeenc import TimeEncoderConfig
 from .training import (
-    _BatchContext,
-    _batch_terms,
+    _batch_forward,
+    _batch_loss,
     _commit_batch,
-    _link_probs,
     _score_segment,
     build_initial_pe,
     collect_pe_trace,
@@ -49,6 +48,7 @@ __all__ = [
     "check_bound",
     "check_synthetic",
     "check_scaling",
+    "tape_nodes_per_batch",
     "check_losses",
     "check_uci",
     "SUITES",
@@ -93,19 +93,15 @@ def check_gradients(seed: int = 0) -> dict:
             np.arange(num_nodes),
         )
     )
-    for node in range(num_nodes):
-        store.commit(node, rng.normal(size=cfg.d_p))
+    store.commit(np.arange(num_nodes), rng.normal(size=(num_nodes, cfg.d_p)))
     store.advance()
 
     batch = np.array([10, 11])
     neg = sample_negatives(stream, split, batch, "random", seed=seed)
 
     def build():
-        ctx = _BatchContext(stream, store, params, cfg, tcfg)
-        pos_p, neg_p, pos_q, neg_q = _batch_terms(ctx, batch, neg)
-        return total_loss(
-            loss_lp(pos_p, neg_p), loss_pe(pos_q, neg_q, cfg.alpha_neg), cfg.alpha_pe
-        )
+        fwd = _batch_forward(stream, store, params, cfg, tcfg, batch, batch, neg)
+        return _batch_loss(fwd, stream, batch, neg, cfg)
 
     with GradientTape() as tape:
         loss = build()
@@ -415,38 +411,58 @@ def check_synthetic(seed: int = 0, max_epochs: int | None = None) -> dict:
     }
 
 
-def _timed_batches(num_nodes: int, seed: int, trials: int):
-    """Set up a stream of ``trials + 1`` batches with B = n / 5; returns a
-    function that scores and commits batch k (no gradients), timing it."""
+def _scaling_setup(num_nodes: int, seed: int, batches: int):
+    """A random stream of ``batches`` batches with B = n / 5, a fresh
+    model and a zero-seeded store."""
     cfg = parse_config(
         "d_t = 8\nd_n = 8\nd_e = 8\nd_p = 6\nhistory_len = 8\n"
         f"t_gap = 10.0\nrecent_k = 5\nbatch_size = {num_nodes // 5}\n"
     )
-    b = cfg.batch_size
-    stream = make_random_stream(num_nodes, (trials + 2) * b, seed=seed)
+    stream = make_random_stream(num_nodes, batches * cfg.batch_size, seed=seed)
     split = chronological_split(stream, (0.99, 0.005, 0.005))
     params = init_model_params(ModelDims.from_config(cfg), seed=seed)
     tcfg = TimeEncoderConfig(cfg.d_t, cfg.alpha, cfg.beta)
     store = PositionalStore(num_nodes, cfg.d_p, cfg.history_len)
     store.reset(zero_pe(num_nodes, cfg.d_p))
+    return cfg, stream, split, params, tcfg, store
+
+
+def _timed_batches(num_nodes: int, seed: int, trials: int):
+    """Set up a stream of ``trials + 2`` batches with B = n / 5; returns a
+    function that scores and commits batch k (no gradients), timing it."""
+    cfg, stream, split, params, tcfg, store = _scaling_setup(num_nodes, seed, trials + 2)
+    b = cfg.batch_size
 
     def run(k: int) -> float:
         batch = np.arange(k * b, (k + 1) * b)
         t0 = time.monotonic()
         neg = sample_negatives(stream, split, batch, "random", seed=seed + k)
-        ctx = _BatchContext(stream, store, params, cfg, tcfg)
-        _link_probs(ctx, batch, neg)
-        _commit_batch(ctx, batch)
+        fwd = _batch_forward(stream, store, params, cfg, tcfg, batch, batch, neg)
+        _commit_batch(store, params, tcfg, fwd)
         return time.monotonic() - t0
 
     return run
+
+
+def tape_nodes_per_batch(num_nodes: int, seed: int = 0) -> int:
+    """Tape length of one training batch (forward and loss) on the
+    scaling check's set-up; it does not depend on the batch size."""
+    cfg, stream, split, params, tcfg, store = _scaling_setup(num_nodes, seed, 2)
+    batch = np.arange(cfg.batch_size, 2 * cfg.batch_size)
+    neg = sample_negatives(stream, split, batch, "random", seed=seed)
+    with GradientTape() as tape:
+        fwd = _batch_forward(stream, store, params, cfg, tcfg, batch, batch, neg)
+        _batch_loss(fwd, stream, batch, neg, cfg)
+    return len(tape)
 
 
 def check_scaling(seed: int = 0) -> dict:
     """Per-batch forward+commit time ratio for 500 -> 1000 nodes, B ~ n.
 
     The two sizes' batches alternate, so a change in machine speed during
-    the check reaches both medians instead of only one of them.
+    the check reaches both medians instead of only one of them. The tape
+    length of one training batch at each size is reported beside the
+    times: a count that does not flake with machine speed.
     """
     t0 = time.monotonic()
     trials = 5
@@ -467,6 +483,8 @@ def check_scaling(seed: int = 0) -> dict:
         "batch_seconds_1000": large,
         "ratio": ratio,
         "limit": 2.5,
+        "tape_nodes_500": tape_nodes_per_batch(500, seed),
+        "tape_nodes_1000": tape_nodes_per_batch(1000, seed),
         "seconds": time.monotonic() - t0,
     }
 
@@ -475,12 +493,11 @@ def check_losses(seed: int = 0) -> dict:
     """Closed-form loss identities and affine-combination linearity."""
     t0 = time.monotonic()
     rng = np.random.default_rng(seed)
-    half = [Tensor(np.array([0.5])) for _ in range(4)]
-    ln2_err = abs(float(loss_lp(half, list(half)).data) - float(np.log(2.0)))
+    half = Tensor(np.full((4, 1), 0.5))
+    ln2_err = abs(float(loss_lp(half, half).data) - float(np.log(2.0)))
 
-    u = Tensor(rng.normal(size=5))
-    pairs = [(u, u), (u, u), (u, u)]
-    pe_zero = float(loss_pe(pairs, pairs).data)
+    u = Tensor(np.tile(rng.normal(size=5), (3, 1)))
+    pe_zero = float(loss_pe((u, u), (u, u)).data)
 
     # an affine map is pinned by three probes; re-predict random points
     alpha = 0.5

@@ -5,21 +5,23 @@ vector plus the mean of neighbor features inside a look-back window, a
 pooled encoding of its K most recent interactions (time encoding and
 edge features per interaction), and a gated refinement of its current
 positional encoding against the positional encodings of those same K
-interaction partners. The link predictor is a two-layer MLP over the
-concatenated endpoint representations.
+interaction partners. Every function takes a batch of (node, t) queries
+and returns one row per query, so a batch costs a fixed handful of
+matrix products whatever its size. The link predictor is a two-layer
+MLP over the concatenated endpoint representations.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .autodiff import (
     Tensor,
     add,
-    add_n,
     concat,
+    gather_rows,
+    gather_sum_rows,
     matmul,
     relu,
     sigmoid,
@@ -32,6 +34,7 @@ from .timeenc import TimeEncoderConfig, time_encode_many
 
 __all__ = [
     "EncoderParams",
+    "node_rows",
     "node_encoding",
     "link_encoding",
     "temporal_representation",
@@ -63,96 +66,131 @@ class EncoderParams:
         return int(self.link_sum_pool.data.shape[0])
 
 
+def node_rows(table_nodes: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Row of each of ``nodes`` in a table whose rows are the sorted ids
+    ``table_nodes``; every node must be present."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    rows = np.searchsorted(table_nodes, nodes)
+    found = rows < table_nodes.size
+    found[found] = table_nodes[rows[found]] == nodes[found]
+    if not found.all():
+        raise ValueError(f"node {int(nodes[~found][0])} has no row in the table")
+    return rows
+
+
+def _linear(x: Tensor, w: Tensor) -> Tensor:
+    """x @ w.T for a weight stored as (out, in)."""
+    return matmul(x, transpose(w))
+
+
 def node_encoding(
-    stream: EventStream, node: int, t: float, t_gap: float
+    stream: EventStream, nodes: np.ndarray, ts: np.ndarray, t_gap: float
 ) -> np.ndarray:
-    """x_u plus the mean feature vector of neighbors seen in [t - t_gap, t)."""
-    x = stream.node_features[node].copy()
-    nbrs, _ = stream.window_neighbors(node, t, t_gap)
-    if nbrs.size == 0:
-        return x
-    return x + stream.node_features[nbrs].mean(axis=0)
+    """(n, d_n): x_u plus the mean feature vector of neighbors seen in [t - t_gap, t)."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    win = stream.window_neighbors(nodes, ts, t_gap)
+    counts = np.diff(win.offsets)
+    out = stream.node_features[nodes]
+    some = counts > 0
+    if some.any():
+        # the non-empty windows tile the gathered rows, so each sum runs
+        # from its offset to the next non-empty window's
+        sums = np.add.reduceat(
+            stream.node_features[win.neighbors], win.offsets[:-1][some], axis=0
+        )
+        out[some] += sums / counts[some, None]
+    return out
 
 
 def _interaction_rows(
     stream: EventStream,
     recent: RecentInteractions,
-    t: float,
+    ts: np.ndarray,
     time_cfg: TimeEncoderConfig,
 ) -> np.ndarray:
-    """(K, d_t + d_e) rows of concat(time encoding, edge features).
+    """(n, K, d_t + d_e) rows of concat(time encoding, edge features).
 
     Padded slots stay exactly zero across the whole row.
     """
-    k = len(recent)
-    rows = np.zeros((k, time_cfg.dim + stream.d_e))
-    real = ~recent.pad_mask
-    if real.any():
-        deltas = t - recent.times[real]
-        rows[real, : time_cfg.dim] = time_encode_many(deltas, time_cfg)
-        rows[real, time_cfg.dim :] = stream.edge_features[recent.event_ids[real]]
+    d_t = time_cfg.dim
+    rows = np.empty(recent.pad_mask.shape + (d_t + stream.d_e,))
+    rows[..., :d_t] = time_encode_many(ts[:, None] - recent.times, time_cfg)
+    rows[..., d_t:] = stream.edge_features[recent.event_ids]
+    rows[recent.pad_mask] = 0.0
     return rows
 
 
 def link_encoding(
     stream: EventStream,
-    node: int,
-    t: float,
+    nodes: np.ndarray,
+    ts: np.ndarray,
     params: EncoderParams,
     time_cfg: TimeEncoderConfig,
     recent: RecentInteractions | None = None,
 ) -> Tensor:
-    """Pooled encoding of the K most recent interactions strictly before t."""
+    """(n, d_t + d_e) pooled encodings of the K most recent interactions
+    strictly before t.
+
+    Pooling the K slots and ``link_w1`` are both linear, so the rows are
+    pooled first and only (n, d_t + d_e) rows meet the weight.
+    """
+    ts = np.asarray(ts, dtype=np.float64)
     if recent is None:
-        recent = stream.recent_interactions(node, t, params.recent_k)
-    rows = Tensor(_interaction_rows(stream, recent, t, time_cfg))
-    mixed = matmul(rows, params.link_w1)  # (K, d_t + d_e)
-    pooled = weighted_sum_cols(transpose(mixed), params.link_sum_pool)
-    return matmul(params.link_w2, relu(pooled))
+        recent = stream.recent_interactions(nodes, ts, params.recent_k)
+    return _pooled_link(_interaction_rows(stream, recent, ts, time_cfg), params)
+
+
+def _pooled_link(rows: np.ndarray, params: EncoderParams) -> Tensor:
+    pooled = weighted_sum_cols(Tensor(rows.transpose(0, 2, 1)), params.link_sum_pool)
+    return _linear(relu(matmul(pooled, params.link_w1)), params.link_w2)
 
 
 def temporal_representation(
     stream: EventStream,
-    node: int,
-    t: float,
+    nodes: np.ndarray,
+    ts: np.ndarray,
     params: EncoderParams,
     time_cfg: TimeEncoderConfig,
     t_gap: float,
-    get_ptilde: Callable[[int], Tensor],
+    ptilde: Tensor,
+    ptilde_nodes: np.ndarray,
+    recent: RecentInteractions | None = None,
 ) -> Tensor:
-    """Fused (d_n,) representation of ``node`` at query time ``t``.
+    """Fused (n, d_n) representations of ``nodes`` at query times ``ts``.
 
-    ``get_ptilde`` maps a node id to its current approximate positional
-    encoding; it is consulted for the node itself and for its K most
-    recent interaction partners.
+    ``ptilde`` holds the approximate positional encodings (m, d_p) of the
+    sorted node ids ``ptilde_nodes``; it must cover every query node and
+    its K most recent interaction partners.
     """
-    recent = stream.recent_interactions(node, t, params.recent_k)
+    nodes = np.asarray(nodes, dtype=np.int64)
+    ts = np.asarray(ts, dtype=np.float64)
+    if recent is None:
+        recent = stream.recent_interactions(nodes, ts, params.recent_k)
 
-    h_n = Tensor(node_encoding(stream, node, t, t_gap))
-    h_e = link_encoding(stream, node, t, params, time_cfg, recent=recent)
-    h_ne = matmul(params.fuse_w, concat(h_n, h_e))
+    rows = _interaction_rows(stream, recent, ts, time_cfg)
+    h_n = Tensor(node_encoding(stream, nodes, ts, t_gap))
+    h_e = _pooled_link(rows, params)
+    h_ne = _linear(concat(h_n, h_e), params.fuse_w)
 
-    p_tilde = get_ptilde(node)
+    p_tilde = gather_rows(ptilde, node_rows(ptilde_nodes, nodes))
     real = ~recent.pad_mask
-    if real.any():
-        tau_sum = Tensor(
-            time_encode_many(t - recent.times[real], time_cfg).sum(axis=0)
-        )
-        nbr_sum = add_n([get_ptilde(int(v)) for v in recent.neighbors[real]])
-        h_hat_p = concat(tau_sum, nbr_sum)
-    else:
-        h_hat_p = Tensor(np.zeros(time_cfg.dim + p_tilde.data.shape[0]))
+    # padded rows are zero, so this sums the real slots' time encodings
+    tau_sum = rows[:, :, : time_cfg.dim].sum(axis=1)
+    partners = np.zeros(real.shape, dtype=np.int64)
+    partners[real] = node_rows(ptilde_nodes, recent.neighbors[real])
+    nbr_sum = gather_sum_rows(ptilde, partners, real)
+    h_hat_p = concat(Tensor(tau_sum), nbr_sum)
     gate = tanh(
         add(
-            matmul(params.pe_w_self, p_tilde),
-            matmul(params.pe_w2, relu(matmul(params.pe_w1, h_hat_p))),
+            _linear(p_tilde, params.pe_w_self),
+            _linear(relu(_linear(h_hat_p, params.pe_w1)), params.pe_w2),
         )
     )
     h_p = add(p_tilde, gate)
-    return matmul(params.out_w, concat(h_ne, h_p))
+    return _linear(concat(h_ne, h_p), params.out_w)
 
 
 def predict_link(h_u: Tensor, h_v: Tensor, params: EncoderParams) -> Tensor:
-    """Link probability in (0, 1), shape (1,)."""
+    """Link probabilities in (0, 1), shape (n, 1), for (n, d_n) endpoint rows."""
     hidden = relu(matmul(concat(h_u, h_v), params.pred_w1))
     return sigmoid(matmul(hidden, params.pred_w2))

@@ -2,10 +2,12 @@
 
 An event stream holds interaction triplets (src, dst, t) sorted by
 timestamp (stable on ties), dense node ids, a node feature table, and a
-per-event edge feature table. Per-node neighbor lists support the three
-temporal queries the encoders need: the K most recent interactions
-strictly before t, the same set inclusive of t, and all neighbors inside
-a look-back window [t - t_gap, t).
+per-event edge feature table. A CSR index over nodes (offsets into
+neighbor, time and event arrays, each node's entries in time order)
+answers the three temporal queries the encoders need, for a whole array
+of (node, t) queries at once: the K most recent interactions strictly
+before t, the same set inclusive of t, and all neighbors inside a
+look-back window [t - t_gap, t).
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import numpy as np
 __all__ = [
     "PAD_ID",
     "RecentInteractions",
+    "WindowNeighbors",
     "EventStream",
     "ChronoSplit",
     "load_events",
@@ -30,6 +33,15 @@ __all__ = [
 
 PAD_ID = -1
 _LABEL_NAMES = {"label", "state_label"}
+
+
+def _reject_non_finite(values: np.ndarray, what: str, where: str) -> None:
+    finite = np.isfinite(values)
+    if finite.all():
+        return
+    bad = np.flatnonzero(~finite.all(axis=tuple(range(1, values.ndim))))[0]
+    value = values[bad][~finite[bad]].ravel()[0]
+    raise ValueError(f"non-finite {what} {value} at {where} {int(bad)}")
 
 
 def _count_inversions(values: np.ndarray) -> int:
@@ -61,11 +73,12 @@ def _count_inversions(values: np.ndarray) -> int:
 
 @dataclass(frozen=True)
 class RecentInteractions:
-    """Fixed-length window of a node's latest interactions, oldest first.
+    """Fixed-length windows of latest interactions, one row per query.
 
-    Front positions are sentinel padding (neighbor PAD_ID, timestamp equal
-    to the query time, event index -1) when fewer than K interactions
-    exist; downstream encoders zero the corresponding rows entirely.
+    Every field is (n, K), oldest first within a row. Front positions are
+    sentinel padding (neighbor PAD_ID, timestamp equal to the query time,
+    event index -1) when fewer than K interactions exist; downstream
+    encoders zero the corresponding rows entirely.
     """
 
     neighbors: np.ndarray
@@ -73,21 +86,14 @@ class RecentInteractions:
     event_ids: np.ndarray
     pad_mask: np.ndarray
 
-    def __len__(self) -> int:
-        return int(self.neighbors.shape[0])
 
-    def __iter__(self):
-        return iter(
-            zip(
-                self.neighbors.tolist(),
-                self.times.tolist(),
-                self.event_ids.tolist(),
-            )
-        )
+@dataclass(frozen=True)
+class WindowNeighbors:
+    """Ragged look-back windows: query i owns ``[offsets[i], offsets[i+1])``."""
 
-    @property
-    def num_real(self) -> int:
-        return int((~self.pad_mask).sum())
+    offsets: np.ndarray
+    neighbors: np.ndarray
+    times: np.ndarray
 
 
 class EventStream:
@@ -115,15 +121,16 @@ class EventStream:
             )
         if src.size == 0:
             raise ValueError("event stream is empty")
-        bad = np.flatnonzero(~np.isfinite(ts))
-        if bad.size:
-            raise ValueError(f"non-finite timestamp {ts[bad[0]]} at event {int(bad[0])}")
+        _reject_non_finite(ts, "timestamp", "event")
+        if edge_features is not None:
+            edge_features = np.asarray(edge_features, dtype=np.float64)
+            _reject_non_finite(edge_features, "edge feature", "event")
         if ts.size > 1 and np.any(np.diff(ts) < 0.0):
             sort_warnings += _count_inversions(ts)
             order = np.argsort(ts, kind="stable")
             src, dst, ts = src[order], dst[order], ts[order]
             if edge_features is not None:
-                edge_features = np.asarray(edge_features, dtype=np.float64)[order]
+                edge_features = edge_features[order]
         if src.min() < 0 or dst.min() < 0:
             raise ValueError("negative node id in event stream")
         inferred = int(max(src.max(), dst.max())) + 1
@@ -142,13 +149,11 @@ class EventStream:
 
         if edge_features is None:
             edge_features = np.zeros((self.num_events, d_e))
-        else:
-            edge_features = np.asarray(edge_features, dtype=np.float64)
-            if edge_features.shape[0] != self.num_events:
-                raise ValueError(
-                    f"edge feature rows {edge_features.shape[0]} != "
-                    f"events {self.num_events}"
-                )
+        elif edge_features.shape[0] != self.num_events:
+            raise ValueError(
+                f"edge feature rows {edge_features.shape[0]} != "
+                f"events {self.num_events}"
+            )
         if node_features is None:
             node_features = np.zeros((self.num_nodes, d_n))
         else:
@@ -158,6 +163,7 @@ class EventStream:
                     f"node feature rows {node_features.shape[0]} != "
                     f"nodes {self.num_nodes}"
                 )
+            _reject_non_finite(node_features, "node feature", "node")
         self.edge_features = edge_features
         self.node_features = node_features
         self.d_e = int(edge_features.shape[1])
@@ -165,55 +171,74 @@ class EventStream:
         self._build_index()
 
     def _build_index(self) -> None:
-        # one (node, neighbor, event) entry per endpoint, a self-loop once,
-        # grouped by node and kept in event order within each node
-        other = self.src != self.dst
-        eid = np.concatenate([np.arange(self.num_events), np.flatnonzero(other)])
-        node = np.concatenate([self.src, self.dst[other]])
-        nbr = np.concatenate([self.dst, self.src[other]])
-        order = np.lexsort((eid, node))
-        cuts = np.cumsum(np.bincount(node, minlength=self.num_nodes))[:-1]
-        self._nbr = np.split(nbr[order], cuts)
-        self._nts = np.split(self.ts[eid[order]], cuts)
-        self._eid = np.split(eid[order], cuts)
+        # CSR over nodes: one (neighbor, time, event) entry per endpoint, a
+        # self-loop once. Entries are laid out in event order before the
+        # stable sort, so each node's entries stay in event (= time) order.
+        ends = np.stack([self.src, self.dst], axis=1)
+        keep = np.ones(ends.shape, dtype=bool)
+        keep[:, 1] = self.src != self.dst
+        node = ends[keep]
+        nbr = ends[:, ::-1][keep]
+        eid = np.repeat(np.arange(self.num_events), 2).reshape(-1, 2)[keep]
+        order = np.argsort(node, kind="stable")
+        self._offsets = np.concatenate(
+            [[0], np.cumsum(np.bincount(node, minlength=self.num_nodes))]
+        )
+        self._nbr = nbr[order]
+        self._nts = self.ts[eid[order]]
+        self._eid = eid[order]
+        # entries sort by (node, time rank), so one searchsorted on this
+        # integer key answers a time bound for every (node, t) query at once
+        self._times = np.unique(self.ts)
+        self._stride = self._times.size + 1
+        rank = np.searchsorted(self._times, self._nts)
+        self._key = node[order] * self._stride + rank
 
-    def _recent(self, node: int, hi: int, t: float, k: int) -> RecentInteractions:
+    def _position(self, nodes: np.ndarray, ts: np.ndarray, side: str) -> np.ndarray:
+        """Per query, the CSR position after the node's entries before t
+        (``side="left"``) or at or before t (``side="right"``)."""
+        rank = np.searchsorted(self._times, ts, side=side)
+        return np.searchsorted(self._key, nodes * self._stride + rank, side="left")
+
+    def _queries(self, nodes, ts) -> tuple[np.ndarray, np.ndarray]:
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if nodes.ndim != 1:
+            raise ValueError(f"queries take a 1-D node array, got shape {nodes.shape}")
+        ts = np.broadcast_to(np.asarray(ts, dtype=np.float64), nodes.shape)
+        return nodes, ts
+
+    def _recent(self, nodes, ts, k: int, side: str) -> RecentInteractions:
         if k < 1:
             raise ValueError(f"window size must be >= 1, got {k}")
-        lo = max(0, hi - k)
-        take = hi - lo
-        pad = k - take
-        neighbors = np.full(k, PAD_ID, dtype=np.int64)
-        times = np.full(k, t, dtype=np.float64)
-        event_ids = np.full(k, -1, dtype=np.int64)
-        mask = np.ones(k, dtype=bool)
-        if take:
-            neighbors[pad:] = self._nbr[node][lo:hi]
-            times[pad:] = self._nts[node][lo:hi]
-            event_ids[pad:] = self._eid[node][lo:hi]
-            mask[pad:] = False
-        return RecentInteractions(neighbors, times, event_ids, mask)
+        nodes, ts = self._queries(nodes, ts)
+        hi = self._position(nodes, ts, side)
+        pos = hi[:, None] - k + np.arange(k)
+        pad = pos < self._offsets[nodes][:, None]
+        pos = np.where(pad, 0, pos)
+        return RecentInteractions(
+            np.where(pad, PAD_ID, self._nbr[pos]),
+            np.where(pad, ts[:, None], self._nts[pos]),
+            np.where(pad, -1, self._eid[pos]),
+            pad,
+        )
 
-    def recent_interactions(self, node: int, t: float, k: int) -> RecentInteractions:
-        """K most recent interactions of ``node`` strictly before ``t``."""
-        hi = int(np.searchsorted(self._nts[node], t, side="left"))
-        return self._recent(node, hi, t, k)
+    def recent_interactions(self, nodes, ts, k: int) -> RecentInteractions:
+        """K most recent interactions of each node strictly before its t."""
+        return self._recent(nodes, ts, k, "left")
 
-    def recent_interactions_inclusive(
-        self, node: int, t: float, k: int
-    ) -> RecentInteractions:
-        """K most recent interactions at or before ``t``."""
-        hi = int(np.searchsorted(self._nts[node], t, side="right"))
-        return self._recent(node, hi, t, k)
+    def recent_interactions_inclusive(self, nodes, ts, k: int) -> RecentInteractions:
+        """K most recent interactions of each node at or before its t."""
+        return self._recent(nodes, ts, k, "right")
 
-    def window_neighbors(
-        self, node: int, t: float, t_gap: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Neighbors of ``node`` with interactions inside [t - t_gap, t)."""
-        nts = self._nts[node]
-        lo = int(np.searchsorted(nts, t - t_gap, side="left"))
-        hi = int(np.searchsorted(nts, t, side="left"))
-        return self._nbr[node][lo:hi].copy(), nts[lo:hi].copy()
+    def window_neighbors(self, nodes, ts, t_gap: float) -> WindowNeighbors:
+        """Neighbors of each node with interactions inside [t - t_gap, t)."""
+        nodes, ts = self._queries(nodes, ts)
+        lo = self._position(nodes, ts - t_gap, "left")
+        hi = self._position(nodes, ts, "left")
+        counts = hi - lo
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        pos = np.arange(offsets[-1]) + np.repeat(lo - offsets[:-1], counts)
+        return WindowNeighbors(offsets, self._nbr[pos], self._nts[pos])
 
 
 @dataclass(frozen=True)

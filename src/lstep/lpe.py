@@ -4,9 +4,12 @@ Each node stores its last L committed encodings, one per discrete step
 (a step is one processed batch). The approximation filters the d_P x L
 history matrix along the time axis in the frequency domain, multiplies
 by a learnable complex filter, transforms back, and pools the columns
-with learnable weights. Commits add a gated MLP correction built from
-the node's most recent interactions and are stored detached, so no
-gradient crosses batch boundaries.
+with learnable weights. That chain is linear in the history, so it is
+one real (d_P, L) kernel: the kernel is built once per batch from the
+filter and the pool, and the encodings of every node the batch needs
+are one contraction of their stacked histories against it. Commits add
+a gated MLP correction built from each node's most recent interactions
+and are stored detached, so no gradient crosses batch boundaries.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff
-from .autodiff import ComplexTensor, Tensor, weighted_sum_cols
+from .autodiff import ComplexTensor, Tensor, matmul, scale, transpose, weighted_sum_cols
 from .fourier import complex_elementwise_mul, dft_time_axis, idft_time_axis
 from .peinit import InitialPE
 from .timeenc import TimeEncoderConfig, time_encode_many
@@ -78,39 +81,43 @@ class PositionalStore:
                     f"initial PE shape {initial.table.shape} != "
                     f"({self.num_nodes}, {self.d_p})"
                 )
-            for node in initial.present.tolist():
-                self.commit(int(node), initial.table[int(node)])
+            present = np.asarray(initial.present, dtype=np.int64)
+            self.commit(present, initial.table[present])
         self.advance()
 
-    def commit(self, node: int, vec: np.ndarray) -> None:
-        """Store a detached encoding for ``node`` at the current step."""
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.d_p,):
-            raise ValueError(f"commit shape {vec.shape} != ({self.d_p},)")
-        last = (self._head[node] - 1) % self.history_len
-        if self._count[node] > 0 and self._steps[node, last] == self.step:
-            self._ring[node, last] = vec  # same-step recommit overwrites
-            return
-        pos = self._head[node]
-        self._ring[node, pos] = vec
-        self._steps[node, pos] = self.step
-        self._head[node] = (pos + 1) % self.history_len
-        self._count[node] = min(self._count[node] + 1, self.history_len)
+    def commit(self, nodes: np.ndarray, vecs: np.ndarray) -> None:
+        """Store detached encodings (n, d_p) for distinct ``nodes`` at the
+        current step; a node already committed this step is overwritten."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        vecs = np.asarray(vecs, dtype=np.float64)
+        if nodes.ndim != 1 or vecs.shape != (nodes.size, self.d_p):
+            raise ValueError(f"commit shape {vecs.shape} != ({nodes.size}, {self.d_p})")
+        if np.unique(nodes).size != nodes.size:
+            raise ValueError("commit nodes must be distinct")
+        length = self.history_len
+        last = (self._head[nodes] - 1) % length
+        same = (self._count[nodes] > 0) & (self._steps[nodes, last] == self.step)
+        self._ring[nodes[same], last[same]] = vecs[same]
+        new = nodes[~same]
+        pos = self._head[new]
+        self._ring[new, pos] = vecs[~same]
+        self._steps[new, pos] = self.step
+        self._head[new] = (pos + 1) % length
+        self._count[new] = np.minimum(self._count[new] + 1, length)
 
     def advance(self) -> None:
         self.step += 1
 
-    def history_matrix(self, node: int) -> np.ndarray:
-        """(d_p, L) with columns oldest to newest; missing oldest are zero."""
+    def history_matrix(self, nodes: np.ndarray) -> np.ndarray:
+        """(n, d_p, L) histories, columns oldest to newest; missing oldest are zero."""
+        nodes = np.asarray(nodes, dtype=np.int64)
         length = self.history_len
-        out = np.zeros((self.d_p, length))
-        cnt = int(self._count[node])
-        if cnt == 0:
-            return out
-        head = int(self._head[node])
-        idx = (np.arange(cnt) + head - cnt) % length
-        out[:, length - cnt :] = self._ring[node, idx].T
-        return out
+        col = np.arange(length)
+        # the newest entry sits just before head, so column c is slot head + c
+        slots = (col + self._head[nodes, None]) % length
+        gathered = self._ring[nodes[:, None], slots]
+        gathered[col < length - self._count[nodes, None]] = 0.0
+        return gathered.transpose(0, 2, 1)
 
     def entries(self, node: int) -> list[tuple[int, np.ndarray]]:
         """(step, encoding) pairs oldest to newest."""
@@ -150,54 +157,69 @@ def _filter_is_identity(params: LpeParams) -> bool:
     )
 
 
-def approximate_pe(history: Tensor | np.ndarray, params: LpeParams) -> Tensor:
-    """Filtered, pooled encoding of one node's (d_p, L) history matrix.
+def _kernel(params: LpeParams) -> Tensor:
+    """Real (d_p, L) kernel k with approximate_pe(h)[d] = sum_l h[d, l] k[d, l].
 
-    An exactly-identity filter is a mathematical no-op for the transform
-    chain; outside of gradient recording the chain is skipped so the
-    pass-through configuration reproduces the newest column bit-exactly.
+    DFT, filter, inverse DFT and column pooling compose to a linear map of
+    each history row; its kernel is the adjoint chain applied to the pool,
+    k = IDFT(conj(filter) * DFT(pool)) row by row.
     """
-    h = history if isinstance(history, Tensor) else Tensor(history)
-    if h.data.shape != (params.d_p, params.history_len):
+    d_p = params.d_p
+    pool_rows = matmul(Tensor(np.ones((d_p, 1))), transpose(params.sum_pool))
+    conj = ComplexTensor(params.filter.real, scale(params.filter.imag, -1.0))
+    return idft_time_axis(complex_elementwise_mul(conj, dft_time_axis(pool_rows)))
+
+
+def approximate_pe(histories: Tensor | np.ndarray, params: LpeParams) -> Tensor:
+    """Filtered, pooled encodings (n, d_p) of n stacked (d_p, L) histories.
+
+    The filter and pool gradients flow through the kernel only. An
+    exactly-identity filter is a mathematical no-op for the transform
+    chain; outside of gradient recording the kernel is then the pool
+    itself, so the pass-through configuration reproduces the newest
+    column bit-exactly.
+    """
+    h = histories if isinstance(histories, Tensor) else Tensor(histories)
+    if h.data.ndim != 3 or h.data.shape[1:] != (params.d_p, params.history_len):
         raise ValueError(
             f"history shape {h.data.shape} != "
-            f"({params.d_p}, {params.history_len})"
+            f"(n, {params.d_p}, {params.history_len})"
         )
-    if autodiff._ACTIVE_TAPE is None and _filter_is_identity(params):
-        p_hat = h
-    else:
-        spectrum = dft_time_axis(h)
-        p_hat = idft_time_axis(complex_elementwise_mul(params.filter, spectrum))
-    return weighted_sum_cols(p_hat, params.sum_pool)
+    identity = autodiff._ACTIVE_TAPE is None and _filter_is_identity(params)
+    return weighted_sum_cols(h, params.sum_pool if identity else _kernel(params))
 
 
 def commit_pe(
     p_tilde: np.ndarray,
-    neighbor_entries: list[tuple[float, np.ndarray | None]],
+    deltas: np.ndarray,
+    partners: np.ndarray,
+    pad_mask: np.ndarray,
     params: LpeParams,
     time_cfg: TimeEncoderConfig,
 ) -> np.ndarray:
-    """Committed encoding p = p~ + tanh(W_self p~ + W2 relu(W1 q)).
+    """Committed encodings p = p~ + tanh(W_self p~ + W2 relu(W1 q)), one row per node.
 
-    ``neighbor_entries`` are (time delta, neighbor p~) pairs for the K
-    most recent interactions inclusive of the commit time; padded slots
-    (vector ``None``) contribute exact zeros to the pooled q. Runs
-    detached from any tape.
+    ``deltas`` (n, K) are the times since each node's K most recent
+    interactions inclusive of the commit time, ``partners`` (n, K, d_p)
+    the interaction partners' p~ and ``pad_mask`` (n, K) marks padded
+    slots, which contribute exact zeros to the pooled q. Runs detached
+    from any tape.
+
+    Parameter versions: in training, ``p_tilde`` and ``partners`` come
+    from the batch's forward pass, before the optimizer step, while
+    W1, W2 and W_self are read here, after ``adam_step`` has updated
+    them. So a commit pairs pre-step encodings with post-step MLP
+    weights.
     """
     p_tilde = np.asarray(p_tilde, dtype=np.float64)
-    d_p = params.d_p
-    tau_sum = np.zeros(time_cfg.dim)
-    nbr_sum = np.zeros(d_p)
-    deltas = [d for d, vec in neighbor_entries if vec is not None]
-    if deltas:
-        tau_sum = time_encode_many(np.asarray(deltas), time_cfg).sum(axis=0)
-        for _, vec in neighbor_entries:
-            if vec is not None:
-                nbr_sum += np.asarray(vec, dtype=np.float64)
-    q = np.concatenate([tau_sum, nbr_sum])
+    real = ~np.asarray(pad_mask, dtype=bool)
+    tau = time_encode_many(np.where(real, deltas, 0.0), time_cfg)
+    tau_sum = np.where(real[..., None], tau, 0.0).sum(axis=1)
+    nbr_sum = np.where(real[..., None], partners, 0.0).sum(axis=1)
+    q = np.concatenate([tau_sum, nbr_sum], axis=1)
     w1, w2, w_self = params.w1.data, params.w2.data, params.w_self.data
-    hidden = w2 @ np.maximum(w1 @ q, 0.0)
-    return p_tilde + np.tanh(w_self @ p_tilde + hidden)
+    hidden = np.maximum(q @ w1.T, 0.0) @ w2.T
+    return p_tilde + np.tanh(p_tilde @ w_self.T + hidden)
 
 
 @dataclass(frozen=True)

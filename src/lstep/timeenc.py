@@ -33,8 +33,8 @@ def time_encode(delta: float, cfg: TimeEncoderConfig) -> np.ndarray:
 
 
 def time_encode_many(deltas: np.ndarray, cfg: TimeEncoderConfig) -> np.ndarray:
-    """Row-wise encoding of a (m,) delta array to (m, dim)."""
+    """Encode every entry of a delta array: shape (...,) to (..., dim)."""
     deltas = np.asarray(deltas, dtype=np.float64)
     if deltas.size and float(deltas.min()) < 0.0:
         raise ValueError(f"negative time delta: {float(deltas.min())}")
-    return np.cos(deltas[:, None] * angular_frequencies(cfg)[None, :])
+    return np.cos(deltas[..., None] * angular_frequencies(cfg))

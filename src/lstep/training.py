@@ -1,12 +1,16 @@
 """Training loop, evaluation replay, and run reports.
 
 Each epoch resets the positional store to the initial snapshot encodings
-and walks the training batches in time order: approximate encodings and
-representations are memoized once per (node, batch), the batch loss is
-backed through the tape into Adam, and committed encodings (detached)
-enter the store before the next batch. Validation and test replays run
-the same machinery without gradients; commits still happen, so the store
-state a batch sees never depends on anything later than itself.
+and walks the training batches in time order. One batch forward serves
+training, evaluation, the PE trace and the checks: it computes p~ once
+for every node the batch needs (endpoints, window partners and commit
+partners), the representations once per distinct (node, t) query, and
+the link probabilities as whole-batch matrix products. The batch loss
+is backed through the tape into Adam, and committed encodings
+(detached) enter the store before the next batch. Validation and test
+replays run the same forward without gradients; commits still happen,
+so the store state a batch sees never depends on anything later than
+itself.
 """
 from __future__ import annotations
 
@@ -18,17 +22,17 @@ from typing import Iterable
 
 import numpy as np
 
-from .autodiff import GradientTape, Tensor, backward
+from .autodiff import GradientTape, Tensor, backward, gather_rows
 from .config import RunConfig, config_hash, validate_config
-from .encoder import predict_link, temporal_representation
-from .events import ChronoSplit, EventStream, batch_iter
+from .encoder import node_rows, predict_link, temporal_representation
+from .events import ChronoSplit, EventStream, RecentInteractions, batch_iter
 from .losses import loss_lp, loss_pe, total_loss
 from .lpe import PositionalStore, approximate_pe, commit_pe
 from .metrics import average_precision, roc_auc
 from .model import ModelDims, ModelParams, init_model_params
 from .optim import AdamState, adam_step
 from .peinit import InitialPE, laplacian_pe, random_walk_pe, zero_pe
-from .sampling import NegativeSampler
+from .sampling import NegativeSampler, Sample
 from .timeenc import TimeEncoderConfig
 
 __all__ = [
@@ -116,101 +120,113 @@ def build_initial_pe(stream: EventStream, split: ChronoSplit, cfg: RunConfig) ->
     raise ValueError(f"unknown pe_init {cfg.pe_init!r}")
 
 
-class _BatchContext:
-    """Per-batch memo of approximate encodings and node representations."""
+@dataclass
+class _Forward:
+    """One batch's forward pass.
 
-    def __init__(
-        self,
-        stream: EventStream,
-        store: PositionalStore,
-        params: ModelParams,
-        cfg: RunConfig,
-        tcfg: TimeEncoderConfig,
-    ):
-        self.stream = stream
-        self.store = store
-        self.params = params
-        self.cfg = cfg
-        self.tcfg = tcfg
-        self._ptilde: dict[int, Tensor] = {}
-        self._rep: dict[tuple[int, float], Tensor] = {}
-
-    def ptilde(self, node: int) -> Tensor:
-        got = self._ptilde.get(node)
-        if got is None:
-            got = approximate_pe(self.store.history_matrix(node), self.params.lpe)
-            self._ptilde[node] = got
-        return got
-
-    def ptilde_value(self, node: int) -> np.ndarray:
-        return self.ptilde(node).data
-
-    def rep(self, node: int, t: float) -> Tensor:
-        """Representation memoized per (node, query time) within the batch."""
-        got = self._rep.get((node, t))
-        if got is None:
-            got = temporal_representation(
-                self.stream,
-                node,
-                t,
-                self.params.encoder,
-                self.tcfg,
-                self.cfg.t_gap,
-                self.ptilde,
-            )
-            self._rep[(node, t)] = got
-        return got
-
-
-def _commit_batch(ctx: _BatchContext, batch: np.ndarray) -> None:
-    """Commit updated encodings for every endpoint of the batch's events."""
-    stream, store = ctx.stream, ctx.store
-    touched = np.union1d(stream.src[batch], stream.dst[batch]).tolist()
-    t_commit = float(stream.ts[batch].max())
-    k = ctx.cfg.recent_k
-    updates: dict[int, np.ndarray] = {}
-    for node in touched:
-        recent = stream.recent_interactions_inclusive(node, t_commit, k)
-        entries: list[tuple[float, np.ndarray | None]] = []
-        for nbr, t_past, pad in zip(
-            recent.neighbors.tolist(), recent.times.tolist(), recent.pad_mask.tolist()
-        ):
-            if pad:
-                entries.append((0.0, None))
-            else:
-                entries.append((t_commit - t_past, ctx.ptilde_value(int(nbr))))
-        updates[node] = commit_pe(
-            ctx.ptilde_value(node), entries, ctx.params.lpe, ctx.tcfg
-        )
-    for node, vec in updates.items():
-        store.commit(node, vec)
-    store.advance()
-
-
-def _link_probs(ctx: _BatchContext, events: np.ndarray, neg) -> tuple[list, list]:
-    """Positive and negative link probabilities, one pair per event.
-
-    Representations are memoized per batch, so this call order fixes the
-    tape order and, through it, every report hash.
+    ``ptilde`` holds p~ (rows of ``nodes``, sorted) for every node the
+    batch needs; ``pos``/``neg`` are the (n, 1) link probabilities of the
+    scored events and of their negatives, None when nothing is scored.
+    ``touched`` are the batch's endpoints and ``window`` their K most
+    recent interactions inclusive of the commit time ``t_commit``.
     """
-    stream, enc = ctx.stream, ctx.params.encoder
-    pos_probs, neg_probs = [], []
-    for i, ev in enumerate(events.tolist()):
-        u, v, t = int(stream.src[ev]), int(stream.dst[ev]), float(stream.ts[ev])
-        nu, nv = int(neg.src[i]), int(neg.dst[i])
-        pos_probs.append(predict_link(ctx.rep(u, t), ctx.rep(v, t), enc))
-        neg_probs.append(predict_link(ctx.rep(nu, t), ctx.rep(nv, t), enc))
-    return pos_probs, neg_probs
+
+    nodes: np.ndarray
+    ptilde: Tensor
+    touched: np.ndarray
+    t_commit: float
+    window: RecentInteractions
+    pos: Tensor | None = None
+    neg: Tensor | None = None
+
+    def rows(self, nodes: np.ndarray) -> np.ndarray:
+        return node_rows(self.nodes, nodes)
+
+    def pe_pair(self, u: np.ndarray, v: np.ndarray) -> tuple[Tensor, Tensor]:
+        return gather_rows(self.ptilde, self.rows(u)), gather_rows(self.ptilde, self.rows(v))
 
 
-def _batch_terms(ctx: _BatchContext, batch: np.ndarray, neg) -> tuple[list, list, list, list]:
-    pos_probs, neg_probs = _link_probs(ctx, batch, neg)
-    # rep() already memoized every endpoint's encoding, so these record nothing
-    pt = ctx.ptilde
-    pos = zip(ctx.stream.src[batch].tolist(), ctx.stream.dst[batch].tolist())
-    pos_pairs = [(pt(u), pt(v)) for u, v in pos]
-    neg_pairs = [(pt(u), pt(v)) for u, v in zip(neg.src.tolist(), neg.dst.tolist())]
-    return pos_probs, neg_probs, pos_pairs, neg_pairs
+def _batch_forward(
+    stream: EventStream,
+    store: PositionalStore,
+    params: ModelParams,
+    cfg: RunConfig,
+    tcfg: TimeEncoderConfig,
+    batch: np.ndarray,
+    scored: np.ndarray | None = None,
+    neg: Sample | None = None,
+    extra: np.ndarray | None = None,
+) -> _Forward:
+    """p~ for the batch, and link probabilities for ``scored`` (a subset
+    of ``batch``) against ``neg``; ``extra`` nodes also get a p~ row."""
+    k = cfg.recent_k
+    touched = np.union1d(stream.src[batch], stream.dst[batch])
+    t_commit = float(stream.ts[batch].max())
+    window = stream.recent_interactions_inclusive(touched, t_commit, k)
+    need = [touched, window.neighbors[~window.pad_mask]]
+    if extra is not None:
+        need.append(np.asarray(extra, dtype=np.int64))
+    scoring = scored is not None and scored.size > 0
+    if scoring:
+        ends = np.concatenate([stream.src[scored], stream.dst[scored], neg.src, neg.dst])
+        times = np.tile(stream.ts[scored], 4)
+        # one representation per distinct (node, t) query
+        queries, which = np.unique(
+            np.stack([ends.astype(np.float64), times], axis=1), axis=0, return_inverse=True
+        )
+        q_nodes, q_ts = queries[:, 0].astype(np.int64), queries[:, 1]
+        recent = stream.recent_interactions(q_nodes, q_ts, k)
+        need += [q_nodes, recent.neighbors[~recent.pad_mask]]
+    nodes = np.unique(np.concatenate(need))
+    ptilde = approximate_pe(store.history_matrix(nodes), params.lpe)
+    fwd = _Forward(nodes, ptilde, touched, t_commit, window)
+    if scoring:
+        enc = params.encoder
+        reps = temporal_representation(
+            stream, q_nodes, q_ts, enc, tcfg, cfg.t_gap, ptilde, nodes, recent=recent
+        )
+        u, v, nu, nv = np.split(which.reshape(-1), 4)
+        fwd.pos = predict_link(gather_rows(reps, u), gather_rows(reps, v), enc)
+        fwd.neg = predict_link(gather_rows(reps, nu), gather_rows(reps, nv), enc)
+    return fwd
+
+
+def _batch_loss(
+    fwd: _Forward, stream: EventStream, batch: np.ndarray, neg: Sample, cfg: RunConfig
+) -> Tensor:
+    return total_loss(
+        loss_lp(fwd.pos, fwd.neg),
+        loss_pe(
+            fwd.pe_pair(stream.src[batch], stream.dst[batch]),
+            fwd.pe_pair(neg.src, neg.dst),
+            cfg.alpha_neg,
+        ),
+        cfg.alpha_pe,
+    )
+
+
+def _commit_batch(
+    store: PositionalStore, params: ModelParams, tcfg: TimeEncoderConfig, fwd: _Forward
+) -> None:
+    """Commit updated encodings for every endpoint of the batch's events.
+
+    Encodings come from the forward pass; the MLP weights are whatever
+    ``params`` holds now (see ``commit_pe``).
+    """
+    win = fwd.window
+    table = fwd.ptilde.data
+    # a padded slot reads the node's own row; commit_pe masks it out
+    partner = np.where(win.pad_mask, fwd.touched[:, None], win.neighbors)
+    vecs = commit_pe(
+        table[fwd.rows(fwd.touched)],
+        fwd.t_commit - win.times,
+        table[fwd.rows(partner.reshape(-1))].reshape(partner.shape + (-1,)),
+        win.pad_mask,
+        params.lpe,
+        tcfg,
+    )
+    store.commit(fwd.touched, vecs)
+    store.advance()
 
 
 def _replay_segment(
@@ -224,8 +240,8 @@ def _replay_segment(
 ) -> None:
     """Advance the store over [start, end) with commits and no scoring."""
     for _, batch in batch_iter(start, end, cfg.batch_size):
-        ctx = _BatchContext(stream, store, params, cfg, tcfg)
-        _commit_batch(ctx, batch)
+        fwd = _batch_forward(stream, store, params, cfg, tcfg, batch)
+        _commit_batch(store, params, tcfg, fwd)
 
 
 def _score_segment(
@@ -245,27 +261,27 @@ def _score_segment(
     if setting not in ("transductive", "inductive"):
         raise ValueError(f"unknown setting {setting!r}")
     sampler = NegativeSampler(stream, split, strategy, seed)
-    scores: list[float] = []
-    labels: list[int] = []
+    scores: list[np.ndarray] = []
     fallbacks = 0
     new_nodes = np.fromiter(split.new_nodes, dtype=np.int64)
     for _, batch in batch_iter(start, end, cfg.batch_size):
-        ctx = _BatchContext(stream, store, params, cfg, tcfg)
         scored = batch
         if setting == "inductive":
             ends = np.stack([stream.src[batch], stream.dst[batch]])
             scored = batch[np.isin(ends, new_nodes).any(axis=0)]
+        neg = None
         if scored.size:
             neg = sampler.sample(scored)
             fallbacks += neg.fallbacks
-            for p, q in zip(*_link_probs(ctx, scored, neg)):
-                scores += [float(p.data[0]), float(q.data[0])]
-                labels += [1, 0]
-        _commit_batch(ctx, batch)
+        fwd = _batch_forward(stream, store, params, cfg, tcfg, batch, scored, neg)
+        if fwd.pos is not None:
+            # interleaved positive, negative
+            scores.append(np.concatenate([fwd.pos.data, fwd.neg.data], axis=1).reshape(-1))
+        _commit_batch(store, params, tcfg, fwd)
     if not scores:
         raise ValueError(f"no qualifying positives in segment for setting {setting!r}")
-    arr_s = np.asarray(scores)
-    arr_l = np.asarray(labels)
+    arr_s = np.concatenate(scores)
+    arr_l = np.tile([1, 0], arr_s.size // 2)
     return average_precision(arr_s, arr_l), roc_auc(arr_s, arr_l), fallbacks
 
 
@@ -294,13 +310,8 @@ def train(stream: EventStream, split: ChronoSplit, cfg: RunConfig) -> TrainResul
         for k, batch in batch_iter(0, split.train_end, cfg.batch_size):
             neg = sampler.sample(batch)
             with GradientTape() as tape:
-                ctx = _BatchContext(stream, store, params, cfg, tcfg)
-                pos_p, neg_p, pos_q, neg_q = _batch_terms(ctx, batch, neg)
-                loss = total_loss(
-                    loss_lp(pos_p, neg_p),
-                    loss_pe(pos_q, neg_q, cfg.alpha_neg),
-                    cfg.alpha_pe,
-                )
+                fwd = _batch_forward(stream, store, params, cfg, tcfg, batch, batch, neg)
+                loss = _batch_loss(fwd, stream, batch, neg, cfg)
             lval = float(loss.data.ravel()[0])
             if not np.isfinite(lval):
                 raise RuntimeError(
@@ -308,7 +319,7 @@ def train(stream: EventStream, split: ChronoSplit, cfg: RunConfig) -> TrainResul
                 )
             grads = backward(tape, loss, params.tensors)
             adam_step(adam, params.tensors, grads)
-            _commit_batch(ctx, batch)
+            _commit_batch(store, params, tcfg, fwd)
             batch_losses.append(lval)
             report.loss_rows.append((epoch, k, lval))
 
@@ -395,8 +406,9 @@ def collect_pe_trace(
     store = PositionalStore(stream.num_nodes, cfg.d_p, cfg.history_len)
     store.reset(initial_pe)
     trace: list[np.ndarray] = []
+    watch = np.array([node])
     for _, batch in batch_iter(0, stream.num_events, cfg.batch_size):
-        ctx = _BatchContext(stream, store, params, cfg, tcfg)
-        trace.append(ctx.ptilde_value(node).copy())
-        _commit_batch(ctx, batch)
+        fwd = _batch_forward(stream, store, params, cfg, tcfg, batch, extra=watch)
+        trace.append(fwd.ptilde.data[fwd.rows(watch)[0]].copy())
+        _commit_batch(store, params, tcfg, fwd)
     return np.asarray(trace)

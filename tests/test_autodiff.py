@@ -6,14 +6,13 @@ from lstep.autodiff import (
     GradientTape,
     Tensor,
     add,
-    add_n,
     backward,
     clamp,
     concat,
     elementwise_mul,
+    gather_rows,
     log,
     matmul,
-    mean_rows,
     norm2,
     relu,
     scale,
@@ -108,14 +107,50 @@ def test_matmul_concat_relu_gradients():
 def test_pooling_op_gradients():
     rng = np.random.default_rng(4)
     x = Tensor(rng.normal(size=(4, 5)), learnable=True)
+    stack = Tensor(rng.normal(size=(2, 4, 5)), learnable=True)
     w = Tensor(rng.normal(size=(5, 1)), learnable=True)
+    v = Tensor(rng.normal(size=(4, 1)), learnable=True)
 
     def build():
         pooled = weighted_sum_cols(x, w)
-        rowmean = mean_rows(transpose(x))
-        return add(norm2(pooled), norm2(rowmean))
+        batched = weighted_sum_cols(stack, w)  # (2, 4): one row per stacked matrix
+        cols = weighted_sum_cols(transpose(x), v)
+        return add(add(norm2(pooled), sum_all(norm2(batched))), norm2(cols))
 
-    _fd_check(build, {"x": x, "w": w})
+    _fd_check(build, {"x": x, "stack": stack, "w": w, "v": v})
+
+
+def test_batched_ops_gradients():
+    rng = np.random.default_rng(7)
+    table = Tensor(rng.normal(size=(4, 3)), learnable=True)
+    hist = Tensor(rng.normal(size=(2, 3, 5)), learnable=True)
+    kern = Tensor(rng.normal(size=(3, 5)), learnable=True)
+    other = Tensor(rng.normal(size=(6, 2)), learnable=True)
+
+    def build():
+        rows = gather_rows(table, np.array([2, 0, 2, 3, 2, 1]))  # row 2 three times
+        mixed = concat(rows, other)  # (6, 5)
+        pooled = weighted_sum_cols(hist, kern)  # (2, 3): one weight row per d
+        return add(sum_all(norm2(mixed)), sum_all(tanh(pooled)))
+
+    _fd_check(build, {"table": table, "hist": hist, "kern": kern, "other": other})
+
+
+def test_batched_ops_forward_values():
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(4, 3))
+    h = rng.normal(size=(2, 3, 5))
+    k = rng.normal(size=(3, 5))
+    assert np.array_equal(gather_rows(Tensor(x), np.array([3, 3, 0])).data, x[[3, 3, 0]])
+    got = weighted_sum_cols(Tensor(h), Tensor(k)).data
+    assert np.allclose(got, (h * k).sum(axis=2), atol=1e-14)
+    assert np.allclose(norm2(Tensor(x)).data, np.linalg.norm(x, axis=1), atol=1e-14)
+    both = concat(Tensor(x), Tensor(x[:, :1])).data
+    assert np.array_equal(both, np.hstack([x, x[:, :1]]))
+    with pytest.raises(ValueError, match="weighted_sum_cols shape mismatch"):
+        weighted_sum_cols(Tensor(h), Tensor(k.T))
+    with pytest.raises(ValueError, match="concat shape mismatch"):
+        concat(Tensor(x), Tensor(np.zeros((3, 1))))
 
 
 def test_log_clamp_gradients():
@@ -150,6 +185,12 @@ def test_norm2_zero_input_has_zero_gradient():
     g = backward(tape, loss, {"x": x})["x"]
     assert float(loss.data) == 0.0
     assert np.array_equal(g, np.zeros(4))
+    rows = Tensor(np.array([[0.0, 0.0], [3.0, 4.0]]), learnable=True)
+    with GradientTape() as tape:
+        loss = sum_all(norm2(rows))
+    g = backward(tape, loss, {"rows": rows})["rows"]
+    assert np.array_equal(g[0], [0.0, 0.0])
+    assert np.allclose(g[1], [0.6, 0.8], atol=1e-15)
 
 
 def test_fanout_gradients_accumulate():
@@ -159,16 +200,6 @@ def test_fanout_gradients_accumulate():
         loss = sum_all(add(elementwise_mul(x, x), scale(x, 3.0)))
     g = backward(tape, loss, {"x": x})["x"]
     assert np.allclose(g, 2.0 * x.data + 3.0, atol=1e-12)
-
-
-def test_add_n_matches_repeated_add():
-    rng = np.random.default_rng(6)
-    ts = [Tensor(rng.normal(size=(3,)), learnable=True) for _ in range(4)]
-    with GradientTape() as tape:
-        loss = sum_all(add_n(ts))
-    grads = backward(tape, loss, {str(i): t for i, t in enumerate(ts)})
-    for i in range(4):
-        assert np.array_equal(grads[str(i)], np.ones(3))
 
 
 def test_backward_rejects_loss_off_tape():

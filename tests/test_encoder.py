@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from lstep.autodiff import GradientTape, Tensor, backward, sum_all
+from lstep.autodiff import GradientTape, Tensor, backward, gather_rows, sum_all
 from lstep.encoder import (
     EncoderParams,
     link_encoding,
@@ -47,15 +47,17 @@ def _params(rng, d_n=3, d_e=2, d_p=2, d_t=4, k=2):
 
 def test_node_encoding_averages_window_neighbors():
     s = _stream()
-    # at t=3.5 with gap 3: node 0 saw 1@1.0 and 2@3.0
-    got = node_encoding(s, 0, 3.5, t_gap=3.0)
+    # at t=3.5 with gap 3: node 0 saw 1@1.0 and 2@3.0; node 2 saw 1@2.0 and 0@3.0
+    got = node_encoding(s, np.array([0, 2]), np.array([3.5, 3.5]), t_gap=3.0)
     want = s.node_features[0] + (s.node_features[1] + s.node_features[2]) / 2.0
-    assert np.allclose(got, want, atol=1e-12)
+    assert np.allclose(got[0], want, atol=1e-12)
+    want = s.node_features[2] + (s.node_features[1] + s.node_features[0]) / 2.0
+    assert np.allclose(got[1], want, atol=1e-12)
 
 
 def test_node_encoding_empty_window_is_raw_feature():
     s = _stream()
-    got = node_encoding(s, 0, 1.0, t_gap=0.5)
+    got = node_encoding(s, np.array([0]), np.array([1.0]), t_gap=0.5)[0]
     assert np.array_equal(got, s.node_features[0])
     got[:] = -1.0  # must be a copy, not a view into the table
     assert s.node_features[0, 0] == 0.0
@@ -67,7 +69,7 @@ def test_link_encoding_matches_hand_trace():
     p = _params(rng)
     cfg = TimeEncoderConfig(dim=4)
     t = 4.0
-    got = link_encoding(s, 0, t, p, cfg).data
+    got = link_encoding(s, np.array([0]), np.array([t]), p, cfg).data[0]
 
     # node 0 history: (1, 1.0, event 0), (2, 3.0, event 2)
     rows = np.zeros((2, 6))
@@ -83,7 +85,7 @@ def test_link_encoding_padded_rows_contribute_nothing():
     s = _stream()
     p = _params(rng, k=5)  # node 0 has only 2 interactions, 3 pads
     cfg = TimeEncoderConfig(dim=4)
-    got = link_encoding(s, 0, 4.0, p, cfg).data
+    got = link_encoding(s, np.array([0]), np.array([4.0]), p, cfg).data[0]
 
     rows = np.zeros((5, 6))
     rows[3] = np.concatenate([time_encode(3.0, cfg), s.edge_features[0]])
@@ -100,12 +102,14 @@ def test_temporal_representation_matches_hand_trace():
     cfg = TimeEncoderConfig(dim=4)
     t = 4.0
     ptil = {0: np.array([0.5, -0.5]), 1: np.array([1.0, 2.0]), 2: np.array([-1.0, 3.0])}
+    table = Tensor(np.stack([ptil[0], ptil[1], ptil[2]]))
     got = temporal_representation(
-        s, 0, t, p, cfg, t_gap=10.0, get_ptilde=lambda v: Tensor(ptil[v])
-    ).data
+        s, np.array([0]), np.array([t]), p, cfg, t_gap=10.0,
+        ptilde=table, ptilde_nodes=np.arange(3),
+    ).data[0]
 
-    h_n = node_encoding(s, 0, t, 10.0)
-    h_e = link_encoding(s, 0, t, p, cfg).data
+    h_n = s.node_features[0] + (s.node_features[1] + s.node_features[2]) / 2.0
+    h_e = link_encoding(s, np.array([0]), np.array([t]), p, cfg).data[0]
     h_ne = p.fuse_w.data @ np.concatenate([h_n, h_e])
     tau = time_encode(3.0, cfg) + time_encode(1.0, cfg)
     h_hat = np.concatenate([tau, ptil[1] + ptil[2]])
@@ -125,8 +129,9 @@ def test_temporal_representation_no_history_uses_zero_context():
     ptil = np.array([0.25, 0.75])
     # node 2 has no interaction strictly before t=2.0
     got = temporal_representation(
-        s, 2, 2.0, p, cfg, t_gap=0.5, get_ptilde=lambda v: Tensor(ptil)
-    ).data
+        s, np.array([2]), np.array([2.0]), p, cfg, t_gap=0.5,
+        ptilde=Tensor(np.tile(ptil, (3, 1))), ptilde_nodes=np.arange(3),
+    ).data[0]
 
     h_n = s.node_features[2]
     rows = np.zeros((2, 6))
@@ -146,20 +151,20 @@ def test_predict_link_hand_trace_and_range():
     p = _params(rng)
     hu = rng.normal(size=3)
     hv = rng.normal(size=3)
-    got = predict_link(Tensor(hu), Tensor(hv), p).data
+    got = predict_link(Tensor(hu[None]), Tensor(hv[None]), p).data
     hidden = np.maximum(np.concatenate([hu, hv]) @ p.pred_w1.data, 0.0)
     want = 1.0 / (1.0 + np.exp(-(hidden @ p.pred_w2.data)))
-    assert got.shape == (1,)
-    assert abs(got[0] - want[0]) < 1e-12
-    assert 0.0 < got[0] < 1.0
+    assert got.shape == (1, 1)
+    assert abs(got[0, 0] - want[0]) < 1e-12
+    assert 0.0 < got[0, 0] < 1.0
 
 
 def test_predict_link_zero_weights_gives_half():
     rng = np.random.default_rng(66)
     p = _params(rng)
     p.pred_w2.data[:] = 0.0
-    got = predict_link(Tensor(np.ones(3)), Tensor(np.ones(3)), p).data
-    assert got[0] == 0.5
+    got = predict_link(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), p).data
+    assert got.tolist() == [[0.5], [0.5]]
 
 
 def test_gradients_reach_all_encoder_parameters():
@@ -167,14 +172,13 @@ def test_gradients_reach_all_encoder_parameters():
     s = _stream()
     p = _params(rng)
     cfg = TimeEncoderConfig(dim=4)
-    ptab = {n: Tensor(rng.normal(size=2), learnable=True) for n in range(3)}
+    table = Tensor(rng.normal(size=(3, 2)), learnable=True)
     with GradientTape() as tape:
-        hu = temporal_representation(
-            s, 0, 4.0, p, cfg, t_gap=10.0, get_ptilde=lambda v: ptab[v]
+        reps = temporal_representation(
+            s, np.array([0, 2]), np.array([4.0, 4.0]), p, cfg, t_gap=10.0,
+            ptilde=table, ptilde_nodes=np.arange(3),
         )
-        hv = temporal_representation(
-            s, 2, 4.0, p, cfg, t_gap=10.0, get_ptilde=lambda v: ptab[v]
-        )
+        hu, hv = gather_rows(reps, np.array([0])), gather_rows(reps, np.array([1]))
         loss = sum_all(predict_link(hu, hv, p))
     params = {
         "link_w1": p.link_w1,
@@ -187,7 +191,7 @@ def test_gradients_reach_all_encoder_parameters():
         "pe_w_self": p.pe_w_self,
         "pred_w1": p.pred_w1,
         "pred_w2": p.pred_w2,
-        "ptilde_0": ptab[0],
+        "ptilde": table,
     }
     grads = backward(tape, loss, params)
     for name, g in grads.items():

@@ -20,55 +20,68 @@ def _tiny_stream():
     )
 
 
+def _rows(rec):
+    """(neighbor, time, event) triples of each query row."""
+    return [
+        list(zip(n, t, e))
+        for n, t, e in zip(
+            rec.neighbors.tolist(), rec.times.tolist(), rec.event_ids.tolist()
+        )
+    ]
+
+
 def test_neighbor_index_is_bidirectional():
     s = _tiny_stream()
-    rec = s.recent_interactions(1, 10.0, k=2)
-    assert list(rec) == [(0, 1.0, 0), (2, 2.0, 1)]
-    rec = s.recent_interactions(2, 10.0, k=2)
-    assert list(rec) == [(1, 2.0, 1), (0, 3.0, 2)]
+    rec = s.recent_interactions(np.array([1, 2]), 10.0, k=2)
+    assert _rows(rec) == [
+        [(0, 1.0, 0), (2, 2.0, 1)],
+        [(1, 2.0, 1), (0, 3.0, 2)],
+    ]
 
 
 def test_recent_is_strictly_before_query_time():
     s = _tiny_stream()
-    rec = s.recent_interactions(1, 2.0, k=2)
-    assert list(rec) == [(PAD_ID, 2.0, -1), (0, 1.0, 0)]
-    assert rec.num_real == 1
+    rec = s.recent_interactions(np.array([1]), np.array([2.0]), k=2)
+    assert _rows(rec) == [[(PAD_ID, 2.0, -1), (0, 1.0, 0)]]
+    assert (~rec.pad_mask).sum() == 1
 
 
 def test_recent_inclusive_admits_query_time():
     s = _tiny_stream()
-    rec = s.recent_interactions_inclusive(1, 2.0, k=2)
-    assert list(rec) == [(0, 1.0, 0), (2, 2.0, 1)]
-    assert rec.num_real == 2
+    rec = s.recent_interactions_inclusive(np.array([1]), np.array([2.0]), k=2)
+    assert _rows(rec) == [[(0, 1.0, 0), (2, 2.0, 1)]]
+    assert (~rec.pad_mask).sum() == 2
 
 
 def test_padding_fills_front_with_sentinels():
     s = _tiny_stream()
-    rec = s.recent_interactions(0, 5.0, k=4)
-    assert rec.neighbors.tolist() == [PAD_ID, PAD_ID, 1, 2]
-    assert rec.times.tolist() == [5.0, 5.0, 1.0, 3.0]
-    assert rec.event_ids.tolist() == [-1, -1, 0, 2]
-    assert rec.pad_mask.tolist() == [True, True, False, False]
+    rec = s.recent_interactions(np.array([0, 0]), np.array([5.0, 1.0]), k=4)
+    assert rec.neighbors.tolist() == [[PAD_ID, PAD_ID, 1, 2], [PAD_ID] * 4]
+    assert rec.times.tolist() == [[5.0, 5.0, 1.0, 3.0], [1.0] * 4]
+    assert rec.event_ids.tolist() == [[-1, -1, 0, 2], [-1] * 4]
+    assert rec.pad_mask.tolist() == [[True, True, False, False], [True] * 4]
 
 
 def test_window_is_half_open():
     s = _tiny_stream()
-    nbrs, times = s.window_neighbors(0, 3.0, t_gap=2.0)
+    win = s.window_neighbors(np.array([0]), np.array([3.0]), t_gap=2.0)
     # [1.0, 3.0): the event at exactly t - t_gap counts, the one at t does not
-    assert nbrs.tolist() == [1]
-    assert times.tolist() == [1.0]
-    nbrs, _ = s.window_neighbors(0, 3.5, t_gap=3.0)
-    assert nbrs.tolist() == [1, 2]
-    nbrs, _ = s.window_neighbors(0, 3.0, t_gap=1.5)
-    assert nbrs.tolist() == []
+    assert win.neighbors.tolist() == [1]
+    assert win.times.tolist() == [1.0]
+    # one call, three queries: the middle one's window is empty
+    win = s.window_neighbors(np.array([0, 0, 2]), np.array([3.5, 3.0, 3.5]), t_gap=1.5)
+    assert win.offsets.tolist() == [0, 1, 1, 3]
+    assert win.neighbors.tolist() == [2, 1, 0]
+    win = s.window_neighbors(np.array([0]), np.array([3.5]), t_gap=3.0)
+    assert win.neighbors.tolist() == [1, 2]
 
 
 def test_keeps_truncation_order_oldest_first():
     src = np.zeros(5, dtype=np.int64)
     dst = np.arange(1, 6)
     s = EventStream(src, dst, np.arange(5, dtype=np.float64))
-    rec = s.recent_interactions(0, 100.0, k=3)
-    assert rec.neighbors.tolist() == [3, 4, 5]
+    rec = s.recent_interactions(np.array([0]), np.array([100.0]), k=3)
+    assert rec.neighbors.tolist() == [[3, 4, 5]]
 
 
 def test_out_of_order_input_is_sorted_and_counted():
@@ -93,28 +106,29 @@ def test_sort_count_and_index_match_loop_references():
         assert s.sort_warnings == sum(
             1 for i in range(n) for j in range(i + 1, n) if ts[j] < ts[i]
         )
+        rec = s.recent_interactions_inclusive(np.arange(10), 99.0, k=n)
         for node in range(10):
             ends = zip(s.src.tolist(), s.dst.tolist())
             touching = [(i, v if u == node else u) for i, (u, v) in enumerate(ends)
                         if node in (u, v)]
-            rec = s.recent_interactions_inclusive(node, 99.0, k=n)
-            real = ~rec.pad_mask
-            got = list(zip(rec.event_ids[real].tolist(), rec.neighbors[real].tolist()))
+            real = ~rec.pad_mask[node]
+            got = list(zip(rec.event_ids[node][real].tolist(),
+                           rec.neighbors[node][real].tolist()))
             assert got == touching
 
 
 def test_tied_timestamps_keep_input_order():
     s = EventStream(np.array([0, 0]), np.array([1, 2]), np.array([5.0, 5.0]))
     assert s.sort_warnings == 0
-    rec = s.recent_interactions(0, 6.0, k=2)
-    assert rec.neighbors.tolist() == [1, 2]
+    rec = s.recent_interactions(np.array([0]), np.array([6.0]), k=2)
+    assert rec.neighbors.tolist() == [[1, 2]]
 
 
 def test_self_loop_indexed_once():
     s = EventStream(np.array([3, 0]), np.array([3, 1]), np.array([1.0, 2.0]))
-    rec = s.recent_interactions(3, 9.0, k=3)
-    assert rec.num_real == 1
-    assert rec.neighbors.tolist() == [PAD_ID, PAD_ID, 3]
+    rec = s.recent_interactions(np.array([3]), np.array([9.0]), k=3)
+    assert (~rec.pad_mask).sum() == 1
+    assert rec.neighbors.tolist() == [[PAD_ID, PAD_ID, 3]]
 
 
 def test_empty_stream_rejected():
@@ -136,6 +150,16 @@ def test_non_finite_timestamps_rejected():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="non-finite timestamp .* at event 1"):
             EventStream(np.array([0, 1]), np.array([1, 2]), np.array([1.0, bad]))
+    src, dst, ts = np.array([0, 1]), np.array([1, 2]), np.array([1.0, 2.0])
+    with pytest.raises(ValueError, match="non-finite edge feature nan at event 0"):
+        EventStream(src, dst, ts, edge_features=[[np.nan], [1.0]])
+    with pytest.raises(ValueError, match="non-finite node feature -?inf at node 2"):
+        feats = np.zeros((3, 2))
+        feats[2, 1] = -np.inf
+        EventStream(src, dst, ts, node_features=feats)
+    with pytest.raises(ValueError, match="non-finite"):
+        EventStream(src, dst, ts, edge_features=[[np.nan], [1.0]],
+                    node_features=np.full((3, 1), np.inf))
 
 
 def test_default_feature_tables_are_zero():

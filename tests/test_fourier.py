@@ -4,7 +4,14 @@ import cmath
 import numpy as np
 import pytest
 
-from lstep.autodiff import ComplexTensor, GradientTape, Tensor, backward, mean_rows, norm2
+from lstep.autodiff import (
+    ComplexTensor,
+    GradientTape,
+    Tensor,
+    backward,
+    norm2,
+    weighted_sum_cols,
+)
 from lstep.fourier import complex_elementwise_mul, dft_time_axis, idft_time_axis
 
 LENGTHS = (1, 2, 3, 8, 16, 100)
@@ -108,11 +115,12 @@ def test_filter_chain_gradient_matches_finite_differences():
     h = Tensor(h0.copy(), learnable=True)
     wr = Tensor(wr0.copy(), learnable=True)
     wi = Tensor(wi0.copy(), learnable=True)
+    pool = Tensor(rng.normal(size=(6, 1)))
 
     def build():
         spec = dft_time_axis(h)
         filt = complex_elementwise_mul(spec, ComplexTensor(wr, wi))
-        return norm2(mean_rows(idft_time_axis(filt)))
+        return norm2(weighted_sum_cols(idft_time_axis(filt), pool))
 
     with GradientTape() as tape:
         loss = build()

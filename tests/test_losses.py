@@ -9,12 +9,14 @@ from lstep.losses import PROB_FLOOR, loss_lp, loss_pe, total_loss
 
 
 def _probs(values):
-    return [Tensor(np.array([v])) for v in values]
+    """A (B, 1) column of probabilities."""
+    return Tensor(np.asarray(values, dtype=float).reshape(-1, 1))
 
 
 def _pairs(values):
-    return [(Tensor(np.asarray(u, dtype=float)), Tensor(np.asarray(v, dtype=float)))
-            for u, v in values]
+    """(u, v) row blocks, one row per pair."""
+    us, vs = zip(*values)
+    return Tensor(np.asarray(us, dtype=float)), Tensor(np.asarray(vs, dtype=float))
 
 
 def test_loss_lp_hand_value():
@@ -40,7 +42,7 @@ def test_loss_lp_requires_matched_sides():
     with pytest.raises(ValueError, match="equal non-empty"):
         loss_lp(_probs([0.5]), _probs([0.5, 0.5]))
     with pytest.raises(ValueError, match="equal non-empty"):
-        loss_lp([], [])
+        loss_lp(_probs([]), _probs([]))
 
 
 def test_loss_pe_hand_value():
@@ -82,11 +84,11 @@ def test_total_loss_default_alpha_is_half():
 
 
 def test_loss_lp_gradient_matches_closed_form():
-    p = Tensor(np.array([0.7]), learnable=True)
-    q = Tensor(np.array([0.4]), learnable=True)
+    p = Tensor(np.array([[0.7]]), learnable=True)
+    q = Tensor(np.array([[0.4]]), learnable=True)
     with GradientTape() as tape:
-        loss = loss_lp([p], [q])
+        loss = loss_lp(p, q)
     g = backward(tape, loss, {"p": p, "q": q})
     # d/dp -(1/2) log p = -1/(2p); d/dq -(1/2) log(1-q) = 1/(2(1-q))
-    assert abs(g["p"][0] + 1.0 / (2.0 * 0.7)) < 1e-12
-    assert abs(g["q"][0] - 1.0 / (2.0 * 0.6)) < 1e-12
+    assert abs(g["p"][0, 0] + 1.0 / (2.0 * 0.7)) < 1e-12
+    assert abs(g["q"][0, 0] - 1.0 / (2.0 * 0.6)) < 1e-12

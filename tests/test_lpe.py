@@ -5,7 +5,7 @@ import cmath
 import numpy as np
 import pytest
 
-from lstep.autodiff import ComplexTensor, GradientTape, Tensor, backward, norm2
+from lstep.autodiff import ComplexTensor, GradientTape, Tensor, backward, norm2, sum_all
 from lstep.lpe import (
     LpeParams,
     PositionalStore,
@@ -50,20 +50,25 @@ def _params(d_p, length, rng=None, identity=True, d_t=4):
     )
 
 
+def _hist(store, node):
+    """One node's (d_p, L) history through the batched gather."""
+    return store.history_matrix(np.array([node]))[0]
+
+
 def test_store_starts_empty_with_zero_history():
     store = PositionalStore(num_nodes=3, d_p=2, history_len=4)
-    assert store.history_matrix(1).shape == (2, 4)
-    assert not store.history_matrix(1).any()
+    assert _hist(store, 1).shape == (2, 4)
+    assert not _hist(store, 1).any()
     assert store.entries(1) == []
 
 
 def test_commits_fill_newest_columns_oldest_first():
     store = PositionalStore(3, 2, history_len=4)
-    store.commit(0, np.array([1.0, 10.0]))
+    store.commit(np.array([0]), np.array([1.0, 10.0])[None])
     store.advance()
-    store.commit(0, np.array([2.0, 20.0]))
+    store.commit(np.array([0]), np.array([2.0, 20.0])[None])
     store.advance()
-    h = store.history_matrix(0)
+    h = _hist(store, 0)
     assert h[:, :2].tolist() == [[0.0, 0.0], [0.0, 0.0]]
     assert h[:, 2].tolist() == [1.0, 10.0]
     assert h[:, 3].tolist() == [2.0, 20.0]
@@ -72,19 +77,19 @@ def test_commits_fill_newest_columns_oldest_first():
 def test_ring_evicts_oldest_beyond_capacity():
     store = PositionalStore(1, 1, history_len=3)
     for v in range(5):
-        store.commit(0, np.array([float(v)]))
+        store.commit(np.array([0]), np.array([float(v)])[None])
         store.advance()
-    assert store.history_matrix(0).ravel().tolist() == [2.0, 3.0, 4.0]
+    assert _hist(store, 0).ravel().tolist() == [2.0, 3.0, 4.0]
     assert [s for s, _ in store.entries(0)] == [2, 3, 4]
 
 
 def test_same_step_recommit_overwrites_in_place():
     store = PositionalStore(1, 1, history_len=3)
-    store.commit(0, np.array([1.0]))
-    store.commit(0, np.array([7.0]))  # same step: replaces, no new slot
+    store.commit(np.array([0]), np.array([1.0])[None])
+    store.commit(np.array([0]), np.array([7.0])[None])  # same step: replaces, no new slot
     store.advance()
-    store.commit(0, np.array([2.0]))
-    assert store.history_matrix(0).ravel().tolist() == [0.0, 7.0, 2.0]
+    store.commit(np.array([0]), np.array([2.0])[None])
+    assert _hist(store, 0).ravel().tolist() == [0.0, 7.0, 2.0]
 
 
 def test_reset_seeds_snapshot_nodes_then_advances():
@@ -96,10 +101,14 @@ def test_reset_seeds_snapshot_nodes_then_advances():
     )
     store.reset(init)
     assert store.step == 1
-    assert store.history_matrix(0)[:, -1].tolist() == [1.0, 2.0]
-    assert store.history_matrix(2)[:, -1].tolist() == [3.0, 4.0]
-    assert not store.history_matrix(1).any()
+    assert _hist(store, 0)[:, -1].tolist() == [1.0, 2.0]
+    assert _hist(store, 2)[:, -1].tolist() == [3.0, 4.0]
+    assert not _hist(store, 1).any()
     assert [s for s, _ in store.entries(0)] == [0]
+    many = store.history_matrix(np.array([2, 0, 1, 2]))
+    assert many.shape == (4, 2, 4)
+    for got, node in zip(many, [2, 0, 1, 2]):
+        assert np.array_equal(got, _hist(store, node))
 
 
 def test_reset_rejects_mismatched_table():
@@ -112,39 +121,42 @@ def test_reset_rejects_mismatched_table():
 def test_commit_shape_check():
     store = PositionalStore(2, 3, history_len=2)
     with pytest.raises(ValueError, match="commit shape"):
-        store.commit(0, np.zeros(4))
+        store.commit(np.array([0]), np.zeros((1, 4)))
+    with pytest.raises(ValueError, match="distinct"):
+        store.commit(np.array([1, 1]), np.zeros((2, 3)))
 
 
 def test_snapshot_restore_round_trip():
     store = PositionalStore(2, 2, history_len=3)
-    store.commit(0, np.array([1.0, 2.0]))
+    store.commit(np.array([0]), np.array([1.0, 2.0])[None])
     store.advance()
     blob = store.snapshot()
-    store.commit(1, np.array([9.0, 9.0]))
+    store.commit(np.array([1]), np.array([9.0, 9.0])[None])
     store.advance()
     store.restore(blob)
     assert store.step == 1
-    assert not store.history_matrix(1).any()
-    assert store.history_matrix(0)[:, -1].tolist() == [1.0, 2.0]
+    assert not _hist(store, 1).any()
+    assert _hist(store, 0)[:, -1].tolist() == [1.0, 2.0]
 
 
 def test_identity_filter_last_column_pool_is_exact_pass_through():
     rng = np.random.default_rng(51)
     params = _params(3, 8)
-    h = rng.normal(size=(3, 8))
+    h = rng.normal(size=(5, 3, 8))
     out = approximate_pe(h, params)
     # bit-exact: the no-op chain must reproduce the newest column
-    assert np.array_equal(out.data, h[:, -1])
+    assert np.array_equal(out.data, h[:, :, -1])
 
 
 def test_identity_filter_still_differentiates_under_tape():
     params = _params(2, 4)
-    h = Tensor(np.arange(8.0).reshape(2, 4), learnable=True)
+    h = Tensor(np.arange(8.0).reshape(1, 2, 4), learnable=True)
     with GradientTape() as tape:
-        loss = norm2(approximate_pe(h, params))
+        loss = sum_all(norm2(approximate_pe(h, params)))
     grads = backward(tape, loss, {"fr": params.filter.real, "h": h})
     # the transform chain runs when recording, so filter gradients exist
     assert grads["fr"].shape == (2, 4)
+    assert np.any(grads["fr"] != 0.0)
     assert np.any(grads["h"] != 0.0)
 
 
@@ -154,7 +166,7 @@ def test_approximation_matches_complex_oracle():
         d_p = 3
         params = _params(d_p, length, rng=rng, identity=False)
         h = rng.normal(size=(d_p, length))
-        got = approximate_pe(h, params).data
+        got = approximate_pe(h[None], params).data[0]
 
         filt = params.filter.real.data + 1j * params.filter.imag.data
         pool = params.sum_pool.data.ravel()
@@ -185,7 +197,9 @@ def test_approximation_matches_complex_oracle():
 def test_approximate_pe_shape_check():
     params = _params(2, 4)
     with pytest.raises(ValueError, match="history shape"):
-        approximate_pe(np.zeros((3, 4)), params)
+        approximate_pe(np.zeros((1, 3, 4)), params)
+    with pytest.raises(ValueError, match="history shape"):
+        approximate_pe(np.zeros((2, 4)), params)
 
 
 def test_commit_matches_hand_computation():
@@ -194,15 +208,14 @@ def test_commit_matches_hand_computation():
     params = _params(d_p, 4, rng=rng, identity=False, d_t=d_t)
     cfg = TimeEncoderConfig(dim=d_t)
     p_tilde = rng.normal(size=d_p)
-    entries = [
-        (0.0, None),
-        (1.5, rng.normal(size=d_p)),
-        (0.5, rng.normal(size=d_p)),
-    ]
-    got = commit_pe(p_tilde, entries, params, cfg)
+    partners = rng.normal(size=(3, d_p))  # the padded slot's row must not count
+    got = commit_pe(
+        p_tilde[None], np.array([[0.0, 1.5, 0.5]]), partners[None],
+        np.array([[True, False, False]]), params, cfg,
+    )[0]
 
     tau = time_encode(1.5, cfg) + time_encode(0.5, cfg)
-    nbr = entries[1][1] + entries[2][1]
+    nbr = partners[1] + partners[2]
     q = np.concatenate([tau, nbr])
     w1, w2, ws = params.w1.data, params.w2.data, params.w_self.data
     want = p_tilde + np.tanh(ws @ p_tilde + w2 @ np.maximum(w1 @ q, 0.0))
@@ -211,8 +224,11 @@ def test_commit_matches_hand_computation():
 
 def test_commit_with_zero_weights_is_identity():
     params = _params(2, 4)  # all-zero MLP weights
-    p_tilde = np.array([0.3, -0.7])
-    got = commit_pe(p_tilde, [(1.0, np.ones(2))], params, TimeEncoderConfig(dim=4))
+    p_tilde = np.array([[0.3, -0.7], [1.5, 2.0]])
+    got = commit_pe(
+        p_tilde, np.ones((2, 1)), np.ones((2, 1, 2)), np.zeros((2, 1), dtype=bool),
+        params, TimeEncoderConfig(dim=4),
+    )
     assert np.array_equal(got, p_tilde)
 
 
@@ -221,7 +237,10 @@ def test_commit_all_padding_uses_zero_q():
     params = _params(2, 4, rng=rng, identity=False)
     cfg = TimeEncoderConfig(dim=4)
     p_tilde = rng.normal(size=2)
-    got = commit_pe(p_tilde, [(0.0, None), (0.0, None)], params, cfg)
+    got = commit_pe(
+        p_tilde[None], np.zeros((1, 2)), np.full((1, 2, 2), np.nan),
+        np.ones((1, 2), dtype=bool), params, cfg,
+    )[0]
     ws, w2, w1 = params.w_self.data, params.w2.data, params.w1.data
     want = p_tilde + np.tanh(ws @ p_tilde + w2 @ np.maximum(w1 @ np.zeros(6), 0.0))
     assert np.max(np.abs(got - want)) < 1e-12

@@ -4,10 +4,13 @@ import pytest
 
 import lstep.training as training
 from lstep.autodiff import Tensor
+from lstep.checks import tape_nodes_per_batch
 from lstep.config import RunConfig, parse_config
 from lstep.events import chronological_split
+from lstep.lpe import PositionalStore, approximate_pe
 from lstep.model import ModelDims, init_model_params
 from lstep.synthetic import make_periodic_stream, make_static_stream
+from lstep.timeenc import TimeEncoderConfig, time_encode
 from lstep.training import (
     build_initial_pe,
     collect_pe_trace,
@@ -193,3 +196,61 @@ def test_write_loss_csv_round_trips_floats(tmp_path):
         e, b, v = line.split(",")
         parsed.append((int(e), int(b), float(v)))
     assert parsed == rows
+
+
+def test_commit_reads_pre_step_encodings_and_post_step_weights(monkeypatch):
+    # lr is large so that one Adam step moves every weight visibly
+    cfg = parse_config("lr = 0.5\nmax_epochs = 1", base=TINY)
+    s = _tiny_stream()
+    split = chronological_split(s)
+    seen = {}
+    real_adam, real_commit = training.adam_step, PositionalStore.commit
+
+    def adam(state, tensors, grads):
+        if "pre" not in seen:
+            seen["pre"] = {n: t.data.copy() for n, t in tensors.items()}
+        out = real_adam(state, tensors, grads)
+        seen.setdefault("post", {n: t.data.copy() for n, t in tensors.items()})
+        return out
+
+    def commit(store, nodes, vecs):
+        # the first store commit is the reset, the second the first batch's
+        seen.setdefault("commits", []).append((nodes.copy(), vecs.copy()))
+        return real_commit(store, nodes, vecs)
+
+    monkeypatch.setattr(training, "adam_step", adam)
+    monkeypatch.setattr(PositionalStore, "commit", commit)
+    train(s, split, cfg)
+
+    initial = build_initial_pe(s, split, cfg)
+    store = PositionalStore(s.num_nodes, cfg.d_p, cfg.history_len)
+    store.reset(initial)
+    pre, post = seen["pre"], seen["post"]
+    # p~ from the pre-step filter (the identity at init) over the reset store
+    params = init_model_params(ModelDims.from_config(cfg), seed=cfg.seed)
+    params.load_state_arrays(pre)
+    p_tilde = approximate_pe(store.history_matrix(np.arange(s.num_nodes)), params.lpe).data
+    tcfg = TimeEncoderConfig(cfg.d_t, cfg.alpha, cfg.beta)
+    batch = np.arange(cfg.batch_size)
+    t_c = s.ts[batch].max()
+    nodes, stored = seen["commits"][1]
+    assert nodes.tolist() == sorted(set(s.src[batch]) | set(s.dst[batch]))
+
+    def formula(w, node):
+        tau, nbr = np.zeros(cfg.d_t), np.zeros(cfg.d_p)
+        touching = [i for i in range(s.num_events)
+                    if s.ts[i] <= t_c and node in (s.src[i], s.dst[i])]
+        for i in touching[-cfg.recent_k:]:
+            tau += time_encode(t_c - s.ts[i], tcfg)
+            nbr += p_tilde[s.dst[i] if s.src[i] == node else s.src[i]]
+        hidden = w["pe_w2"] @ np.maximum(w["pe_w1"] @ np.concatenate([tau, nbr]), 0.0)
+        return p_tilde[node] + np.tanh(w["pe_w_self"] @ p_tilde[node] + hidden)
+
+    for node, vec in zip(nodes.tolist(), stored):
+        assert np.max(np.abs(vec - formula(post, node))) < 1e-12
+        assert np.max(np.abs(vec - formula(pre, node))) > 1e-6
+
+
+def test_tape_length_does_not_grow_with_batch_size():
+    # B = n / 5: one training batch of 10 events, then one of 40
+    assert tape_nodes_per_batch(50) == tape_nodes_per_batch(200) <= 100
