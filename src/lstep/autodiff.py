@@ -55,10 +55,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def detach(self) -> "Tensor":
-        """Copy of the value with no tape history."""
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag}, learnable={self.learnable})"

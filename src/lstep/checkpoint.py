@@ -48,13 +48,14 @@ def save_container(
 
 
 class _Cursor:
-    def __init__(self, buf: bytes):
-        self.buf = buf
+    def __init__(self, path: str | Path):
+        self.path = path
+        self.buf = Path(path).read_bytes()
         self.pos = 0
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.buf):
-            raise ValueError("truncated checkpoint container")
+            raise ValueError(f"{self.path}: truncated checkpoint container")
         out = self.buf[self.pos : self.pos + n]
         self.pos += n
         return out
@@ -64,11 +65,17 @@ class _Cursor:
 
     def string(self) -> str:
         (n,) = self.unpack("<H")
-        return self.take(n).decode("utf-8")
+        raw = self.take(n)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(
+                f"{self.path}: string at byte {self.pos - n} is not UTF-8 ({exc.reason})"
+            ) from None
 
 
 def load_container(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    cur = _Cursor(Path(path).read_bytes())
+    cur = _Cursor(path)
     if cur.take(4) != MAGIC:
         raise ValueError(f"{path}: not a checkpoint container")
     version, n_meta, n_tensors = cur.unpack("<III")

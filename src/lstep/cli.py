@@ -28,13 +28,7 @@ from .config import (
     serialize_config,
     shape_hash,
 )
-from .events import (
-    _LABEL_NAMES,
-    EventStream,
-    chronological_split,
-    load_events,
-    write_manifest,
-)
+from .events import EventStream, chronological_split, load_events, write_manifest
 from .model import ModelDims, ModelParams, init_model_params
 from .peinit import InitialPE
 from .sampling import STRATEGIES
@@ -104,30 +98,26 @@ def _split_stream(stream: EventStream, cfg: RunConfig):
 def cmd_ingest(args) -> int:
     """Normalize a raw event CSV; write events.csv plus manifest.txt."""
     stream = load_events(args.path)
-    with open(args.path, newline="") as fh:
-        header = next(csv.reader(fh))
-    has_label = len(header) > 3 and header[3].strip().lower() in _LABEL_NAMES
-    n_feat = len(header) - (4 if has_label else 3)
-
+    has_feat = stream.has_edge_features
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     events_path = out / "events.csv"
     with open(events_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         cols = ["src", "dst", "timestamp"]
-        if n_feat:
+        if has_feat:
             cols += [f"f{i}" for i in range(stream.d_e)]
         writer.writerow(cols)
         for i in range(stream.num_events):
             row = [int(stream.src[i]), int(stream.dst[i]), repr(float(stream.ts[i]))]
-            if n_feat:
+            if has_feat:
                 row += [repr(float(x)) for x in stream.edge_features[i]]
             writer.writerow(row)
     manifest_path = out / "manifest.txt"
     write_manifest(manifest_path, stream)
 
     print(f"{stream.num_nodes} nodes, {stream.num_events} events")
-    print(f"edge features: {stream.d_e}-dim ({'from file' if n_feat else 'zero-filled'})")
+    print(f"edge features: {stream.d_e}-dim ({'from file' if has_feat else 'zero-filled'})")
     if stream.sort_warnings:
         print(f"note: {stream.sort_warnings} out-of-order rows were re-sorted")
     print(f"wrote {events_path}")

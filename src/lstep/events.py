@@ -3,16 +3,18 @@
 An event stream holds interaction triplets (src, dst, t) sorted by
 timestamp (stable on ties), dense node ids, a node feature table, and a
 per-event edge feature table. A CSR index over nodes (offsets into
-neighbor, time and event arrays, each node's entries in time order)
+neighbor, time and event arrays, each node's entries in event order)
 answers the three temporal queries the encoders need, for a whole array
-of (node, t) queries at once: the K most recent interactions strictly
-before t, the same set inclusive of t, and all neighbors inside a
-look-back window [t - t_gap, t).
+of queries at once: the K most recent interactions strictly before t,
+the K most recent among the events before a batch end (what a commit
+reads), and all neighbors inside a look-back window [t - t_gap, t).
+Because the events are time-sorted, every bound is an event-id bound.
 """
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -146,6 +148,7 @@ class EventStream:
         self.num_events = int(src.shape[0])
         self.dataset = dataset
         self.sort_warnings = int(sort_warnings)
+        self.has_edge_features = edge_features is not None  # else zero-filled
 
         if edge_features is None:
             edge_features = np.zeros((self.num_events, d_e))
@@ -173,7 +176,7 @@ class EventStream:
     def _build_index(self) -> None:
         # CSR over nodes: one (neighbor, time, event) entry per endpoint, a
         # self-loop once. Entries are laid out in event order before the
-        # stable sort, so each node's entries stay in event (= time) order.
+        # stable sort, so each node's entries stay in event order.
         ends = np.stack([self.src, self.dst], axis=1)
         keep = np.ones(ends.shape, dtype=bool)
         keep[:, 1] = self.src != self.dst
@@ -187,18 +190,19 @@ class EventStream:
         self._nbr = nbr[order]
         self._nts = self.ts[eid[order]]
         self._eid = eid[order]
-        # entries sort by (node, time rank), so one searchsorted on this
-        # integer key answers a time bound for every (node, t) query at once
-        self._times = np.unique(self.ts)
-        self._stride = self._times.size + 1
-        rank = np.searchsorted(self._times, self._nts)
-        self._key = node[order] * self._stride + rank
+        # entries sort by (node, event id), so one searchsorted on this
+        # integer key answers an id bound for every query at once
+        self._key = node[order] * self.num_events + self._eid
 
-    def _position(self, nodes: np.ndarray, ts: np.ndarray, side: str) -> np.ndarray:
-        """Per query, the CSR position after the node's entries before t
-        (``side="left"``) or at or before t (``side="right"``)."""
-        rank = np.searchsorted(self._times, ts, side=side)
-        return np.searchsorted(self._key, nodes * self._stride + rank, side="left")
+    def _position(self, nodes: np.ndarray, end) -> np.ndarray:
+        """Per query, the CSR position after the node's entries with an
+        event id below ``end``."""
+        return np.searchsorted(self._key, nodes * self.num_events + end)
+
+    def _before(self, nodes: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """Per query, the CSR position after the node's entries before t:
+        the events are time-sorted, so that is an event-id bound."""
+        return self._position(nodes, np.searchsorted(self.ts, ts))
 
     def _queries(self, nodes, ts) -> tuple[np.ndarray, np.ndarray]:
         nodes = np.asarray(nodes, dtype=np.int64)
@@ -207,34 +211,39 @@ class EventStream:
         ts = np.broadcast_to(np.asarray(ts, dtype=np.float64), nodes.shape)
         return nodes, ts
 
-    def _recent(self, nodes, ts, k: int, side: str) -> RecentInteractions:
+    def _recent(self, nodes, hi, pad_ts, k: int) -> RecentInteractions:
         if k < 1:
             raise ValueError(f"window size must be >= 1, got {k}")
-        nodes, ts = self._queries(nodes, ts)
-        hi = self._position(nodes, ts, side)
         pos = hi[:, None] - k + np.arange(k)
         pad = pos < self._offsets[nodes][:, None]
         pos = np.where(pad, 0, pos)
         return RecentInteractions(
             np.where(pad, PAD_ID, self._nbr[pos]),
-            np.where(pad, ts[:, None], self._nts[pos]),
+            np.where(pad, pad_ts[:, None], self._nts[pos]),
             np.where(pad, -1, self._eid[pos]),
             pad,
         )
 
     def recent_interactions(self, nodes, ts, k: int) -> RecentInteractions:
         """K most recent interactions of each node strictly before its t."""
-        return self._recent(nodes, ts, k, "left")
+        nodes, ts = self._queries(nodes, ts)
+        return self._recent(nodes, self._before(nodes, ts), ts, k)
 
-    def recent_interactions_inclusive(self, nodes, ts, k: int) -> RecentInteractions:
-        """K most recent interactions of each node at or before its t."""
-        return self._recent(nodes, ts, k, "right")
+    def recent_interactions_inclusive(self, nodes, end: int, k: int) -> RecentInteractions:
+        """K most recent interactions of each node among events [0, end),
+        the window a commit reads after the batch that ends at ``end``.
+        Later events that share event ``end - 1``'s timestamp stay out;
+        padding carries that timestamp."""
+        if not 1 <= end <= self.num_events:
+            raise ValueError(f"event bound {end} outside [1, {self.num_events}]")
+        nodes, ts = self._queries(nodes, self.ts[end - 1])
+        return self._recent(nodes, self._position(nodes, end), ts, k)
 
     def window_neighbors(self, nodes, ts, t_gap: float) -> WindowNeighbors:
         """Neighbors of each node with interactions inside [t - t_gap, t)."""
         nodes, ts = self._queries(nodes, ts)
-        lo = self._position(nodes, ts - t_gap, "left")
-        hi = self._position(nodes, ts, "left")
+        lo = self._before(nodes, ts - t_gap)
+        hi = self._before(nodes, ts)
         counts = hi - lo
         offsets = np.concatenate([[0], np.cumsum(counts)])
         pos = np.arange(offsets[-1]) + np.repeat(lo - offsets[:-1], counts)
@@ -301,64 +310,149 @@ def load_events(
 ) -> EventStream:
     """Read a CSV event file: header, then src,dst,timestamp[,label][,f...].
 
-    A column named label/state_label right after the timestamp is parsed
-    and discarded; any remaining columns are per-event edge features.
-    Node ids are re-indexed densely from 0 in sorted-id order. Rows out
-    of time order are repaired by a stable sort and counted in
-    ``sort_warnings``.
+    Accepted format:
+
+    * The first record is the header, with at least three columns. A
+      column named label/state_label right after the timestamp is not
+      parsed (it may hold any text); the columns after it, or after the
+      timestamp when there is no label, are per-event edge features.
+    * Every other line holds one event with one field per header column.
+      Empty lines are skipped. Fields may be quoted with ``"``.
+    * Numbers follow numpy's float grammar: Python's ``float`` syntax
+      with surrounding whitespace allowed, but no ``_`` digit separators
+      and no non-ASCII digits.
+    * Node ids are integral values inside int64 (``12`` or ``12.0``, not
+      ``12.5``); timestamps and edge features are finite.
+
+    Parsing is one ``np.loadtxt`` call; the checks run on the parsed
+    arrays. Every error names the file and, for a bad row, the line:
+    ``path:line: ...``. Node ids are re-indexed densely from 0 in
+    sorted-id order. Rows out of time order are repaired by a stable
+    sort and counted in ``sort_warnings``.
     """
     if fmt != "csv":
         raise ValueError(f"unsupported event file format {fmt!r}")
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty event file") from None
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise ValueError(f"{path}: empty event file")
         if len(header) < 3:
             raise ValueError(f"{path}: header needs at least src,dst,timestamp")
         has_label = len(header) > 3 and header[3].strip().lower() in _LABEL_NAMES
-        feat_start = 4 if has_label else 3
-        n_feat = len(header) - feat_start
-        src, dst, ts = [], [], []
-        feats: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+        # the label is measured, not parsed: a converter (rather than
+        # usecols) keeps loadtxt's field count check on every row
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                block = np.loadtxt(
+                    fh,
+                    dtype=np.float64,
+                    delimiter=",",
+                    comments=None,
+                    quotechar='"',
+                    ndmin=2,
+                    converters={3: len} if has_label else None,
                 )
-            try:
-                src.append(int(float(row[0])))
-                dst.append(int(float(row[1])))
-                t = float(row[2])
-                feat = [float(x) for x in row[feat_start:]]
-            except (ValueError, OverflowError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed row ({exc})") from None
-            if not math.isfinite(t):
-                raise ValueError(f"{path}:{lineno}: non-finite timestamp {t}")
-            if not all(map(math.isfinite, feat)):
-                raise ValueError(f"{path}:{lineno}: non-finite edge feature")
-            ts.append(t)
-            if n_feat:
-                feats.append(feat)
-    if not src:
+        except ValueError as exc:
+            raise ValueError(_rejected_block(path, header, has_label, str(exc))) from None
+    if block.size == 0:
         raise ValueError(f"{path}: empty event file")
+    if block.shape[1] != len(header):
+        reason = f"expected {len(header)} fields, got {block.shape[1]}"
+        raise ValueError(_rejected_block(path, header, has_label, reason))
+    ids, ts = block[:, :2], block[:, 2]
+    feats = block[:, 4 if has_label else 3 :]
+    # nan fails every comparison, and inf fails the range
+    good_ids = (ids == np.floor(ids)) & (ids >= -_INT64_END) & (ids < _INT64_END)
+    bad = ~good_ids.all(axis=1)
+    bad |= ~np.isfinite(ts)
+    if feats.shape[1]:
+        bad |= ~np.isfinite(feats).all(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        problem = _row_problem(ids[row].tolist(), float(ts[row]), feats[row].tolist())
+        raise ValueError(f"{path}:{_line_of_row(path, row)}: {problem}")
 
-    _, dense = np.unique(np.asarray(src + dst, dtype=np.int64), return_inverse=True)
-    src_a, dst_a = np.split(dense.astype(np.int64), 2)
-    edge_features = np.asarray(feats, dtype=np.float64) if n_feat else None
+    _, dense = np.unique(ids.T.astype(np.int64).ravel(), return_inverse=True)
+    src, dst = dense.reshape(2, -1).astype(np.int64)
     return EventStream(
-        src_a,
-        dst_a,
-        np.asarray(ts, dtype=np.float64),
-        edge_features=edge_features,
+        src,
+        dst,
+        np.ascontiguousarray(ts),
+        edge_features=feats if feats.shape[1] else None,
         d_n=d_n,
         d_e=d_e,
         dataset=dataset or path.stem,
     )
+
+
+_INT64_END = 2.0**63  # int64 holds [-2**63, 2**63)
+
+
+def _row_problem(ids: list[float], t: float, feat: list[float]) -> str | None:
+    """What is wrong with one parsed row, checked in field order."""
+    for x in ids:
+        try:
+            integral = int(x) == x  # nan and inf raise with Python's message
+        except (ValueError, OverflowError) as exc:
+            return f"malformed row ({exc})"
+        if not integral:
+            return f"malformed row (node id {x!r} is not an integer)"
+        if not -_INT64_END <= x < _INT64_END:
+            return f"malformed row (node id {x!r} is outside int64)"
+    if not math.isfinite(t):
+        return f"non-finite timestamp {t}"
+    if not all(map(math.isfinite, feat)):
+        return "non-finite edge feature"
+    return None
+
+
+def _records(path: Path):
+    """(line, fields) of every non-empty data record, numbered as
+    ``csv.reader`` counts records with the header as line 1."""
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for lineno, row in enumerate(reader, start=2):
+            if row:
+                yield lineno, row
+
+
+def _line_of_row(path: Path, row: int) -> int:
+    """Line of the parsed row ``row`` (from 0); csv and loadtxt split
+    records alike, quoted line breaks included."""
+    for r, (lineno, _) in enumerate(_records(path)):
+        if r == row:
+            return lineno
+    return row + 2
+
+
+def _parse_float(token: str) -> float:
+    """``float`` under numpy's grammar (no ``_``, ASCII digits only)."""
+    if "_" in token or not token.strip().isascii():
+        raise ValueError(f"could not convert string to float: {token!r}")
+    return float(token)
+
+
+def _rejected_block(path: Path, header: list[str], has_label: bool, reason: str) -> str:
+    """Located message for the first bad record of a file that loadtxt
+    rejected, found by walking the records; runs on failed files only.
+    ``reason`` (loadtxt's own words) is the fallback."""
+    for lineno, row in _records(path):
+        where = f"{path}:{lineno}"
+        if len(row) != len(header):
+            return f"{where}: expected {len(header)} fields, got {len(row)}"
+        if has_label:
+            del row[3]
+        try:
+            values = [_parse_float(field) for field in row]
+        except ValueError as exc:
+            return f"{where}: malformed row ({exc})"
+        problem = _row_problem(values[:2], values[2], values[3:])
+        if problem:
+            return f"{where}: {problem}"
+    return f"{path}: {reason}"
 
 
 def write_manifest(path: str | Path, stream: EventStream) -> None:

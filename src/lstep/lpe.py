@@ -200,7 +200,7 @@ def commit_pe(
     """Committed encodings p = p~ + tanh(W_self p~ + W2 relu(W1 q)), one row per node.
 
     ``deltas`` (n, K) are the times since each node's K most recent
-    interactions inclusive of the commit time, ``partners`` (n, K, d_p)
+    interactions up to the batch's last event, ``partners`` (n, K, d_p)
     the interaction partners' p~ and ``pad_mask`` (n, K) marks padded
     slots, which contribute exact zeros to the pooled q. Runs detached
     from any tape.

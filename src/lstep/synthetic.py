@@ -9,7 +9,6 @@ __all__ = [
     "make_periodic_stream",
     "make_static_stream",
     "make_random_stream",
-    "make_alternating_stream",
 ]
 
 
@@ -108,19 +107,3 @@ def make_random_stream(
         src, dst, ts, num_nodes=num_nodes, d_n=d_n, d_e=d_e, dataset=dataset
     )
 
-
-def make_alternating_stream(
-    num_events: int = 200, d_n: int = 8, d_e: int = 8
-) -> EventStream:
-    """Two nodes, one edge repeating every tick; negatives are forced to
-    the only other destination, so training is fully deterministic."""
-    ts = np.arange(1, num_events + 1, dtype=np.float64)
-    return EventStream(
-        np.zeros(num_events, dtype=np.int64),
-        np.ones(num_events, dtype=np.int64),
-        ts,
-        num_nodes=2,
-        d_n=d_n,
-        d_e=d_e,
-        dataset="alternating",
-    )

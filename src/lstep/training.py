@@ -128,7 +128,8 @@ class _Forward:
     batch needs; ``pos``/``neg`` are the (n, 1) link probabilities of the
     scored events and of their negatives, None when nothing is scored.
     ``touched`` are the batch's endpoints and ``window`` their K most
-    recent interactions inclusive of the commit time ``t_commit``.
+    recent interactions up to and including the batch's last event,
+    whose timestamp is the commit time ``t_commit``.
     """
 
     nodes: np.ndarray
@@ -161,8 +162,9 @@ def _batch_forward(
     of ``batch``) against ``neg``; ``extra`` nodes also get a p~ row."""
     k = cfg.recent_k
     touched = np.union1d(stream.src[batch], stream.dst[batch])
-    t_commit = float(stream.ts[batch].max())
-    window = stream.recent_interactions_inclusive(touched, t_commit, k)
+    end = int(batch.max()) + 1  # batches are contiguous: the commit reads [0, end)
+    t_commit = float(stream.ts[end - 1])
+    window = stream.recent_interactions_inclusive(touched, end, k)
     need = [touched, window.neighbors[~window.pad_mask]]
     if extra is not None:
         need.append(np.asarray(extra, dtype=np.int64))

@@ -231,12 +231,3 @@ def test_nested_tape_rejected():
         with pytest.raises(RuntimeError, match="already active"):
             with GradientTape():
                 pass
-
-
-def test_detach_cuts_history():
-    x = Tensor(np.ones(2), learnable=True)
-    with GradientTape() as tape:
-        y = scale(x, 2.0).detach()
-        loss = sum_all(elementwise_mul(y, y))
-    g = backward(tape, loss, {"x": x})["x"]
-    assert np.array_equal(g, np.zeros(2))

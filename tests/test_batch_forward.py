@@ -73,11 +73,12 @@ def _ref_ptilde(store, params, node):
     return back @ params.tensors["pe_sum_pool"].data.ravel()
 
 
-def _ref_window(stream, node, t, inclusive):
-    """(partner, time, event) of the K latest events of ``node`` before t."""
+def _ref_window(stream, node, t, end=None):
+    """(partner, time, event) of the K latest events of ``node`` before t,
+    or, with ``end``, of those with an index below ``end``."""
     out = []
     for i, (u, v, te) in enumerate(zip(stream.src, stream.dst, stream.ts)):
-        if node in (u, v) and (te <= t if inclusive else te < t):
+        if node in (u, v) and (i < end if end is not None else te < t):
             out.append((v if u == node else u, te, i))
     return out[-CFG.recent_k:]
 
@@ -92,7 +93,7 @@ def _ref_rep(stream, params, pt, node, t):
         if node in (u, v) and t - CFG.t_gap <= te < t
     ]
     h_n = x[node] + (x[nbrs].mean(axis=0) if nbrs else 0.0)
-    recent = _ref_window(stream, node, t, False)
+    recent = _ref_window(stream, node, t)
     rows = np.zeros((CFG.recent_k, CFG.d_t + CFG.d_e))
     pad = CFG.recent_k - len(recent)
     tau = np.zeros(CFG.d_t)
@@ -124,7 +125,7 @@ def _ref_commit(stream, params, pt, batch):
     out = {}
     for node in sorted(set(stream.src[batch]) | set(stream.dst[batch])):
         tau, nbr = np.zeros(CFG.d_t), np.zeros(CFG.d_p)
-        for p, te, _ in _ref_window(stream, node, t_c, True):
+        for p, te, _ in _ref_window(stream, node, t_c, end=batch[-1] + 1):
             tau += time_encode(t_c - te, TCFG)
             nbr += pt[int(p)]
         q = np.concatenate([tau, nbr])

@@ -120,6 +120,15 @@ def test_ingest_non_finite_timestamp_names_line(tmp_path, capsys):
     assert "nan.csv:3" in err and "non-finite timestamp" in err
 
 
+def test_ingest_bad_node_id_names_line_and_exits_1(tmp_path, capsys):
+    raw = tmp_path / "ids.csv"
+    for bad in ("1e300", "3.7"):
+        raw.write_text(f"src,dst,timestamp\n1,2,1.0\n{bad},3,2.0\n")
+        assert main(["ingest", str(raw), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert f"ids.csv:3: malformed row (node id {float(bad)!r}" in err
+
+
 def test_train_writes_checkpoint_report_and_loss_csv(tmp_path):
     events = _ingest(tmp_path)
     _, out = _train(tmp_path, events)
@@ -225,6 +234,23 @@ def test_eval_rejects_shape_mismatch(tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(out / "checkpoint.lstp"),
                  "--config", str(bumped), "--out", str(tmp_path / "e")]) == 1
     assert "shape hash" in capsys.readouterr().err
+
+
+def test_eval_damaged_checkpoint_names_path_and_exits_1(tmp_path, capsys):
+    events = _ingest(tmp_path)
+    _, out = _train(tmp_path, events)
+    good = (out / "checkpoint.lstp").read_bytes()
+    damaged = {
+        "truncated.lstp": good[: len(good) // 2],
+        "magic.lstp": bytes([good[0] ^ 0x01]) + good[1:],
+        # the first metadata key's first byte: 4 magic + 12 header + 2 length
+        "utf8.lstp": good[:18] + b"\xff" + good[19:],
+    }
+    for name, data in damaged.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "e")]) == 1
+        assert str(path) in capsys.readouterr().err
 
 
 def test_eval_unknown_setting_and_strategy(tmp_path, capsys):

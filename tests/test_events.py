@@ -1,4 +1,7 @@
 """Event stream indexing, temporal queries, splitting, and the CSV loader."""
+import csv
+import math
+
 import numpy as np
 import pytest
 
@@ -48,7 +51,7 @@ def test_recent_is_strictly_before_query_time():
 
 def test_recent_inclusive_admits_query_time():
     s = _tiny_stream()
-    rec = s.recent_interactions_inclusive(np.array([1]), np.array([2.0]), k=2)
+    rec = s.recent_interactions_inclusive(np.array([1]), 2, k=2)
     assert _rows(rec) == [[(0, 1.0, 0), (2, 2.0, 1)]]
     assert (~rec.pad_mask).sum() == 2
 
@@ -106,7 +109,7 @@ def test_sort_count_and_index_match_loop_references():
         assert s.sort_warnings == sum(
             1 for i in range(n) for j in range(i + 1, n) if ts[j] < ts[i]
         )
-        rec = s.recent_interactions_inclusive(np.arange(10), 99.0, k=n)
+        rec = s.recent_interactions_inclusive(np.arange(10), n, k=n)
         for node in range(10):
             ends = zip(s.src.tolist(), s.dst.tolist())
             touching = [(i, v if u == node else u) for i, (u, v) in enumerate(ends)
@@ -279,6 +282,168 @@ def test_load_events_empty_file(tmp_path):
     p.write_text("src,dst,timestamp\n")
     with pytest.raises(ValueError, match="empty event file"):
         load_events(p)
+
+
+def test_load_events_rejects_ids_outside_int64_or_not_integral(tmp_path):
+    p = tmp_path / "ids.csv"
+    for bad, reason in (
+        ("1e300", "node id 1e+300 is outside int64"),
+        ("9223372036854775808", "node id 9.223372036854776e+18 is outside int64"),
+        ("3.7", "node id 3.7 is not an integer"),
+        ("nan", "cannot convert float NaN to integer"),
+        ("-inf", "cannot convert float infinity to integer"),
+    ):
+        p.write_text(f"src,dst,timestamp\n0,1,1.0\n2,{bad},2.0\n")
+        with pytest.raises(ValueError) as exc:
+            load_events(p)
+        assert str(exc.value) == f"{p}:3: malformed row ({reason})"
+    # the int64 ends themselves, and integral floats, are ids
+    p.write_text("src,dst,timestamp\n-9223372036854775808,4.0,1.0\n1e3,-0.0,2.0\n")
+    s = load_events(p)
+    assert s.num_nodes == 4
+    assert (s.src.tolist(), s.dst.tolist()) == ([0, 3], [2, 1])
+
+
+def test_recent_inclusive_bound_cuts_a_tied_block():
+    s = EventStream(np.array([0, 1, 0, 1]), np.array([1, 2, 2, 2]),
+                    np.array([1.0, 2.0, 2.0, 3.0]))
+    rec = s.recent_interactions_inclusive(np.array([0, 2]), 2, k=3)
+    assert rec.event_ids.tolist() == [[-1, -1, 0], [-1, -1, 1]]
+    assert rec.times.tolist() == [[2.0, 2.0, 1.0], [2.0, 2.0, 2.0]]
+    rec = s.recent_interactions_inclusive(np.array([0, 2]), 3, k=3)
+    assert rec.event_ids.tolist() == [[-1, 0, 2], [-1, 1, 2]]
+    for bad in (0, 5):
+        with pytest.raises(ValueError, match="event bound"):
+            s.recent_interactions_inclusive(np.array([0]), bad, k=1)
+
+
+def _reference_load(path, d_e=172):
+    """The per-row loader that ``load_events`` replaced: ``csv.reader``
+    and ``float()`` on every field. Kept here as the oracle."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty event file") from None
+        has_label = len(header) > 3 and header[3].strip().lower() in {"label", "state_label"}
+        feat_start = 4 if has_label else 3
+        n_feat = len(header) - feat_start
+        src, dst, ts, feats = [], [], [], []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                )
+            try:
+                src.append(int(float(row[0])))
+                dst.append(int(float(row[1])))
+                t = float(row[2])
+                feat = [float(x) for x in row[feat_start:]]
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"{path}:{lineno}: malformed row ({exc})") from None
+            if not math.isfinite(t):
+                raise ValueError(f"{path}:{lineno}: non-finite timestamp {t}")
+            if not all(map(math.isfinite, feat)):
+                raise ValueError(f"{path}:{lineno}: non-finite edge feature")
+            ts.append(t)
+            if n_feat:
+                feats.append(feat)
+    if not src:
+        raise ValueError(f"{path}: empty event file")
+    _, dense = np.unique(np.asarray(src + dst, dtype=np.int64), return_inverse=True)
+    src_a, dst_a = np.split(dense.astype(np.int64), 2)
+    edge_features = np.asarray(feats, dtype=np.float64) if n_feat else None
+    return EventStream(src_a, dst_a, np.asarray(ts), edge_features=edge_features, d_e=d_e)
+
+
+def _oracle_csv(rng, n, n_feat, label=False):
+    """Header and rows with sparse negative ids, ties and rows out of
+    order; features drawn to need all 17 significant digits."""
+    ids = np.sort(rng.choice(10**9, size=40, replace=False)) - 5 * 10**8
+    ts = np.round(rng.uniform(0.0, 50.0, size=n), 1)
+    ts[::7] = ts[0]
+    header = ["user", "item", "timestamp"] + (["state_label"] if label else [])
+    header += [f"f{j}" for j in range(n_feat)]
+    rows = []
+    for i in range(n):
+        row = [str(rng.choice(ids)), f"{rng.choice(ids)}.0", repr(float(ts[i]))]
+        if label:
+            row.append(rng.choice(["0", "1", "# not a comment", "text, quoted"]))
+        row += [repr(x) for x in rng.normal(scale=10.0, size=n_feat).tolist()]
+        rows.append(row)
+    return header, rows
+
+
+def _assert_same_stream(a, b):
+    for name in ("src", "dst", "ts", "edge_features"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.num_nodes == b.num_nodes
+    assert a.sort_warnings == b.sort_warnings > 0
+
+
+@pytest.mark.parametrize(
+    "n_feat, label, newline, blank_every, final_newline, quote",
+    [
+        (0, False, "\n", 0, True, csv.QUOTE_MINIMAL),
+        (3, True, "\r\n", 5, True, csv.QUOTE_MINIMAL),
+        (2, False, "\n", 3, False, csv.QUOTE_ALL),
+        (172, True, "\r\n", 0, False, csv.QUOTE_ALL),
+    ],
+)
+def test_load_events_matches_per_row_reference(
+    tmp_path, n_feat, label, newline, blank_every, final_newline, quote
+):
+    rng = np.random.default_rng(n_feat)
+    header, rows = _oracle_csv(rng, 60, n_feat, label)
+    path = tmp_path / "oracle.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator=newline, quoting=quote)
+        writer.writerow(header)
+        for i, row in enumerate(rows):
+            if blank_every and i % blank_every == blank_every - 1:
+                fh.write(newline)
+            writer.writerow(row)
+    if not final_newline:
+        path.write_bytes(path.read_bytes().rstrip(b"\r\n"))
+    _assert_same_stream(load_events(path, d_e=max(n_feat, 1)),
+                        _reference_load(path, d_e=max(n_feat, 1)))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "src,dst,timestamp,f0\n1,2,1.0,0.5\n\n\n3,4\n",  # short row after blank lines
+        "src,dst,timestamp,f0\n1,2,1.0,0.5\n3,4,2.0,0.x5\n",  # bad token
+        "src,dst,timestamp,f0\r\n1,2,1.0,0.5\r\n\r\n3,4,nan,0.5\r\n",  # nan timestamp
+        "src,dst,timestamp,label,f0\n1,2,1.0,a,0.5\n3,4,2.0,#,-inf\n",  # -inf feature
+        "src,dst,timestamp,label\n1,2,1.0,x\n3,4,2.0,y,z\n",  # long row beside a label
+        "src,dst,timestamp\n1,2,1.0\n   \n",  # a line of spaces is a record
+        "src,dst,timestamp\n",  # header only
+        "src,dst,timestamp\n\n\n",  # header and blank lines
+    ],
+)
+def test_load_events_errors_match_per_row_reference(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, newline="")
+    with pytest.raises(ValueError) as want:
+        _reference_load(path)
+    with pytest.raises(ValueError) as got:
+        load_events(path)
+    assert str(got.value) == str(want.value)
+
+
+def test_load_events_rejects_digit_separators(tmp_path):
+    # Python's float takes "1_0"; numpy's grammar, which the loader
+    # follows, does not
+    path = tmp_path / "sep.csv"
+    path.write_text("src,dst,timestamp\n1,2,1.0\n1_0,2,2.0\n")
+    assert _reference_load(path).num_nodes == 3
+    with pytest.raises(ValueError) as exc:
+        load_events(path)
+    assert str(exc.value) == f"{path}:3: malformed row (could not convert string to float: '1_0')"
 
 
 def test_load_events_unknown_format(tmp_path):

@@ -6,7 +6,7 @@ import lstep.training as training
 from lstep.autodiff import Tensor
 from lstep.checks import tape_nodes_per_batch
 from lstep.config import RunConfig, parse_config
-from lstep.events import chronological_split
+from lstep.events import EventStream, chronological_split
 from lstep.lpe import PositionalStore, approximate_pe
 from lstep.model import ModelDims, init_model_params
 from lstep.synthetic import make_periodic_stream, make_static_stream
@@ -238,8 +238,7 @@ def test_commit_reads_pre_step_encodings_and_post_step_weights(monkeypatch):
 
     def formula(w, node):
         tau, nbr = np.zeros(cfg.d_t), np.zeros(cfg.d_p)
-        touching = [i for i in range(s.num_events)
-                    if s.ts[i] <= t_c and node in (s.src[i], s.dst[i])]
+        touching = [i for i in range(batch[-1] + 1) if node in (s.src[i], s.dst[i])]
         for i in touching[-cfg.recent_k:]:
             tau += time_encode(t_c - s.ts[i], tcfg)
             nbr += p_tilde[s.dst[i] if s.src[i] == node else s.src[i]]
@@ -254,3 +253,53 @@ def test_commit_reads_pre_step_encodings_and_post_step_weights(monkeypatch):
 def test_tape_length_does_not_grow_with_batch_size():
     # B = n / 5: one training batch of 10 events, then one of 40
     assert tape_nodes_per_batch(50) == tape_nodes_per_batch(200) <= 100
+
+
+def _commit_window(stream, cfg, batch):
+    tcfg = TimeEncoderConfig(cfg.d_t, cfg.alpha, cfg.beta)
+    params = init_model_params(ModelDims.from_config(cfg), seed=0)
+    store = PositionalStore(stream.num_nodes, cfg.d_p, cfg.history_len)
+    fwd = training._batch_forward(stream, store, params, cfg, tcfg, batch)
+    return fwd.touched, fwd.window
+
+
+def test_commit_window_stops_at_the_batch_end():
+    # timestamps 1, 2, 2, 3 with B = 2: event 2 shares batch 0's last
+    # timestamp but is batch 1's positive, so batch 0's commits skip it
+    stream = EventStream(
+        np.array([0, 1, 0, 1]), np.array([1, 2, 2, 2]), np.array([1.0, 2.0, 2.0, 3.0]),
+        d_n=6, d_e=6,
+    )
+    cfg = parse_config("recent_k = 3\nbatch_size = 2", base=TINY)
+    touched, window = _commit_window(stream, cfg, np.arange(2))
+    assert touched.tolist() == [0, 1, 2]
+    assert window.event_ids.tolist() == [[-1, -1, 0], [-1, 0, 1], [-1, -1, 1]]
+    assert window.times[0].tolist() == [2.0, 2.0, 1.0]  # padding sits at t_commit
+
+
+def test_no_commit_window_reaches_past_its_batch(monkeypatch):
+    rng = np.random.default_rng(11)
+    n = 150
+    # blocks of tied timestamps, most of them straddling a batch boundary
+    stream = EventStream(
+        rng.integers(0, 8, size=n), rng.integers(8, 14, size=n),
+        np.sort(rng.integers(0, 40, size=n)).astype(np.float64), d_n=6, d_e=6,
+    )
+    cfg = parse_config("recent_k = 3\nbatch_size = 7\nmax_epochs = 1", base=TINY)
+    ends = np.arange(cfg.batch_size, n, cfg.batch_size)
+    assert np.mean(stream.ts[ends - 1] == stream.ts[ends]) > 0.5
+    overreach = []
+    forward = training._batch_forward
+
+    def checked(stream, store, params, cfg, tcfg, batch, *args, **kwargs):
+        fwd = forward(stream, store, params, cfg, tcfg, batch, *args, **kwargs)
+        overreach.append(int(fwd.window.event_ids.max() - batch.max()))
+        return fwd
+
+    monkeypatch.setattr(training, "_batch_forward", checked)
+    split = chronological_split(stream)
+    result = train(stream, split, cfg)
+    evaluate(stream, split, result.params, cfg, initial_pe=result.initial_pe)
+    # training and validation, then the eval replay and test: the stream twice
+    assert len(overreach) >= 2 * (n // cfg.batch_size)
+    assert max(overreach) <= 0
