@@ -1,5 +1,5 @@
 """Temporal link prediction with learnable spectral positional encodings."""
-from .autodiff import ComplexTensor, GradientTape, Tensor, backward
+from .autodiff import GradientTape, Tensor, backward
 from .config import PRESETS, RunConfig, apply_preset, config_hash, parse_config
 from .eigen import symmetric_eig
 from .encoder import (
@@ -16,7 +16,7 @@ from .events import (
     chronological_split,
     load_events,
 )
-from .fourier import dft_time_axis, idft_time_axis
+from .fourier import dft, filter_kernel, idft
 from .losses import loss_lp, loss_pe, total_loss
 from .lpe import (
     BoundReport,

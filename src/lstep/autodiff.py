@@ -11,7 +11,6 @@ import numpy as np
 
 __all__ = [
     "Tensor",
-    "ComplexTensor",
     "GradientTape",
     "backward",
     "matmul",
@@ -58,27 +57,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag}, learnable={self.learnable})"
-
-
-class ComplexTensor:
-    """Complex-valued tensor stored as independent real and imaginary parts."""
-
-    __slots__ = ("real", "imag")
-
-    def __init__(self, real: Tensor, imag: Tensor):
-        if real.shape != imag.shape:
-            raise ValueError(
-                f"real/imag shape mismatch: {real.shape} vs {imag.shape}"
-            )
-        self.real = real
-        self.imag = imag
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.real.shape
-
-    def modulus(self) -> np.ndarray:
-        return np.hypot(self.real.data, self.imag.data)
 
 
 class GradientTape:

@@ -15,11 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import GradientTape, Tensor, backward
+from .autodiff import GradientTape, Tensor, backward, elementwise_mul, sum_all
 from .config import RunConfig, parse_config
 from .eigen import symmetric_eig
 from .events import EventStream, chronological_split
-from .fourier import dft_time_axis, idft_time_axis
+from .fourier import dft, filter_kernel, idft
 from .losses import loss_lp, loss_pe, total_loss
 from .lpe import PositionalStore, theorem1_check
 from .metrics import average_precision, roc_auc
@@ -54,6 +54,32 @@ __all__ = [
     "SUITES",
     "run_suite",
 ]
+
+
+def _fd_check(build, tensors: dict[str, Tensor]) -> tuple[float, str, int]:
+    """Worst relative error of the tape gradients of the scalar ``build()``
+    against central differences, its element, and the element count."""
+    with GradientTape() as tape:
+        loss = build()
+    grads = backward(tape, loss, tensors)
+    max_rel, worst, count = 0.0, "", 0
+    for name, tensor in tensors.items():
+        flat = tensor.data.ravel()
+        for i in range(flat.size):
+            count += 1
+            keep = flat[i]
+            h = 1e-6 * max(1.0, abs(keep))
+            flat[i] = keep + h
+            up = float(build().data)
+            flat[i] = keep - h
+            dn = float(build().data)
+            flat[i] = keep
+            fd = (up - dn) / (2.0 * h)
+            an = float(grads[name].ravel()[i])
+            rel = abs(an - fd) / max(abs(an), abs(fd), 1e-6)
+            if rel > max_rel:
+                max_rel, worst = rel, f"{name}[{i}]"
+    return max_rel, worst, count
 
 
 def check_gradients(seed: int = 0) -> dict:
@@ -103,30 +129,7 @@ def check_gradients(seed: int = 0) -> dict:
         fwd = _batch_forward(stream, store, params, cfg, tcfg, batch, batch, neg)
         return _batch_loss(fwd, stream, batch, neg, cfg)
 
-    with GradientTape() as tape:
-        loss = build()
-    grads = backward(tape, loss, params.tensors)
-
-    max_rel = 0.0
-    worst = ""
-    count = 0
-    for name, tensor in params.tensors.items():
-        flat = tensor.data.ravel()
-        for i in range(flat.size):
-            count += 1
-            keep = flat[i]
-            h = 1e-6 * max(1.0, abs(keep))
-            flat[i] = keep + h
-            up = float(build().data)
-            flat[i] = keep - h
-            dn = float(build().data)
-            flat[i] = keep
-            fd = (up - dn) / (2.0 * h)
-            an = float(grads[name].ravel()[i])
-            rel = abs(an - fd) / max(abs(an), abs(fd), 1e-6)
-            if rel > max_rel:
-                max_rel = rel
-                worst = f"{name}[{i}]"
+    max_rel, worst, count = _fd_check(build, params.tensors)
     return {
         "name": "gradients",
         "passed": bool(max_rel < 1e-4),
@@ -138,52 +141,61 @@ def check_gradients(seed: int = 0) -> dict:
     }
 
 
-def _oracle_dft_row(row: np.ndarray) -> np.ndarray:
-    length = row.shape[0]
+def _oracle_dft_matrix(length: int) -> np.ndarray:
+    """W[j-1, k-1] = exp(-2 pi i j k / L), one complex exponential per entry."""
     return np.array(
         [
-            sum(
-                row[k - 1] * cmath.exp(-2j * cmath.pi * j * k / length)
-                for k in range(1, length + 1)
-            )
+            [cmath.exp(-2j * cmath.pi * j * k / length) for k in range(1, length + 1)]
             for j in range(1, length + 1)
         ]
     )
 
 
 def check_fourier(seed: int = 0) -> dict:
-    """100 random roundtrips plus loop-oracle agreement per length."""
+    """100 random roundtrips, loop-oracle agreement per length, and the
+    filter kernel against the O(L^2) DFT -> filter -> IDFT -> pool chain,
+    with its gradients against finite differences."""
     t0 = time.monotonic()
     rng = np.random.default_rng(seed)
     lengths = (1, 2, 3, 8, 16, 100)
-    worst_round = 0.0
-    rounds = 0
+    worst_round = worst_oracle = worst_kernel = worst_grad = 0.0
     for i in range(100):
-        length = lengths[i % len(lengths)]
-        h = rng.normal(size=(4, length))
-        spec = dft_time_axis(Tensor(h))
-        back = idft_time_axis(spec).data
-        worst_round = max(worst_round, float(np.max(np.abs(back - h))))
-        rounds += 1
-    worst_oracle = 0.0
+        h = rng.normal(size=(4, lengths[i % len(lengths)]))
+        worst_round = max(worst_round, float(np.max(np.abs(idft(dft(h)) - h))))
     for length in lengths:
+        w = _oracle_dft_matrix(length)
         h = rng.normal(size=(2, length))
-        spec = dft_time_axis(Tensor(h))
-        for d in range(2):
-            want = _oracle_dft_row(h[d])
-            worst_oracle = max(
-                worst_oracle,
-                float(np.max(np.abs(spec.real.data[d] - want.real))),
-                float(np.max(np.abs(spec.imag.data[d] - want.imag))),
-            )
+        worst_oracle = max(worst_oracle, float(np.max(np.abs(dft(h) - h @ w.T))))
+        parts = {
+            "f_re": Tensor(rng.normal(size=(2, length)), learnable=True),
+            "f_im": Tensor(rng.normal(size=(2, length)), learnable=True),
+            "pool": Tensor(rng.normal(size=(length, 1)), learnable=True),
+        }
+        # pooled idft(F * dft(h)) is pool^T W^-1 diag(F) W h, row by row
+        filt = parts["f_re"].data + 1j * parts["f_im"].data
+        pool_t = parts["pool"].data.T
+        want = np.stack([(pool_t @ (np.conj(w) / length * f) @ w).real[0] for f in filt])
+        got = filter_kernel(**parts).data
+        worst_kernel = max(worst_kernel, float(np.max(np.abs(got - want))))
+        probe = Tensor(rng.normal(size=(2, length)))
+        grad_err, _, _ = _fd_check(
+            lambda: sum_all(elementwise_mul(filter_kernel(**parts), probe)), parts
+        )
+        worst_grad = max(worst_grad, grad_err)
     return {
         "name": "fourier",
-        "passed": bool(worst_round < 1e-9 and worst_oracle < 1e-10),
-        "roundtrips": rounds,
+        "passed": bool(
+            worst_round < 1e-9 and worst_oracle < 1e-10 and worst_kernel < 1e-9 and worst_grad < 1e-4
+        ),
+        "roundtrips": 100,
         "max_roundtrip_err": worst_round,
         "roundtrip_tolerance": 1e-9,
         "max_oracle_err": worst_oracle,
         "oracle_tolerance": 1e-10,
+        "max_kernel_oracle_err": worst_kernel,
+        "kernel_oracle_tolerance": 1e-9,
+        "max_kernel_grad_err": worst_grad,
+        "kernel_grad_tolerance": 1e-4,
         "seconds": time.monotonic() - t0,
     }
 

@@ -51,12 +51,15 @@ def _resolve_config(args, embedded: str | None = None) -> RunConfig:
     """Layer preset, config file, and seed flag over the defaults.
 
     ``embedded`` (a checkpoint's stored config text) is used only when
-    neither --config nor --preset was given.
+    neither --config nor --preset was given; its errors name the checkpoint.
     """
     cfg = RunConfig()
     preset = getattr(args, "preset", None)
     if embedded is not None and not args.config and not preset:
-        cfg = parse_config(embedded)
+        try:
+            cfg = parse_config(embedded)
+        except ValueError as exc:
+            raise ValueError(f"{args.checkpoint}: embedded {exc}") from None
     if preset:
         cfg = apply_preset(cfg, preset)
     if args.config:

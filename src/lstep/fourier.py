@@ -1,4 +1,4 @@
-"""Discrete Fourier transform along the time axis of a history matrix.
+"""Discrete Fourier transform along the time axis, and the filter kernel.
 
 Convention (1-based frequency and time indices, stored 0-based):
 
@@ -6,20 +6,20 @@ Convention (1-based frequency and time indices, stored 0-based):
 
 so a constant row c spikes at the last bin with X_L = c * L. The inverse
 carries the 1/L normalization and returns the real part, which makes
-``idft_time_axis(dft_time_axis(x))`` recover a real ``x`` to roundoff.
+``idft(dft(x))`` recover a real ``x`` to roundoff.
 
-The transform is a fixed linear map, so both kernels are differentiable;
-each one's adjoint is computed by the other's forward machinery, an
-``np.fft.fft`` of the rows rotated by one position.
+``dft`` and ``idft`` are plain-array functions. The one tape op is
+``filter_kernel``: DFT, filter, inverse DFT and column pooling of a
+history compose to a linear map, and the op builds that map's real
+kernel with closed-form FFT gradients.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff
-from .autodiff import ComplexTensor, Tensor, add, elementwise_mul, sub
+from .autodiff import Tensor, _emit
 
-__all__ = ["dft_time_axis", "idft_time_axis", "complex_elementwise_mul"]
+__all__ = ["dft", "idft", "filter_kernel"]
 
 
 def _forward(z: np.ndarray) -> np.ndarray:
@@ -32,48 +32,51 @@ def _forward(z: np.ndarray) -> np.ndarray:
     return np.roll(np.fft.fft(np.roll(z, 1, axis=-1), axis=-1), -1, axis=-1)
 
 
-def dft_time_axis(x: Tensor) -> ComplexTensor:
-    """Transform each row of a (d, L) tensor along its length-L time axis."""
-    if x.data.ndim != 2:
-        raise ValueError(f"dft_time_axis expects 2-D input, got {x.data.shape}")
-    spec = _forward(x.data.astype(np.complex128))
-    re = Tensor(np.ascontiguousarray(spec.real))
-    im = Tensor(np.ascontiguousarray(spec.imag))
-    tape = autodiff._ACTIVE_TAPE
-    if tape is not None:
-
-        def vjp(g_re, g_im):
-            return (np.ascontiguousarray(_forward(g_re - 1j * g_im).real),)
-
-        tape.record((re, im), (x,), vjp)
-    return ComplexTensor(re, im)
+def dft(x: np.ndarray) -> np.ndarray:
+    """Complex transform of each row of a (d, L) array along its time axis."""
+    x = np.asarray(x)
+    if x.ndim != 2:
+        raise ValueError(f"dft expects 2-D input, got {x.shape}")
+    return _forward(x.astype(np.complex128))
 
 
-def idft_time_axis(spec: ComplexTensor) -> Tensor:
-    """Normalized inverse transform; returns the real part, shape (d, L)."""
-    if spec.real.data.ndim != 2:
+def idft(spec: np.ndarray) -> np.ndarray:
+    """Normalized inverse transform of (d, L) rows; returns the real part."""
+    spec = np.asarray(spec)
+    if spec.ndim != 2:
+        raise ValueError(f"idft expects 2-D input, got {spec.shape}")
+    return _forward(np.conj(spec)).real / spec.shape[-1]
+
+
+def filter_kernel(f_re: Tensor, f_im: Tensor, pool: Tensor) -> Tensor:
+    """Real (d, L) kernel k = idft(conj(F) * dft(pool^T)), F = f_re + i f_im.
+
+    For a (d, L) history h, pooling the columns of idft(F * dft(h)) with
+    the (L, 1) ``pool`` equals sum_l h[d, l] k[d, l]: the kernel is the
+    adjoint chain applied to the pool. With S = dft(pool^T) and
+    G = dft(g) for the kernel's gradient g, the gradients are
+    dF = S * conj(G) / L (real part to ``f_re``, imaginary to ``f_im``)
+    and dpool = idft(sum_d F * G)^T. The 1/L is applied to G's real and
+    imaginary parts first, and the complex arithmetic is written as real
+    operations: numpy's complex multiply and division can round
+    differently from the plain real ones.
+    """
+    fr, fi, p = f_re.data, f_im.data, pool.data
+    d, length = fr.shape
+    if fi.shape != (d, length) or p.shape != (length, 1):
         raise ValueError(
-            f"idft_time_axis expects 2-D input, got {spec.real.data.shape}"
+            f"filter_kernel shape mismatch: {fr.shape}, {fi.shape}, {p.shape}"
         )
-    length = spec.real.data.shape[-1]
-    z = spec.real.data - 1j * spec.imag.data
-    out = Tensor(np.ascontiguousarray(_forward(z).real) / length)
-    tape = autodiff._ACTIVE_TAPE
-    if tape is not None:
+    spec = dft(p.T)  # (1, L): the pool is the same for every row
+    sr, si = spec.real, spec.imag
+    # complex products in real arithmetic, F = fr + i fi
+    kernel = idft((fr * sr + fi * si) + 1j * (fr * si - fi * sr))
 
-        def vjp(g):
-            gz = _forward(g.astype(np.complex128))
-            return (
-                np.ascontiguousarray(gz.real) / length,
-                np.ascontiguousarray(gz.imag) / length,
-            )
+    def vjp(g):
+        gs = dft(g)
+        gr, gi = gs.real / length, gs.imag / length
+        # S conj(G) for the filter; sum_d F G, transformed back, for the pool
+        summed = ((fr * gr - fi * gi) + 1j * (fr * gi + fi * gr)).sum(axis=0, keepdims=True)
+        return sr * gr + si * gi, si * gr - sr * gi, _forward(np.conj(summed)).real.T
 
-        tape.record((out,), (spec.real, spec.imag), vjp)
-    return out
-
-
-def complex_elementwise_mul(a: ComplexTensor, b: ComplexTensor) -> ComplexTensor:
-    """(a.re + i a.im) * (b.re + i b.im), built from real primitives."""
-    re = sub(elementwise_mul(a.real, b.real), elementwise_mul(a.imag, b.imag))
-    im = add(elementwise_mul(a.real, b.imag), elementwise_mul(a.imag, b.real))
-    return ComplexTensor(re, im)
+    return _emit(kernel, (f_re, f_im, pool), vjp)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff
-from .autodiff import ComplexTensor, Tensor, matmul, scale, transpose, weighted_sum_cols
-from .fourier import complex_elementwise_mul, dft_time_axis, idft_time_axis
+from .autodiff import Tensor, weighted_sum_cols
+from .fourier import filter_kernel
 from .peinit import InitialPE
 from .timeenc import TimeEncoderConfig, time_encode_many
 
@@ -38,7 +38,8 @@ __all__ = [
 class LpeParams:
     """Learnable pieces of the positional-encoding update."""
 
-    filter: ComplexTensor  # (d_p, L) frequency response
+    filter_re: Tensor  # (d_p, L) frequency response, real part
+    filter_im: Tensor  # (d_p, L) frequency response, imaginary part
     sum_pool: Tensor  # (L, 1) column pooling weights
     w1: Tensor  # (d_p, d_p + d_t)
     w2: Tensor  # (d_p, d_p)
@@ -46,11 +47,11 @@ class LpeParams:
 
     @property
     def d_p(self) -> int:
-        return int(self.filter.shape[0])
+        return int(self.filter_re.shape[0])
 
     @property
     def history_len(self) -> int:
-        return int(self.filter.shape[1])
+        return int(self.filter_re.shape[1])
 
 
 class PositionalStore:
@@ -152,32 +153,19 @@ class PositionalStore:
 
 def _filter_is_identity(params: LpeParams) -> bool:
     return bool(
-        np.all(params.filter.real.data == 1.0)
-        and np.all(params.filter.imag.data == 0.0)
+        np.all(params.filter_re.data == 1.0) and np.all(params.filter_im.data == 0.0)
     )
-
-
-def _kernel(params: LpeParams) -> Tensor:
-    """Real (d_p, L) kernel k with approximate_pe(h)[d] = sum_l h[d, l] k[d, l].
-
-    DFT, filter, inverse DFT and column pooling compose to a linear map of
-    each history row; its kernel is the adjoint chain applied to the pool,
-    k = IDFT(conj(filter) * DFT(pool)) row by row.
-    """
-    d_p = params.d_p
-    pool_rows = matmul(Tensor(np.ones((d_p, 1))), transpose(params.sum_pool))
-    conj = ComplexTensor(params.filter.real, scale(params.filter.imag, -1.0))
-    return idft_time_axis(complex_elementwise_mul(conj, dft_time_axis(pool_rows)))
 
 
 def approximate_pe(histories: Tensor | np.ndarray, params: LpeParams) -> Tensor:
     """Filtered, pooled encodings (n, d_p) of n stacked (d_p, L) histories.
 
-    The filter and pool gradients flow through the kernel only. An
-    exactly-identity filter is a mathematical no-op for the transform
-    chain; outside of gradient recording the kernel is then the pool
-    itself, so the pass-through configuration reproduces the newest
-    column bit-exactly.
+    Every history row is contracted with the (d_p, L) kernel of
+    ``fourier.filter_kernel``, and the filter and pool gradients flow
+    through that kernel only. An exactly-identity filter is a
+    mathematical no-op for the transform chain; outside of gradient
+    recording the kernel is then the pool itself, so the pass-through
+    configuration reproduces the newest column bit-exactly.
     """
     h = histories if isinstance(histories, Tensor) else Tensor(histories)
     if h.data.ndim != 3 or h.data.shape[1:] != (params.d_p, params.history_len):
@@ -185,8 +173,10 @@ def approximate_pe(histories: Tensor | np.ndarray, params: LpeParams) -> Tensor:
             f"history shape {h.data.shape} != "
             f"(n, {params.d_p}, {params.history_len})"
         )
-    identity = autodiff._ACTIVE_TAPE is None and _filter_is_identity(params)
-    return weighted_sum_cols(h, params.sum_pool if identity else _kernel(params))
+    if autodiff._ACTIVE_TAPE is None and _filter_is_identity(params):
+        return weighted_sum_cols(h, params.sum_pool)
+    kernel = filter_kernel(params.filter_re, params.filter_im, params.sum_pool)
+    return weighted_sum_cols(h, kernel)
 
 
 def commit_pe(
@@ -250,6 +240,6 @@ def theorem1_check(trace: np.ndarray, params: LpeParams) -> BoundReport:
     diffs = np.linalg.norm(np.diff(trace, axis=0), axis=1)
     max_step_diff = float(diffs.max())
     length = params.history_len
-    mag = params.filter.modulus().mean(axis=0)
+    mag = np.hypot(params.filter_re.data, params.filter_im.data).mean(axis=0)
     bound = float(np.sum(ring_eigenvalues(length) * mag) * (2.0 * length - 2.0))
     return BoundReport(max_step_diff, bound, max_step_diff <= bound)

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ComplexTensor, Tensor
+from .autodiff import Tensor
 from .config import RunConfig
 from .encoder import EncoderParams
 from .lpe import LpeParams
@@ -81,7 +81,8 @@ class ModelParams:
     def lpe(self) -> LpeParams:
         t = self.tensors
         return LpeParams(
-            filter=ComplexTensor(t["filter_real"], t["filter_imag"]),
+            filter_re=t["filter_real"],
+            filter_im=t["filter_imag"],
             sum_pool=t["pe_sum_pool"],
             w1=t["pe_w1"],
             w2=t["pe_w2"],

@@ -8,8 +8,9 @@ One negative per positive, sharing its timestamp. Three strategies:
 * ``inductive`` draws a pair first observed after the training boundary.
 
 A drawn negative is rejected while it coincides with any positive of the
-same batch at the same timestamp; empty or exhausted pools fall back to
-the random strategy and the fallback count is reported.
+stream at the same timestamp, in this batch or any other; empty or
+exhausted pools fall back to the random strategy and the fallback count
+is reported.
 """
 from __future__ import annotations
 
@@ -107,15 +108,21 @@ class NegativeSampler:
         idx = np.asarray(batch_indices, dtype=np.int64)
         if idx.size == 0:
             raise ValueError("empty batch")
-        src = self.stream.src[idx]
-        dst = self.stream.dst[idx]
-        ts = self.stream.ts[idx]
+        stream = self.stream
+        src = stream.src[idx]
+        ts = stream.ts[idx]
+        # the stream's events from the batch's first timestamp to its last
+        # hold every positive tied at any of the batch's timestamps
+        lo = np.searchsorted(stream.ts, ts.min(), side="left")
+        hi = np.searchsorted(stream.ts, ts.max(), side="right")
         by_time: dict[float, set[tuple[int, int]]] = {}
-        for u, v, t in zip(src.tolist(), dst.tolist(), ts.tolist()):
+        for u, v, t in zip(
+            stream.src[lo:hi].tolist(), stream.dst[lo:hi].tolist(), stream.ts[lo:hi].tolist()
+        ):
             by_time.setdefault(t, set()).add((u, v))
 
         neg_src = np.empty_like(src)
-        neg_dst = np.empty_like(dst)
+        neg_dst = np.empty_like(src)
         fallbacks = 0
         for i, (u, t) in enumerate(zip(src.tolist(), ts.tolist())):
             blocked = by_time[t]

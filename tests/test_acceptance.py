@@ -50,12 +50,16 @@ def test_criterion_02_fourier_kernel():
         2,
         rep,
         f"{rep['roundtrips']} roundtrips, max={rep['max_roundtrip_err']:.3g} < 1e-9, "
-        f"oracle max={rep['max_oracle_err']:.3g} < 1e-10",
+        f"oracle max={rep['max_oracle_err']:.3g} < 1e-10, "
+        f"kernel max={rep['max_kernel_oracle_err']:.3g} < 1e-9, "
+        f"kernel grad max={rep['max_kernel_grad_err']:.3g} < 1e-4",
     )
     assert rep["passed"], line
     assert rep["roundtrips"] == 100
     assert rep["max_roundtrip_err"] < 1e-9
     assert rep["max_oracle_err"] < 1e-10
+    assert rep["max_kernel_oracle_err"] < 1e-9
+    assert rep["max_kernel_grad_err"] < 1e-4
     assert rep["seconds"] < 5.0
 
 

@@ -245,7 +245,10 @@ def test_eval_damaged_checkpoint_names_path_and_exits_1(tmp_path, capsys):
         "magic.lstp": bytes([good[0] ^ 0x01]) + good[1:],
         # the first metadata key's first byte: 4 magic + 12 header + 2 length
         "utf8.lstp": good[:18] + b"\xff" + good[19:],
+        # valid UTF-8, but the embedded config text no longer parses
+        "config.lstp": good.replace(b"batch_size = ", b"batch_size ! ", 1),
     }
+    assert damaged["config.lstp"] != good
     for name, data in damaged.items():
         path = tmp_path / name
         path.write_bytes(data)
@@ -270,7 +273,10 @@ def test_check_suite_writes_json_summary(tmp_path, capsys):
     payload = json.loads((out / "check_fourier.json").read_text())
     assert payload["passed"] is True
     assert payload["checks"][0]["name"] == "fourier"
-    assert payload["checks"][0]["max_roundtrip_err"] < 1e-9
+    fourier = payload["checks"][0]
+    assert fourier["max_roundtrip_err"] < 1e-9
+    assert fourier["max_kernel_oracle_err"] < fourier["kernel_oracle_tolerance"] == 1e-9
+    assert fourier["max_kernel_grad_err"] < fourier["kernel_grad_tolerance"] == 1e-4
 
 
 def test_check_unknown_suite_fails_validation(capsys):

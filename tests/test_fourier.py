@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from lstep.autodiff import (
-    ComplexTensor,
     GradientTape,
     Tensor,
     backward,
     norm2,
+    sum_all,
     weighted_sum_cols,
 )
-from lstep.fourier import complex_elementwise_mul, dft_time_axis, idft_time_axis
+from lstep.fourier import dft, filter_kernel, idft
 
 LENGTHS = (1, 2, 3, 8, 16, 100)
 
@@ -44,11 +44,9 @@ def test_forward_matches_oracle():
     rng = np.random.default_rng(11)
     for length in LENGTHS:
         h = rng.normal(size=(3, length))
-        spec = dft_time_axis(Tensor(h))
+        spec = dft(h)
         for d in range(3):
-            want = _oracle_dft(h[d])
-            assert np.max(np.abs(spec.real.data[d] - want.real)) < 1e-10
-            assert np.max(np.abs(spec.imag.data[d] - want.imag)) < 1e-10
+            assert np.max(np.abs(spec[d] - _oracle_dft(h[d]))) < 1e-10
 
 
 def test_inverse_matches_oracle():
@@ -56,7 +54,7 @@ def test_inverse_matches_oracle():
     for length in LENGTHS:
         xr = rng.normal(size=(2, length))
         xi = rng.normal(size=(2, length))
-        got = idft_time_axis(ComplexTensor(Tensor(xr), Tensor(xi))).data
+        got = idft(xr + 1j * xi)
         for d in range(2):
             want = _oracle_idft(xr[d] + 1j * xi[d])
             assert np.max(np.abs(got[d] - want)) < 1e-10
@@ -67,25 +65,20 @@ def test_roundtrip_recovers_history():
     for length in LENGTHS:
         for _ in range(10):
             h = rng.normal(size=(4, length))
-            spec = dft_time_axis(Tensor(h))
-            back = idft_time_axis(spec).data
+            back = idft(dft(h))
             assert np.max(np.abs(back - h)) < 1e-9
 
 
 def test_constant_row_concentrates_in_last_bin():
     # a constant history row has a single spike at the final frequency
     c, length = 2.5, 8
-    spec = dft_time_axis(Tensor(np.full((1, length), c)))
-    mag = np.hypot(spec.real.data[0], spec.imag.data[0])
-    assert abs(spec.real.data[0, -1] - c * length) < 1e-9
-    assert abs(spec.imag.data[0, -1]) < 1e-9
-    assert np.max(mag[:-1]) < 1e-9
+    spec = dft(np.full((1, length), c))[0]
+    assert abs(spec[-1] - c * length) < 1e-9
+    assert np.max(np.abs(spec[:-1])) < 1e-9
 
 
 def test_length_one_transform_is_identity():
-    spec = dft_time_axis(Tensor(np.array([[3.25]])))
-    assert abs(spec.real.data[0, 0] - 3.25) < 1e-12
-    assert abs(spec.imag.data[0, 0]) < 1e-12
+    assert abs(dft(np.array([[3.25]]))[0, 0] - 3.25) < 1e-12
 
 
 def test_transform_is_linear():
@@ -95,48 +88,67 @@ def test_transform_is_linear():
         x = rng.normal(size=(2, length))
         y = rng.normal(size=(2, length))
         a, b = rng.normal(size=2)
-        lhs = dft_time_axis(Tensor(a * x + b * y))
-        rx = dft_time_axis(Tensor(x))
-        ry = dft_time_axis(Tensor(y))
-        assert np.allclose(lhs.real.data, a * rx.real.data + b * ry.real.data, atol=1e-9)
-        assert np.allclose(lhs.imag.data, a * rx.imag.data + b * ry.imag.data, atol=1e-9)
+        assert np.allclose(dft(a * x + b * y), a * dft(x) + b * dft(y), atol=1e-9)
 
 
 def test_rejects_non_matrix_input():
     with pytest.raises(ValueError, match="2-D"):
-        dft_time_axis(Tensor(np.zeros(4)))
+        dft(np.zeros(4))
+    with pytest.raises(ValueError, match="2-D"):
+        idft(np.zeros(4))
+    ones = Tensor(np.ones((2, 4)))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        filter_kernel(ones, ones, Tensor(np.ones((4, 2))))
+
+
+def _naive_kernel(fr, fi, pool):
+    """Kernel of the DFT -> filter -> IDFT -> pool chain as explicit matrices:
+    pooled filtering of a history row h is pool^T W^-1 diag(F_d) W h."""
+    length = fr.shape[1]
+    w = np.array(
+        [
+            [cmath.exp(-2j * cmath.pi * j * k / length) for k in range(1, length + 1)]
+            for j in range(1, length + 1)
+        ]
+    )
+    w_inv = np.conj(w) / length
+    return np.stack([(pool.T @ w_inv @ np.diag(f) @ w).real[0] for f in fr + 1j * fi])
+
+
+def test_filter_kernel_matches_naive_chain():
+    rng = np.random.default_rng(16)
+    for length in LENGTHS:
+        fr, fi = rng.normal(size=(2, 3, length))
+        pool = rng.normal(size=(length, 1))
+        got = filter_kernel(Tensor(fr), Tensor(fi), Tensor(pool)).data
+        assert np.max(np.abs(got - _naive_kernel(fr, fi, pool))) < 1e-10
 
 
 def test_filter_chain_gradient_matches_finite_differences():
+    """filter_kernel's F_re, F_im and pool gradients, with the kernel
+    contracted against a history and the result passed through a norm."""
     rng = np.random.default_rng(15)
-    h0 = rng.normal(size=(2, 6))
-    wr0 = rng.normal(size=(2, 6))
-    wi0 = rng.normal(size=(2, 6))
-    h = Tensor(h0.copy(), learnable=True)
-    wr = Tensor(wr0.copy(), learnable=True)
-    wi = Tensor(wi0.copy(), learnable=True)
-    pool = Tensor(rng.normal(size=(6, 1)))
+    h = Tensor(rng.normal(size=(3, 2, 6)))
+    wr = Tensor(rng.normal(size=(2, 6)), learnable=True)
+    wi = Tensor(rng.normal(size=(2, 6)), learnable=True)
+    pool = Tensor(rng.normal(size=(6, 1)), learnable=True)
 
     def build():
-        spec = dft_time_axis(h)
-        filt = complex_elementwise_mul(spec, ComplexTensor(wr, wi))
-        return norm2(weighted_sum_cols(idft_time_axis(filt), pool))
+        return sum_all(norm2(weighted_sum_cols(h, filter_kernel(wr, wi, pool))))
 
     with GradientTape() as tape:
         loss = build()
-    grads = backward(tape, loss, {"h": h, "wr": wr, "wi": wi})
+    grads = backward(tape, loss, {"wr": wr, "wi": wi, "pool": pool})
 
     eps = 1e-6
-    for name, t in (("h", h), ("wr", wr), ("wi", wi)):
+    for name, t in (("wr", wr), ("wi", wi), ("pool", pool)):
         flat = t.data.ravel()
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + eps
-            with GradientTape():
-                up = float(build().data)
+            up = float(build().data)
             flat[i] = keep - eps
-            with GradientTape():
-                dn = float(build().data)
+            dn = float(build().data)
             flat[i] = keep
             fd = (up - dn) / (2 * eps)
             an = float(grads[name].ravel()[i])

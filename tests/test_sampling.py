@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from lstep.events import EventStream, chronological_split
-from lstep.sampling import NegativeSampler, Sample, sample_negatives
+from lstep.sampling import STRATEGIES, NegativeSampler, Sample, sample_negatives
 
 
 def _stream():
@@ -111,3 +111,40 @@ def test_empty_batch_rejected():
     sampler = NegativeSampler(s, split, "random")
     with pytest.raises(ValueError, match="empty batch"):
         sampler.sample(np.array([], dtype=int))
+
+
+def _assert_no_tied_positive(s, split, batch_size):
+    """Sample every batch with every strategy; no negative may equal a
+    positive anywhere in the stream at the same timestamp."""
+    positives = {(int(u), int(v), float(t)) for u, v, t in zip(s.src, s.dst, s.ts)}
+    for strategy in STRATEGIES:
+        for seed in range(20):
+            sampler = NegativeSampler(s, split, strategy, seed=seed)
+            for lo in range(0, s.num_events, batch_size):
+                neg = sampler.sample(np.arange(lo, min(lo + batch_size, s.num_events)))
+                for u, v, t in zip(neg.src, neg.dst, neg.ts):
+                    assert (int(u), int(v), float(t)) not in positives, strategy
+
+
+def test_negatives_avoid_positives_tied_in_other_batches():
+    # node 0 -> 1, 2, 3 twice over at t = 1: batch [0, 1] must not draw (0, 3)
+    s = EventStream(np.zeros(6, dtype=int), np.array([1, 2, 3, 1, 2, 3]), np.ones(6))
+    _assert_no_tied_positive(s, chronological_split(s), batch_size=2)
+    # non-empty historical and inductive pools whose pairs recur in a
+    # later batch at the same timestamp
+    src = np.array([0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2])
+    dst = np.array([1, 2, 3, 4, 1, 2, 4, 5, 3, 4, 5])
+    ts = np.array([1.0, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3])
+    s = EventStream(src, dst, ts)
+    _assert_no_tied_positive(s, chronological_split(s, (0.3, 0.35, 0.35)), batch_size=2)
+
+
+def test_two_node_stream_never_draws_a_tied_positive():
+    s = EventStream(np.array([0, 1, 0, 1, 0, 1]), np.array([1, 0, 1, 0, 1, 1]),
+                    np.array([1.0, 1, 2, 2, 3, 3]))
+    _assert_no_tied_positive(s, chronological_split(s, (0.5, 0.25, 0.25)), batch_size=1)
+
+
+def test_all_duplicate_stream_never_draws_the_positive():
+    s = EventStream(np.zeros(8, dtype=int), np.ones(8, dtype=int), np.ones(8))
+    _assert_no_tied_positive(s, chronological_split(s), batch_size=3)

@@ -6,9 +6,10 @@ import lstep.training as training
 from lstep.autodiff import Tensor
 from lstep.checks import tape_nodes_per_batch
 from lstep.config import RunConfig, parse_config
-from lstep.events import EventStream, chronological_split
+from lstep.events import EventStream, batch_iter, chronological_split
 from lstep.lpe import PositionalStore, approximate_pe
 from lstep.model import ModelDims, init_model_params
+from lstep.sampling import NegativeSampler
 from lstep.synthetic import make_periodic_stream, make_static_stream
 from lstep.timeenc import TimeEncoderConfig, time_encode
 from lstep.training import (
@@ -251,8 +252,43 @@ def test_commit_reads_pre_step_encodings_and_post_step_weights(monkeypatch):
 
 
 def test_tape_length_does_not_grow_with_batch_size():
-    # B = n / 5: one training batch of 10 events, then one of 40
-    assert tape_nodes_per_batch(50) == tape_nodes_per_batch(200) <= 100
+    # B = n / 5: training batches of 10, 40 and 100 events; one
+    # filter_kernel op builds each batch's (d_p, L) kernel
+    sizes = [tape_nodes_per_batch(n) for n in (50, 200, 500)]
+    assert sizes[0] == sizes[1] == sizes[2] <= 65
+
+
+def _scores_and_store(stream, split, store, params, tcfg, start):
+    """Score and commit every batch from ``start`` on; the link
+    probabilities in order, and the store's arrays afterwards."""
+    sampler = NegativeSampler(stream, split, "random", seed=3)
+    probs = []
+    for _, batch in batch_iter(start, stream.num_events, TINY.batch_size):
+        neg = sampler.sample(batch)
+        fwd = training._batch_forward(stream, store, params, TINY, tcfg, batch, batch, neg)
+        probs.append(np.concatenate([fwd.pos.data, fwd.neg.data], axis=1))
+        training._commit_batch(store, params, tcfg, fwd)
+    return np.concatenate(probs), store.snapshot()
+
+
+def test_store_restore_mid_stream_replays_the_same_scores():
+    s = _tiny_stream()
+    split = chronological_split(s)
+    result = train(s, split, TINY)
+    tcfg = TimeEncoderConfig(TINY.d_t, TINY.alpha, TINY.beta)
+    store = PositionalStore(s.num_nodes, TINY.d_p, TINY.history_len)
+    store.reset(result.initial_pe)
+    mid = 5 * TINY.batch_size  # three batches remain, so rings do not wrap back (L = 4)
+    training._replay_segment(s, store, result.params, TINY, tcfg, 0, mid)
+    snap = store.snapshot()
+    first, after_first = _scores_and_store(s, split, store, result.params, tcfg, mid)
+    store.restore(snap)
+    second, after_second = _scores_and_store(s, split, store, result.params, tcfg, mid)
+    assert np.array_equal(first, second)
+    assert after_first.keys() == after_second.keys()
+    for key in after_first:
+        assert np.array_equal(after_first[key], after_second[key]), key
+    assert not np.array_equal(snap["ring"], after_first["ring"])  # the rest did commit
 
 
 def _commit_window(stream, cfg, batch):
