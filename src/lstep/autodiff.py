@@ -86,31 +86,18 @@ class GradientTape:
 
 
 def backward(
-    tape: GradientTape,
-    loss: Tensor,
-    params: dict[str, Tensor] | None = None,
+    tape: GradientTape, loss: Tensor, params: dict[str, Tensor]
 ) -> dict[str, np.ndarray]:
-    """Reverse sweep from ``loss``; returns gradients for learnable leaves.
-
-    When ``params`` is given the result covers every entry, zero-filled for
-    parameters the loss does not depend on. Without it, only learnable
-    leaves actually reached by the sweep appear, keyed by tensor name.
-    """
+    """Reverse sweep from ``loss``; returns the gradient of every entry of
+    ``params``, zero-filled for parameters the loss does not depend on."""
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
     if not loss._rec and not loss.learnable:
         raise ValueError("loss is not recorded on this tape")
 
+    # an output's entry is consumed when its op is swept, so what remains
+    # at the end are the gradients of the learnable leaves
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    leaf_grads: dict[int, np.ndarray] = {}
-
-    def _absorb(t: Tensor, g: np.ndarray) -> None:
-        key = id(t)
-        if key in grads:
-            grads[key] = grads[key] + g
-        else:
-            grads[key] = g
-
     for outs, inputs, vjp in reversed(tape._nodes):
         gouts = tuple(grads.pop(id(o), None) for o in outs)
         if all(g is None for g in gouts):
@@ -122,22 +109,10 @@ def backward(
         for t, g in zip(inputs, gins):
             if g is None or not (t.learnable or t._rec):
                 continue  # constants take no gradient
-            _absorb(t, g)
-            if t.learnable:
-                leaf_grads[id(t)] = grads[id(t)]
+            key = id(t)
+            grads[key] = grads[key] + g if key in grads else g
 
-    if loss.learnable:
-        leaf_grads[id(loss)] = np.ones_like(loss.data)
-
-    if params is not None:
-        return {
-            name: leaf_grads.get(id(t), np.zeros_like(t.data))
-            for name, t in params.items()
-        }
-    out: dict[str, np.ndarray] = {}
-    for t_id, g in leaf_grads.items():
-        out[str(t_id)] = g
-    return out
+    return {name: grads.get(id(t), np.zeros_like(t.data)) for name, t in params.items()}
 
 
 def _as_tensor(x) -> Tensor:

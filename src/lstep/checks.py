@@ -120,7 +120,6 @@ def check_gradients(seed: int = 0) -> dict:
         )
     )
     store.commit(np.arange(num_nodes), rng.normal(size=(num_nodes, cfg.d_p)))
-    store.advance()
 
     batch = np.array([10, 11])
     neg = sample_negatives(stream, split, batch, "random", seed=seed)

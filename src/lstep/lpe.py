@@ -1,15 +1,19 @@
 """Learnable positional encodings driven by a per-node history ring.
 
-Each node stores its last L committed encodings, one per discrete step
-(a step is one processed batch). The approximation filters the d_P x L
-history matrix along the time axis in the frequency domain, multiplies
-by a learnable complex filter, transforms back, and pools the columns
-with learnable weights. That chain is linear in the history, so it is
-one real (d_P, L) kernel: the kernel is built once per batch from the
-filter and the pool, and the encodings of every node the batch needs
-are one contraction of their stacked histories against it. Commits add
-a gated MLP correction built from each node's most recent interactions
-and are stored detached, so no gradient crosses batch boundaries.
+Each node's history is its own last L committed encodings, oldest
+first and zero-padded at the front. Training and evaluation commit once
+per batch to every node the batch touches, so a batch that does not
+touch a node adds nothing to its history.
+
+The approximation filters the d_P x L history matrix along the time
+axis in the frequency domain, multiplies by a learnable complex filter,
+transforms back, and pools the columns with learnable weights. That
+chain is linear in the history, so it is one real (d_P, L) kernel: the
+kernel is built once per batch from the filter and the pool, and the
+encodings of every node the batch needs are one contraction of their
+stacked histories against it. Commits add a gated MLP correction built
+from each node's most recent interactions and are stored detached, so
+no gradient crosses batch boundaries.
 """
 from __future__ import annotations
 
@@ -55,7 +59,13 @@ class LpeParams:
 
 
 class PositionalStore:
-    """Ring buffer of up to ``history_len`` committed encodings per node."""
+    """Ring of each node's last ``history_len`` committed encodings.
+
+    ``_commits`` counts every commit to each node: slot ``_commits % L``
+    is the next one written, and ``min(_commits, L)`` slots are filled.
+    Slots a node has not written yet are zero (``reset`` clears them and
+    ``restore`` checks them), so a gather needs no mask.
+    """
 
     def __init__(self, num_nodes: int, d_p: int, history_len: int):
         if history_len < 1:
@@ -64,18 +74,12 @@ class PositionalStore:
         self.d_p = int(d_p)
         self.history_len = int(history_len)
         self._ring = np.zeros((num_nodes, history_len, d_p))
-        self._steps = np.full((num_nodes, history_len), -1, dtype=np.int64)
-        self._count = np.zeros(num_nodes, dtype=np.int64)
-        self._head = np.zeros(num_nodes, dtype=np.int64)
-        self.step = 0
+        self._commits = np.zeros(num_nodes, dtype=np.int64)
 
     def reset(self, initial: InitialPE | None = None) -> None:
-        """Clear all rings; seed snapshot nodes with their initial rows at step 0."""
+        """Clear all rings; commit the snapshot nodes' initial rows."""
         self._ring[:] = 0.0
-        self._steps[:] = -1
-        self._count[:] = 0
-        self._head[:] = 0
-        self.step = 0
+        self._commits[:] = 0
         if initial is not None:
             if initial.table.shape != (self.num_nodes, self.d_p):
                 raise ValueError(
@@ -84,71 +88,60 @@ class PositionalStore:
                 )
             present = np.asarray(initial.present, dtype=np.int64)
             self.commit(present, initial.table[present])
-        self.advance()
 
     def commit(self, nodes: np.ndarray, vecs: np.ndarray) -> None:
-        """Store detached encodings (n, d_p) for distinct ``nodes`` at the
-        current step; a node already committed this step is overwritten."""
+        """Append detached encodings (n, d_p) to the histories of distinct ``nodes``."""
         nodes = np.asarray(nodes, dtype=np.int64)
         vecs = np.asarray(vecs, dtype=np.float64)
         if nodes.ndim != 1 or vecs.shape != (nodes.size, self.d_p):
             raise ValueError(f"commit shape {vecs.shape} != ({nodes.size}, {self.d_p})")
         if np.unique(nodes).size != nodes.size:
             raise ValueError("commit nodes must be distinct")
-        length = self.history_len
-        last = (self._head[nodes] - 1) % length
-        same = (self._count[nodes] > 0) & (self._steps[nodes, last] == self.step)
-        self._ring[nodes[same], last[same]] = vecs[same]
-        new = nodes[~same]
-        pos = self._head[new]
-        self._ring[new, pos] = vecs[~same]
-        self._steps[new, pos] = self.step
-        self._head[new] = (pos + 1) % length
-        self._count[new] = np.minimum(self._count[new] + 1, length)
-
-    def advance(self) -> None:
-        self.step += 1
+        self._ring[nodes, self._commits[nodes] % self.history_len] = vecs
+        self._commits[nodes] += 1
 
     def history_matrix(self, nodes: np.ndarray) -> np.ndarray:
         """(n, d_p, L) histories, columns oldest to newest; missing oldest are zero."""
         nodes = np.asarray(nodes, dtype=np.int64)
         length = self.history_len
-        col = np.arange(length)
-        # the newest entry sits just before head, so column c is slot head + c
-        slots = (col + self._head[nodes, None]) % length
-        gathered = self._ring[nodes[:, None], slots]
-        gathered[col < length - self._count[nodes, None]] = 0.0
-        return gathered.transpose(0, 2, 1)
-
-    def entries(self, node: int) -> list[tuple[int, np.ndarray]]:
-        """(step, encoding) pairs oldest to newest."""
-        cnt = int(self._count[node])
-        head = int(self._head[node])
-        idx = (np.arange(cnt) + head - cnt) % self.history_len
-        return [
-            (int(self._steps[node, i]), self._ring[node, i].copy()) for i in idx
-        ]
+        # the newest commit sits just before the next slot, so column c is slot next + c
+        slots = (np.arange(length) + self._commits[nodes, None]) % length
+        return self._ring[nodes[:, None], slots].transpose(0, 2, 1)
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        return {
-            "ring": self._ring.copy(),
-            "steps": self._steps.astype(np.float64),
-            "count": self._count.astype(np.float64),
-            "head": self._head.astype(np.float64),
-            "step": np.asarray([float(self.step)]),
-        }
+        return {"ring": self._ring.copy(), "commits": self._commits.astype(np.float64)}
 
     def restore(self, blob: dict[str, np.ndarray]) -> None:
+        """Load a ``snapshot``. Reject one with the wrong shapes, commit
+        counts that are not whole numbers >= 0, or a non-zero slot that its
+        node has not written, which the gather relies on being zero."""
         ring = np.asarray(blob["ring"], dtype=np.float64)
+        commits = np.asarray(blob["commits"], dtype=np.float64)
         if ring.shape != self._ring.shape:
             raise ValueError(
-                f"store snapshot shape {ring.shape} != {self._ring.shape}"
+                f"store snapshot ring shape {ring.shape} != {self._ring.shape}"
+            )
+        if commits.shape != self._commits.shape:
+            raise ValueError(
+                f"store snapshot commits shape {commits.shape} != {self._commits.shape}"
+            )
+        whole = (commits >= 0.0) & (commits < 2.0**63) & (commits == np.floor(commits))
+        if not whole.all():
+            node = int(np.argmin(whole))
+            raise ValueError(
+                f"store snapshot commits must be whole numbers >= 0, "
+                f"node {node} has {commits[node]}"
+            )
+        unwritten = np.arange(self.history_len) >= commits[:, None]
+        dirty = (ring != 0.0).any(axis=2) & unwritten
+        if dirty.any():
+            node, slot = (int(i[0]) for i in np.nonzero(dirty))
+            raise ValueError(
+                f"store snapshot: node {node} has not written slot {slot}, "
+                f"but it is not zero"
             )
         self._ring = ring.copy()
-        self._steps = np.asarray(blob["steps"]).astype(np.int64)
-        self._count = np.asarray(blob["count"]).astype(np.int64)
-        self._head = np.asarray(blob["head"]).astype(np.int64)
-        self.step = int(np.asarray(blob["step"]).ravel()[0])
+        self._commits = commits.astype(np.int64)
 
 
 def _filter_is_identity(params: LpeParams) -> bool:

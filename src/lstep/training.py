@@ -228,7 +228,6 @@ def _commit_batch(
         tcfg,
     )
     store.commit(fwd.touched, vecs)
-    store.advance()
 
 
 def _replay_segment(
@@ -309,7 +308,7 @@ def train(stream: EventStream, split: ChronoSplit, cfg: RunConfig) -> TrainResul
             stream, split, "random", np.random.SeedSequence(cfg.seed, spawn_key=(1, epoch))
         )
         batch_losses: list[float] = []
-        for k, batch in batch_iter(0, split.train_end, cfg.batch_size):
+        for k, batch in batch_iter(*split.train_range, cfg.batch_size):
             neg = sampler.sample(batch)
             with GradientTape() as tape:
                 fwd = _batch_forward(stream, store, params, cfg, tcfg, batch, batch, neg)
@@ -333,8 +332,7 @@ def train(stream: EventStream, split: ChronoSplit, cfg: RunConfig) -> TrainResul
             params,
             cfg,
             tcfg,
-            split.train_end,
-            split.val_end,
+            *split.val_range,
             "transductive",
             "random",
             np.random.SeedSequence(cfg.seed, spawn_key=(2, epoch)),
@@ -380,13 +378,11 @@ def evaluate(
         initial_pe = build_initial_pe(stream, split, cfg)
     store = PositionalStore(stream.num_nodes, cfg.d_p, cfg.history_len)
     store.reset(initial_pe)
-    if segment == "val":
-        warm_end, score_lo, score_hi = split.train_end, split.train_end, split.val_end
-    elif segment == "test":
-        warm_end, score_lo, score_hi = split.val_end, split.val_end, stream.num_events
-    else:
+    if segment not in ("val", "test"):
         raise ValueError(f"unknown segment {segment!r}")
-    _replay_segment(stream, store, params, cfg, tcfg, 0, warm_end)
+    score_lo, score_hi = split.val_range if segment == "val" else split.test_range
+    # the warm replay ends where scoring starts
+    _replay_segment(stream, store, params, cfg, tcfg, 0, score_lo)
     return _score_segment(
         stream, split, store, params, cfg, tcfg,
         score_lo, score_hi, setting, strategy, seed,

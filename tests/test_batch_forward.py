@@ -1,11 +1,11 @@
 """The batch forward against a per-event numpy reference.
 
 The reference scores one event at a time with the hand-trace formulas of
-``test_encoder.py``: each node's p~ from its own ring entries through an
-explicit DFT, filter, inverse DFT and pool; windows found by scanning the
-event list. The stream has padded K-windows, empty t_gap windows, a
-self-loop, a (node, t) query repeated inside a batch, and an inductive
-batch in which only some events are scored.
+``test_encoder.py``: each node's p~ from a plain list of its last L
+commits through an explicit DFT, filter, inverse DFT and pool; windows
+found by scanning the event list. The stream has padded K-windows,
+empty t_gap windows, a self-loop, a (node, t) query repeated inside a
+batch, and an inductive batch in which only some events are scored.
 """
 import numpy as np
 
@@ -53,19 +53,23 @@ def _setup():
     for name in ("filter_real", "filter_imag"):
         params.tensors[name].data += 0.3 * rng.normal(size=(CFG.d_p, CFG.history_len))
     store = PositionalStore(7, CFG.d_p, CFG.history_len)
+    history = {node: [] for node in range(7)}
     # ring fill differs per node: nodes 5 and 6 have no history at all
     for nodes in ([0, 1, 2, 3], [0, 2, 4], [0, 1, 2, 3, 4], [2, 4]):
-        store.commit(np.array(nodes), rng.normal(size=(len(nodes), CFG.d_p)))
-        store.advance()
-    return stream, params, store
+        vecs = rng.normal(size=(len(nodes), CFG.d_p))
+        store.commit(np.array(nodes), vecs)
+        for node, vec in zip(nodes, vecs):
+            history[node].append(vec)
+    return stream, params, store, history
 
 
-def _ref_ptilde(store, params, node):
+def _ref_ptilde(committed, params):
+    """p~ of a node from the vectors committed to it, oldest first."""
     length = CFG.history_len
     hist = np.zeros((CFG.d_p, length))
-    entries = store.entries(node)
-    for i, (_, vec) in enumerate(entries):
-        hist[:, length - len(entries) + i] = vec
+    last = committed[-length:]
+    for i, vec in enumerate(last):
+        hist[:, length - len(last) + i] = vec
     j = np.arange(1, length + 1)
     w = np.exp(-2j * np.pi * np.outer(j, j) / length)
     filt = params.tensors["filter_real"].data + 1j * params.tensors["filter_imag"].data
@@ -134,8 +138,8 @@ def _ref_commit(stream, params, pt, batch):
     return out
 
 
-def _check_step(stream, params, store, batch, scored, neg, with_loss):
-    pt = {n: _ref_ptilde(store, params, n) for n in range(stream.num_nodes)}
+def _check_step(stream, params, store, history, batch, scored, neg, with_loss):
+    pt = {n: _ref_ptilde(history[n], params) for n in range(stream.num_nodes)}
     ts = stream.ts[scored]
     want_pos = [_ref_prob(stream, params, pt, u, v, t)
                 for u, v, t in zip(stream.src[scored], stream.dst[scored], ts)]
@@ -166,18 +170,20 @@ def _check_step(stream, params, store, batch, scored, neg, with_loss):
             assert np.array_equal(after[node, :, :-1], before[node, :, 1:])
         else:
             assert np.array_equal(after[node], before[node])
+    for node, vec in commits.items():
+        history[node].append(vec)
 
 
 def test_batch_forward_matches_per_event_reference():
-    stream, params, store = _setup()
+    stream, params, store, history = _setup()
     # training-style batch; negatives repeat (0, 6.0) and (4, 6.0) once more
     batch = np.arange(3, 7)
     neg = Sample(np.array([0, 3, 0, 2]), np.array([2, 1, 4, 5]), stream.ts[batch], "random")
-    _check_step(stream, params, store, batch, batch, neg, with_loss=True)
+    _check_step(stream, params, store, history, batch, batch, neg, with_loss=True)
 
     # inductive batch: event 9 touches no new node and is committed, not scored
     batch = np.arange(7, 12)
     scored = batch[np.isin(stream.src[batch], [5, 6]) | np.isin(stream.dst[batch], [5, 6])]
     assert scored.tolist() == [7, 8, 10, 11]
     neg = Sample(np.array([5, 6, 4, 2]), np.array([3, 2, 0, 0]), stream.ts[scored], "random")
-    _check_step(stream, params, store, batch, scored, neg, with_loss=False)
+    _check_step(stream, params, store, history, batch, scored, neg, with_loss=False)

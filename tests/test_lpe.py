@@ -60,15 +60,12 @@ def test_store_starts_empty_with_zero_history():
     store = PositionalStore(num_nodes=3, d_p=2, history_len=4)
     assert _hist(store, 1).shape == (2, 4)
     assert not _hist(store, 1).any()
-    assert store.entries(1) == []
 
 
 def test_commits_fill_newest_columns_oldest_first():
     store = PositionalStore(3, 2, history_len=4)
     store.commit(np.array([0]), np.array([1.0, 10.0])[None])
-    store.advance()
     store.commit(np.array([0]), np.array([2.0, 20.0])[None])
-    store.advance()
     h = _hist(store, 0)
     assert h[:, :2].tolist() == [[0.0, 0.0], [0.0, 0.0]]
     assert h[:, 2].tolist() == [1.0, 10.0]
@@ -79,33 +76,60 @@ def test_ring_evicts_oldest_beyond_capacity():
     store = PositionalStore(1, 1, history_len=3)
     for v in range(5):
         store.commit(np.array([0]), np.array([float(v)])[None])
-        store.advance()
     assert _hist(store, 0).ravel().tolist() == [2.0, 3.0, 4.0]
-    assert [s for s, _ in store.entries(0)] == [2, 3, 4]
 
 
-def test_same_step_recommit_overwrites_in_place():
-    store = PositionalStore(1, 1, history_len=3)
-    store.commit(np.array([0]), np.array([1.0])[None])
-    store.commit(np.array([0]), np.array([7.0])[None])  # same step: replaces, no new slot
-    store.advance()
-    store.commit(np.array([0]), np.array([2.0])[None])
-    assert _hist(store, 0).ravel().tolist() == [0.0, 7.0, 2.0]
+def _reference_history(committed, length, d_p):
+    """A node's last ``length`` committed vectors, oldest first, zero-padded
+    at the front, as a (d_p, length) matrix."""
+    hist = np.zeros((length, d_p))
+    last = committed[-length:]
+    if last:
+        hist[length - len(last):] = last
+    return hist.T
 
 
-def test_reset_seeds_snapshot_nodes_then_advances():
+def test_store_matches_plain_list_reference():
+    rng = np.random.default_rng(55)
+    num_nodes, d_p, length = 5, 2, 3
+    store = PositionalStore(num_nodes, d_p, length)
+    committed = [[] for _ in range(num_nodes)]
+    all_nodes = np.arange(num_nodes)
+    for i in range(40):
+        if i == 20:
+            # a restored snapshot carries on as if the run had not stopped
+            blob = store.snapshot()
+            store = PositionalStore(num_nodes, d_p, length)
+            store.restore(blob)
+        # nodes are committed at different rates, so some wrap the ring
+        # many times while others never fill it; node 4 is never committed
+        nodes = np.flatnonzero(rng.random(num_nodes) < [0.8, 0.5, 0.2, 0.06, 0.0])
+        vecs = rng.normal(size=(nodes.size, d_p))
+        store.commit(nodes, vecs)
+        for node, vec in zip(nodes, vecs):
+            committed[node].append(vec)
+        got = store.history_matrix(all_nodes)
+        for node in all_nodes:
+            # a commit that does not touch a node adds no column to it
+            want = _reference_history(committed[node], length, d_p)
+            assert np.array_equal(got[node], want)
+    fills = [len(c) for c in committed]
+    assert fills[4] == 0 and 0 < fills[3] < length < fills[0]
+
+
+def test_reset_seeds_snapshot_nodes():
     store = PositionalStore(3, 2, history_len=4)
+    store.commit(np.array([1]), np.ones((1, 2)))
     init = InitialPE(
         table=np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 4.0]]),
         method="laplacian",
         present=np.array([0, 2]),
     )
     store.reset(init)
-    assert store.step == 1
     assert _hist(store, 0)[:, -1].tolist() == [1.0, 2.0]
     assert _hist(store, 2)[:, -1].tolist() == [3.0, 4.0]
+    assert not _hist(store, 0)[:, :-1].any()
     assert not _hist(store, 1).any()
-    assert [s for s, _ in store.entries(0)] == [0]
     many = store.history_matrix(np.array([2, 0, 1, 2]))
     assert many.shape == (4, 2, 4)
     for got, node in zip(many, [2, 0, 1, 2]):
@@ -130,14 +154,51 @@ def test_commit_shape_check():
 def test_snapshot_restore_round_trip():
     store = PositionalStore(2, 2, history_len=3)
     store.commit(np.array([0]), np.array([1.0, 2.0])[None])
-    store.advance()
     blob = store.snapshot()
     store.commit(np.array([1]), np.array([9.0, 9.0])[None])
-    store.advance()
     store.restore(blob)
-    assert store.step == 1
     assert not _hist(store, 1).any()
     assert _hist(store, 0)[:, -1].tolist() == [1.0, 2.0]
+    store.commit(np.array([0]), np.array([3.0, 4.0])[None])
+    assert _hist(store, 0).tolist() == [[0.0, 1.0, 3.0], [0.0, 2.0, 4.0]]
+
+
+def _bad_snapshot(case):
+    store = PositionalStore(2, 2, history_len=3)
+    store.commit(np.array([0, 1]), np.ones((2, 2)))
+    blob = store.snapshot()
+    if case == "ring shape":
+        blob["ring"] = blob["ring"][:, :2]
+    elif case == "commits shape":
+        blob["commits"] = blob["commits"][None]
+    elif case == "negative":
+        blob["commits"][1] = -1.0
+    elif case == "fractional":
+        blob["commits"][1] = 1.5
+    elif case == "not finite":
+        blob["commits"][1] = np.nan
+    elif case == "unwritten slot":
+        blob["ring"][1, 2, 0] = 0.25  # node 1 has written slot 0 only
+    return blob
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("ring shape", "ring shape"),
+        ("commits shape", "commits shape"),
+        ("negative", "whole numbers >= 0, node 1 has -1.0"),
+        ("fractional", "whole numbers >= 0, node 1 has 1.5"),
+        ("not finite", "whole numbers >= 0, node 1 has nan"),
+        ("unwritten slot", "node 1 has not written slot 2"),
+    ],
+)
+def test_restore_rejects_bad_snapshot(case, message):
+    store = PositionalStore(2, 2, history_len=3)
+    with pytest.raises(ValueError, match=message):
+        store.restore(_bad_snapshot(case))
+    # a rejected snapshot leaves the store as it was
+    assert not store.history_matrix(np.arange(2)).any()
 
 
 def test_identity_filter_last_column_pool_is_exact_pass_through():
