@@ -24,6 +24,7 @@ from .lpe import (
     PositionalStore,
     approximate_pe,
     commit_pe,
+    refine_pe,
     theorem1_check,
 )
 from .metrics import average_precision, roc_auc

@@ -14,6 +14,7 @@ __all__ = [
     "GradientTape",
     "backward",
     "matmul",
+    "linear",
     "add",
     "sub",
     "concat",
@@ -127,25 +128,17 @@ def _emit(out_data, inputs: tuple[Tensor, ...], vjp) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix/vector product with numpy ``@`` semantics (1-D and 2-D only)."""
+    """Product of two 2-D tensors."""
     a, b = _as_tensor(a), _as_tensor(b)
     ad, bd = a.data, b.data
-    if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
-        raise ValueError(f"matmul supports 1-D/2-D, got {ad.shape} @ {bd.shape}")
-    if ad.shape[-1] != bd.shape[0]:
+    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
         raise ValueError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
-    out_data = ad @ bd
+    return _emit(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
 
-    def vjp(g):
-        if ad.ndim == 2 and bd.ndim == 2:
-            return g @ bd.T, ad.T @ g
-        if ad.ndim == 1 and bd.ndim == 2:
-            return g @ bd.T, np.outer(ad, g)
-        if ad.ndim == 2 and bd.ndim == 1:
-            return np.outer(g, bd), ad.T @ g
-        return g * bd, g * ad
 
-    return _emit(out_data, (a, b), vjp)
+def linear(x: Tensor, w: Tensor) -> Tensor:
+    """x @ w.T for a weight stored as (out, in)."""
+    return matmul(x, transpose(w))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -310,7 +303,9 @@ def transpose(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     if x.data.ndim != 2:
         raise ValueError(f"transpose expects 2-D, got {x.data.shape}")
-    return _emit(x.data.T.copy(), (x,), lambda g: (g.T,))
+    # a view of x: the forward and backward passes only read it, and they
+    # end before the optimizer updates x in place
+    return _emit(x.data.T, (x,), lambda g: (g.T,))
 
 
 def sum_all(x: Tensor) -> Tensor:

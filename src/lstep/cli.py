@@ -8,7 +8,6 @@ incompatible configs. Exit codes: 0 success, 1 validation error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import replace
@@ -98,6 +97,29 @@ def _split_stream(stream: EventStream, cfg: RunConfig):
     return chronological_split(stream, (cfg.train_ratio, cfg.val_ratio, test_ratio))
 
 
+_WRITE_ROWS = 1024  # rows formatted per write: bounds the text held at once
+
+
+def _write_events_csv(path: Path, stream: EventStream) -> None:
+    """The stream as CSV with the bytes ``csv.writer`` writes: CRLF line
+    ends, ids as integers, every float as its ``repr``."""
+    cols = ["src", "dst", "timestamp"]
+    if stream.has_edge_features:
+        cols += [f"f{i}" for i in range(stream.d_e)]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(cols) + "\r\n")
+        for lo in range(0, stream.num_events, _WRITE_ROWS):
+            rows = slice(lo, lo + _WRITE_ROWS)
+            ids = zip(stream.src[rows].tolist(), stream.dst[rows].tolist())
+            values = stream.ts[rows, None]
+            if stream.has_edge_features:
+                values = np.column_stack([values, stream.edge_features[rows]])
+            fh.write("".join(
+                f"{u},{v},{','.join(map(repr, vals))}\r\n"
+                for (u, v), vals in zip(ids, values.tolist())
+            ))
+
+
 def cmd_ingest(args) -> int:
     """Normalize a raw event CSV; write events.csv plus manifest.txt."""
     stream = load_events(args.path)
@@ -105,17 +127,7 @@ def cmd_ingest(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     events_path = out / "events.csv"
-    with open(events_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        cols = ["src", "dst", "timestamp"]
-        if has_feat:
-            cols += [f"f{i}" for i in range(stream.d_e)]
-        writer.writerow(cols)
-        for i in range(stream.num_events):
-            row = [int(stream.src[i]), int(stream.dst[i]), repr(float(stream.ts[i]))]
-            if has_feat:
-                row += [repr(float(x)) for x in stream.edge_features[i]]
-            writer.writerow(row)
+    _write_events_csv(events_path, stream)
     manifest_path = out / "manifest.txt"
     write_manifest(manifest_path, stream)
 
@@ -242,9 +254,7 @@ def cmd_eval(args) -> int:
         raise ValueError(
             f"checkpoint shape hash {have} does not match config shape hash {want}"
         )
-    params = init_model_params(
-        ModelDims.from_config(cfg), seed=cfg.seed, share_pe_mlp=cfg.share_pe_mlp
-    )
+    params = init_model_params(ModelDims.from_config(cfg), seed=cfg.seed)
     state = {k: v for k, v in tensors.items() if not k.startswith("__")}
     missing = sorted(set(params.tensors) - set(state))
     if missing:

@@ -44,7 +44,6 @@ class RunConfig:
     train_ratio: float = 0.70
     val_ratio: float = 0.15
     pe_init: str = "laplacian"
-    share_pe_mlp: bool = True
     eigen_size_cap: int = 5000
     seed: int = 0
 
@@ -80,13 +79,6 @@ _MINIMUM = {"d_t": 1, "d_n": 1, "d_e": 1, "d_p": 1, "max_epochs": 1, "patience":
 def _coerce(kind: type, raw: str, key: str):
     raw = raw.strip()
     try:
-        if kind is bool:
-            low = raw.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
         if kind is int:
             return int(raw)
         if kind is float:
@@ -100,7 +92,7 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
     """Parse ``key = value`` lines over a base config; '#' starts a comment."""
     cfg = base or RunConfig()
     types = {f.name: f.type for f in fields(RunConfig)}
-    py_types = {"int": int, "float": float, "str": str, "bool": bool}
+    py_types = {"int": int, "float": float, "str": str}
     updates: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -124,9 +116,7 @@ def serialize_config(cfg: RunConfig) -> str:
     lines = []
     for f in sorted(fields(RunConfig), key=lambda f: f.name):
         value = getattr(cfg, f.name)
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        elif isinstance(value, float):
+        if isinstance(value, float):
             value = repr(value)
         lines.append(f"{f.name} = {value}")
     return "\n".join(lines) + "\n"
@@ -138,10 +128,9 @@ def config_hash(cfg: RunConfig) -> str:
 
 def shape_hash(cfg: RunConfig) -> str:
     """Hash of the fields that fix parameter shapes."""
-    key = (
-        f"{cfg.d_t}:{cfg.d_n}:{cfg.d_e}:{cfg.d_p}:"
-        f"{cfg.history_len}:{cfg.recent_k}:{int(cfg.share_pe_mlp)}"
-    )
+    # the trailing 1 stood for a flag that once added tensors; keeping it
+    # keeps the hashes of existing checkpoints
+    key = f"{cfg.d_t}:{cfg.d_n}:{cfg.d_e}:{cfg.d_p}:{cfg.history_len}:{cfg.recent_k}:1"
     return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 

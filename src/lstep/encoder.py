@@ -3,9 +3,9 @@
 A node's representation at query time t fuses three views: its feature
 vector plus the mean of neighbor features inside a look-back window, a
 pooled encoding of its K most recent interactions (time encoding and
-edge features per interaction), and a gated refinement of its current
+edge features per interaction), and the gated refinement of its current
 positional encoding against the positional encodings of those same K
-interaction partners. Every function takes a batch of (node, t) queries
+interaction partners (``lpe.refine_pe``, the update commits apply). Every function takes a batch of (node, t) queries
 and returns one row per query, so a batch costs a fixed handful of
 matrix products whatever its size. The link predictor is a two-layer
 MLP over the concatenated endpoint representations.
@@ -18,18 +18,17 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
-    add,
     concat,
     gather_rows,
     gather_sum_rows,
+    linear,
     matmul,
     relu,
     sigmoid,
-    tanh,
-    transpose,
     weighted_sum_cols,
 )
 from .events import EventStream, RecentInteractions
+from .lpe import LpeParams, refine_pe
 from .timeenc import TimeEncoderConfig, time_encode_many
 
 __all__ = [
@@ -44,20 +43,13 @@ __all__ = [
 
 @dataclass
 class EncoderParams:
-    """Learnable pieces of the representation and predictor heads.
-
-    ``pe_w1/pe_w2/pe_w_self`` refine the positional branch; by default
-    they are the same tensors the commit update uses.
-    """
+    """Learnable pieces of the representation and predictor heads."""
 
     link_w1: Tensor  # (d_t + d_e, d_t + d_e)
     link_w2: Tensor  # (d_t + d_e, d_t + d_e)
     link_sum_pool: Tensor  # (K, 1)
     fuse_w: Tensor  # (d_n, d_n + d_t + d_e)
     out_w: Tensor  # (d_n, d_n + d_p)
-    pe_w1: Tensor  # (d_p, d_p + d_t)
-    pe_w2: Tensor  # (d_p, d_p)
-    pe_w_self: Tensor  # (d_p, d_p)
     pred_w1: Tensor  # (2 d_n, d_n)
     pred_w2: Tensor  # (d_n, 1)
 
@@ -76,11 +68,6 @@ def node_rows(table_nodes: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     if not found.all():
         raise ValueError(f"node {int(nodes[~found][0])} has no row in the table")
     return rows
-
-
-def _linear(x: Tensor, w: Tensor) -> Tensor:
-    """x @ w.T for a weight stored as (out, in)."""
-    return matmul(x, transpose(w))
 
 
 def node_encoding(
@@ -142,7 +129,7 @@ def link_encoding(
 
 def _pooled_link(rows: np.ndarray, params: EncoderParams) -> Tensor:
     pooled = weighted_sum_cols(Tensor(rows.transpose(0, 2, 1)), params.link_sum_pool)
-    return _linear(relu(matmul(pooled, params.link_w1)), params.link_w2)
+    return linear(relu(matmul(pooled, params.link_w1)), params.link_w2)
 
 
 def temporal_representation(
@@ -150,6 +137,7 @@ def temporal_representation(
     nodes: np.ndarray,
     ts: np.ndarray,
     params: EncoderParams,
+    pe_params: LpeParams,
     time_cfg: TimeEncoderConfig,
     t_gap: float,
     ptilde: Tensor,
@@ -160,7 +148,9 @@ def temporal_representation(
 
     ``ptilde`` holds the approximate positional encodings (m, d_p) of the
     sorted node ids ``ptilde_nodes``; it must cover every query node and
-    its K most recent interaction partners.
+    its K most recent interaction partners. The positional branch is
+    ``refine_pe`` with the weights of ``pe_params``, the same update the
+    commits apply.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     ts = np.asarray(ts, dtype=np.float64)
@@ -170,7 +160,7 @@ def temporal_representation(
     rows = _interaction_rows(stream, recent, ts, time_cfg)
     h_n = Tensor(node_encoding(stream, nodes, ts, t_gap))
     h_e = _pooled_link(rows, params)
-    h_ne = _linear(concat(h_n, h_e), params.fuse_w)
+    h_ne = linear(concat(h_n, h_e), params.fuse_w)
 
     p_tilde = gather_rows(ptilde, node_rows(ptilde_nodes, nodes))
     real = ~recent.pad_mask
@@ -179,15 +169,8 @@ def temporal_representation(
     partners = np.zeros(real.shape, dtype=np.int64)
     partners[real] = node_rows(ptilde_nodes, recent.neighbors[real])
     nbr_sum = gather_sum_rows(ptilde, partners, real)
-    h_hat_p = concat(Tensor(tau_sum), nbr_sum)
-    gate = tanh(
-        add(
-            _linear(p_tilde, params.pe_w_self),
-            _linear(relu(_linear(h_hat_p, params.pe_w1)), params.pe_w2),
-        )
-    )
-    h_p = add(p_tilde, gate)
-    return _linear(concat(h_ne, h_p), params.out_w)
+    h_p = refine_pe(p_tilde, tau_sum, nbr_sum, pe_params)
+    return linear(concat(h_ne, h_p), params.out_w)
 
 
 def predict_link(h_u: Tensor, h_v: Tensor, params: EncoderParams) -> Tensor:

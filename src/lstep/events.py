@@ -46,6 +46,13 @@ def _reject_non_finite(values: np.ndarray, what: str, where: str) -> None:
     raise ValueError(f"non-finite {what} {value} at {where} {int(bad)}")
 
 
+def _feature_table(values, name: str, rows: str) -> np.ndarray:
+    table = np.asarray(values, dtype=np.float64)
+    if table.ndim != 2:
+        raise ValueError(f"{name} must be a 2-D ({rows}, dim) table, got shape {table.shape}")
+    return table
+
+
 def _count_inversions(values: np.ndarray) -> int:
     """Number of out-of-order pairs repaired by a stable sort.
 
@@ -125,7 +132,7 @@ class EventStream:
             raise ValueError("event stream is empty")
         _reject_non_finite(ts, "timestamp", "event")
         if edge_features is not None:
-            edge_features = np.asarray(edge_features, dtype=np.float64)
+            edge_features = _feature_table(edge_features, "edge_features", "events")
             _reject_non_finite(edge_features, "edge feature", "event")
         if ts.size > 1 and np.any(np.diff(ts) < 0.0):
             sort_warnings += _count_inversions(ts)
@@ -160,7 +167,7 @@ class EventStream:
         if node_features is None:
             node_features = np.zeros((self.num_nodes, d_n))
         else:
-            node_features = np.asarray(node_features, dtype=np.float64)
+            node_features = _feature_table(node_features, "node_features", "nodes")
             if node_features.shape[0] != self.num_nodes:
                 raise ValueError(
                     f"node feature rows {node_features.shape[0]} != "
@@ -303,7 +310,6 @@ def batch_iter(start: int, end: int, batch_size: int):
 
 def load_events(
     path: str | Path,
-    fmt: str = "csv",
     d_n: int = 172,
     d_e: int = 172,
     dataset: str | None = None,
@@ -330,8 +336,6 @@ def load_events(
     sorted-id order. Rows out of time order are repaired by a stable
     sort and counted in ``sort_warnings``.
     """
-    if fmt != "csv":
-        raise ValueError(f"unsupported event file format {fmt!r}")
     path = Path(path)
     with path.open(newline="") as fh:
         header = next(csv.reader(fh), None)

@@ -11,9 +11,10 @@ transforms back, and pools the columns with learnable weights. That
 chain is linear in the history, so it is one real (d_P, L) kernel: the
 kernel is built once per batch from the filter and the pool, and the
 encodings of every node the batch needs are one contraction of their
-stacked histories against it. Commits add a gated MLP correction built
-from each node's most recent interactions and are stored detached, so
-no gradient crosses batch boundaries.
+stacked histories against it. ``refine_pe`` adds a gated MLP correction
+built from a node's most recent interactions; the representation uses
+it under the tape, and the commits use it detached, so no gradient
+crosses batch boundaries.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff
-from .autodiff import Tensor, weighted_sum_cols
+from .autodiff import Tensor, add, concat, linear, relu, tanh, weighted_sum_cols
 from .fourier import filter_kernel
 from .peinit import InitialPE
 from .timeenc import TimeEncoderConfig, time_encode_many
@@ -32,6 +33,7 @@ __all__ = [
     "PositionalStore",
     "BoundReport",
     "approximate_pe",
+    "refine_pe",
     "commit_pe",
     "ring_eigenvalues",
     "theorem1_check",
@@ -172,6 +174,24 @@ def approximate_pe(histories: Tensor | np.ndarray, params: LpeParams) -> Tensor:
     return weighted_sum_cols(h, kernel)
 
 
+def refine_pe(p_tilde: Tensor, tau_sum, nbr_sum: Tensor, params: LpeParams) -> Tensor:
+    """Learned encodings p = p~ + tanh(W_self p~ + W2 relu(W1 q)), one row per node.
+
+    q = [tau_sum, nbr_sum] pools a node's K most recent interactions:
+    ``tau_sum`` (n, d_t) sums their time encodings and ``nbr_sum``
+    (n, d_p) their partners' p~. The representation runs it under the
+    tape and the commits detached, so both use the same weights.
+    """
+    q = concat(tau_sum, nbr_sum)
+    gate = tanh(
+        add(
+            linear(p_tilde, params.w_self),
+            linear(relu(linear(q, params.w1)), params.w2),
+        )
+    )
+    return add(p_tilde, gate)
+
+
 def commit_pe(
     p_tilde: np.ndarray,
     deltas: np.ndarray,
@@ -180,13 +200,13 @@ def commit_pe(
     params: LpeParams,
     time_cfg: TimeEncoderConfig,
 ) -> np.ndarray:
-    """Committed encodings p = p~ + tanh(W_self p~ + W2 relu(W1 q)), one row per node.
+    """Committed encodings ``refine_pe`` of each node's commit window.
 
     ``deltas`` (n, K) are the times since each node's K most recent
     interactions up to the batch's last event, ``partners`` (n, K, d_p)
     the interaction partners' p~ and ``pad_mask`` (n, K) marks padded
-    slots, which contribute exact zeros to the pooled q. Runs detached
-    from any tape.
+    slots, which contribute exact zeros to the pooled sums. Training
+    calls it after the batch's tape has closed, so nothing is recorded.
 
     Parameter versions: in training, ``p_tilde`` and ``partners`` come
     from the batch's forward pass, before the optimizer step, while
@@ -194,15 +214,11 @@ def commit_pe(
     them. So a commit pairs pre-step encodings with post-step MLP
     weights.
     """
-    p_tilde = np.asarray(p_tilde, dtype=np.float64)
     real = ~np.asarray(pad_mask, dtype=bool)
     tau = time_encode_many(np.where(real, deltas, 0.0), time_cfg)
     tau_sum = np.where(real[..., None], tau, 0.0).sum(axis=1)
     nbr_sum = np.where(real[..., None], partners, 0.0).sum(axis=1)
-    q = np.concatenate([tau_sum, nbr_sum], axis=1)
-    w1, w2, w_self = params.w1.data, params.w2.data, params.w_self.data
-    hidden = np.maximum(q @ w1.T, 0.0) @ w2.T
-    return p_tilde + np.tanh(p_tilde @ w_self.T + hidden)
+    return refine_pe(Tensor(p_tilde), tau_sum, Tensor(nbr_sum), params).data
 
 
 @dataclass(frozen=True)

@@ -27,11 +27,11 @@ class ModelDims:
         return ModelDims(cfg.d_t, cfg.d_n, cfg.d_e, cfg.d_p, cfg.history_len, cfg.recent_k)
 
 
-def _shapes(dims: ModelDims, share_pe_mlp: bool) -> dict[str, tuple[tuple[int, ...], int]]:
+def _shapes(dims: ModelDims) -> dict[str, tuple[tuple[int, ...], int]]:
     """name -> (shape, fan_in); fan_in is the contraction width in use."""
     d_t, d_n, d_e, d_p = dims.d_t, dims.d_n, dims.d_e, dims.d_p
     link = d_t + d_e
-    spec: dict[str, tuple[tuple[int, ...], int]] = {
+    return {
         "filter_real": ((d_p, dims.history_len), 0),
         "filter_imag": ((d_p, dims.history_len), 0),
         "pe_sum_pool": ((dims.history_len, 1), dims.history_len),
@@ -46,25 +46,14 @@ def _shapes(dims: ModelDims, share_pe_mlp: bool) -> dict[str, tuple[tuple[int, .
         "pred_w1": ((2 * d_n, d_n), 2 * d_n),
         "pred_w2": ((d_n, 1), d_n),
     }
-    if not share_pe_mlp:
-        spec["enc_pe_w1"] = spec["pe_w1"]
-        spec["enc_pe_w2"] = spec["pe_w2"]
-        spec["enc_pe_w_self"] = spec["pe_w_self"]
-    return spec
 
 
 class ModelParams:
     """All learnable tensors keyed by name, with typed views on top."""
 
-    def __init__(
-        self,
-        dims: ModelDims,
-        tensors: dict[str, Tensor],
-        share_pe_mlp: bool = True,
-    ):
+    def __init__(self, dims: ModelDims, tensors: dict[str, Tensor]):
         self.dims = dims
-        self.share_pe_mlp = share_pe_mlp
-        expected = _shapes(dims, share_pe_mlp)
+        expected = _shapes(dims)
         if set(tensors) != set(expected):
             missing = sorted(set(expected) - set(tensors))
             extra = sorted(set(tensors) - set(expected))
@@ -92,16 +81,12 @@ class ModelParams:
     @property
     def encoder(self) -> EncoderParams:
         t = self.tensors
-        prefix = "pe" if self.share_pe_mlp else "enc_pe"
         return EncoderParams(
             link_w1=t["link_w1"],
             link_w2=t["link_w2"],
             link_sum_pool=t["link_sum_pool"],
             fuse_w=t["fuse_w"],
             out_w=t["out_w"],
-            pe_w1=t[f"{prefix}_w1"],
-            pe_w2=t[f"{prefix}_w2"],
-            pe_w_self=t[f"{prefix}_w_self"],
             pred_w1=t["pred_w1"],
             pred_w2=t["pred_w2"],
         )
@@ -119,13 +104,11 @@ class ModelParams:
             t.data = arr.copy()
 
 
-def init_model_params(
-    dims: ModelDims, seed: int = 0, share_pe_mlp: bool = True
-) -> ModelParams:
+def init_model_params(dims: ModelDims, seed: int = 0) -> ModelParams:
     """Uniform +-1/sqrt(fan_in) init; the filter starts as the identity 1+0i."""
     rng = np.random.default_rng(seed)
     tensors: dict[str, Tensor] = {}
-    for name, (shape, fan_in) in _shapes(dims, share_pe_mlp).items():
+    for name, (shape, fan_in) in _shapes(dims).items():
         if name == "filter_real":
             data = np.ones(shape)
         elif name == "filter_imag":
@@ -134,4 +117,4 @@ def init_model_params(
             bound = 1.0 / np.sqrt(fan_in)
             data = rng.uniform(-bound, bound, size=shape)
         tensors[name] = Tensor(data, learnable=True, name=name)
-    return ModelParams(dims, tensors, share_pe_mlp)
+    return ModelParams(dims, tensors)

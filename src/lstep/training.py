@@ -185,7 +185,8 @@ def _batch_forward(
     if scoring:
         enc = params.encoder
         reps = temporal_representation(
-            stream, q_nodes, q_ts, enc, tcfg, cfg.t_gap, ptilde, nodes, recent=recent
+            stream, q_nodes, q_ts, enc, params.lpe, tcfg, cfg.t_gap, ptilde, nodes,
+            recent=recent,
         )
         u, v, nu, nv = np.split(which.reshape(-1), 4)
         fwd.pos = predict_link(gather_rows(reps, u), gather_rows(reps, v), enc)
@@ -292,7 +293,7 @@ def train(stream: EventStream, split: ChronoSplit, cfg: RunConfig) -> TrainResul
     t0 = time.monotonic()
     dims = ModelDims.from_config(cfg)
     tcfg = _time_cfg(cfg)
-    params = init_model_params(dims, seed=cfg.seed, share_pe_mlp=cfg.share_pe_mlp)
+    params = init_model_params(dims, seed=cfg.seed)
     initial = build_initial_pe(stream, split, cfg)
     store = PositionalStore(stream.num_nodes, cfg.d_p, cfg.history_len)
     adam = AdamState(lr=cfg.lr)

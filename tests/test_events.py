@@ -165,6 +165,16 @@ def test_non_finite_timestamps_rejected():
                     node_features=np.full((3, 1), np.inf))
 
 
+def test_feature_tables_must_be_2d():
+    src, dst, ts = [0, 1], [1, 0], [1.0, 2.0]
+    with pytest.raises(ValueError, match=r"edge_features must be a 2-D .* shape \(2,\)"):
+        EventStream(src, dst, ts, edge_features=np.zeros(2))
+    with pytest.raises(ValueError, match=r"node_features must be a 2-D .* shape \(2,\)"):
+        EventStream(src, dst, ts, node_features=np.zeros(2))
+    with pytest.raises(ValueError, match=r"edge_features .* shape \(2, 1, 1\)"):
+        EventStream(src, dst, ts, edge_features=np.zeros((2, 1, 1)))
+
+
 def test_default_feature_tables_are_zero():
     s = _tiny_stream()
     assert s.node_features.shape == (3, 172)
@@ -444,11 +454,6 @@ def test_load_events_rejects_digit_separators(tmp_path):
     with pytest.raises(ValueError) as exc:
         load_events(path)
     assert str(exc.value) == f"{path}:3: malformed row (could not convert string to float: '1_0')"
-
-
-def test_load_events_unknown_format(tmp_path):
-    with pytest.raises(ValueError, match="format"):
-        load_events(tmp_path / "x.bin", fmt="bin")
 
 
 def test_manifest_round_trip(tmp_path):

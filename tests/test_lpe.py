@@ -11,6 +11,7 @@ from lstep.lpe import (
     PositionalStore,
     approximate_pe,
     commit_pe,
+    refine_pe,
     ring_eigenvalues,
     theorem1_check,
 )
@@ -282,6 +283,28 @@ def test_commit_matches_hand_computation():
     w1, w2, ws = params.w1.data, params.w2.data, params.w_self.data
     want = p_tilde + np.tanh(ws @ p_tilde + w2 @ np.maximum(w1 @ q, 0.0))
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_refine_pe_is_the_same_rows_on_and_off_the_tape():
+    rng = np.random.default_rng(55)
+    params = _params(3, 4, rng=rng, identity=False)
+    p_tilde = Tensor(rng.normal(size=(2, 3)), learnable=True)
+    nbr_sum = Tensor(rng.normal(size=(2, 3)), learnable=True)
+    tau_sum = rng.normal(size=(2, 4))
+    detached = refine_pe(p_tilde, tau_sum, nbr_sum, params).data
+    with GradientTape() as tape:
+        taped = refine_pe(p_tilde, tau_sum, nbr_sum, params)
+        loss = sum_all(taped)
+    assert np.array_equal(taped.data, detached)
+    w1, w2, ws = params.w1.data, params.w2.data, params.w_self.data
+    for i in range(2):
+        q = np.concatenate([tau_sum[i], nbr_sum.data[i]])
+        want = p_tilde.data[i] + np.tanh(ws @ p_tilde.data[i] + w2 @ np.maximum(w1 @ q, 0.0))
+        assert np.max(np.abs(detached[i] - want)) < 1e-12
+    leaves = {"w1": params.w1, "w2": params.w2, "w_self": params.w_self,
+              "p_tilde": p_tilde, "nbr_sum": nbr_sum}
+    for name, g in backward(tape, loss, leaves).items():
+        assert np.any(g != 0.0), f"no gradient reached {name}"
 
 
 def test_commit_with_zero_weights_is_identity():

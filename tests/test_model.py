@@ -63,18 +63,15 @@ def test_init_is_seed_deterministic():
     assert not np.array_equal(a.tensors["fuse_w"].data, c.tensors["fuse_w"].data)
 
 
-def test_shared_pe_mlp_views_alias_same_tensors():
-    params = init_model_params(DIMS, seed=0, share_pe_mlp=True)
-    assert params.encoder.pe_w1 is params.lpe.w1
-    assert params.encoder.pe_w_self is params.lpe.w_self
-    assert "enc_pe_w1" not in params.tensors
-
-
-def test_unshared_pe_mlp_gets_its_own_tensors():
-    params = init_model_params(DIMS, seed=0, share_pe_mlp=False)
-    assert "enc_pe_w1" in params.tensors
-    assert params.encoder.pe_w1 is params.tensors["enc_pe_w1"]
-    assert params.encoder.pe_w1 is not params.lpe.w1
+def test_lpe_view_holds_the_only_pe_mlp():
+    params = init_model_params(DIMS, seed=0)
+    lpe = params.lpe
+    assert lpe.w1 is params.tensors["pe_w1"]
+    assert lpe.w2 is params.tensors["pe_w2"]
+    assert lpe.w_self is params.tensors["pe_w_self"]
+    enc = vars(params.encoder)
+    assert not any(t is lpe.w1 or t is lpe.w2 or t is lpe.w_self for t in enc.values())
+    assert len(params.tensors) == 13
 
 
 def test_dims_from_config():

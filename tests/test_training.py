@@ -251,6 +251,38 @@ def test_commit_reads_pre_step_encodings_and_post_step_weights(monkeypatch):
         assert np.max(np.abs(vec - formula(pre, node))) > 1e-6
 
 
+def test_layer_hooks_run_once_per_batch(monkeypatch):
+    # the benchmark's tracer counts these names as training looks them
+    # up; a batch that went around them would read zero there unnoticed
+    calls = {"approximate_pe": 0, "commit_pe": 0, "commit": 0, "reset": 0}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, call)
+
+    for owner, name in [(training, "approximate_pe"), (training, "commit_pe"),
+                        (PositionalStore, "commit"), (PositionalStore, "reset")]:
+        counted(owner, name)
+    s = _tiny_stream()
+    split = chronological_split(s)
+    res = train(s, split, TINY)
+    per_epoch = sum(
+        len(list(batch_iter(*seg, TINY.batch_size)))
+        for seg in (split.train_range, split.val_range)
+    )
+    batches = res.report.epochs_run * per_epoch
+    assert batches > 0
+    assert calls["approximate_pe"] == calls["commit_pe"] == batches
+    # every epoch's reset commits the initial rows once
+    assert calls["reset"] == res.report.epochs_run
+    assert calls["commit"] == batches + calls["reset"]
+
+
 def test_tape_length_does_not_grow_with_batch_size():
     # B = n / 5: training batches of 10, 40 and 100 events; one
     # filter_kernel op builds each batch's (d_p, L) kernel
