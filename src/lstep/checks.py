@@ -25,7 +25,7 @@ from .lpe import PositionalStore, theorem1_check
 from .metrics import average_precision, roc_auc
 from .model import ModelDims, init_model_params
 from .peinit import InitialPE, zero_pe
-from .sampling import sample_negatives
+from .sampling import NegativeSampler, sample_negatives
 from .synthetic import make_periodic_stream, make_random_stream, make_static_stream
 from .timeenc import TimeEncoderConfig
 from .training import (
@@ -299,8 +299,7 @@ def check_metrics(seed: int = 0) -> dict:
         0,
         250,
         "transductive",
-        "random",
-        seed,
+        NegativeSampler(stream, split, "random", seed),
     )
     auc_centered = bool(abs(auc - 0.5) <= 0.1)
     return {

@@ -8,13 +8,19 @@ touch a node adds nothing to its history.
 The approximation filters the d_P x L history matrix along the time
 axis in the frequency domain, multiplies by a learnable complex filter,
 transforms back, and pools the columns with learnable weights. That
-chain is linear in the history, so it is one real (d_P, L) kernel: the
-kernel is built once per batch from the filter and the pool, and the
+chain is linear in the history, so it is one real (d_P, L) kernel: a
+training batch builds the kernel from the filter and the pool, and the
 encodings of every node the batch needs are one contraction of their
 stacked histories against it. ``refine_pe`` adds a gated MLP correction
 built from a node's most recent interactions; the representation uses
 it under the tape, and the commits use it detached, so no gradient
 crosses batch boundaries.
+
+A frozen segment is a run of batches without a gradient tape, so with
+fixed parameters: evaluation's warm replay and scoring, training's
+validation pass and the PE trace. There the kernel is a constant and a
+node's p~ changes only when the node commits, so ``FrozenPE`` builds
+the kernel once and keeps every node's p~ until its next commit.
 """
 from __future__ import annotations
 
@@ -32,6 +38,7 @@ __all__ = [
     "LpeParams",
     "PositionalStore",
     "BoundReport",
+    "FrozenPE",
     "approximate_pe",
     "refine_pe",
     "commit_pe",
@@ -146,21 +153,30 @@ class PositionalStore:
         self._commits = commits.astype(np.int64)
 
 
-def _filter_is_identity(params: LpeParams) -> bool:
-    return bool(
-        np.all(params.filter_re.data == 1.0) and np.all(params.filter_im.data == 0.0)
-    )
+def _kernel(params: LpeParams) -> Tensor:
+    """The kernel ``approximate_pe`` contracts histories against.
+
+    An exactly-identity filter is a mathematical no-op for the transform
+    chain; outside of gradient recording the kernel is then the (L, 1)
+    pool itself, so the pass-through configuration reproduces the newest
+    column bit-exactly. Otherwise it is the (d_p, L) kernel of
+    ``fourier.filter_kernel``.
+    """
+    identity = np.all(params.filter_re.data == 1.0) and np.all(params.filter_im.data == 0.0)
+    if autodiff._ACTIVE_TAPE is None and identity:
+        return params.sum_pool
+    return filter_kernel(params.filter_re, params.filter_im, params.sum_pool)
 
 
-def approximate_pe(histories: Tensor | np.ndarray, params: LpeParams) -> Tensor:
+def approximate_pe(
+    histories: Tensor | np.ndarray, params: LpeParams, kernel: Tensor | None = None
+) -> Tensor:
     """Filtered, pooled encodings (n, d_p) of n stacked (d_p, L) histories.
 
-    Every history row is contracted with the (d_p, L) kernel of
-    ``fourier.filter_kernel``, and the filter and pool gradients flow
-    through that kernel only. An exactly-identity filter is a
-    mathematical no-op for the transform chain; outside of gradient
-    recording the kernel is then the pool itself, so the pass-through
-    configuration reproduces the newest column bit-exactly.
+    Every history row is contracted with ``kernel``, by default the one
+    ``params`` gives now (see ``_kernel``); the filter and pool
+    gradients flow through that kernel only. A frozen segment passes the
+    kernel it built once (``FrozenPE.kernel``).
     """
     h = histories if isinstance(histories, Tensor) else Tensor(histories)
     if h.data.ndim != 3 or h.data.shape[1:] != (params.d_p, params.history_len):
@@ -168,10 +184,34 @@ def approximate_pe(histories: Tensor | np.ndarray, params: LpeParams) -> Tensor:
             f"history shape {h.data.shape} != "
             f"(n, {params.d_p}, {params.history_len})"
         )
-    if autodiff._ACTIVE_TAPE is None and _filter_is_identity(params):
-        return weighted_sum_cols(h, params.sum_pool)
-    kernel = filter_kernel(params.filter_re, params.filter_im, params.sum_pool)
-    return weighted_sum_cols(h, kernel)
+    return weighted_sum_cols(h, _kernel(params) if kernel is None else kernel)
+
+
+class FrozenPE:
+    """p~ of every node through one frozen segment.
+
+    ``kernel`` is built once, when the segment starts. ``table`` (N, d_p)
+    holds each node's p~ as last contracted, and ``fresh`` marks the rows
+    that no commit has changed since: only the others need their
+    histories gathered and contracted again. The table is exact only
+    while the parameters that built the kernel stay fixed, so a state
+    lives for one segment and is never read under a gradient tape.
+    """
+
+    def __init__(self, num_nodes: int, params: LpeParams):
+        self.kernel = _kernel(params)
+        self.table = np.zeros((num_nodes, params.d_p))
+        self.fresh = np.zeros(num_nodes, dtype=bool)
+
+    def stale(self, nodes: np.ndarray) -> np.ndarray:
+        """The ``nodes`` whose rows must be contracted again."""
+        if autodiff._ACTIVE_TAPE is not None:
+            raise RuntimeError("a frozen p~ table cannot be read under a gradient tape")
+        return nodes[~self.fresh[nodes]]
+
+    def refresh(self, nodes: np.ndarray, ptilde: np.ndarray) -> None:
+        self.table[nodes] = ptilde
+        self.fresh[nodes] = True
 
 
 def refine_pe(p_tilde: Tensor, tau_sum, nbr_sum: Tensor, params: LpeParams) -> Tensor:
@@ -205,8 +245,9 @@ def commit_pe(
     ``deltas`` (n, K) are the times since each node's K most recent
     interactions up to the batch's last event, ``partners`` (n, K, d_p)
     the interaction partners' p~ and ``pad_mask`` (n, K) marks padded
-    slots, which contribute exact zeros to the pooled sums. Training
-    calls it after the batch's tape has closed, so nothing is recorded.
+    slots, which are not encoded and contribute exact zeros to the
+    pooled sums. Training calls it after the batch's tape has closed,
+    so nothing is recorded.
 
     Parameter versions: in training, ``p_tilde`` and ``partners`` come
     from the batch's forward pass, before the optimizer step, while
@@ -215,8 +256,12 @@ def commit_pe(
     weights.
     """
     real = ~np.asarray(pad_mask, dtype=bool)
-    tau = time_encode_many(np.where(real, deltas, 0.0), time_cfg)
-    tau_sum = np.where(real[..., None], tau, 0.0).sum(axis=1)
+    # the window shares one commit time, so a delta repeats once per
+    # endpoint of its event; each distinct one is encoded once
+    distinct, which = np.unique(np.asarray(deltas)[real], return_inverse=True)
+    tau = np.zeros(real.shape + (time_cfg.dim,))
+    tau[real] = time_encode_many(distinct, time_cfg)[which]
+    tau_sum = tau.sum(axis=1)
     nbr_sum = np.where(real[..., None], partners, 0.0).sum(axis=1)
     return refine_pe(Tensor(p_tilde), tau_sum, Tensor(nbr_sum), params).data
 

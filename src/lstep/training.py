@@ -11,6 +11,15 @@ is backed through the tape into Adam, and committed encodings
 replays run the same forward without gradients; commits still happen,
 so the store state a batch sees never depends on anything later than
 itself.
+
+A run of batches without a tape is a frozen segment: evaluation's
+warm replay and its scoring (one segment, sharing one state), the
+validation pass of each epoch, and the PE trace. Each makes an
+``lpe.FrozenPE`` when it starts. Its batches contract only the needed
+nodes that committed since their p~ was last computed, against a
+kernel built once, and read the rest from the state's table; the
+results are the per-batch forward's, bit for bit. Taped training
+batches contract every needed node.
 """
 from __future__ import annotations
 
@@ -27,7 +36,7 @@ from .config import RunConfig, config_hash, validate_config
 from .encoder import node_rows, predict_link, temporal_representation
 from .events import ChronoSplit, EventStream, RecentInteractions, batch_iter
 from .losses import loss_lp, loss_pe, total_loss
-from .lpe import PositionalStore, approximate_pe, commit_pe
+from .lpe import FrozenPE, PositionalStore, approximate_pe, commit_pe
 from .metrics import average_precision, roc_auc
 from .model import ModelDims, ModelParams, init_model_params
 from .optim import AdamState, adam_step
@@ -129,7 +138,8 @@ class _Forward:
     scored events and of their negatives, None when nothing is scored.
     ``touched`` are the batch's endpoints and ``window`` their K most
     recent interactions up to and including the batch's last event,
-    whose timestamp is the commit time ``t_commit``.
+    whose timestamp is the commit time ``t_commit``. ``frozen`` is the
+    frozen segment's state the p~ rows came from, if any.
     """
 
     nodes: np.ndarray
@@ -137,6 +147,7 @@ class _Forward:
     touched: np.ndarray
     t_commit: float
     window: RecentInteractions
+    frozen: FrozenPE | None = None
     pos: Tensor | None = None
     neg: Tensor | None = None
 
@@ -157,9 +168,15 @@ def _batch_forward(
     scored: np.ndarray | None = None,
     neg: Sample | None = None,
     extra: np.ndarray | None = None,
+    frozen: FrozenPE | None = None,
 ) -> _Forward:
     """p~ for the batch, and link probabilities for ``scored`` (a subset
-    of ``batch``) against ``neg``; ``extra`` nodes also get a p~ row."""
+    of ``batch``) against ``neg``; ``extra`` nodes also get a p~ row.
+
+    In a frozen segment, ``frozen`` is its state: only the stale rows
+    are gathered and contracted, and the others come from its table.
+    The contraction runs once per batch even when no row is stale.
+    """
     k = cfg.recent_k
     touched = np.union1d(stream.src[batch], stream.dst[batch])
     end = int(batch.max()) + 1  # batches are contiguous: the commit reads [0, end)
@@ -180,8 +197,15 @@ def _batch_forward(
         recent = stream.recent_interactions(q_nodes, q_ts, k)
         need += [q_nodes, recent.neighbors[~recent.pad_mask]]
     nodes = np.unique(np.concatenate(need))
-    ptilde = approximate_pe(store.history_matrix(nodes), params.lpe)
-    fwd = _Forward(nodes, ptilde, touched, t_commit, window)
+    if frozen is None:
+        ptilde = approximate_pe(store.history_matrix(nodes), params.lpe)
+    else:
+        stale = frozen.stale(nodes)
+        frozen.refresh(
+            stale, approximate_pe(store.history_matrix(stale), params.lpe, frozen.kernel).data
+        )
+        ptilde = Tensor(frozen.table[nodes])
+    fwd = _Forward(nodes, ptilde, touched, t_commit, window, frozen)
     if scoring:
         enc = params.encoder
         reps = temporal_representation(
@@ -214,7 +238,8 @@ def _commit_batch(
     """Commit updated encodings for every endpoint of the batch's events.
 
     Encodings come from the forward pass; the MLP weights are whatever
-    ``params`` holds now (see ``commit_pe``).
+    ``params`` holds now (see ``commit_pe``). The committed nodes' rows
+    of a frozen segment's table go stale.
     """
     win = fwd.window
     table = fwd.ptilde.data
@@ -229,6 +254,8 @@ def _commit_batch(
         tcfg,
     )
     store.commit(fwd.touched, vecs)
+    if fwd.frozen is not None:
+        fwd.frozen.fresh[fwd.touched] = False
 
 
 def _replay_segment(
@@ -239,10 +266,14 @@ def _replay_segment(
     tcfg: TimeEncoderConfig,
     start: int,
     end: int,
+    frozen: FrozenPE | None = None,
 ) -> None:
-    """Advance the store over [start, end) with commits and no scoring."""
+    """Advance the store over [start, end) with commits and no scoring,
+    as (part of) the frozen segment ``frozen``, or as one of its own."""
+    if frozen is None:
+        frozen = FrozenPE(store.num_nodes, params.lpe)
     for _, batch in batch_iter(start, end, cfg.batch_size):
-        fwd = _batch_forward(stream, store, params, cfg, tcfg, batch)
+        fwd = _batch_forward(stream, store, params, cfg, tcfg, batch, frozen=frozen)
         _commit_batch(store, params, tcfg, fwd)
 
 
@@ -256,13 +287,14 @@ def _score_segment(
     start: int,
     end: int,
     setting: str,
-    strategy: str,
-    seed,
+    sampler: NegativeSampler,
+    frozen: FrozenPE | None = None,
 ) -> tuple[float, float, int]:
-    """Score positives (plus one negative each) over [start, end)."""
-    if setting not in ("transductive", "inductive"):
-        raise ValueError(f"unknown setting {setting!r}")
-    sampler = NegativeSampler(stream, split, strategy, seed)
+    """Score positives (plus one ``sampler`` negative each) over
+    [start, end), as (part of) the frozen segment ``frozen``, or as one
+    of its own. ``setting`` is transductive or inductive."""
+    if frozen is None:
+        frozen = FrozenPE(store.num_nodes, params.lpe)
     scores: list[np.ndarray] = []
     fallbacks = 0
     new_nodes = np.fromiter(split.new_nodes, dtype=np.int64)
@@ -275,7 +307,9 @@ def _score_segment(
         if scored.size:
             neg = sampler.sample(scored)
             fallbacks += neg.fallbacks
-        fwd = _batch_forward(stream, store, params, cfg, tcfg, batch, scored, neg)
+        fwd = _batch_forward(
+            stream, store, params, cfg, tcfg, batch, scored, neg, frozen=frozen
+        )
         if fwd.pos is not None:
             # interleaved positive, negative
             scores.append(np.concatenate([fwd.pos.data, fwd.neg.data], axis=1).reshape(-1))
@@ -335,8 +369,9 @@ def train(stream: EventStream, split: ChronoSplit, cfg: RunConfig) -> TrainResul
             tcfg,
             *split.val_range,
             "transductive",
-            "random",
-            np.random.SeedSequence(cfg.seed, spawn_key=(2, epoch)),
+            NegativeSampler(
+                stream, split, "random", np.random.SeedSequence(cfg.seed, spawn_key=(2, epoch))
+            ),
         )
         report.epoch_val_ap.append(val_ap)
         report.epochs_run = epoch + 1
@@ -372,21 +407,29 @@ def evaluate(
     initial_pe: InitialPE | None = None,
 ) -> tuple[float, float, int]:
     """(AP, ROC-AUC, sampler fallbacks) over the val or test segment after
-    a commit-only warm replay."""
+    a commit-only warm replay.
+
+    The arguments are checked before any work; the replay and the
+    scoring are one frozen segment.
+    """
     validate_config(cfg)
+    if segment not in ("val", "test"):
+        raise ValueError(f"unknown segment {segment!r}")
+    if setting not in ("transductive", "inductive"):
+        raise ValueError(f"unknown setting {setting!r}")
+    sampler = NegativeSampler(stream, split, strategy, seed)  # checks the strategy
     tcfg = _time_cfg(cfg)
     if initial_pe is None:
         initial_pe = build_initial_pe(stream, split, cfg)
     store = PositionalStore(stream.num_nodes, cfg.d_p, cfg.history_len)
     store.reset(initial_pe)
-    if segment not in ("val", "test"):
-        raise ValueError(f"unknown segment {segment!r}")
     score_lo, score_hi = split.val_range if segment == "val" else split.test_range
+    frozen = FrozenPE(stream.num_nodes, params.lpe)
     # the warm replay ends where scoring starts
-    _replay_segment(stream, store, params, cfg, tcfg, 0, score_lo)
+    _replay_segment(stream, store, params, cfg, tcfg, 0, score_lo, frozen)
     return _score_segment(
         stream, split, store, params, cfg, tcfg,
-        score_lo, score_hi, setting, strategy, seed,
+        score_lo, score_hi, setting, sampler, frozen,
     )
 
 
@@ -397,7 +440,8 @@ def collect_pe_trace(
     node: int,
     initial_pe: InitialPE | None = None,
 ) -> np.ndarray:
-    """Approximate encodings of ``node`` at every batch step, pre-commit."""
+    """Approximate encodings of ``node`` at every batch step, pre-commit,
+    over one frozen segment."""
     tcfg = _time_cfg(cfg)
     if initial_pe is None:
         split = ChronoSplit(stream.num_events, stream.num_events, stream.num_events)
@@ -406,8 +450,11 @@ def collect_pe_trace(
     store.reset(initial_pe)
     trace: list[np.ndarray] = []
     watch = np.array([node])
+    frozen = FrozenPE(stream.num_nodes, params.lpe)
     for _, batch in batch_iter(0, stream.num_events, cfg.batch_size):
-        fwd = _batch_forward(stream, store, params, cfg, tcfg, batch, extra=watch)
+        fwd = _batch_forward(
+            stream, store, params, cfg, tcfg, batch, extra=watch, frozen=frozen
+        )
         trace.append(fwd.ptilde.data[fwd.rows(watch)[0]].copy())
         _commit_batch(store, params, tcfg, fwd)
     return np.asarray(trace)

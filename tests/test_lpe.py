@@ -7,6 +7,7 @@ import pytest
 
 from lstep.autodiff import GradientTape, Tensor, backward, norm2, sum_all
 from lstep.lpe import (
+    FrozenPE,
     LpeParams,
     PositionalStore,
     approximate_pe,
@@ -263,6 +264,17 @@ def test_approximate_pe_shape_check():
         approximate_pe(np.zeros((1, 3, 4)), params)
     with pytest.raises(ValueError, match="history shape"):
         approximate_pe(np.zeros((2, 4)), params)
+
+
+def test_frozen_table_is_not_read_under_a_tape():
+    frozen = FrozenPE(3, _params(2, 4))
+    nodes = np.array([0, 2])
+    assert frozen.stale(nodes).tolist() == [0, 2]
+    frozen.refresh(np.array([2]), np.ones((1, 2)))
+    assert frozen.stale(nodes).tolist() == [0]
+    with GradientTape():
+        with pytest.raises(RuntimeError, match="gradient tape"):
+            frozen.stale(nodes)
 
 
 def test_commit_matches_hand_computation():

@@ -1,16 +1,18 @@
 """Training loop behavior: determinism, learning, early stop, replay."""
+import contextlib
+
 import numpy as np
 import pytest
 
 import lstep.training as training
-from lstep.autodiff import Tensor
+from lstep.autodiff import GradientTape, Tensor
 from lstep.checks import tape_nodes_per_batch
 from lstep.config import RunConfig, parse_config
 from lstep.events import EventStream, batch_iter, chronological_split
 from lstep.lpe import PositionalStore, approximate_pe
 from lstep.model import ModelDims, init_model_params
 from lstep.sampling import NegativeSampler
-from lstep.synthetic import make_periodic_stream, make_static_stream
+from lstep.synthetic import make_periodic_stream, make_random_stream, make_static_stream
 from lstep.timeenc import TimeEncoderConfig, time_encode
 from lstep.training import (
     build_initial_pe,
@@ -176,7 +178,12 @@ def test_evaluate_inductive_requires_new_node_positives():
         )
 
 
-def test_evaluate_rejects_unknown_segment_and_setting():
+def test_evaluate_rejects_unknown_arguments_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("evaluate started work on bad arguments")
+
+    monkeypatch.setattr(training, "build_initial_pe", no_work)
+    monkeypatch.setattr(training, "_replay_segment", no_work)
     s = _tiny_stream()
     split = chronological_split(s)
     params = init_model_params(ModelDims.from_config(TINY), seed=0)
@@ -184,6 +191,8 @@ def test_evaluate_rejects_unknown_segment_and_setting():
         evaluate(s, split, params, TINY, segment="holdout")
     with pytest.raises(ValueError, match="unknown setting"):
         evaluate(s, split, params, TINY, setting="semi")
+    with pytest.raises(ValueError, match="unknown strategy"):
+        evaluate(s, split, params, TINY, strategy="historic")
 
 
 def test_write_loss_csv_round_trips_floats(tmp_path):
@@ -371,3 +380,116 @@ def test_no_commit_window_reaches_past_its_batch(monkeypatch):
     # training and validation, then the eval replay and test: the stream twice
     assert len(overreach) >= 2 * (n // cfg.batch_size)
     assert max(overreach) <= 0
+
+
+def _fixed_params(filt):
+    """A stream whose batches each touch a part of its 40 nodes, and the
+    parameters of a model trained on it; with ``filt == "identity"`` the
+    filter is reset to the identity, where untaped p~ take the shortcut."""
+    s = make_random_stream(40, 120, seed=2, d_n=6, d_e=6)
+    params = train(s, chronological_split(s), TINY).params
+    if filt == "identity":
+        params.tensors["filter_real"].data[:] = 1.0
+        params.tensors["filter_imag"].data[:] = 0.0
+    else:
+        assert not np.all(params.tensors["filter_real"].data == 1.0)
+    return s, chronological_split(s), params
+
+
+def _per_batch(stream, store, params, start, end, taped, sampler=None, watch=None):
+    """Run [start, end) through the per-batch forward with no frozen
+    state, scoring every event against ``sampler`` if given; the
+    interleaved scores, or the p~ rows of ``watch`` before each commit."""
+    tcfg = TimeEncoderConfig(TINY.d_t, TINY.alpha, TINY.beta)
+    out = []
+    for _, batch in batch_iter(start, end, TINY.batch_size):
+        neg = sampler.sample(batch) if sampler else None
+        with GradientTape() if taped else contextlib.nullcontext():
+            fwd = training._batch_forward(
+                stream, store, params, TINY, tcfg, batch,
+                batch if sampler else None, neg, extra=watch,
+            )
+        if sampler:
+            out.append(np.concatenate([fwd.pos.data, fwd.neg.data], axis=1).reshape(-1))
+        elif watch is not None:
+            out.append(fwd.ptilde.data[fwd.rows(watch)])
+        training._commit_batch(store, params, tcfg, fwd)
+    return np.concatenate(out) if out else None
+
+
+# the identity filter's reference runs untaped: under a tape its kernel
+# is the FFT round trip of the pool, off the untaped shortcut in the last bits
+@pytest.mark.parametrize("filt,taped", [("trained", True), ("identity", False)])
+def test_frozen_eval_equals_the_per_batch_forward(monkeypatch, filt, taped):
+    s, split, params = _fixed_params(filt)
+    seen = {}
+    real_score, real_ap = training._score_segment, training.average_precision
+
+    def score(stream, split, store, *args, **kwargs):
+        seen["store"] = store.snapshot()
+        return real_score(stream, split, store, *args, **kwargs)
+
+    def ap(scores, labels):
+        seen["scores"] = np.array(scores)
+        return real_ap(scores, labels)
+
+    monkeypatch.setattr(training, "_score_segment", score)
+    monkeypatch.setattr(training, "average_precision", ap)
+    initial = build_initial_pe(s, split, TINY)
+    evaluate(s, split, params, TINY, seed=5, initial_pe=initial)
+
+    store = PositionalStore(s.num_nodes, TINY.d_p, TINY.history_len)
+    store.reset(initial)
+    _per_batch(s, store, params, 0, split.val_end, taped)
+    replayed = store.snapshot()
+    assert replayed.keys() == seen["store"].keys()
+    for key in replayed:
+        assert replayed[key].tobytes() == seen["store"][key].tobytes(), key
+    sampler = NegativeSampler(s, split, "random", 5)
+    scores = _per_batch(s, store, params, *split.test_range, taped, sampler=sampler)
+    assert np.array_equal(scores, seen["scores"])
+
+
+def test_frozen_replay_gathers_only_rows_committed_since_their_refresh(monkeypatch):
+    s, split, params = _fixed_params("trained")
+    needed, touched, gathered = [], [], []
+    forward, gather = training._batch_forward, PositionalStore.history_matrix
+
+    def recorded_forward(*args, **kwargs):
+        fwd = forward(*args, **kwargs)
+        needed.append(fwd.nodes.tolist())
+        touched.append(fwd.touched.tolist())
+        return fwd
+
+    def recorded_gather(store, nodes):
+        gathered.append(np.asarray(nodes).tolist())
+        return gather(store, nodes)
+
+    monkeypatch.setattr(training, "_batch_forward", recorded_forward)
+    monkeypatch.setattr(PositionalStore, "history_matrix", recorded_gather)
+    store = PositionalStore(s.num_nodes, TINY.d_p, TINY.history_len)
+    store.reset(build_initial_pe(s, split, TINY))
+    tcfg = TimeEncoderConfig(TINY.d_t, TINY.alpha, TINY.beta)
+    training._replay_segment(s, store, params, TINY, tcfg, 0, s.num_events)
+
+    assert len(gathered) == len(needed) == len(list(batch_iter(0, s.num_events, TINY.batch_size)))
+    assert gathered[0] == needed[0]
+    refreshed, committed = {}, {}  # node -> last batch that gathered / committed it
+    for k, (need, got) in enumerate(zip(needed, gathered)):
+        want = [n for n in need if n not in refreshed or committed.get(n, -1) >= refreshed[n]]
+        assert got == want, k
+        refreshed.update((n, k) for n in want)
+        committed.update((n, k) for n in touched[k])
+    assert sum(map(len, gathered)) < sum(map(len, needed))
+
+
+@pytest.mark.parametrize("filt", ["trained", "identity"])
+def test_pe_trace_equals_the_per_batch_forward(filt):
+    s, split, params = _fixed_params(filt)
+    initial = build_initial_pe(s, split, TINY)
+    for node in (0, s.num_nodes - 1):
+        store = PositionalStore(s.num_nodes, TINY.d_p, TINY.history_len)
+        store.reset(initial)
+        want = _per_batch(s, store, params, 0, s.num_events, False, watch=np.array([node]))
+        got = collect_pe_trace(s, params, TINY, node, initial_pe=initial)
+        assert got.tobytes() == want.tobytes()
