@@ -4,7 +4,6 @@ from .config import PRESETS, RunConfig, apply_preset, config_hash, parse_config
 from .eigen import symmetric_eig
 from .encoder import (
     EncoderParams,
-    link_encoding,
     node_encoding,
     predict_link,
     temporal_representation,
@@ -31,7 +30,7 @@ from .metrics import average_precision, roc_auc
 from .model import ModelDims, ModelParams, init_model_params
 from .optim import AdamState, adam_step
 from .peinit import InitialPE, laplacian_pe, random_walk_pe
-from .sampling import NegativeSampler, Sample, sample_negatives
+from .sampling import NegativeSampler, Sample
 from .timeenc import TimeEncoderConfig, time_encode
 from .training import EvalReport, TrainResult, collect_pe_trace, evaluate, train
 

@@ -3,12 +3,14 @@
 Layout (little-endian): magic ``LSTP``, u32 version, u32 metadata count,
 u32 tensor count; metadata entries as length-prefixed UTF-8 key/value
 pairs; tensor entries sorted by name as length-prefixed name, u8 ndim,
-u32 dims, then row-major float64 payload. Sorted names make the byte
-layout deterministic for a given content.
+u32 dims, row-major float64 payload, then the u32 zlib CRC32 of the
+payload. Sorted names make the byte layout deterministic for a given
+content. Version 1 files, which have no CRC32, still load.
 """
 from __future__ import annotations
 
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ import numpy as np
 __all__ = ["save_container", "load_container", "FORMAT_VERSION"]
 
 MAGIC = b"LSTP"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _pack_str(s: str) -> bytes:
@@ -43,7 +45,9 @@ def save_container(
         chunks.append(_pack_str(name))
         chunks.append(struct.pack("<B", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.astype("<f8").tobytes(order="C"))
+        payload = arr.astype("<f8").tobytes(order="C")
+        chunks.append(payload)
+        chunks.append(struct.pack("<I", zlib.crc32(payload)))
     Path(path).write_bytes(b"".join(chunks))
 
 
@@ -79,7 +83,7 @@ def load_container(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, s
     if cur.take(4) != MAGIC:
         raise ValueError(f"{path}: not a checkpoint container")
     version, n_meta, n_tensors = cur.unpack("<III")
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise ValueError(f"{path}: unsupported container version {version}")
     meta = {}
     for _ in range(n_meta):
@@ -94,6 +98,8 @@ def load_container(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, s
         for d in shape:
             count *= d
         raw = cur.take(8 * count)
+        if version > 1 and cur.unpack("<I")[0] != zlib.crc32(raw):
+            raise ValueError(f"{path}: tensor {name!r} fails its checksum")
         tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     if cur.pos != len(cur.buf):
         raise ValueError(f"{path}: trailing bytes in checkpoint container")

@@ -25,14 +25,13 @@ from .lpe import PositionalStore, theorem1_check
 from .metrics import average_precision, roc_auc
 from .model import ModelDims, init_model_params
 from .peinit import InitialPE, zero_pe
-from .sampling import NegativeSampler, sample_negatives
+from .sampling import NegativeSampler
 from .synthetic import make_periodic_stream, make_random_stream, make_static_stream
 from .timeenc import TimeEncoderConfig
 from .training import (
     _batch_forward,
     _batch_loss,
-    _commit_batch,
-    _score_segment,
+    _run_segment,
     build_initial_pe,
     collect_pe_trace,
     evaluate,
@@ -122,7 +121,7 @@ def check_gradients(seed: int = 0) -> dict:
     store.commit(np.arange(num_nodes), rng.normal(size=(num_nodes, cfg.d_p)))
 
     batch = np.array([10, 11])
-    neg = sample_negatives(stream, split, batch, "random", seed=seed)
+    neg = NegativeSampler(stream, split, "random", seed).sample(batch)
 
     def build():
         fwd = _batch_forward(stream, store, params, cfg, tcfg, batch, batch, neg)
@@ -289,18 +288,11 @@ def check_metrics(seed: int = 0) -> dict:
     params = init_model_params(ModelDims.from_config(cfg), seed=seed)
     store = PositionalStore(stream.num_nodes, cfg.d_p, cfg.history_len)
     store.reset(build_initial_pe(stream, split, cfg))
-    _, auc, _ = _score_segment(
-        stream,
-        split,
-        store,
-        params,
-        cfg,
-        TimeEncoderConfig(cfg.d_t, cfg.alpha, cfg.beta),
-        0,
-        250,
-        "transductive",
-        NegativeSampler(stream, split, "random", seed),
-    )
+    tcfg = TimeEncoderConfig(cfg.d_t, cfg.alpha, cfg.beta)
+    sampler = NegativeSampler(stream, split, "random", seed)
+    _, auc, _ = _run_segment(
+        stream, store, params, cfg, tcfg, 0, 250, sampler=sampler
+    ).metrics("transductive")
     auc_centered = bool(abs(auc - 0.5) <= 0.1)
     return {
         "name": "metrics",
@@ -444,11 +436,9 @@ def _timed_batches(num_nodes: int, seed: int, trials: int):
     b = cfg.batch_size
 
     def run(k: int) -> float:
-        batch = np.arange(k * b, (k + 1) * b)
         t0 = time.monotonic()
-        neg = sample_negatives(stream, split, batch, "random", seed=seed + k)
-        fwd = _batch_forward(stream, store, params, cfg, tcfg, batch, batch, neg)
-        _commit_batch(store, params, tcfg, fwd)
+        sampler = NegativeSampler(stream, split, "random", seed + k)
+        _run_segment(stream, store, params, cfg, tcfg, k * b, (k + 1) * b, sampler=sampler)
         return time.monotonic() - t0
 
     return run
@@ -459,7 +449,7 @@ def tape_nodes_per_batch(num_nodes: int, seed: int = 0) -> int:
     scaling check's set-up; it does not depend on the batch size."""
     cfg, stream, split, params, tcfg, store = _scaling_setup(num_nodes, seed, 2)
     batch = np.arange(cfg.batch_size, 2 * cfg.batch_size)
-    neg = sample_negatives(stream, split, batch, "random", seed=seed)
+    neg = NegativeSampler(stream, split, "random", seed).sample(batch)
     with GradientTape() as tape:
         fwd = _batch_forward(stream, store, params, cfg, tcfg, batch, batch, neg)
         _batch_loss(fwd, stream, batch, neg, cfg)

@@ -35,7 +35,6 @@ __all__ = [
     "EncoderParams",
     "node_rows",
     "node_encoding",
-    "link_encoding",
     "temporal_representation",
     "predict_link",
 ]
@@ -107,27 +106,10 @@ def _interaction_rows(
     return rows
 
 
-def link_encoding(
-    stream: EventStream,
-    nodes: np.ndarray,
-    ts: np.ndarray,
-    params: EncoderParams,
-    time_cfg: TimeEncoderConfig,
-    recent: RecentInteractions | None = None,
-) -> Tensor:
-    """(n, d_t + d_e) pooled encodings of the K most recent interactions
-    strictly before t.
-
-    Pooling the K slots and ``link_w1`` are both linear, so the rows are
-    pooled first and only (n, d_t + d_e) rows meet the weight.
-    """
-    ts = np.asarray(ts, dtype=np.float64)
-    if recent is None:
-        recent = stream.recent_interactions(nodes, ts, params.recent_k)
-    return _pooled_link(_interaction_rows(stream, recent, ts, time_cfg), params)
-
-
 def _pooled_link(rows: np.ndarray, params: EncoderParams) -> Tensor:
+    """(n, d_t + d_e) link encodings of ``_interaction_rows``' (n, K, .)
+    rows. Pooling the K slots and ``link_w1`` are both linear, so the
+    rows are pooled first and only (n, d_t + d_e) rows meet the weight."""
     pooled = weighted_sum_cols(Tensor(rows.transpose(0, 2, 1)), params.link_sum_pool)
     return linear(relu(matmul(pooled, params.link_w1)), params.link_w2)
 

@@ -30,7 +30,6 @@ __all__ = [
     "chronological_split",
     "batch_iter",
     "write_manifest",
-    "read_manifest",
 ]
 
 PAD_ID = -1
@@ -470,15 +469,3 @@ def write_manifest(path: str | Path, stream: EventStream) -> None:
     ]
     Path(path).write_text("\n".join(lines) + "\n")
 
-
-def read_manifest(path: str | Path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"manifest line without '=': {line!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out

@@ -60,6 +60,11 @@ def filter_kernel(f_re: Tensor, f_im: Tensor, pool: Tensor) -> Tensor:
     imaginary parts first, and the complex arithmetic is written as real
     operations: numpy's complex multiply and division can round
     differently from the plain real ones.
+
+    When F is exactly 1 + 0i the chain is the identity and the kernel is
+    the pool itself, broadcast over the rows, with or without a tape;
+    the FFT round trip would move its last bits. A one-hot pool then
+    reads one history column exactly. The gradients are the same.
     """
     fr, fi, p = f_re.data, f_im.data, pool.data
     d, length = fr.shape
@@ -69,8 +74,11 @@ def filter_kernel(f_re: Tensor, f_im: Tensor, pool: Tensor) -> Tensor:
         )
     spec = dft(p.T)  # (1, L): the pool is the same for every row
     sr, si = spec.real, spec.imag
-    # complex products in real arithmetic, F = fr + i fi
-    kernel = idft((fr * sr + fi * si) + 1j * (fr * si - fi * sr))
+    if np.all(fr == 1.0) and np.all(fi == 0.0):
+        kernel = np.broadcast_to(p.T.copy(), (d, length))
+    else:
+        # complex products in real arithmetic, F = fr + i fi
+        kernel = idft((fr * sr + fi * si) + 1j * (fr * si - fi * sr))
 
     def vjp(g):
         gs = dft(g)

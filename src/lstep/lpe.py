@@ -8,13 +8,13 @@ touch a node adds nothing to its history.
 The approximation filters the d_P x L history matrix along the time
 axis in the frequency domain, multiplies by a learnable complex filter,
 transforms back, and pools the columns with learnable weights. That
-chain is linear in the history, so it is one real (d_P, L) kernel: a
-training batch builds the kernel from the filter and the pool, and the
-encodings of every node the batch needs are one contraction of their
-stacked histories against it. ``refine_pe`` adds a gated MLP correction
-built from a node's most recent interactions; the representation uses
-it under the tape, and the commits use it detached, so no gradient
-crosses batch boundaries.
+chain is linear in the history, so it is one real (d_P, L) kernel,
+``fourier.filter_kernel`` of the filter and the pool, built the same
+way with and without a gradient tape. The encodings of every node a
+batch needs are one contraction of their stacked histories against it.
+``refine_pe`` adds a gated MLP correction built from a node's most
+recent interactions; the representation uses it under the tape, and
+the commits use it detached, so no gradient crosses batch boundaries.
 
 A frozen segment is a run of batches without a gradient tape, so with
 fixed parameters: evaluation's warm replay and scoring, training's
@@ -153,28 +153,13 @@ class PositionalStore:
         self._commits = commits.astype(np.int64)
 
 
-def _kernel(params: LpeParams) -> Tensor:
-    """The kernel ``approximate_pe`` contracts histories against.
-
-    An exactly-identity filter is a mathematical no-op for the transform
-    chain; outside of gradient recording the kernel is then the (L, 1)
-    pool itself, so the pass-through configuration reproduces the newest
-    column bit-exactly. Otherwise it is the (d_p, L) kernel of
-    ``fourier.filter_kernel``.
-    """
-    identity = np.all(params.filter_re.data == 1.0) and np.all(params.filter_im.data == 0.0)
-    if autodiff._ACTIVE_TAPE is None and identity:
-        return params.sum_pool
-    return filter_kernel(params.filter_re, params.filter_im, params.sum_pool)
-
-
 def approximate_pe(
     histories: Tensor | np.ndarray, params: LpeParams, kernel: Tensor | None = None
 ) -> Tensor:
     """Filtered, pooled encodings (n, d_p) of n stacked (d_p, L) histories.
 
-    Every history row is contracted with ``kernel``, by default the one
-    ``params`` gives now (see ``_kernel``); the filter and pool
+    Every history row is contracted with ``kernel``, by default the
+    ``fourier.filter_kernel`` of ``params`` now; the filter and pool
     gradients flow through that kernel only. A frozen segment passes the
     kernel it built once (``FrozenPE.kernel``).
     """
@@ -184,7 +169,9 @@ def approximate_pe(
             f"history shape {h.data.shape} != "
             f"(n, {params.d_p}, {params.history_len})"
         )
-    return weighted_sum_cols(h, _kernel(params) if kernel is None else kernel)
+    if kernel is None:
+        kernel = filter_kernel(params.filter_re, params.filter_im, params.sum_pool)
+    return weighted_sum_cols(h, kernel)
 
 
 class FrozenPE:
@@ -199,7 +186,7 @@ class FrozenPE:
     """
 
     def __init__(self, num_nodes: int, params: LpeParams):
-        self.kernel = _kernel(params)
+        self.kernel = filter_kernel(params.filter_re, params.filter_im, params.sum_pool)
         self.table = np.zeros((num_nodes, params.d_p))
         self.fresh = np.zeros(num_nodes, dtype=bool)
 

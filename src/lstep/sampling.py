@@ -20,7 +20,7 @@ import numpy as np
 
 from .events import ChronoSplit, EventStream
 
-__all__ = ["STRATEGIES", "Sample", "NegativeSampler", "sample_negatives"]
+__all__ = ["STRATEGIES", "Sample", "NegativeSampler"]
 
 STRATEGIES = ("random", "historical", "inductive")
 _MAX_TRIES = 100
@@ -141,13 +141,3 @@ class NegativeSampler:
                 neg_src[i], neg_dst[i] = pair
         return Sample(neg_src, neg_dst, ts.copy(), self.strategy, fallbacks)
 
-
-def sample_negatives(
-    stream: EventStream,
-    split: ChronoSplit,
-    batch_indices: np.ndarray,
-    strategy: str,
-    seed: int = 0,
-) -> Sample:
-    """One-shot sampling for a single batch."""
-    return NegativeSampler(stream, split, strategy, seed).sample(batch_indices)

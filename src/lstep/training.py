@@ -14,12 +14,16 @@ itself.
 
 A run of batches without a tape is a frozen segment: evaluation's
 warm replay and its scoring (one segment, sharing one state), the
-validation pass of each epoch, and the PE trace. Each makes an
-``lpe.FrozenPE`` when it starts. Its batches contract only the needed
-nodes that committed since their p~ was last computed, against a
-kernel built once, and read the rest from the state's table; the
-results are the per-batch forward's, bit for bit. Taped training
-batches contract every needed node.
+validation pass of each epoch, the PE trace, and the runs of the
+metrics and scaling checks. One segment runner, ``_run_segment``,
+walks every one of them: per batch it draws the scored positives'
+negatives, runs the batch forward, records the scores and any watched
+p~ rows, and commits. Each segment makes an ``lpe.FrozenPE`` when it
+starts. Its batches contract only the needed nodes that committed
+since their p~ was last computed, against a kernel built once, and
+read the rest from the state's table; the results are the per-batch
+forward's, bit for bit. Taped training batches contract every needed
+node.
 """
 from __future__ import annotations
 
@@ -258,7 +262,27 @@ def _commit_batch(
         fwd.frozen.fresh[fwd.touched] = False
 
 
-def _replay_segment(
+@dataclass
+class _Segment:
+    """What a frozen segment scored: the link probabilities of each
+    batch's positives and negatives, interleaved positive, negative; the
+    sampler's fallbacks; and the watched nodes' p~ rows before each
+    commit."""
+
+    scores: list[np.ndarray] = field(default_factory=list)
+    fallbacks: int = 0
+    watched: list[np.ndarray] = field(default_factory=list)
+
+    def metrics(self, setting: str) -> tuple[float, float, int]:
+        """(AP, ROC-AUC, sampler fallbacks) of the scored pairs."""
+        if not self.scores:
+            raise ValueError(f"no qualifying positives in segment for setting {setting!r}")
+        arr_s = np.concatenate(self.scores)
+        arr_l = np.tile([1, 0], arr_s.size // 2)
+        return average_precision(arr_s, arr_l), roc_auc(arr_s, arr_l), self.fallbacks
+
+
+def _run_segment(
     stream: EventStream,
     store: PositionalStore,
     params: ModelParams,
@@ -267,58 +291,39 @@ def _replay_segment(
     start: int,
     end: int,
     frozen: FrozenPE | None = None,
-) -> None:
-    """Advance the store over [start, end) with commits and no scoring,
-    as (part of) the frozen segment ``frozen``, or as one of its own."""
+    sampler: NegativeSampler | None = None,
+    new_nodes: np.ndarray | None = None,
+    watch: np.ndarray | None = None,
+) -> _Segment:
+    """Run the batches of [start, end) forward and commit each, as (part
+    of) the frozen segment ``frozen``, or as one of its own.
+
+    With a ``sampler``, a batch's positives are scored against one of its
+    negatives each: all of them, or with ``new_nodes`` only those with an
+    endpoint among them. ``watch`` nodes get their p~ rows recorded.
+    """
     if frozen is None:
         frozen = FrozenPE(store.num_nodes, params.lpe)
+    seg = _Segment()
     for _, batch in batch_iter(start, end, cfg.batch_size):
-        fwd = _batch_forward(stream, store, params, cfg, tcfg, batch, frozen=frozen)
-        _commit_batch(store, params, tcfg, fwd)
-
-
-def _score_segment(
-    stream: EventStream,
-    split: ChronoSplit,
-    store: PositionalStore,
-    params: ModelParams,
-    cfg: RunConfig,
-    tcfg: TimeEncoderConfig,
-    start: int,
-    end: int,
-    setting: str,
-    sampler: NegativeSampler,
-    frozen: FrozenPE | None = None,
-) -> tuple[float, float, int]:
-    """Score positives (plus one ``sampler`` negative each) over
-    [start, end), as (part of) the frozen segment ``frozen``, or as one
-    of its own. ``setting`` is transductive or inductive."""
-    if frozen is None:
-        frozen = FrozenPE(store.num_nodes, params.lpe)
-    scores: list[np.ndarray] = []
-    fallbacks = 0
-    new_nodes = np.fromiter(split.new_nodes, dtype=np.int64)
-    for _, batch in batch_iter(start, end, cfg.batch_size):
-        scored = batch
-        if setting == "inductive":
-            ends = np.stack([stream.src[batch], stream.dst[batch]])
-            scored = batch[np.isin(ends, new_nodes).any(axis=0)]
-        neg = None
-        if scored.size:
-            neg = sampler.sample(scored)
-            fallbacks += neg.fallbacks
+        scored, neg = None, None
+        if sampler is not None:
+            scored = batch
+            if new_nodes is not None:
+                ends = np.stack([stream.src[batch], stream.dst[batch]])
+                scored = batch[np.isin(ends, new_nodes).any(axis=0)]
+            if scored.size:
+                neg = sampler.sample(scored)
+                seg.fallbacks += neg.fallbacks
         fwd = _batch_forward(
-            stream, store, params, cfg, tcfg, batch, scored, neg, frozen=frozen
+            stream, store, params, cfg, tcfg, batch, scored, neg, extra=watch, frozen=frozen
         )
         if fwd.pos is not None:
-            # interleaved positive, negative
-            scores.append(np.concatenate([fwd.pos.data, fwd.neg.data], axis=1).reshape(-1))
+            seg.scores.append(np.concatenate([fwd.pos.data, fwd.neg.data], axis=1).reshape(-1))
+        if watch is not None:
+            seg.watched.append(fwd.ptilde.data[fwd.rows(watch)])
         _commit_batch(store, params, tcfg, fwd)
-    if not scores:
-        raise ValueError(f"no qualifying positives in segment for setting {setting!r}")
-    arr_s = np.concatenate(scores)
-    arr_l = np.tile([1, 0], arr_s.size // 2)
-    return average_precision(arr_s, arr_l), roc_auc(arr_s, arr_l), fallbacks
+    return seg
 
 
 def train(stream: EventStream, split: ChronoSplit, cfg: RunConfig) -> TrainResult:
@@ -360,19 +365,12 @@ def train(stream: EventStream, split: ChronoSplit, cfg: RunConfig) -> TrainResul
             report.loss_rows.append((epoch, k, lval))
 
         report.epoch_train_loss.append(float(np.mean(batch_losses)))
-        val_ap, val_auc, _ = _score_segment(
-            stream,
-            split,
-            store,
-            params,
-            cfg,
-            tcfg,
-            *split.val_range,
-            "transductive",
-            NegativeSampler(
-                stream, split, "random", np.random.SeedSequence(cfg.seed, spawn_key=(2, epoch))
-            ),
+        val_sampler = NegativeSampler(
+            stream, split, "random", np.random.SeedSequence(cfg.seed, spawn_key=(2, epoch))
         )
+        val_ap, val_auc, _ = _run_segment(
+            stream, store, params, cfg, tcfg, *split.val_range, sampler=val_sampler
+        ).metrics("transductive")
         report.epoch_val_ap.append(val_ap)
         report.epochs_run = epoch + 1
         if val_ap > best_ap:
@@ -424,13 +422,13 @@ def evaluate(
     store = PositionalStore(stream.num_nodes, cfg.d_p, cfg.history_len)
     store.reset(initial_pe)
     score_lo, score_hi = split.val_range if segment == "val" else split.test_range
+    new_nodes = np.fromiter(split.new_nodes, np.int64) if setting == "inductive" else None
     frozen = FrozenPE(stream.num_nodes, params.lpe)
     # the warm replay ends where scoring starts
-    _replay_segment(stream, store, params, cfg, tcfg, 0, score_lo, frozen)
-    return _score_segment(
-        stream, split, store, params, cfg, tcfg,
-        score_lo, score_hi, setting, sampler, frozen,
-    )
+    _run_segment(stream, store, params, cfg, tcfg, 0, score_lo, frozen)
+    return _run_segment(
+        stream, store, params, cfg, tcfg, score_lo, score_hi, frozen, sampler, new_nodes
+    ).metrics(setting)
 
 
 def collect_pe_trace(
@@ -448,13 +446,7 @@ def collect_pe_trace(
         initial_pe = build_initial_pe(stream, split, cfg)
     store = PositionalStore(stream.num_nodes, cfg.d_p, cfg.history_len)
     store.reset(initial_pe)
-    trace: list[np.ndarray] = []
-    watch = np.array([node])
-    frozen = FrozenPE(stream.num_nodes, params.lpe)
-    for _, batch in batch_iter(0, stream.num_events, cfg.batch_size):
-        fwd = _batch_forward(
-            stream, store, params, cfg, tcfg, batch, extra=watch, frozen=frozen
-        )
-        trace.append(fwd.ptilde.data[fwd.rows(watch)[0]].copy())
-        _commit_batch(store, params, tcfg, fwd)
-    return np.asarray(trace)
+    seg = _run_segment(
+        stream, store, params, cfg, tcfg, 0, stream.num_events, watch=np.array([node])
+    )
+    return np.concatenate(seg.watched)

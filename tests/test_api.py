@@ -1,0 +1,32 @@
+"""The package's public surface: every exported name exists where it is
+declared, and the package imports only declared names."""
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import lstep
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(lstep.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_name_in_all_exists(name):
+    module = importlib.import_module(f"lstep.{name}")
+    assert module.__all__, name
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert not missing, (name, missing)
+    assert len(set(module.__all__)) == len(module.__all__), name
+
+
+def test_package_imports_only_declared_names():
+    tree = ast.parse(Path(lstep.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        assert node.level == 1, node.module
+        module = importlib.import_module(f"lstep.{node.module}")
+        for alias in node.names:
+            assert alias.name in module.__all__, (node.module, alias.name)

@@ -1,4 +1,6 @@
 """Binary checkpoint container: round-trip, determinism, corruption."""
+import struct
+
 import numpy as np
 import pytest
 
@@ -55,7 +57,8 @@ def test_rejects_future_version(tmp_path):
     p = tmp_path / "model.ckpt"
     save_container(p, tensors, meta)
     raw = bytearray(p.read_bytes())
-    raw[4] = FORMAT_VERSION + 1
+    assert FORMAT_VERSION == 2
+    raw[4] = 3
     p.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="unsupported container version"):
         load_container(p)
@@ -85,3 +88,44 @@ def test_empty_container_round_trips(tmp_path):
     save_container(p, {}, {})
     tensors, meta = load_container(p)
     assert tensors == {} and meta == {}
+
+
+def test_rejects_a_flipped_payload_byte(tmp_path):
+    tensors, meta = _payload()
+    p = tmp_path / "model.ckpt"
+    save_container(p, tensors, meta)
+    raw = bytearray(p.read_bytes())
+    # tensors are stored sorted by name, each payload followed by its
+    # 4-byte CRC32, so byte -5 is the last payload byte of the last one
+    raw[-5] ^= 0x01
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ValueError) as exc:
+        load_container(p)
+    assert str(exc.value) == f"{p}: tensor 'w' fails its checksum"
+
+
+def _save_version_1(path, tensors, meta):
+    """The version-1 layout: no CRC32 after each payload."""
+    def text(s):
+        raw = s.encode()
+        return struct.pack("<H", len(raw)) + raw
+
+    chunks = [b"LSTP", struct.pack("<III", 1, len(meta), len(tensors))]
+    for key in sorted(meta):
+        chunks += [text(key), text(meta[key])]
+    for name in sorted(tensors):
+        arr = tensors[name]
+        chunks += [text(name), struct.pack("<B", arr.ndim)]
+        chunks += [struct.pack(f"<{arr.ndim}I", *arr.shape), arr.astype("<f8").tobytes()]
+    path.write_bytes(b"".join(chunks))
+
+
+def test_version_1_file_still_loads(tmp_path):
+    tensors, meta = _payload()
+    p = tmp_path / "old.ckpt"
+    _save_version_1(p, tensors, meta)
+    got_t, got_m = load_container(p)
+    assert got_m == meta
+    assert set(got_t) == set(tensors)
+    for name in tensors:
+        assert np.array_equal(got_t[name], tensors[name])

@@ -317,6 +317,8 @@ def test_eval_damaged_checkpoint_names_path_and_exits_1(tmp_path, capsys):
         "utf8.lstp": good[:18] + b"\xff" + good[19:],
         # valid UTF-8, but the embedded config text no longer parses
         "config.lstp": good.replace(b"batch_size = ", b"batch_size ! ", 1),
+        # the last payload byte, just before the last tensor's CRC32
+        "payload.lstp": good[:-5] + bytes([good[-5] ^ 0x01]) + good[-4:],
     }
     assert damaged["config.lstp"] != good
     for name, data in damaged.items():

@@ -5,7 +5,8 @@ import pytest
 from lstep.autodiff import GradientTape, Tensor, backward, gather_rows, sum_all
 from lstep.encoder import (
     EncoderParams,
-    link_encoding,
+    _interaction_rows,
+    _pooled_link,
     node_encoding,
     predict_link,
     temporal_representation,
@@ -72,13 +73,19 @@ def test_node_encoding_empty_window_is_raw_feature():
     assert s.node_features[0, 0] == 0.0
 
 
+def _link_encoding(s, nodes, ts, p, cfg):
+    """Pooled encodings of the K most recent interactions strictly before t."""
+    recent = s.recent_interactions(nodes, ts, p.recent_k)
+    return _pooled_link(_interaction_rows(s, recent, ts, cfg), p)
+
+
 def test_link_encoding_matches_hand_trace():
     rng = np.random.default_rng(61)
     s = _stream()
     p, _ = _params(rng)
     cfg = TimeEncoderConfig(dim=4)
     t = 4.0
-    got = link_encoding(s, np.array([0]), np.array([t]), p, cfg).data[0]
+    got = _link_encoding(s, np.array([0]), np.array([t]), p, cfg).data[0]
 
     # node 0 history: (1, 1.0, event 0), (2, 3.0, event 2)
     rows = np.zeros((2, 6))
@@ -94,7 +101,7 @@ def test_link_encoding_padded_rows_contribute_nothing():
     s = _stream()
     p, _ = _params(rng, k=5)  # node 0 has only 2 interactions, 3 pads
     cfg = TimeEncoderConfig(dim=4)
-    got = link_encoding(s, np.array([0]), np.array([4.0]), p, cfg).data[0]
+    got = _link_encoding(s, np.array([0]), np.array([4.0]), p, cfg).data[0]
 
     rows = np.zeros((5, 6))
     rows[3] = np.concatenate([time_encode(3.0, cfg), s.edge_features[0]])
@@ -118,7 +125,7 @@ def test_temporal_representation_matches_hand_trace():
     ).data[0]
 
     h_n = s.node_features[0] + (s.node_features[1] + s.node_features[2]) / 2.0
-    h_e = link_encoding(s, np.array([0]), np.array([t]), p, cfg).data[0]
+    h_e = _link_encoding(s, np.array([0]), np.array([t]), p, cfg).data[0]
     h_ne = p.fuse_w.data @ np.concatenate([h_n, h_e])
     tau = time_encode(3.0, cfg) + time_encode(1.0, cfg)
     h_hat = np.concatenate([tau, ptil[1] + ptil[2]])

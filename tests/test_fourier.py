@@ -124,6 +124,26 @@ def test_filter_kernel_matches_naive_chain():
         assert np.max(np.abs(got - _naive_kernel(fr, fi, pool))) < 1e-10
 
 
+def _assert_gradients_match_fd(build, tensors):
+    """Tape gradients of the scalar ``build()`` against central differences."""
+    with GradientTape() as tape:
+        loss = build()
+    grads = backward(tape, loss, tensors)
+    eps = 1e-6
+    for name, t in tensors.items():
+        flat = t.data.ravel()
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + eps
+            up = float(build().data)
+            flat[i] = keep - eps
+            dn = float(build().data)
+            flat[i] = keep
+            fd = (up - dn) / (2 * eps)
+            an = float(grads[name].ravel()[i])
+            assert abs(an - fd) / max(abs(an), abs(fd), 1e-6) < 1e-5, (name, i)
+
+
 def test_filter_chain_gradient_matches_finite_differences():
     """filter_kernel's F_re, F_im and pool gradients, with the kernel
     contracted against a history and the result passed through a norm."""
@@ -136,20 +156,24 @@ def test_filter_chain_gradient_matches_finite_differences():
     def build():
         return sum_all(norm2(weighted_sum_cols(h, filter_kernel(wr, wi, pool))))
 
-    with GradientTape() as tape:
-        loss = build()
-    grads = backward(tape, loss, {"wr": wr, "wi": wi, "pool": pool})
+    _assert_gradients_match_fd(build, {"wr": wr, "wi": wi, "pool": pool})
 
-    eps = 1e-6
-    for name, t in (("wr", wr), ("wi", wi), ("pool", pool)):
-        flat = t.data.ravel()
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + eps
-            up = float(build().data)
-            flat[i] = keep - eps
-            dn = float(build().data)
-            flat[i] = keep
-            fd = (up - dn) / (2 * eps)
-            an = float(grads[name].ravel()[i])
-            assert abs(an - fd) / max(abs(an), abs(fd), 1e-6) < 1e-5
+
+def test_identity_filter_kernel_is_the_pool_on_and_off_the_tape():
+    """At F = 1 + 0i the kernel is the pool bit for bit (an FFT round trip
+    would move its last bits), and the gradients there are the chain's."""
+    rng = np.random.default_rng(17)
+    h = Tensor(rng.normal(size=(3, 4, 100)))
+    wr = Tensor(np.ones((4, 100)), learnable=True)
+    wi = Tensor(np.zeros((4, 100)), learnable=True)
+    pool = Tensor(rng.normal(size=(100, 1)), learnable=True)
+    want = np.broadcast_to(pool.data.T, (4, 100))
+    assert filter_kernel(wr, wi, pool).data.tobytes() == want.tobytes()
+    with GradientTape():
+        taped = filter_kernel(wr, wi, pool)
+    assert taped.data.tobytes() == want.tobytes()
+
+    def build():
+        return sum_all(norm2(weighted_sum_cols(h, filter_kernel(wr, wi, pool))))
+
+    _assert_gradients_match_fd(build, {"wr": wr, "wi": wi, "pool": pool})

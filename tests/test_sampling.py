@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from lstep.events import EventStream, chronological_split
-from lstep.sampling import STRATEGIES, NegativeSampler, Sample, sample_negatives
+from lstep.sampling import STRATEGIES, NegativeSampler, Sample
 
 
 def _stream():
@@ -18,7 +18,7 @@ def test_random_keeps_source_and_shares_timestamp():
     s = _stream()
     split = chronological_split(s)
     idx = np.arange(0, 8)
-    neg = sample_negatives(s, split, idx, "random", seed=3)
+    neg = NegativeSampler(s, split, "random", seed=3).sample(idx)
     assert isinstance(neg, Sample)
     assert np.array_equal(neg.src, s.src[idx])
     assert np.array_equal(neg.ts, s.ts[idx])
@@ -82,10 +82,11 @@ def test_inductive_pool_is_post_boundary_pairs():
 def test_same_seed_reproduces_draws():
     s = _stream()
     split = chronological_split(s)
-    a = sample_negatives(s, split, np.arange(5, 15), "random", seed=11)
-    b = sample_negatives(s, split, np.arange(5, 15), "random", seed=11)
+    batch = np.arange(5, 15)
+    a = NegativeSampler(s, split, "random", seed=11).sample(batch)
+    b = NegativeSampler(s, split, "random", seed=11).sample(batch)
     assert np.array_equal(a.dst, b.dst)
-    c = sample_negatives(s, split, np.arange(5, 15), "random", seed=12)
+    c = NegativeSampler(s, split, "random", seed=12).sample(batch)
     assert not np.array_equal(a.dst, c.dst)
 
 
@@ -94,7 +95,7 @@ def test_two_node_graph_forces_untied_destination():
     # destination for source 0 is 0 itself
     s = EventStream(np.array([0, 0]), np.array([1, 1]), np.array([1.0, 2.0]))
     split = chronological_split(s, (0.5, 0.25, 0.25))
-    neg = sample_negatives(s, split, np.array([0]), "random", seed=0)
+    neg = NegativeSampler(s, split, "random", seed=0).sample(np.array([0]))
     assert neg.src[0] == 0 and neg.dst[0] == 0
 
 

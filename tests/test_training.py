@@ -1,5 +1,6 @@
 """Training loop behavior: determinism, learning, early stop, replay."""
 import contextlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -94,13 +95,12 @@ def test_report_bookkeeping():
 def test_early_stopping_restores_best_parameters(monkeypatch):
     script = iter([0.5, 0.9, 0.4, 0.3, 0.2, 0.1])
     snapshots = {}
-    real_score = training._score_segment
 
-    def fake_score(stream, split, store, params, cfg, tcfg, *rest, **kw):
+    def fake_run(stream, store, params, cfg, tcfg, *rest, **kw):
         ap = next(script)
         snapshots[ap] = params.state_arrays()
-        return ap, 0.5, 0
-    monkeypatch.setattr(training, "_score_segment", fake_score)
+        return SimpleNamespace(metrics=lambda setting: (ap, 0.5, 0))
+    monkeypatch.setattr(training, "_run_segment", fake_run)
 
     s = _tiny_stream()
     cfg = parse_config("max_epochs = 40\npatience = 2", base=TINY)
@@ -111,7 +111,6 @@ def test_early_stopping_restores_best_parameters(monkeypatch):
     assert res.report.epoch_val_ap == [0.5, 0.9, 0.4, 0.3, 0.2]
     for name, arr in snapshots[0.9].items():
         assert np.array_equal(res.params.tensors[name].data, arr), name
-    training._score_segment = real_score
 
 
 def test_non_finite_loss_aborts_with_location(monkeypatch):
@@ -183,7 +182,7 @@ def test_evaluate_rejects_unknown_arguments_before_any_work(monkeypatch):
         raise AssertionError("evaluate started work on bad arguments")
 
     monkeypatch.setattr(training, "build_initial_pe", no_work)
-    monkeypatch.setattr(training, "_replay_segment", no_work)
+    monkeypatch.setattr(training, "_run_segment", no_work)
     s = _tiny_stream()
     split = chronological_split(s)
     params = init_model_params(ModelDims.from_config(TINY), seed=0)
@@ -320,7 +319,7 @@ def test_store_restore_mid_stream_replays_the_same_scores():
     store = PositionalStore(s.num_nodes, TINY.d_p, TINY.history_len)
     store.reset(result.initial_pe)
     mid = 5 * TINY.batch_size  # three batches remain, so rings do not wrap back (L = 4)
-    training._replay_segment(s, store, result.params, TINY, tcfg, 0, mid)
+    training._run_segment(s, store, result.params, TINY, tcfg, 0, mid)
     snap = store.snapshot()
     first, after_first = _scores_and_store(s, split, store, result.params, tcfg, mid)
     store.restore(snap)
@@ -385,7 +384,7 @@ def test_no_commit_window_reaches_past_its_batch(monkeypatch):
 def _fixed_params(filt):
     """A stream whose batches each touch a part of its 40 nodes, and the
     parameters of a model trained on it; with ``filt == "identity"`` the
-    filter is reset to the identity, where untaped p~ take the shortcut."""
+    filter is reset to the identity, where the kernel is the pool itself."""
     s = make_random_stream(40, 120, seed=2, d_n=6, d_e=6)
     params = train(s, chronological_split(s), TINY).params
     if filt == "identity":
@@ -417,23 +416,24 @@ def _per_batch(stream, store, params, start, end, taped, sampler=None, watch=Non
     return np.concatenate(out) if out else None
 
 
-# the identity filter's reference runs untaped: under a tape its kernel
-# is the FFT round trip of the pool, off the untaped shortcut in the last bits
-@pytest.mark.parametrize("filt,taped", [("trained", True), ("identity", False)])
+@pytest.mark.parametrize(
+    "filt,taped", [("trained", True), ("identity", False), ("identity", True)]
+)
 def test_frozen_eval_equals_the_per_batch_forward(monkeypatch, filt, taped):
     s, split, params = _fixed_params(filt)
     seen = {}
-    real_score, real_ap = training._score_segment, training.average_precision
+    real_run, real_ap = training._run_segment, training.average_precision
 
-    def score(stream, split, store, *args, **kwargs):
+    def run(stream, store, *args, **kwargs):
+        # the last call is the scoring: keep the store the replay left
         seen["store"] = store.snapshot()
-        return real_score(stream, split, store, *args, **kwargs)
+        return real_run(stream, store, *args, **kwargs)
 
     def ap(scores, labels):
         seen["scores"] = np.array(scores)
         return real_ap(scores, labels)
 
-    monkeypatch.setattr(training, "_score_segment", score)
+    monkeypatch.setattr(training, "_run_segment", run)
     monkeypatch.setattr(training, "average_precision", ap)
     initial = build_initial_pe(s, split, TINY)
     evaluate(s, split, params, TINY, seed=5, initial_pe=initial)
@@ -470,7 +470,7 @@ def test_frozen_replay_gathers_only_rows_committed_since_their_refresh(monkeypat
     store = PositionalStore(s.num_nodes, TINY.d_p, TINY.history_len)
     store.reset(build_initial_pe(s, split, TINY))
     tcfg = TimeEncoderConfig(TINY.d_t, TINY.alpha, TINY.beta)
-    training._replay_segment(s, store, params, TINY, tcfg, 0, s.num_events)
+    training._run_segment(s, store, params, TINY, tcfg, 0, s.num_events)
 
     assert len(gathered) == len(needed) == len(list(batch_iter(0, s.num_events, TINY.batch_size)))
     assert gathered[0] == needed[0]
