@@ -31,7 +31,7 @@ from .model import ModelDims, ModelParams, init_model_params
 from .optim import AdamState, adam_step
 from .peinit import InitialPE, laplacian_pe, random_walk_pe
 from .sampling import NegativeSampler, Sample
-from .timeenc import TimeEncoderConfig, time_encode
+from .timeenc import time_encode
 from .training import EvalReport, TrainResult, collect_pe_trace, evaluate, train
 
 __version__ = "0.1.0"

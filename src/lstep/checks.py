@@ -27,7 +27,6 @@ from .model import ModelDims, init_model_params
 from .peinit import InitialPE, zero_pe
 from .sampling import NegativeSampler
 from .synthetic import make_periodic_stream, make_random_stream, make_static_stream
-from .timeenc import TimeEncoderConfig
 from .training import (
     _batch_forward,
     _batch_loss,
@@ -108,7 +107,6 @@ def check_gradients(seed: int = 0) -> dict:
     params = init_model_params(ModelDims.from_config(cfg), seed=seed)
     params.tensors["filter_real"].data += 0.2 * rng.normal(size=(4, 3))
     params.tensors["filter_imag"].data += 0.2 * rng.normal(size=(4, 3))
-    tcfg = TimeEncoderConfig(cfg.d_t, cfg.alpha, cfg.beta)
 
     store = PositionalStore(num_nodes, cfg.d_p, cfg.history_len)
     store.reset(
@@ -124,7 +122,7 @@ def check_gradients(seed: int = 0) -> dict:
     neg = NegativeSampler(stream, split, "random", seed).sample(batch)
 
     def build():
-        fwd = _batch_forward(stream, store, params, cfg, tcfg, batch, batch, neg)
+        fwd = _batch_forward(stream, store, params, cfg, batch, batch, neg)
         return _batch_loss(fwd, stream, batch, neg, cfg)
 
     max_rel, worst, count = _fd_check(build, params.tensors)
@@ -288,10 +286,9 @@ def check_metrics(seed: int = 0) -> dict:
     params = init_model_params(ModelDims.from_config(cfg), seed=seed)
     store = PositionalStore(stream.num_nodes, cfg.d_p, cfg.history_len)
     store.reset(build_initial_pe(stream, split, cfg))
-    tcfg = TimeEncoderConfig(cfg.d_t, cfg.alpha, cfg.beta)
     sampler = NegativeSampler(stream, split, "random", seed)
     _, auc, _ = _run_segment(
-        stream, store, params, cfg, tcfg, 0, 250, sampler=sampler
+        stream, store, params, cfg, 0, 250, sampler=sampler
     ).metrics("transductive")
     auc_centered = bool(abs(auc - 0.5) <= 0.1)
     return {
@@ -326,13 +323,11 @@ def check_pass_through(num_steps: int = 50) -> dict:
     split = chronological_split(stream)
     initial = build_initial_pe(stream, split, cfg)
     params = _pass_through_params(cfg)
-    worst = 0.0
-    for node in range(stream.num_nodes):
-        trace = collect_pe_trace(stream, params, cfg, node, initial_pe=initial)
-        diffs = np.linalg.norm(np.diff(trace, axis=0), axis=1)
-        worst = max(worst, float(diffs.max()))
-        drift = float(np.max(np.abs(trace - initial.table[node])))
-        worst = max(worst, drift)
+    nodes = np.arange(stream.num_nodes)
+    trace = collect_pe_trace(stream, params, cfg, nodes, initial_pe=initial)
+    step = float(np.linalg.norm(np.diff(trace, axis=0), axis=2).max())
+    drift = float(np.max(np.abs(trace - initial.table[nodes])))
+    worst = max(step, drift)
     return {
         "name": "pass_through",
         "passed": bool(worst == 0.0),
@@ -354,15 +349,12 @@ def check_bound(seed: int = 0) -> dict:
     )
     split = chronological_split(stream)
     result = train(stream, split, cfg)
-    worst = None
-    for node in range(stream.num_nodes):
-        trace = collect_pe_trace(
-            stream, result.params, cfg, node, initial_pe=result.initial_pe
-        )
-        report = theorem1_check(trace, result.params.lpe)
-        if worst is None or report.max_step_diff > worst[1].max_step_diff:
-            worst = (node, report, trace)
-    node, report, trace = worst
+    traces = collect_pe_trace(
+        stream, result.params, cfg, np.arange(stream.num_nodes), initial_pe=result.initial_pe
+    )
+    reports = [theorem1_check(traces[:, n], result.params.lpe) for n in range(stream.num_nodes)]
+    node = max(range(stream.num_nodes), key=lambda n: reports[n].max_step_diff)
+    report, trace = reports[node], traces[:, node]
     return {
         "name": "bound",
         "passed": bool(report.satisfied),
@@ -423,22 +415,21 @@ def _scaling_setup(num_nodes: int, seed: int, batches: int):
     stream = make_random_stream(num_nodes, batches * cfg.batch_size, seed=seed)
     split = chronological_split(stream, (0.99, 0.005, 0.005))
     params = init_model_params(ModelDims.from_config(cfg), seed=seed)
-    tcfg = TimeEncoderConfig(cfg.d_t, cfg.alpha, cfg.beta)
     store = PositionalStore(num_nodes, cfg.d_p, cfg.history_len)
     store.reset(zero_pe(num_nodes, cfg.d_p))
-    return cfg, stream, split, params, tcfg, store
+    return cfg, stream, split, params, store
 
 
 def _timed_batches(num_nodes: int, seed: int, trials: int):
     """Set up a stream of ``trials + 2`` batches with B = n / 5; returns a
     function that scores and commits batch k (no gradients), timing it."""
-    cfg, stream, split, params, tcfg, store = _scaling_setup(num_nodes, seed, trials + 2)
+    cfg, stream, split, params, store = _scaling_setup(num_nodes, seed, trials + 2)
     b = cfg.batch_size
 
     def run(k: int) -> float:
         t0 = time.monotonic()
         sampler = NegativeSampler(stream, split, "random", seed + k)
-        _run_segment(stream, store, params, cfg, tcfg, k * b, (k + 1) * b, sampler=sampler)
+        _run_segment(stream, store, params, cfg, k * b, (k + 1) * b, sampler=sampler)
         return time.monotonic() - t0
 
     return run
@@ -447,11 +438,11 @@ def _timed_batches(num_nodes: int, seed: int, trials: int):
 def tape_nodes_per_batch(num_nodes: int, seed: int = 0) -> int:
     """Tape length of one training batch (forward and loss) on the
     scaling check's set-up; it does not depend on the batch size."""
-    cfg, stream, split, params, tcfg, store = _scaling_setup(num_nodes, seed, 2)
+    cfg, stream, split, params, store = _scaling_setup(num_nodes, seed, 2)
     batch = np.arange(cfg.batch_size, 2 * cfg.batch_size)
     neg = NegativeSampler(stream, split, "random", seed).sample(batch)
     with GradientTape() as tape:
-        fwd = _batch_forward(stream, store, params, cfg, tcfg, batch, batch, neg)
+        fwd = _batch_forward(stream, store, params, cfg, batch, batch, neg)
         _batch_loss(fwd, stream, batch, neg, cfg)
     return len(tape)
 
@@ -566,7 +557,7 @@ SUITES = {
     "metrics": (check_metrics,),
     "bound": (check_bound,),
 }
-SUITES["all"] = tuple(f for tag in ("gradients", "fourier", "eigen", "metrics", "bound") for f in SUITES[tag])
+SUITES["all"] = tuple(f for fns in SUITES.values() for f in fns)
 
 
 def run_suite(tag: str, seed: int = 0) -> tuple[bool, list[dict]]:

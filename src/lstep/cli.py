@@ -218,30 +218,21 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _expand_settings(arg: str) -> tuple[str, ...]:
-    if arg == "both":
-        return _SETTINGS
-    if arg in _SETTINGS:
+def _expand(kind: str, arg: str, choices: tuple[str, ...], every: str) -> tuple[str, ...]:
+    """The ``choices`` that ``arg`` names: one of them, or ``every`` for all."""
+    if arg == every:
+        return choices
+    if arg in choices:
         return (arg,)
     raise ValueError(
-        f"unknown setting {arg!r}, expected one of {', '.join(_SETTINGS)} or both"
-    )
-
-
-def _expand_strategies(arg: str) -> tuple[str, ...]:
-    if arg == "all":
-        return STRATEGIES
-    if arg in STRATEGIES:
-        return (arg,)
-    raise ValueError(
-        f"unknown strategy {arg!r}, expected one of {', '.join(STRATEGIES)} or all"
+        f"unknown {kind} {arg!r}, expected one of {', '.join(choices)} or {every}"
     )
 
 
 def cmd_eval(args) -> int:
     """Score a checkpoint on the test segment for setting x strategy cells."""
-    settings = _expand_settings(args.setting)
-    strategies = _expand_strategies(args.strategy)
+    settings = _expand("setting", args.setting, _SETTINGS, "both")
+    strategies = _expand("strategy", args.strategy, STRATEGIES, "all")
     tensors, meta = load_container(args.checkpoint)
     cfg = _resolve_config(args, embedded=meta.get("config"))
     problems = config_problems(cfg) + _data_problems(cfg)

@@ -16,24 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    Tensor,
-    concat,
-    gather_rows,
-    gather_sum_rows,
-    linear,
-    matmul,
-    relu,
-    sigmoid,
-    weighted_sum_cols,
-)
+from .autodiff import Tensor, concat, linear, matmul, relu, sigmoid, weighted_sum_cols
+from .config import RunConfig
 from .events import EventStream, RecentInteractions
 from .lpe import LpeParams, refine_pe
-from .timeenc import TimeEncoderConfig, time_encode_many
+from .timeenc import time_encode_many
 
 __all__ = [
     "EncoderParams",
-    "node_rows",
     "node_encoding",
     "temporal_representation",
     "predict_link",
@@ -57,18 +47,6 @@ class EncoderParams:
         return int(self.link_sum_pool.data.shape[0])
 
 
-def node_rows(table_nodes: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Row of each of ``nodes`` in a table whose rows are the sorted ids
-    ``table_nodes``; every node must be present."""
-    nodes = np.asarray(nodes, dtype=np.int64)
-    rows = np.searchsorted(table_nodes, nodes)
-    found = rows < table_nodes.size
-    found[found] = table_nodes[rows[found]] == nodes[found]
-    if not found.all():
-        raise ValueError(f"node {int(nodes[~found][0])} has no row in the table")
-    return rows
-
-
 def node_encoding(
     stream: EventStream, nodes: np.ndarray, ts: np.ndarray, t_gap: float
 ) -> np.ndarray:
@@ -89,18 +67,15 @@ def node_encoding(
 
 
 def _interaction_rows(
-    stream: EventStream,
-    recent: RecentInteractions,
-    ts: np.ndarray,
-    time_cfg: TimeEncoderConfig,
+    stream: EventStream, recent: RecentInteractions, ts: np.ndarray, cfg: RunConfig
 ) -> np.ndarray:
     """(n, K, d_t + d_e) rows of concat(time encoding, edge features).
 
     Padded slots stay exactly zero across the whole row.
     """
-    d_t = time_cfg.dim
+    d_t = cfg.d_t
     rows = np.empty(recent.pad_mask.shape + (d_t + stream.d_e,))
-    rows[..., :d_t] = time_encode_many(ts[:, None] - recent.times, time_cfg)
+    rows[..., :d_t] = time_encode_many(ts[:, None] - recent.times, cfg)
     rows[..., d_t:] = stream.edge_features[recent.event_ids]
     rows[recent.pad_mask] = 0.0
     return rows
@@ -120,8 +95,7 @@ def temporal_representation(
     ts: np.ndarray,
     params: EncoderParams,
     pe_params: LpeParams,
-    time_cfg: TimeEncoderConfig,
-    t_gap: float,
+    cfg: RunConfig,
     ptilde: Tensor,
     ptilde_nodes: np.ndarray,
     recent: RecentInteractions | None = None,
@@ -130,28 +104,20 @@ def temporal_representation(
 
     ``ptilde`` holds the approximate positional encodings (m, d_p) of the
     sorted node ids ``ptilde_nodes``; it must cover every query node and
-    its K most recent interaction partners. The positional branch is
-    ``refine_pe`` with the weights of ``pe_params``, the same update the
-    commits apply.
+    its K most recent interaction partners. The neighbor window is
+    ``cfg.t_gap`` long. The positional branch is ``refine_pe`` with the
+    weights of ``pe_params``, the same update the commits apply.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     ts = np.asarray(ts, dtype=np.float64)
     if recent is None:
         recent = stream.recent_interactions(nodes, ts, params.recent_k)
 
-    rows = _interaction_rows(stream, recent, ts, time_cfg)
-    h_n = Tensor(node_encoding(stream, nodes, ts, t_gap))
+    rows = _interaction_rows(stream, recent, ts, cfg)
+    h_n = Tensor(node_encoding(stream, nodes, ts, cfg.t_gap))
     h_e = _pooled_link(rows, params)
     h_ne = linear(concat(h_n, h_e), params.fuse_w)
-
-    p_tilde = gather_rows(ptilde, node_rows(ptilde_nodes, nodes))
-    real = ~recent.pad_mask
-    # padded rows are zero, so this sums the real slots' time encodings
-    tau_sum = rows[:, :, : time_cfg.dim].sum(axis=1)
-    partners = np.zeros(real.shape, dtype=np.int64)
-    partners[real] = node_rows(ptilde_nodes, recent.neighbors[real])
-    nbr_sum = gather_sum_rows(ptilde, partners, real)
-    h_p = refine_pe(p_tilde, tau_sum, nbr_sum, pe_params)
+    h_p = refine_pe(ptilde, ptilde_nodes, nodes, recent, rows[..., : cfg.d_t], pe_params)
     return linear(concat(h_ne, h_p), params.out_w)
 
 

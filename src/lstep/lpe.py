@@ -13,14 +13,16 @@ chain is linear in the history, so it is one real (d_P, L) kernel,
 way with and without a gradient tape. The encodings of every node a
 batch needs are one contraction of their stacked histories against it.
 ``refine_pe`` adds a gated MLP correction built from a node's most
-recent interactions; the representation uses it under the tape, and
-the commits use it detached, so no gradient crosses batch boundaries.
+recent interactions, and pools that window itself; the representation
+uses it under the tape, and the commits use it detached, so no
+gradient crosses batch boundaries.
 
 A frozen segment is a run of batches without a gradient tape, so with
 fixed parameters: evaluation's warm replay and scoring, training's
 validation pass and the PE trace. There the kernel is a constant and a
 node's p~ changes only when the node commits, so ``FrozenPE`` builds
-the kernel once and keeps every node's p~ until its next commit.
+the kernel once and keeps every node's p~ until the store's commit
+count for that node moves on.
 """
 from __future__ import annotations
 
@@ -29,16 +31,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff
-from .autodiff import Tensor, add, concat, linear, relu, tanh, weighted_sum_cols
+from .autodiff import (
+    Tensor,
+    add,
+    concat,
+    gather_rows,
+    gather_sum_rows,
+    linear,
+    relu,
+    tanh,
+    weighted_sum_cols,
+)
+from .config import RunConfig
+from .events import RecentInteractions
 from .fourier import filter_kernel
 from .peinit import InitialPE
-from .timeenc import TimeEncoderConfig, time_encode_many
+from .timeenc import time_encode_many
 
 __all__ = [
     "LpeParams",
     "PositionalStore",
     "BoundReport",
     "FrozenPE",
+    "node_rows",
     "approximate_pe",
     "refine_pe",
     "commit_pe",
@@ -175,41 +190,74 @@ def approximate_pe(
 
 
 class FrozenPE:
-    """p~ of every node through one frozen segment.
+    """p~ of every node through one frozen segment on ``store``.
 
     ``kernel`` is built once, when the segment starts. ``table`` (N, d_p)
-    holds each node's p~ as last contracted, and ``fresh`` marks the rows
-    that no commit has changed since: only the others need their
-    histories gathered and contracted again. The table is exact only
-    while the parameters that built the kernel stay fixed, so a state
-    lives for one segment and is never read under a gradient tape.
+    holds each node's p~ as last contracted, and ``contracted`` the
+    store's commit count for that node at the time (-1: never). A row
+    is stale once the store's count has moved on: only those rows need
+    their histories gathered and contracted again. The table is exact
+    only while the parameters that built the kernel stay fixed, so a
+    state lives for one segment and is never read under a gradient tape.
     """
 
-    def __init__(self, num_nodes: int, params: LpeParams):
+    def __init__(self, store: PositionalStore, params: LpeParams):
+        # the store itself, not its count array: ``restore`` rebinds that
+        self.store = store
         self.kernel = filter_kernel(params.filter_re, params.filter_im, params.sum_pool)
-        self.table = np.zeros((num_nodes, params.d_p))
-        self.fresh = np.zeros(num_nodes, dtype=bool)
+        self.table = np.zeros((store.num_nodes, params.d_p))
+        self.contracted = np.full(store.num_nodes, -1, dtype=np.int64)
 
     def stale(self, nodes: np.ndarray) -> np.ndarray:
         """The ``nodes`` whose rows must be contracted again."""
         if autodiff._ACTIVE_TAPE is not None:
             raise RuntimeError("a frozen p~ table cannot be read under a gradient tape")
-        return nodes[~self.fresh[nodes]]
+        return nodes[self.contracted[nodes] != self.store._commits[nodes]]
 
     def refresh(self, nodes: np.ndarray, ptilde: np.ndarray) -> None:
         self.table[nodes] = ptilde
-        self.fresh[nodes] = True
+        self.contracted[nodes] = self.store._commits[nodes]
 
 
-def refine_pe(p_tilde: Tensor, tau_sum, nbr_sum: Tensor, params: LpeParams) -> Tensor:
-    """Learned encodings p = p~ + tanh(W_self p~ + W2 relu(W1 q)), one row per node.
+def node_rows(table_nodes: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Row of each of ``nodes`` in a table whose rows are the sorted ids
+    ``table_nodes``; every node must be present."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    rows = np.searchsorted(table_nodes, nodes)
+    found = rows < table_nodes.size
+    found[found] = table_nodes[rows[found]] == nodes[found]
+    if not found.all():
+        raise ValueError(f"node {int(nodes[~found][0])} has no row in the table")
+    return rows
 
-    q = [tau_sum, nbr_sum] pools a node's K most recent interactions:
-    ``tau_sum`` (n, d_t) sums their time encodings and ``nbr_sum``
-    (n, d_p) their partners' p~. The representation runs it under the
-    tape and the commits detached, so both use the same weights.
+
+def refine_pe(
+    ptilde: Tensor,
+    ptilde_nodes: np.ndarray,
+    nodes: np.ndarray,
+    window: RecentInteractions,
+    tau: np.ndarray,
+    params: LpeParams,
+) -> Tensor:
+    """Learned encodings p = p~ + tanh(W_self p~ + W2 relu(W1 q)), one row
+    per node of ``nodes``.
+
+    ``ptilde`` holds p~ (m, d_p) of the sorted node ids ``ptilde_nodes``,
+    which cover ``nodes`` and their interaction partners. q = [tau_sum,
+    nbr_sum] pools each node's ``window`` of K most recent interactions:
+    ``tau_sum`` sums their (n, K, d_t) time encodings ``tau``, zero in
+    padded slots, and ``nbr_sum`` the real slots' partners' p~. The
+    representation runs it under the tape and the commits detached, so
+    both use the same weights.
     """
-    q = concat(tau_sum, nbr_sum)
+    # under a tape, the order of the two gathers fixes the order in
+    # which ptilde's row gradients add up, and so their last bits
+    p_tilde = gather_rows(ptilde, node_rows(ptilde_nodes, nodes))
+    real = ~window.pad_mask
+    partners = np.zeros(real.shape, dtype=np.int64)
+    partners[real] = node_rows(ptilde_nodes, window.neighbors[real])
+    nbr_sum = gather_sum_rows(ptilde, partners, real)
+    q = concat(tau.sum(axis=1), nbr_sum)
     gate = tanh(
         add(
             linear(p_tilde, params.w_self),
@@ -220,37 +268,33 @@ def refine_pe(p_tilde: Tensor, tau_sum, nbr_sum: Tensor, params: LpeParams) -> T
 
 
 def commit_pe(
-    p_tilde: np.ndarray,
-    deltas: np.ndarray,
-    partners: np.ndarray,
-    pad_mask: np.ndarray,
+    ptilde: Tensor,
+    ptilde_nodes: np.ndarray,
+    nodes: np.ndarray,
+    window: RecentInteractions,
+    t_commit: float,
     params: LpeParams,
-    time_cfg: TimeEncoderConfig,
+    cfg: RunConfig,
 ) -> np.ndarray:
-    """Committed encodings ``refine_pe`` of each node's commit window.
+    """Committed encodings ``refine_pe`` of each node's commit ``window``.
 
-    ``deltas`` (n, K) are the times since each node's K most recent
-    interactions up to the batch's last event, ``partners`` (n, K, d_p)
-    the interaction partners' p~ and ``pad_mask`` (n, K) marks padded
-    slots, which are not encoded and contribute exact zeros to the
-    pooled sums. Training calls it after the batch's tape has closed,
-    so nothing is recorded.
+    The window's slots are encoded by their time before ``t_commit``,
+    the batch's last event; padded slots are not encoded and contribute
+    exact zeros to the pooled sums. Training calls it after the batch's
+    tape has closed, so nothing is recorded.
 
-    Parameter versions: in training, ``p_tilde`` and ``partners`` come
-    from the batch's forward pass, before the optimizer step, while
-    W1, W2 and W_self are read here, after ``adam_step`` has updated
-    them. So a commit pairs pre-step encodings with post-step MLP
-    weights.
+    Parameter versions: in training, ``ptilde`` comes from the batch's
+    forward pass, before the optimizer step, while W1, W2 and W_self are
+    read here, after ``adam_step`` has updated them. So a commit pairs
+    pre-step encodings with post-step MLP weights.
     """
-    real = ~np.asarray(pad_mask, dtype=bool)
+    real = ~window.pad_mask
     # the window shares one commit time, so a delta repeats once per
     # endpoint of its event; each distinct one is encoded once
-    distinct, which = np.unique(np.asarray(deltas)[real], return_inverse=True)
-    tau = np.zeros(real.shape + (time_cfg.dim,))
-    tau[real] = time_encode_many(distinct, time_cfg)[which]
-    tau_sum = tau.sum(axis=1)
-    nbr_sum = np.where(real[..., None], partners, 0.0).sum(axis=1)
-    return refine_pe(Tensor(p_tilde), tau_sum, Tensor(nbr_sum), params).data
+    distinct, which = np.unique((t_commit - window.times)[real], return_inverse=True)
+    tau = np.zeros(real.shape + (cfg.d_t,))
+    tau[real] = time_encode_many(distinct, cfg)[which]
+    return refine_pe(ptilde, ptilde_nodes, nodes, window, tau, params).data
 
 
 @dataclass(frozen=True)

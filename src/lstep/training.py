@@ -19,11 +19,11 @@ metrics and scaling checks. One segment runner, ``_run_segment``,
 walks every one of them: per batch it draws the scored positives'
 negatives, runs the batch forward, records the scores and any watched
 p~ rows, and commits. Each segment makes an ``lpe.FrozenPE`` when it
-starts. Its batches contract only the needed nodes that committed
-since their p~ was last computed, against a kernel built once, and
-read the rest from the state's table; the results are the per-batch
-forward's, bit for bit. Taped training batches contract every needed
-node.
+starts. Its batches contract only the needed nodes whose commit
+count in the store has moved on since their p~ was last computed,
+against a kernel built once, and read the rest from the state's table;
+the results are the per-batch forward's, bit for bit. Taped training
+batches contract every needed node.
 """
 from __future__ import annotations
 
@@ -37,16 +37,15 @@ import numpy as np
 
 from .autodiff import GradientTape, Tensor, backward, gather_rows
 from .config import RunConfig, config_hash, validate_config
-from .encoder import node_rows, predict_link, temporal_representation
+from .encoder import predict_link, temporal_representation
 from .events import ChronoSplit, EventStream, RecentInteractions, batch_iter
 from .losses import loss_lp, loss_pe, total_loss
-from .lpe import FrozenPE, PositionalStore, approximate_pe, commit_pe
+from .lpe import FrozenPE, PositionalStore, approximate_pe, commit_pe, node_rows
 from .metrics import average_precision, roc_auc
 from .model import ModelDims, ModelParams, init_model_params
 from .optim import AdamState, adam_step
 from .peinit import InitialPE, laplacian_pe, random_walk_pe, zero_pe
 from .sampling import NegativeSampler, Sample
-from .timeenc import TimeEncoderConfig
 
 __all__ = [
     "EvalReport",
@@ -114,10 +113,6 @@ def write_loss_csv(path, loss_rows: Iterable[tuple[int, int, float]]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _time_cfg(cfg: RunConfig) -> TimeEncoderConfig:
-    return TimeEncoderConfig(cfg.d_t, cfg.alpha, cfg.beta)
-
-
 def build_initial_pe(stream: EventStream, split: ChronoSplit, cfg: RunConfig) -> InitialPE:
     """Initial encodings from the first training batch's collapsed snapshot."""
     end = min(cfg.batch_size, split.train_end)
@@ -142,8 +137,7 @@ class _Forward:
     scored events and of their negatives, None when nothing is scored.
     ``touched`` are the batch's endpoints and ``window`` their K most
     recent interactions up to and including the batch's last event,
-    whose timestamp is the commit time ``t_commit``. ``frozen`` is the
-    frozen segment's state the p~ rows came from, if any.
+    whose timestamp is the commit time ``t_commit``.
     """
 
     nodes: np.ndarray
@@ -151,7 +145,6 @@ class _Forward:
     touched: np.ndarray
     t_commit: float
     window: RecentInteractions
-    frozen: FrozenPE | None = None
     pos: Tensor | None = None
     neg: Tensor | None = None
 
@@ -167,7 +160,6 @@ def _batch_forward(
     store: PositionalStore,
     params: ModelParams,
     cfg: RunConfig,
-    tcfg: TimeEncoderConfig,
     batch: np.ndarray,
     scored: np.ndarray | None = None,
     neg: Sample | None = None,
@@ -209,12 +201,11 @@ def _batch_forward(
             stale, approximate_pe(store.history_matrix(stale), params.lpe, frozen.kernel).data
         )
         ptilde = Tensor(frozen.table[nodes])
-    fwd = _Forward(nodes, ptilde, touched, t_commit, window, frozen)
+    fwd = _Forward(nodes, ptilde, touched, t_commit, window)
     if scoring:
         enc = params.encoder
         reps = temporal_representation(
-            stream, q_nodes, q_ts, enc, params.lpe, tcfg, cfg.t_gap, ptilde, nodes,
-            recent=recent,
+            stream, q_nodes, q_ts, enc, params.lpe, cfg, ptilde, nodes, recent=recent
         )
         u, v, nu, nv = np.split(which.reshape(-1), 4)
         fwd.pos = predict_link(gather_rows(reps, u), gather_rows(reps, v), enc)
@@ -237,29 +228,17 @@ def _batch_loss(
 
 
 def _commit_batch(
-    store: PositionalStore, params: ModelParams, tcfg: TimeEncoderConfig, fwd: _Forward
+    store: PositionalStore, params: ModelParams, cfg: RunConfig, fwd: _Forward
 ) -> None:
     """Commit updated encodings for every endpoint of the batch's events.
 
     Encodings come from the forward pass; the MLP weights are whatever
-    ``params`` holds now (see ``commit_pe``). The committed nodes' rows
-    of a frozen segment's table go stale.
+    ``params`` holds now (see ``commit_pe``).
     """
-    win = fwd.window
-    table = fwd.ptilde.data
-    # a padded slot reads the node's own row; commit_pe masks it out
-    partner = np.where(win.pad_mask, fwd.touched[:, None], win.neighbors)
     vecs = commit_pe(
-        table[fwd.rows(fwd.touched)],
-        fwd.t_commit - win.times,
-        table[fwd.rows(partner.reshape(-1))].reshape(partner.shape + (-1,)),
-        win.pad_mask,
-        params.lpe,
-        tcfg,
+        fwd.ptilde, fwd.nodes, fwd.touched, fwd.window, fwd.t_commit, params.lpe, cfg
     )
     store.commit(fwd.touched, vecs)
-    if fwd.frozen is not None:
-        fwd.frozen.fresh[fwd.touched] = False
 
 
 @dataclass
@@ -287,7 +266,6 @@ def _run_segment(
     store: PositionalStore,
     params: ModelParams,
     cfg: RunConfig,
-    tcfg: TimeEncoderConfig,
     start: int,
     end: int,
     frozen: FrozenPE | None = None,
@@ -303,7 +281,7 @@ def _run_segment(
     endpoint among them. ``watch`` nodes get their p~ rows recorded.
     """
     if frozen is None:
-        frozen = FrozenPE(store.num_nodes, params.lpe)
+        frozen = FrozenPE(store, params.lpe)
     seg = _Segment()
     for _, batch in batch_iter(start, end, cfg.batch_size):
         scored, neg = None, None
@@ -316,13 +294,13 @@ def _run_segment(
                 neg = sampler.sample(scored)
                 seg.fallbacks += neg.fallbacks
         fwd = _batch_forward(
-            stream, store, params, cfg, tcfg, batch, scored, neg, extra=watch, frozen=frozen
+            stream, store, params, cfg, batch, scored, neg, extra=watch, frozen=frozen
         )
         if fwd.pos is not None:
             seg.scores.append(np.concatenate([fwd.pos.data, fwd.neg.data], axis=1).reshape(-1))
         if watch is not None:
             seg.watched.append(fwd.ptilde.data[fwd.rows(watch)])
-        _commit_batch(store, params, tcfg, fwd)
+        _commit_batch(store, params, cfg, fwd)
     return seg
 
 
@@ -331,7 +309,6 @@ def train(stream: EventStream, split: ChronoSplit, cfg: RunConfig) -> TrainResul
     validate_config(cfg)
     t0 = time.monotonic()
     dims = ModelDims.from_config(cfg)
-    tcfg = _time_cfg(cfg)
     params = init_model_params(dims, seed=cfg.seed)
     initial = build_initial_pe(stream, split, cfg)
     store = PositionalStore(stream.num_nodes, cfg.d_p, cfg.history_len)
@@ -351,7 +328,7 @@ def train(stream: EventStream, split: ChronoSplit, cfg: RunConfig) -> TrainResul
         for k, batch in batch_iter(*split.train_range, cfg.batch_size):
             neg = sampler.sample(batch)
             with GradientTape() as tape:
-                fwd = _batch_forward(stream, store, params, cfg, tcfg, batch, batch, neg)
+                fwd = _batch_forward(stream, store, params, cfg, batch, batch, neg)
                 loss = _batch_loss(fwd, stream, batch, neg, cfg)
             lval = float(loss.data.ravel()[0])
             if not np.isfinite(lval):
@@ -360,7 +337,7 @@ def train(stream: EventStream, split: ChronoSplit, cfg: RunConfig) -> TrainResul
                 )
             grads = backward(tape, loss, params.tensors)
             adam_step(adam, params.tensors, grads)
-            _commit_batch(store, params, tcfg, fwd)
+            _commit_batch(store, params, cfg, fwd)
             batch_losses.append(lval)
             report.loss_rows.append((epoch, k, lval))
 
@@ -369,7 +346,7 @@ def train(stream: EventStream, split: ChronoSplit, cfg: RunConfig) -> TrainResul
             stream, split, "random", np.random.SeedSequence(cfg.seed, spawn_key=(2, epoch))
         )
         val_ap, val_auc, _ = _run_segment(
-            stream, store, params, cfg, tcfg, *split.val_range, sampler=val_sampler
+            stream, store, params, cfg, *split.val_range, sampler=val_sampler
         ).metrics("transductive")
         report.epoch_val_ap.append(val_ap)
         report.epochs_run = epoch + 1
@@ -416,18 +393,17 @@ def evaluate(
     if setting not in ("transductive", "inductive"):
         raise ValueError(f"unknown setting {setting!r}")
     sampler = NegativeSampler(stream, split, strategy, seed)  # checks the strategy
-    tcfg = _time_cfg(cfg)
     if initial_pe is None:
         initial_pe = build_initial_pe(stream, split, cfg)
     store = PositionalStore(stream.num_nodes, cfg.d_p, cfg.history_len)
     store.reset(initial_pe)
     score_lo, score_hi = split.val_range if segment == "val" else split.test_range
     new_nodes = np.fromiter(split.new_nodes, np.int64) if setting == "inductive" else None
-    frozen = FrozenPE(stream.num_nodes, params.lpe)
+    frozen = FrozenPE(store, params.lpe)
     # the warm replay ends where scoring starts
-    _run_segment(stream, store, params, cfg, tcfg, 0, score_lo, frozen)
+    _run_segment(stream, store, params, cfg, 0, score_lo, frozen)
     return _run_segment(
-        stream, store, params, cfg, tcfg, score_lo, score_hi, frozen, sampler, new_nodes
+        stream, store, params, cfg, score_lo, score_hi, frozen, sampler, new_nodes
     ).metrics(setting)
 
 
@@ -435,18 +411,17 @@ def collect_pe_trace(
     stream: EventStream,
     params: ModelParams,
     cfg: RunConfig,
-    node: int,
+    nodes: np.ndarray,
     initial_pe: InitialPE | None = None,
 ) -> np.ndarray:
-    """Approximate encodings of ``node`` at every batch step, pre-commit,
-    over one frozen segment."""
-    tcfg = _time_cfg(cfg)
+    """Approximate encodings (steps, len(nodes), d_p) of ``nodes`` at
+    every batch step, pre-commit, over one frozen segment."""
     if initial_pe is None:
         split = ChronoSplit(stream.num_events, stream.num_events, stream.num_events)
         initial_pe = build_initial_pe(stream, split, cfg)
     store = PositionalStore(stream.num_nodes, cfg.d_p, cfg.history_len)
     store.reset(initial_pe)
     seg = _run_segment(
-        stream, store, params, cfg, tcfg, 0, stream.num_events, watch=np.array([node])
+        stream, store, params, cfg, 0, stream.num_events, watch=np.asarray(nodes, np.int64)
     )
-    return np.concatenate(seg.watched)
+    return np.stack(seg.watched)

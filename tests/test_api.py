@@ -19,6 +19,13 @@ def test_every_name_in_all_exists(name):
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert not missing, (name, missing)
     assert len(set(module.__all__)) == len(module.__all__), name
+    # a function or class is exported by the module that defines it, so
+    # one that moves to another module leaves its old __all__ too
+    foreign = [
+        n for n in module.__all__
+        if getattr(getattr(module, n), "__module__", module.__name__) != module.__name__
+    ]
+    assert not foreign, (name, foreign)
 
 
 def test_package_imports_only_declared_names():

@@ -16,13 +16,12 @@ from lstep.events import EventStream
 from lstep.lpe import PositionalStore
 from lstep.model import ModelDims, init_model_params
 from lstep.sampling import Sample
-from lstep.timeenc import TimeEncoderConfig, time_encode
+from lstep.timeenc import time_encode
 
 CFG = parse_config(
     "d_t = 4\nd_n = 3\nd_e = 2\nd_p = 3\nhistory_len = 4\n"
     "t_gap = 1.5\nrecent_k = 3\nbatch_size = 4\n"
 )
-TCFG = TimeEncoderConfig(CFG.d_t, CFG.alpha, CFG.beta)
 TOL = 1e-10
 
 EVENTS = [  # (src, dst, t)
@@ -103,8 +102,8 @@ def _ref_rep(stream, params, pt, node, t):
     tau = np.zeros(CFG.d_t)
     nbr = np.zeros(CFG.d_p)
     for slot, (p, te, i) in enumerate(recent):
-        rows[pad + slot] = np.concatenate([time_encode(t - te, TCFG), stream.edge_features[i]])
-        tau += time_encode(t - te, TCFG)
+        rows[pad + slot] = np.concatenate([time_encode(t - te, CFG), stream.edge_features[i]])
+        tau += time_encode(t - te, CFG)
         nbr += pt[int(p)]
     pooled = (rows @ w["link_w1"]).T @ w["link_sum_pool"].ravel()
     h_e = w["link_w2"] @ np.maximum(pooled, 0.0)
@@ -130,7 +129,7 @@ def _ref_commit(stream, params, pt, batch):
     for node in sorted(set(stream.src[batch]) | set(stream.dst[batch])):
         tau, nbr = np.zeros(CFG.d_t), np.zeros(CFG.d_p)
         for p, te, _ in _ref_window(stream, node, t_c, end=batch[-1] + 1):
-            tau += time_encode(t_c - te, TCFG)
+            tau += time_encode(t_c - te, CFG)
             nbr += pt[int(p)]
         q = np.concatenate([tau, nbr])
         hidden = w["pe_w2"] @ np.maximum(w["pe_w1"] @ q, 0.0)
@@ -146,7 +145,7 @@ def _check_step(stream, params, store, history, batch, scored, neg, with_loss):
     want_neg = [_ref_prob(stream, params, pt, u, v, t) for u, v, t in zip(neg.src, neg.dst, ts)]
 
     with GradientTape():
-        fwd = training._batch_forward(stream, store, params, CFG, TCFG, batch, scored, neg)
+        fwd = training._batch_forward(stream, store, params, CFG, batch, scored, neg)
         loss = training._batch_loss(fwd, stream, batch, neg, CFG) if with_loss else None
     assert np.max(np.abs(fwd.pos.data[:, 0] - want_pos)) < TOL
     assert np.max(np.abs(fwd.neg.data[:, 0] - want_neg)) < TOL
@@ -162,7 +161,7 @@ def _check_step(stream, params, store, history, batch, scored, neg, with_loss):
 
     before = store.history_matrix(np.arange(stream.num_nodes)).copy()
     commits = _ref_commit(stream, params, pt, batch)
-    training._commit_batch(store, params, TCFG, fwd)
+    training._commit_batch(store, params, CFG, fwd)
     after = store.history_matrix(np.arange(stream.num_nodes))
     for node in range(stream.num_nodes):
         if node in commits:

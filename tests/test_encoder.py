@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from lstep.autodiff import GradientTape, Tensor, backward, gather_rows, sum_all
+from lstep.config import RunConfig
 from lstep.encoder import (
     EncoderParams,
     _interaction_rows,
@@ -13,7 +14,7 @@ from lstep.encoder import (
 )
 from lstep.events import EventStream
 from lstep.lpe import LpeParams
-from lstep.timeenc import TimeEncoderConfig, time_encode
+from lstep.timeenc import time_encode
 
 
 def _stream(d_n=3, d_e=2):
@@ -83,7 +84,7 @@ def test_link_encoding_matches_hand_trace():
     rng = np.random.default_rng(61)
     s = _stream()
     p, _ = _params(rng)
-    cfg = TimeEncoderConfig(dim=4)
+    cfg = RunConfig(d_t=4)
     t = 4.0
     got = _link_encoding(s, np.array([0]), np.array([t]), p, cfg).data[0]
 
@@ -100,7 +101,7 @@ def test_link_encoding_padded_rows_contribute_nothing():
     rng = np.random.default_rng(62)
     s = _stream()
     p, _ = _params(rng, k=5)  # node 0 has only 2 interactions, 3 pads
-    cfg = TimeEncoderConfig(dim=4)
+    cfg = RunConfig(d_t=4)
     got = _link_encoding(s, np.array([0]), np.array([4.0]), p, cfg).data[0]
 
     rows = np.zeros((5, 6))
@@ -115,12 +116,12 @@ def test_temporal_representation_matches_hand_trace():
     rng = np.random.default_rng(63)
     s = _stream()
     p, pe = _params(rng)
-    cfg = TimeEncoderConfig(dim=4)
+    cfg = RunConfig(d_t=4, t_gap=10.0)
     t = 4.0
     ptil = {0: np.array([0.5, -0.5]), 1: np.array([1.0, 2.0]), 2: np.array([-1.0, 3.0])}
     table = Tensor(np.stack([ptil[0], ptil[1], ptil[2]]))
     got = temporal_representation(
-        s, np.array([0]), np.array([t]), p, pe, cfg, t_gap=10.0,
+        s, np.array([0]), np.array([t]), p, pe, cfg,
         ptilde=table, ptilde_nodes=np.arange(3),
     ).data[0]
 
@@ -141,11 +142,11 @@ def test_temporal_representation_no_history_uses_zero_context():
     rng = np.random.default_rng(64)
     s = _stream()
     p, pe = _params(rng)
-    cfg = TimeEncoderConfig(dim=4)
+    cfg = RunConfig(d_t=4, t_gap=0.5)
     ptil = np.array([0.25, 0.75])
     # node 2 has no interaction strictly before t=2.0
     got = temporal_representation(
-        s, np.array([2]), np.array([2.0]), p, pe, cfg, t_gap=0.5,
+        s, np.array([2]), np.array([2.0]), p, pe, cfg,
         ptilde=Tensor(np.tile(ptil, (3, 1))), ptilde_nodes=np.arange(3),
     ).data[0]
 
@@ -187,11 +188,11 @@ def test_gradients_reach_all_encoder_parameters():
     rng = np.random.default_rng(67)
     s = _stream()
     p, pe = _params(rng)
-    cfg = TimeEncoderConfig(dim=4)
+    cfg = RunConfig(d_t=4, t_gap=10.0)
     table = Tensor(rng.normal(size=(3, 2)), learnable=True)
     with GradientTape() as tape:
         reps = temporal_representation(
-            s, np.array([0, 2]), np.array([4.0, 4.0]), p, pe, cfg, t_gap=10.0,
+            s, np.array([0, 2]), np.array([4.0, 4.0]), p, pe, cfg,
             ptilde=table, ptilde_nodes=np.arange(3),
         )
         hu, hv = gather_rows(reps, np.array([0])), gather_rows(reps, np.array([1]))

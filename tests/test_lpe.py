@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from lstep.autodiff import GradientTape, Tensor, backward, norm2, sum_all
+from lstep.config import RunConfig
+from lstep.events import PAD_ID, RecentInteractions
 from lstep.lpe import (
     FrozenPE,
     LpeParams,
@@ -17,7 +19,7 @@ from lstep.lpe import (
     theorem1_check,
 )
 from lstep.peinit import InitialPE
-from lstep.timeenc import TimeEncoderConfig, time_encode
+from lstep.timeenc import time_encode
 
 
 def _params(d_p, length, rng=None, identity=True, d_t=4):
@@ -267,7 +269,7 @@ def test_approximate_pe_shape_check():
 
 
 def test_frozen_table_is_not_read_under_a_tape():
-    frozen = FrozenPE(3, _params(2, 4))
+    frozen = FrozenPE(PositionalStore(3, 2, 4), _params(2, 4))
     nodes = np.array([0, 2])
     assert frozen.stale(nodes).tolist() == [0, 2]
     frozen.refresh(np.array([2]), np.ones((1, 2)))
@@ -277,22 +279,51 @@ def test_frozen_table_is_not_read_under_a_tape():
             frozen.stale(nodes)
 
 
+def test_frozen_rows_go_stale_when_the_store_commits():
+    store = PositionalStore(4, 2, 3)
+    frozen = FrozenPE(store, _params(2, 3))
+    nodes = np.arange(4)
+    before = store.snapshot()
+    frozen.refresh(nodes, np.ones((4, 2)))
+    assert frozen.stale(nodes).size == 0
+    # a commit straight to the store, with no batch around it
+    store.commit(np.array([3, 1]), np.ones((2, 2)))
+    assert frozen.stale(nodes).tolist() == [1, 3]
+    frozen.refresh(nodes, np.ones((4, 2)))
+    # restore rebinds the store's count array; the state still follows it
+    store.restore(before)
+    assert frozen.stale(nodes).tolist() == [1, 3]
+
+
+def _window(neighbors, times, pad_mask):
+    """A hand-made (n, K) window; padded slots name no partner."""
+    pad_mask = np.array(pad_mask, dtype=bool)
+    return RecentInteractions(
+        np.where(pad_mask, PAD_ID, np.array(neighbors)),
+        np.array(times, dtype=np.float64),
+        np.where(pad_mask, -1, 0),
+        pad_mask,
+    )
+
+
 def test_commit_matches_hand_computation():
     rng = np.random.default_rng(53)
     d_p, d_t = 3, 4
     params = _params(d_p, 4, rng=rng, identity=False, d_t=d_t)
-    cfg = TimeEncoderConfig(dim=d_t)
-    p_tilde = rng.normal(size=d_p)
-    partners = rng.normal(size=(3, d_p))  # the padded slot's row must not count
+    cfg = RunConfig(d_t=d_t)
+    # node 0 commits at t = 5 with partners 1 and 2; its padded slot
+    # gathers node 0's own row, which must not count
+    table = rng.normal(size=(3, d_p))
+    window = _window([[0, 1, 2]], [[5.0, 3.5, 4.5]], [[True, False, False]])
     got = commit_pe(
-        p_tilde[None], np.array([[0.0, 1.5, 0.5]]), partners[None],
-        np.array([[True, False, False]]), params, cfg,
+        Tensor(table), np.arange(3), np.array([0]), window, 5.0, params, cfg
     )[0]
 
     tau = time_encode(1.5, cfg) + time_encode(0.5, cfg)
-    nbr = partners[1] + partners[2]
+    nbr = table[1] + table[2]
     q = np.concatenate([tau, nbr])
     w1, w2, ws = params.w1.data, params.w2.data, params.w_self.data
+    p_tilde = table[0]
     want = p_tilde + np.tanh(ws @ p_tilde + w2 @ np.maximum(w1 @ q, 0.0))
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -300,31 +331,42 @@ def test_commit_matches_hand_computation():
 def test_refine_pe_is_the_same_rows_on_and_off_the_tape():
     rng = np.random.default_rng(55)
     params = _params(3, 4, rng=rng, identity=False)
-    p_tilde = Tensor(rng.normal(size=(2, 3)), learnable=True)
-    nbr_sum = Tensor(rng.normal(size=(2, 3)), learnable=True)
-    tau_sum = rng.normal(size=(2, 4))
-    detached = refine_pe(p_tilde, tau_sum, nbr_sum, params).data
+    # rows of nodes 2, 5, 7, 9: 5 and 9 are queried, 2 is only a partner
+    ids = np.array([2, 5, 7, 9])
+    table = Tensor(rng.normal(size=(4, 3)), learnable=True)
+    nodes = np.array([5, 9])
+    window = _window([[0, 7], [2, 7]], [[0.0, 0.0], [0.0, 0.0]], [[True, False], [False, False]])
+    tau = rng.normal(size=(2, 2, 4))
+    tau[0, 0] = 0.0  # the padded slot's encoding
+    detached = refine_pe(table, ids, nodes, window, tau, params).data
     with GradientTape() as tape:
-        taped = refine_pe(p_tilde, tau_sum, nbr_sum, params)
+        taped = refine_pe(table, ids, nodes, window, tau, params)
         loss = sum_all(taped)
     assert np.array_equal(taped.data, detached)
     w1, w2, ws = params.w1.data, params.w2.data, params.w_self.data
-    for i in range(2):
-        q = np.concatenate([tau_sum[i], nbr_sum.data[i]])
-        want = p_tilde.data[i] + np.tanh(ws @ p_tilde.data[i] + w2 @ np.maximum(w1 @ q, 0.0))
+    row = {int(n): table.data[i] for i, n in enumerate(ids)}
+    nbr_sum = [row[7], row[2] + row[7]]
+    for i, node in enumerate(nodes):
+        p_tilde = row[int(node)]
+        q = np.concatenate([tau[i].sum(axis=0), nbr_sum[i]])
+        want = p_tilde + np.tanh(ws @ p_tilde + w2 @ np.maximum(w1 @ q, 0.0))
         assert np.max(np.abs(detached[i] - want)) < 1e-12
-    leaves = {"w1": params.w1, "w2": params.w2, "w_self": params.w_self,
-              "p_tilde": p_tilde, "nbr_sum": nbr_sum}
-    for name, g in backward(tape, loss, leaves).items():
+    leaves = {"w1": params.w1, "w2": params.w2, "w_self": params.w_self, "ptilde": table}
+    grads = backward(tape, loss, leaves)
+    for name, g in grads.items():
         assert np.any(g != 0.0), f"no gradient reached {name}"
+    # through p~ of the queried nodes (rows 1, 3) and through the pooled
+    # partners (row 0 is only ever a partner)
+    for r in (0, 1, 3):
+        assert np.any(grads["ptilde"][r] != 0.0), r
 
 
 def test_commit_with_zero_weights_is_identity():
     params = _params(2, 4)  # all-zero MLP weights
     p_tilde = np.array([[0.3, -0.7], [1.5, 2.0]])
+    window = _window([[1], [0]], [[1.0], [1.0]], [[False], [False]])
     got = commit_pe(
-        p_tilde, np.ones((2, 1)), np.ones((2, 1, 2)), np.zeros((2, 1), dtype=bool),
-        params, TimeEncoderConfig(dim=4),
+        Tensor(p_tilde), np.arange(2), np.arange(2), window, 2.0, params, RunConfig(d_t=4)
     )
     assert np.array_equal(got, p_tilde)
 
@@ -332,12 +374,13 @@ def test_commit_with_zero_weights_is_identity():
 def test_commit_all_padding_uses_zero_q():
     rng = np.random.default_rng(54)
     params = _params(2, 4, rng=rng, identity=False)
-    cfg = TimeEncoderConfig(dim=4)
+    cfg = RunConfig(d_t=4)
     p_tilde = rng.normal(size=2)
-    got = commit_pe(
-        p_tilde[None], np.zeros((1, 2)), np.full((1, 2, 2), np.nan),
-        np.ones((1, 2), dtype=bool), params, cfg,
-    )[0]
+    # node 1 commits with no interactions; a padded slot gathers row 0,
+    # which is NaN and must not leak into q
+    table = np.stack([np.full(2, np.nan), p_tilde])
+    window = _window([[0, 0]], [[3.0, 3.0]], [[True, True]])
+    got = commit_pe(Tensor(table), np.arange(2), np.array([1]), window, 3.0, params, cfg)[0]
     ws, w2, w1 = params.w_self.data, params.w2.data, params.w1.data
     want = p_tilde + np.tanh(ws @ p_tilde + w2 @ np.maximum(w1 @ np.zeros(6), 0.0))
     assert np.max(np.abs(got - want)) < 1e-12

@@ -14,7 +14,7 @@ from lstep.lpe import PositionalStore, approximate_pe
 from lstep.model import ModelDims, init_model_params
 from lstep.sampling import NegativeSampler
 from lstep.synthetic import make_periodic_stream, make_random_stream, make_static_stream
-from lstep.timeenc import TimeEncoderConfig, time_encode
+from lstep.timeenc import time_encode
 from lstep.training import (
     build_initial_pe,
     collect_pe_trace,
@@ -96,7 +96,7 @@ def test_early_stopping_restores_best_parameters(monkeypatch):
     script = iter([0.5, 0.9, 0.4, 0.3, 0.2, 0.1])
     snapshots = {}
 
-    def fake_run(stream, store, params, cfg, tcfg, *rest, **kw):
+    def fake_run(stream, store, params, cfg, *rest, **kw):
         ap = next(script)
         snapshots[ap] = params.state_arrays()
         return SimpleNamespace(metrics=lambda setting: (ap, 0.5, 0))
@@ -144,9 +144,9 @@ def test_pass_through_configuration_is_a_fixed_point():
 
     split = chronological_split(s, (0.5, 0.25, 0.25))
     initial = build_initial_pe(s, split, cfg)
-    trace = collect_pe_trace(s, params, cfg, node=1, initial_pe=initial)
-    assert trace.shape == (12, 4)
-    for row in trace:
+    trace = collect_pe_trace(s, params, cfg, np.array([1]), initial_pe=initial)
+    assert trace.shape == (12, 1, 4)
+    for row in trace[:, 0]:
         assert np.array_equal(row, initial.table[1])
 
 
@@ -239,7 +239,6 @@ def test_commit_reads_pre_step_encodings_and_post_step_weights(monkeypatch):
     params = init_model_params(ModelDims.from_config(cfg), seed=cfg.seed)
     params.load_state_arrays(pre)
     p_tilde = approximate_pe(store.history_matrix(np.arange(s.num_nodes)), params.lpe).data
-    tcfg = TimeEncoderConfig(cfg.d_t, cfg.alpha, cfg.beta)
     batch = np.arange(cfg.batch_size)
     t_c = s.ts[batch].max()
     nodes, stored = seen["commits"][1]
@@ -249,7 +248,7 @@ def test_commit_reads_pre_step_encodings_and_post_step_weights(monkeypatch):
         tau, nbr = np.zeros(cfg.d_t), np.zeros(cfg.d_p)
         touching = [i for i in range(batch[-1] + 1) if node in (s.src[i], s.dst[i])]
         for i in touching[-cfg.recent_k:]:
-            tau += time_encode(t_c - s.ts[i], tcfg)
+            tau += time_encode(t_c - s.ts[i], cfg)
             nbr += p_tilde[s.dst[i] if s.src[i] == node else s.src[i]]
         hidden = w["pe_w2"] @ np.maximum(w["pe_w1"] @ np.concatenate([tau, nbr]), 0.0)
         return p_tilde[node] + np.tanh(w["pe_w_self"] @ p_tilde[node] + hidden)
@@ -298,16 +297,16 @@ def test_tape_length_does_not_grow_with_batch_size():
     assert sizes[0] == sizes[1] == sizes[2] <= 65
 
 
-def _scores_and_store(stream, split, store, params, tcfg, start):
+def _scores_and_store(stream, split, store, params, start):
     """Score and commit every batch from ``start`` on; the link
     probabilities in order, and the store's arrays afterwards."""
     sampler = NegativeSampler(stream, split, "random", seed=3)
     probs = []
     for _, batch in batch_iter(start, stream.num_events, TINY.batch_size):
         neg = sampler.sample(batch)
-        fwd = training._batch_forward(stream, store, params, TINY, tcfg, batch, batch, neg)
+        fwd = training._batch_forward(stream, store, params, TINY, batch, batch, neg)
         probs.append(np.concatenate([fwd.pos.data, fwd.neg.data], axis=1))
-        training._commit_batch(store, params, tcfg, fwd)
+        training._commit_batch(store, params, TINY, fwd)
     return np.concatenate(probs), store.snapshot()
 
 
@@ -315,15 +314,14 @@ def test_store_restore_mid_stream_replays_the_same_scores():
     s = _tiny_stream()
     split = chronological_split(s)
     result = train(s, split, TINY)
-    tcfg = TimeEncoderConfig(TINY.d_t, TINY.alpha, TINY.beta)
     store = PositionalStore(s.num_nodes, TINY.d_p, TINY.history_len)
     store.reset(result.initial_pe)
     mid = 5 * TINY.batch_size  # three batches remain, so rings do not wrap back (L = 4)
-    training._run_segment(s, store, result.params, TINY, tcfg, 0, mid)
+    training._run_segment(s, store, result.params, TINY, 0, mid)
     snap = store.snapshot()
-    first, after_first = _scores_and_store(s, split, store, result.params, tcfg, mid)
+    first, after_first = _scores_and_store(s, split, store, result.params, mid)
     store.restore(snap)
-    second, after_second = _scores_and_store(s, split, store, result.params, tcfg, mid)
+    second, after_second = _scores_and_store(s, split, store, result.params, mid)
     assert np.array_equal(first, second)
     assert after_first.keys() == after_second.keys()
     for key in after_first:
@@ -332,10 +330,9 @@ def test_store_restore_mid_stream_replays_the_same_scores():
 
 
 def _commit_window(stream, cfg, batch):
-    tcfg = TimeEncoderConfig(cfg.d_t, cfg.alpha, cfg.beta)
     params = init_model_params(ModelDims.from_config(cfg), seed=0)
     store = PositionalStore(stream.num_nodes, cfg.d_p, cfg.history_len)
-    fwd = training._batch_forward(stream, store, params, cfg, tcfg, batch)
+    fwd = training._batch_forward(stream, store, params, cfg, batch)
     return fwd.touched, fwd.window
 
 
@@ -367,8 +364,8 @@ def test_no_commit_window_reaches_past_its_batch(monkeypatch):
     overreach = []
     forward = training._batch_forward
 
-    def checked(stream, store, params, cfg, tcfg, batch, *args, **kwargs):
-        fwd = forward(stream, store, params, cfg, tcfg, batch, *args, **kwargs)
+    def checked(stream, store, params, cfg, batch, *args, **kwargs):
+        fwd = forward(stream, store, params, cfg, batch, *args, **kwargs)
         overreach.append(int(fwd.window.event_ids.max() - batch.max()))
         return fwd
 
@@ -399,20 +396,19 @@ def _per_batch(stream, store, params, start, end, taped, sampler=None, watch=Non
     """Run [start, end) through the per-batch forward with no frozen
     state, scoring every event against ``sampler`` if given; the
     interleaved scores, or the p~ rows of ``watch`` before each commit."""
-    tcfg = TimeEncoderConfig(TINY.d_t, TINY.alpha, TINY.beta)
     out = []
     for _, batch in batch_iter(start, end, TINY.batch_size):
         neg = sampler.sample(batch) if sampler else None
         with GradientTape() if taped else contextlib.nullcontext():
             fwd = training._batch_forward(
-                stream, store, params, TINY, tcfg, batch,
+                stream, store, params, TINY, batch,
                 batch if sampler else None, neg, extra=watch,
             )
         if sampler:
             out.append(np.concatenate([fwd.pos.data, fwd.neg.data], axis=1).reshape(-1))
         elif watch is not None:
             out.append(fwd.ptilde.data[fwd.rows(watch)])
-        training._commit_batch(store, params, tcfg, fwd)
+        training._commit_batch(store, params, TINY, fwd)
     return np.concatenate(out) if out else None
 
 
@@ -469,8 +465,7 @@ def test_frozen_replay_gathers_only_rows_committed_since_their_refresh(monkeypat
     monkeypatch.setattr(PositionalStore, "history_matrix", recorded_gather)
     store = PositionalStore(s.num_nodes, TINY.d_p, TINY.history_len)
     store.reset(build_initial_pe(s, split, TINY))
-    tcfg = TimeEncoderConfig(TINY.d_t, TINY.alpha, TINY.beta)
-    training._run_segment(s, store, params, TINY, tcfg, 0, s.num_events)
+    training._run_segment(s, store, params, TINY, 0, s.num_events)
 
     assert len(gathered) == len(needed) == len(list(batch_iter(0, s.num_events, TINY.batch_size)))
     assert gathered[0] == needed[0]
@@ -487,9 +482,10 @@ def test_frozen_replay_gathers_only_rows_committed_since_their_refresh(monkeypat
 def test_pe_trace_equals_the_per_batch_forward(filt):
     s, split, params = _fixed_params(filt)
     initial = build_initial_pe(s, split, TINY)
-    for node in (0, s.num_nodes - 1):
-        store = PositionalStore(s.num_nodes, TINY.d_p, TINY.history_len)
-        store.reset(initial)
-        want = _per_batch(s, store, params, 0, s.num_events, False, watch=np.array([node]))
-        got = collect_pe_trace(s, params, TINY, node, initial_pe=initial)
-        assert got.tobytes() == want.tobytes()
+    nodes = np.array([0, s.num_nodes - 1])
+    store = PositionalStore(s.num_nodes, TINY.d_p, TINY.history_len)
+    store.reset(initial)
+    want = _per_batch(s, store, params, 0, s.num_events, False, watch=nodes)
+    got = collect_pe_trace(s, params, TINY, nodes, initial_pe=initial)
+    assert got.shape == (len(want) // 2, 2, TINY.d_p)
+    assert got.tobytes() == want.tobytes()
