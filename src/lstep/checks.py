@@ -373,15 +373,13 @@ SYNTHETIC_RECIPE = (
 )
 
 
-def check_synthetic(seed: int = 0, max_epochs: int | None = None) -> dict:
+def check_synthetic(seed: int = 0) -> dict:
     """Learnability on the periodic stream: transductive and inductive."""
     t0 = time.monotonic()
     stream = make_periodic_stream(
         num_pairs=10, num_events=2000, holdout_pairs=2, d_n=16, d_e=8
     )
     cfg = parse_config(SYNTHETIC_RECIPE + f"seed = {seed}\n")
-    if max_epochs is not None:
-        cfg = parse_config(f"max_epochs = {max_epochs}\n", base=cfg)
     split = chronological_split(stream)
     result = train(stream, split, cfg)
     ap_t, auc_t, _ = evaluate(

@@ -31,7 +31,7 @@ from .events import EventStream, chronological_split, load_events, write_manifes
 from .model import ModelDims, ModelParams, init_model_params
 from .peinit import InitialPE
 from .sampling import STRATEGIES
-from .training import EvalReport, evaluate, train, write_loss_csv
+from .training import EvalReport, build_initial_pe, evaluate, train, write_loss_csv
 
 __all__ = ["main", "cmd_ingest", "cmd_train", "cmd_eval", "cmd_check"]
 
@@ -251,16 +251,17 @@ def cmd_eval(args) -> int:
     if missing:
         raise ValueError(f"checkpoint missing parameters: {missing}")
     params.load_state_arrays(state)
-    initial = None
+
+    stream = _load_stream(cfg)
+    split = _split_stream(stream, cfg)
     if "__initial_pe_table" in tensors:
         initial = InitialPE(
             tensors["__initial_pe_table"],
             meta.get("pe_method", cfg.pe_init),
             tensors["__initial_pe_present"].astype(np.int64),
         )
-
-    stream = _load_stream(cfg)
-    split = _split_stream(stream, cfg)
+    else:
+        initial = build_initial_pe(stream, split, cfg)
     metrics: dict[str, dict[str, float]] = {}
     for setting in settings:
         for strategy in strategies:

@@ -42,10 +42,6 @@ class EncoderParams:
     pred_w1: Tensor  # (2 d_n, d_n)
     pred_w2: Tensor  # (d_n, 1)
 
-    @property
-    def recent_k(self) -> int:
-        return int(self.link_sum_pool.data.shape[0])
-
 
 def node_encoding(
     stream: EventStream, nodes: np.ndarray, ts: np.ndarray, t_gap: float
@@ -98,21 +94,20 @@ def temporal_representation(
     cfg: RunConfig,
     ptilde: Tensor,
     ptilde_nodes: np.ndarray,
-    recent: RecentInteractions | None = None,
+    recent: RecentInteractions,
 ) -> Tensor:
     """Fused (n, d_n) representations of ``nodes`` at query times ``ts``.
 
-    ``ptilde`` holds the approximate positional encodings (m, d_p) of the
-    sorted node ids ``ptilde_nodes``; it must cover every query node and
-    its K most recent interaction partners. The neighbor window is
+    ``recent`` holds each query's K most recent interactions before its
+    time (``EventStream.recent_interactions``). ``ptilde`` holds the
+    approximate positional encodings (m, d_p) of the sorted node ids
+    ``ptilde_nodes``; it must cover every query node and those
+    interactions' partners. The neighbor window is
     ``cfg.t_gap`` long. The positional branch is ``refine_pe`` with the
     weights of ``pe_params``, the same update the commits apply.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     ts = np.asarray(ts, dtype=np.float64)
-    if recent is None:
-        recent = stream.recent_interactions(nodes, ts, params.recent_k)
-
     rows = _interaction_rows(stream, recent, ts, cfg)
     h_n = Tensor(node_encoding(stream, nodes, ts, cfg.t_gap))
     h_e = _pooled_link(rows, params)

@@ -101,7 +101,6 @@ class WindowNeighbors:
 
     offsets: np.ndarray
     neighbors: np.ndarray
-    times: np.ndarray
 
 
 class EventStream:
@@ -118,7 +117,6 @@ class EventStream:
         d_n: int = 172,
         d_e: int = 172,
         dataset: str = "unnamed",
-        sort_warnings: int = 0,
     ):
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
@@ -133,8 +131,9 @@ class EventStream:
         if edge_features is not None:
             edge_features = _feature_table(edge_features, "edge_features", "events")
             _reject_non_finite(edge_features, "edge feature", "event")
+        sort_warnings = 0
         if ts.size > 1 and np.any(np.diff(ts) < 0.0):
-            sort_warnings += _count_inversions(ts)
+            sort_warnings = _count_inversions(ts)
             order = np.argsort(ts, kind="stable")
             src, dst, ts = src[order], dst[order], ts[order]
             if edge_features is not None:
@@ -153,7 +152,7 @@ class EventStream:
         self.num_nodes = int(num_nodes)
         self.num_events = int(src.shape[0])
         self.dataset = dataset
-        self.sort_warnings = int(sort_warnings)
+        self.sort_warnings = sort_warnings
         self.has_edge_features = edge_features is not None  # else zero-filled
 
         if edge_features is None:
@@ -253,7 +252,7 @@ class EventStream:
         counts = hi - lo
         offsets = np.concatenate([[0], np.cumsum(counts)])
         pos = np.arange(offsets[-1]) + np.repeat(lo - offsets[:-1], counts)
-        return WindowNeighbors(offsets, self._nbr[pos], self._nts[pos])
+        return WindowNeighbors(offsets, self._nbr[pos])
 
 
 @dataclass(frozen=True)
@@ -368,14 +367,9 @@ def load_events(
     feats = block[:, 4 if has_label else 3 :]
     # nan fails every comparison, and inf fails the range
     good_ids = (ids == np.floor(ids)) & (ids >= -_INT64_END) & (ids < _INT64_END)
-    bad = ~good_ids.all(axis=1)
-    bad |= ~np.isfinite(ts)
-    if feats.shape[1]:
-        bad |= ~np.isfinite(feats).all(axis=1)
-    if bad.any():
-        row = int(np.argmax(bad))
-        problem = _row_problem(ids[row].tolist(), float(ts[row]), feats[row].tolist())
-        raise ValueError(f"{path}:{_line_of_row(path, row)}: {problem}")
+    if not (good_ids.all() and np.isfinite(ts).all() and np.isfinite(feats).all()):
+        reason = "bad node id, timestamp or edge feature"
+        raise ValueError(_rejected_block(path, header, has_label, reason))
 
     _, dense = np.unique(ids.T.astype(np.int64).ravel(), return_inverse=True)
     src, dst = dense.reshape(2, -1).astype(np.int64)
@@ -422,15 +416,6 @@ def _records(path: Path):
                 yield lineno, row
 
 
-def _line_of_row(path: Path, row: int) -> int:
-    """Line of the parsed row ``row`` (from 0); csv and loadtxt split
-    records alike, quoted line breaks included."""
-    for r, (lineno, _) in enumerate(_records(path)):
-        if r == row:
-            return lineno
-    return row + 2
-
-
 def _parse_float(token: str) -> float:
     """``float`` under numpy's grammar (no ``_``, ASCII digits only)."""
     if "_" in token or not token.strip().isascii():
@@ -440,8 +425,8 @@ def _parse_float(token: str) -> float:
 
 def _rejected_block(path: Path, header: list[str], has_label: bool, reason: str) -> str:
     """Located message for the first bad record of a file that loadtxt
-    rejected, found by walking the records; runs on failed files only.
-    ``reason`` (loadtxt's own words) is the fallback."""
+    rejected or whose parsed values fail the checks, found by walking the
+    records; runs on failed files only. ``reason`` is the fallback."""
     for lineno, row in _records(path):
         where = f"{path}:{lineno}"
         if len(row) != len(header):

@@ -87,8 +87,8 @@ class PositionalStore:
 
     ``_commits`` counts every commit to each node: slot ``_commits % L``
     is the next one written, and ``min(_commits, L)`` slots are filled.
-    Slots a node has not written yet are zero (``reset`` clears them and
-    ``restore`` checks them), so a gather needs no mask.
+    Slots a node has not written yet are zero (``reset`` clears them),
+    so a gather needs no mask.
     """
 
     def __init__(self, num_nodes: int, d_p: int, history_len: int):
@@ -100,18 +100,17 @@ class PositionalStore:
         self._ring = np.zeros((num_nodes, history_len, d_p))
         self._commits = np.zeros(num_nodes, dtype=np.int64)
 
-    def reset(self, initial: InitialPE | None = None) -> None:
+    def reset(self, initial: InitialPE) -> None:
         """Clear all rings; commit the snapshot nodes' initial rows."""
         self._ring[:] = 0.0
         self._commits[:] = 0
-        if initial is not None:
-            if initial.table.shape != (self.num_nodes, self.d_p):
-                raise ValueError(
-                    f"initial PE shape {initial.table.shape} != "
-                    f"({self.num_nodes}, {self.d_p})"
-                )
-            present = np.asarray(initial.present, dtype=np.int64)
-            self.commit(present, initial.table[present])
+        if initial.table.shape != (self.num_nodes, self.d_p):
+            raise ValueError(
+                f"initial PE shape {initial.table.shape} != "
+                f"({self.num_nodes}, {self.d_p})"
+            )
+        present = np.asarray(initial.present, dtype=np.int64)
+        self.commit(present, initial.table[present])
 
     def commit(self, nodes: np.ndarray, vecs: np.ndarray) -> None:
         """Append detached encodings (n, d_p) to the histories of distinct ``nodes``."""
@@ -131,41 +130,6 @@ class PositionalStore:
         # the newest commit sits just before the next slot, so column c is slot next + c
         slots = (np.arange(length) + self._commits[nodes, None]) % length
         return self._ring[nodes[:, None], slots].transpose(0, 2, 1)
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {"ring": self._ring.copy(), "commits": self._commits.astype(np.float64)}
-
-    def restore(self, blob: dict[str, np.ndarray]) -> None:
-        """Load a ``snapshot``. Reject one with the wrong shapes, commit
-        counts that are not whole numbers >= 0, or a non-zero slot that its
-        node has not written, which the gather relies on being zero."""
-        ring = np.asarray(blob["ring"], dtype=np.float64)
-        commits = np.asarray(blob["commits"], dtype=np.float64)
-        if ring.shape != self._ring.shape:
-            raise ValueError(
-                f"store snapshot ring shape {ring.shape} != {self._ring.shape}"
-            )
-        if commits.shape != self._commits.shape:
-            raise ValueError(
-                f"store snapshot commits shape {commits.shape} != {self._commits.shape}"
-            )
-        whole = (commits >= 0.0) & (commits < 2.0**63) & (commits == np.floor(commits))
-        if not whole.all():
-            node = int(np.argmin(whole))
-            raise ValueError(
-                f"store snapshot commits must be whole numbers >= 0, "
-                f"node {node} has {commits[node]}"
-            )
-        unwritten = np.arange(self.history_len) >= commits[:, None]
-        dirty = (ring != 0.0).any(axis=2) & unwritten
-        if dirty.any():
-            node, slot = (int(i[0]) for i in np.nonzero(dirty))
-            raise ValueError(
-                f"store snapshot: node {node} has not written slot {slot}, "
-                f"but it is not zero"
-            )
-        self._ring = ring.copy()
-        self._commits = commits.astype(np.int64)
 
 
 def approximate_pe(
@@ -202,8 +166,7 @@ class FrozenPE:
     """
 
     def __init__(self, store: PositionalStore, params: LpeParams):
-        # the store itself, not its count array: ``restore`` rebinds that
-        self.store = store
+        self.commits = store._commits
         self.kernel = filter_kernel(params.filter_re, params.filter_im, params.sum_pool)
         self.table = np.zeros((store.num_nodes, params.d_p))
         self.contracted = np.full(store.num_nodes, -1, dtype=np.int64)
@@ -212,11 +175,11 @@ class FrozenPE:
         """The ``nodes`` whose rows must be contracted again."""
         if autodiff._ACTIVE_TAPE is not None:
             raise RuntimeError("a frozen p~ table cannot be read under a gradient tape")
-        return nodes[self.contracted[nodes] != self.store._commits[nodes]]
+        return nodes[self.contracted[nodes] != self.commits[nodes]]
 
     def refresh(self, nodes: np.ndarray, ptilde: np.ndarray) -> None:
         self.table[nodes] = ptilde
-        self.contracted[nodes] = self.store._commits[nodes]
+        self.contracted[nodes] = self.commits[nodes]
 
 
 def node_rows(table_nodes: np.ndarray, nodes: np.ndarray) -> np.ndarray:

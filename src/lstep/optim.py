@@ -9,15 +9,14 @@ from .autodiff import Tensor
 
 __all__ = ["AdamState", "adam_step"]
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
     """First/second moment accumulators, keyed like the parameter dict."""
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -31,7 +30,6 @@ def adam_step(
     """One bias-corrected update, in place on the parameter tensors."""
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
     for name, p in params.items():
         if name not in grads:
             raise KeyError(f"no gradient supplied for parameter {name!r}")
@@ -43,11 +41,11 @@ def adam_step(
             state.v[name] = np.zeros_like(p.data)
         m = state.m[name]
         v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        m_hat = m / (1.0 - BETA1**t)
+        v_hat = v / (1.0 - BETA2**t)
+        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + EPS)
     return params

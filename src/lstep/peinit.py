@@ -25,10 +25,6 @@ class InitialPE:
     method: str
     present: np.ndarray
 
-    @property
-    def d_p(self) -> int:
-        return int(self.table.shape[1])
-
 
 def snapshot_graph(
     src: np.ndarray, dst: np.ndarray, num_nodes: int

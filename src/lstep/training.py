@@ -205,7 +205,7 @@ def _batch_forward(
     if scoring:
         enc = params.encoder
         reps = temporal_representation(
-            stream, q_nodes, q_ts, enc, params.lpe, cfg, ptilde, nodes, recent=recent
+            stream, q_nodes, q_ts, enc, params.lpe, cfg, ptilde, nodes, recent
         )
         u, v, nu, nv = np.split(which.reshape(-1), 4)
         fwd.pos = predict_link(gather_rows(reps, u), gather_rows(reps, v), enc)
@@ -378,26 +378,22 @@ def evaluate(
     setting: str = "transductive",
     strategy: str = "random",
     seed=0,
-    segment: str = "test",
-    initial_pe: InitialPE | None = None,
+    *,
+    initial_pe: InitialPE,
 ) -> tuple[float, float, int]:
-    """(AP, ROC-AUC, sampler fallbacks) over the val or test segment after
-    a commit-only warm replay.
+    """(AP, ROC-AUC, sampler fallbacks) over the test segment after a
+    commit-only warm replay from ``initial_pe``.
 
     The arguments are checked before any work; the replay and the
     scoring are one frozen segment.
     """
     validate_config(cfg)
-    if segment not in ("val", "test"):
-        raise ValueError(f"unknown segment {segment!r}")
     if setting not in ("transductive", "inductive"):
         raise ValueError(f"unknown setting {setting!r}")
     sampler = NegativeSampler(stream, split, strategy, seed)  # checks the strategy
-    if initial_pe is None:
-        initial_pe = build_initial_pe(stream, split, cfg)
     store = PositionalStore(stream.num_nodes, cfg.d_p, cfg.history_len)
     store.reset(initial_pe)
-    score_lo, score_hi = split.val_range if segment == "val" else split.test_range
+    score_lo, score_hi = split.test_range
     new_nodes = np.fromiter(split.new_nodes, np.int64) if setting == "inductive" else None
     frozen = FrozenPE(store, params.lpe)
     # the warm replay ends where scoring starts
@@ -412,13 +408,11 @@ def collect_pe_trace(
     params: ModelParams,
     cfg: RunConfig,
     nodes: np.ndarray,
-    initial_pe: InitialPE | None = None,
+    initial_pe: InitialPE,
 ) -> np.ndarray:
     """Approximate encodings (steps, len(nodes), d_p) of ``nodes`` at
-    every batch step, pre-commit, over one frozen segment."""
-    if initial_pe is None:
-        split = ChronoSplit(stream.num_events, stream.num_events, stream.num_events)
-        initial_pe = build_initial_pe(stream, split, cfg)
+    every batch step, pre-commit, over one frozen segment that starts
+    from ``initial_pe``."""
     store = PositionalStore(stream.num_nodes, cfg.d_p, cfg.history_len)
     store.reset(initial_pe)
     seg = _run_segment(

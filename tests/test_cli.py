@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import lstep.cli as cli
+import lstep.training as training
 from lstep.checkpoint import load_container, save_container
 from lstep.cli import main
 from lstep.events import load_events
@@ -261,6 +262,32 @@ def test_eval_all_cells_in_one_report(tmp_path):
             cell = report["metrics"][f"test/{setting}/{strategy}"]
             assert set(cell) == {"ap", "roc_auc", "fallbacks"}
             assert 0.0 <= cell["ap"] <= 1.0
+
+
+def test_eval_builds_a_missing_initial_pe_once(tmp_path, monkeypatch):
+    events = _ingest(tmp_path, num_pairs=4, num_events=80, holdout_pairs=1)
+    cfg_path, out = _train(tmp_path, events)
+    tensors, meta = load_container(out / "checkpoint.lstp")
+    bare = tmp_path / "bare.lstp"
+    save_container(bare, {k: v for k, v in tensors.items() if not k.startswith("__")}, meta)
+    calls = []
+    laplacian_pe = training.laplacian_pe
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return laplacian_pe(*args, **kwargs)
+
+    monkeypatch.setattr(training, "laplacian_pe", counted)
+    reports = []
+    for ckpt in (bare, out / "checkpoint.lstp"):
+        eval_out = tmp_path / ckpt.stem
+        assert main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg_path),
+                     "--setting", "both", "--strategy", "all", "--out", str(eval_out)]) == 0
+        reports.append(json.loads((eval_out / "eval_report.json").read_text()))
+    # once for the bare checkpoint's six cells, never for the full one
+    assert len(calls) == 1
+    # the rebuilt table is the one training stored
+    assert reports[0] == reports[1]
 
 
 def test_eval_uses_embedded_config_when_none_given(tmp_path):

@@ -76,7 +76,7 @@ def test_node_encoding_empty_window_is_raw_feature():
 
 def _link_encoding(s, nodes, ts, p, cfg):
     """Pooled encodings of the K most recent interactions strictly before t."""
-    recent = s.recent_interactions(nodes, ts, p.recent_k)
+    recent = s.recent_interactions(nodes, ts, cfg.recent_k)
     return _pooled_link(_interaction_rows(s, recent, ts, cfg), p)
 
 
@@ -84,7 +84,7 @@ def test_link_encoding_matches_hand_trace():
     rng = np.random.default_rng(61)
     s = _stream()
     p, _ = _params(rng)
-    cfg = RunConfig(d_t=4)
+    cfg = RunConfig(d_t=4, recent_k=2)
     t = 4.0
     got = _link_encoding(s, np.array([0]), np.array([t]), p, cfg).data[0]
 
@@ -101,7 +101,7 @@ def test_link_encoding_padded_rows_contribute_nothing():
     rng = np.random.default_rng(62)
     s = _stream()
     p, _ = _params(rng, k=5)  # node 0 has only 2 interactions, 3 pads
-    cfg = RunConfig(d_t=4)
+    cfg = RunConfig(d_t=4, recent_k=5)
     got = _link_encoding(s, np.array([0]), np.array([4.0]), p, cfg).data[0]
 
     rows = np.zeros((5, 6))
@@ -116,13 +116,14 @@ def test_temporal_representation_matches_hand_trace():
     rng = np.random.default_rng(63)
     s = _stream()
     p, pe = _params(rng)
-    cfg = RunConfig(d_t=4, t_gap=10.0)
+    cfg = RunConfig(d_t=4, t_gap=10.0, recent_k=2)
     t = 4.0
     ptil = {0: np.array([0.5, -0.5]), 1: np.array([1.0, 2.0]), 2: np.array([-1.0, 3.0])}
     table = Tensor(np.stack([ptil[0], ptil[1], ptil[2]]))
+    nodes, ts = np.array([0]), np.array([t])
     got = temporal_representation(
-        s, np.array([0]), np.array([t]), p, pe, cfg,
-        ptilde=table, ptilde_nodes=np.arange(3),
+        s, nodes, ts, p, pe, cfg, ptilde=table, ptilde_nodes=np.arange(3),
+        recent=s.recent_interactions(nodes, ts, cfg.recent_k),
     ).data[0]
 
     h_n = s.node_features[0] + (s.node_features[1] + s.node_features[2]) / 2.0
@@ -142,12 +143,14 @@ def test_temporal_representation_no_history_uses_zero_context():
     rng = np.random.default_rng(64)
     s = _stream()
     p, pe = _params(rng)
-    cfg = RunConfig(d_t=4, t_gap=0.5)
+    cfg = RunConfig(d_t=4, t_gap=0.5, recent_k=2)
     ptil = np.array([0.25, 0.75])
     # node 2 has no interaction strictly before t=2.0
+    nodes, ts = np.array([2]), np.array([2.0])
     got = temporal_representation(
-        s, np.array([2]), np.array([2.0]), p, pe, cfg,
+        s, nodes, ts, p, pe, cfg,
         ptilde=Tensor(np.tile(ptil, (3, 1))), ptilde_nodes=np.arange(3),
+        recent=s.recent_interactions(nodes, ts, cfg.recent_k),
     ).data[0]
 
     h_n = s.node_features[2]
@@ -188,12 +191,14 @@ def test_gradients_reach_all_encoder_parameters():
     rng = np.random.default_rng(67)
     s = _stream()
     p, pe = _params(rng)
-    cfg = RunConfig(d_t=4, t_gap=10.0)
+    cfg = RunConfig(d_t=4, t_gap=10.0, recent_k=2)
     table = Tensor(rng.normal(size=(3, 2)), learnable=True)
+    nodes, ts = np.array([0, 2]), np.array([4.0, 4.0])
+    recent = s.recent_interactions(nodes, ts, cfg.recent_k)
     with GradientTape() as tape:
         reps = temporal_representation(
-            s, np.array([0, 2]), np.array([4.0, 4.0]), p, pe, cfg,
-            ptilde=table, ptilde_nodes=np.arange(3),
+            s, nodes, ts, p, pe, cfg, ptilde=table, ptilde_nodes=np.arange(3),
+            recent=recent,
         )
         hu, hv = gather_rows(reps, np.array([0])), gather_rows(reps, np.array([1]))
         loss = sum_all(predict_link(hu, hv, p))

@@ -99,12 +99,7 @@ def test_store_matches_plain_list_reference():
     store = PositionalStore(num_nodes, d_p, length)
     committed = [[] for _ in range(num_nodes)]
     all_nodes = np.arange(num_nodes)
-    for i in range(40):
-        if i == 20:
-            # a restored snapshot carries on as if the run had not stopped
-            blob = store.snapshot()
-            store = PositionalStore(num_nodes, d_p, length)
-            store.restore(blob)
+    for _ in range(40):
         # nodes are committed at different rates, so some wrap the ring
         # many times while others never fill it; node 4 is never committed
         nodes = np.flatnonzero(rng.random(num_nodes) < [0.8, 0.5, 0.2, 0.06, 0.0])
@@ -153,56 +148,6 @@ def test_commit_shape_check():
         store.commit(np.array([0]), np.zeros((1, 4)))
     with pytest.raises(ValueError, match="distinct"):
         store.commit(np.array([1, 1]), np.zeros((2, 3)))
-
-
-def test_snapshot_restore_round_trip():
-    store = PositionalStore(2, 2, history_len=3)
-    store.commit(np.array([0]), np.array([1.0, 2.0])[None])
-    blob = store.snapshot()
-    store.commit(np.array([1]), np.array([9.0, 9.0])[None])
-    store.restore(blob)
-    assert not _hist(store, 1).any()
-    assert _hist(store, 0)[:, -1].tolist() == [1.0, 2.0]
-    store.commit(np.array([0]), np.array([3.0, 4.0])[None])
-    assert _hist(store, 0).tolist() == [[0.0, 1.0, 3.0], [0.0, 2.0, 4.0]]
-
-
-def _bad_snapshot(case):
-    store = PositionalStore(2, 2, history_len=3)
-    store.commit(np.array([0, 1]), np.ones((2, 2)))
-    blob = store.snapshot()
-    if case == "ring shape":
-        blob["ring"] = blob["ring"][:, :2]
-    elif case == "commits shape":
-        blob["commits"] = blob["commits"][None]
-    elif case == "negative":
-        blob["commits"][1] = -1.0
-    elif case == "fractional":
-        blob["commits"][1] = 1.5
-    elif case == "not finite":
-        blob["commits"][1] = np.nan
-    elif case == "unwritten slot":
-        blob["ring"][1, 2, 0] = 0.25  # node 1 has written slot 0 only
-    return blob
-
-
-@pytest.mark.parametrize(
-    "case, message",
-    [
-        ("ring shape", "ring shape"),
-        ("commits shape", "commits shape"),
-        ("negative", "whole numbers >= 0, node 1 has -1.0"),
-        ("fractional", "whole numbers >= 0, node 1 has 1.5"),
-        ("not finite", "whole numbers >= 0, node 1 has nan"),
-        ("unwritten slot", "node 1 has not written slot 2"),
-    ],
-)
-def test_restore_rejects_bad_snapshot(case, message):
-    store = PositionalStore(2, 2, history_len=3)
-    with pytest.raises(ValueError, match=message):
-        store.restore(_bad_snapshot(case))
-    # a rejected snapshot leaves the store as it was
-    assert not store.history_matrix(np.arange(2)).any()
 
 
 def test_identity_filter_last_column_pool_is_exact_pass_through():
@@ -283,16 +228,15 @@ def test_frozen_rows_go_stale_when_the_store_commits():
     store = PositionalStore(4, 2, 3)
     frozen = FrozenPE(store, _params(2, 3))
     nodes = np.arange(4)
-    before = store.snapshot()
     frozen.refresh(nodes, np.ones((4, 2)))
     assert frozen.stale(nodes).size == 0
     # a commit straight to the store, with no batch around it
     store.commit(np.array([3, 1]), np.ones((2, 2)))
     assert frozen.stale(nodes).tolist() == [1, 3]
     frozen.refresh(nodes, np.ones((4, 2)))
-    # restore rebinds the store's count array; the state still follows it
-    store.restore(before)
-    assert frozen.stale(nodes).tolist() == [1, 3]
+    # reset rewrites the store's counts in place; the state follows them
+    store.reset(InitialPE(np.zeros((4, 2)), "zero", np.array([0])))
+    assert frozen.stale(nodes).tolist() == [0, 1, 3]
 
 
 def _window(neighbors, times, pad_mask):

@@ -88,4 +88,3 @@ def test_zero_init_has_no_present_nodes():
     assert pe.table.shape == (4, 3)
     assert not pe.table.any()
     assert pe.present.size == 0
-    assert pe.d_p == 3
