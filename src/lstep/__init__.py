@@ -2,12 +2,7 @@
 from .autodiff import GradientTape, Tensor, backward
 from .config import PRESETS, RunConfig, apply_preset, config_hash, parse_config
 from .eigen import symmetric_eig
-from .encoder import (
-    EncoderParams,
-    node_encoding,
-    predict_link,
-    temporal_representation,
-)
+from .encoder import node_encoding, predict_link, temporal_representation
 from .events import (
     ChronoSplit,
     EventStream,
@@ -19,7 +14,6 @@ from .fourier import dft, filter_kernel, idft
 from .losses import loss_lp, loss_pe, total_loss
 from .lpe import (
     BoundReport,
-    LpeParams,
     PositionalStore,
     approximate_pe,
     commit_pe,

@@ -30,7 +30,6 @@ __all__ = [
     "weighted_sum_cols",
     "sum_all",
     "norm2",
-    "transpose",
 ]
 
 _ACTIVE_TAPE: "GradientTape | None" = None
@@ -138,7 +137,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def linear(x: Tensor, w: Tensor) -> Tensor:
     """x @ w.T for a weight stored as (out, in)."""
-    return matmul(x, transpose(w))
+    x, w = _as_tensor(x), _as_tensor(w)
+    xd, wd = x.data, w.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[1]:
+        raise ValueError(f"linear shape mismatch: {xd.shape} @ {wd.shape}.T")
+    return _emit(xd @ wd.T, (x, w), lambda g: (g @ wd, (xd.T @ g).T))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -297,15 +300,6 @@ def weighted_sum_cols(x: Tensor, w: Tensor) -> Tensor:
 
     out = np.einsum("ndl,dl->nd", xs, kern).reshape(x.data.shape[:-1])
     return _emit(out, (x, w), vjp)
-
-
-def transpose(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    if x.data.ndim != 2:
-        raise ValueError(f"transpose expects 2-D, got {x.data.shape}")
-    # a view of x: the forward and backward passes only read it, and they
-    # end before the optimizer updates x in place
-    return _emit(x.data.T, (x,), lambda g: (g.T,))
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -311,9 +311,10 @@ def _pass_through_params(cfg: RunConfig, seed: int = 0):
     return params
 
 
-def check_pass_through(num_steps: int = 50) -> dict:
+def check_pass_through() -> dict:
     """Identity filter + last-column pool + zero MLP holds encodings fixed."""
     t0 = time.monotonic()
+    num_steps = 50
     edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
     cfg = parse_config(
         "d_t = 6\nd_n = 6\nd_e = 6\nd_p = 4\nhistory_len = 6\n"
@@ -352,7 +353,8 @@ def check_bound(seed: int = 0) -> dict:
     traces = collect_pe_trace(
         stream, result.params, cfg, np.arange(stream.num_nodes), initial_pe=result.initial_pe
     )
-    reports = [theorem1_check(traces[:, n], result.params.lpe) for n in range(stream.num_nodes)]
+    tensors = result.params.tensors
+    reports = [theorem1_check(traces[:, n], tensors) for n in range(stream.num_nodes)]
     node = max(range(stream.num_nodes), key=lambda n: reports[n].max_step_diff)
     report, trace = reports[node], traces[:, node]
     return {
@@ -509,14 +511,11 @@ def check_losses(seed: int = 0) -> dict:
     }
 
 
-def check_uci(path: str | None = None, seed: int = 0, max_epochs: int = 200) -> dict:
-    """Optional full-dataset run; skipped (not failed) when data is absent."""
+def check_uci(seed: int = 0) -> dict:
+    """Optional full-dataset run from ``$LSTEP_UCI``, ``data/uci.csv`` or
+    ``uci.csv``; skipped (not failed) when none exists."""
     t0 = time.monotonic()
-    candidates = [path] if path else [
-        os.environ.get("LSTEP_UCI", ""),
-        "data/uci.csv",
-        "uci.csv",
-    ]
+    candidates = [os.environ.get("LSTEP_UCI", ""), "data/uci.csv", "uci.csv"]
     found = next((c for c in candidates if c and Path(c).exists()), None)
     if found is None:
         return {
@@ -531,7 +530,7 @@ def check_uci(path: str | None = None, seed: int = 0, max_epochs: int = 200) -> 
 
     stream = load_events(found, dataset="uci")
     cfg = apply_preset(RunConfig(), "uci")
-    cfg = parse_config(f"seed = {seed}\nmax_epochs = {max_epochs}\n", base=cfg)
+    cfg = parse_config(f"seed = {seed}\nmax_epochs = 200\n", base=cfg)
     split = chronological_split(stream)
     result = train(stream, split, cfg)
     ap, auc, _ = evaluate(

@@ -134,7 +134,7 @@ def cmd_ingest(args) -> int:
     print(f"{stream.num_nodes} nodes, {stream.num_events} events")
     print(f"edge features: {stream.d_e}-dim ({'from file' if has_feat else 'zero-filled'})")
     if stream.sort_warnings:
-        print(f"note: {stream.sort_warnings} out-of-order rows were re-sorted")
+        print(f"note: re-sorted rows out of time order ({stream.sort_warnings} inverted pairs)")
     print(f"wrote {events_path}")
     print(f"wrote {manifest_path}")
     return 0

@@ -332,7 +332,8 @@ def load_events(
     arrays. Every error names the file and, for a bad row, the line:
     ``path:line: ...``. Node ids are re-indexed densely from 0 in
     sorted-id order. Rows out of time order are repaired by a stable
-    sort and counted in ``sort_warnings``.
+    sort; ``sort_warnings`` counts the inverted pairs it repaired (the
+    timestamps 3, 1, 2 give 2), not the rows it moved.
     """
     path = Path(path)
     with path.open(newline="") as fh:

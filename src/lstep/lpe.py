@@ -49,7 +49,6 @@ from .peinit import InitialPE
 from .timeenc import time_encode_many
 
 __all__ = [
-    "LpeParams",
     "PositionalStore",
     "BoundReport",
     "FrozenPE",
@@ -60,26 +59,6 @@ __all__ = [
     "ring_eigenvalues",
     "theorem1_check",
 ]
-
-
-@dataclass
-class LpeParams:
-    """Learnable pieces of the positional-encoding update."""
-
-    filter_re: Tensor  # (d_p, L) frequency response, real part
-    filter_im: Tensor  # (d_p, L) frequency response, imaginary part
-    sum_pool: Tensor  # (L, 1) column pooling weights
-    w1: Tensor  # (d_p, d_p + d_t)
-    w2: Tensor  # (d_p, d_p)
-    w_self: Tensor  # (d_p, d_p)
-
-    @property
-    def d_p(self) -> int:
-        return int(self.filter_re.shape[0])
-
-    @property
-    def history_len(self) -> int:
-        return int(self.filter_re.shape[1])
 
 
 class PositionalStore:
@@ -132,24 +111,27 @@ class PositionalStore:
         return self._ring[nodes[:, None], slots].transpose(0, 2, 1)
 
 
+def _kernel(params: dict[str, Tensor]) -> Tensor:
+    """The (d_p, L) kernel of the model's filter and column pool."""
+    return filter_kernel(params["filter_real"], params["filter_imag"], params["pe_sum_pool"])
+
+
 def approximate_pe(
-    histories: Tensor | np.ndarray, params: LpeParams, kernel: Tensor | None = None
+    histories: Tensor | np.ndarray, params: dict[str, Tensor], kernel: Tensor | None = None
 ) -> Tensor:
     """Filtered, pooled encodings (n, d_p) of n stacked (d_p, L) histories.
 
     Every history row is contracted with ``kernel``, by default the
-    ``fourier.filter_kernel`` of ``params`` now; the filter and pool
-    gradients flow through that kernel only. A frozen segment passes the
-    kernel it built once (``FrozenPE.kernel``).
+    ``fourier.filter_kernel`` of the model's ``params`` now; the filter
+    and pool gradients flow through that kernel only. A frozen segment
+    passes the kernel it built once (``FrozenPE.kernel``).
     """
     h = histories if isinstance(histories, Tensor) else Tensor(histories)
-    if h.data.ndim != 3 or h.data.shape[1:] != (params.d_p, params.history_len):
-        raise ValueError(
-            f"history shape {h.data.shape} != "
-            f"(n, {params.d_p}, {params.history_len})"
-        )
+    d_p, length = params["filter_real"].shape
+    if h.data.ndim != 3 or h.data.shape[1:] != (d_p, length):
+        raise ValueError(f"history shape {h.data.shape} != (n, {d_p}, {length})")
     if kernel is None:
-        kernel = filter_kernel(params.filter_re, params.filter_im, params.sum_pool)
+        kernel = _kernel(params)
     return weighted_sum_cols(h, kernel)
 
 
@@ -165,10 +147,10 @@ class FrozenPE:
     state lives for one segment and is never read under a gradient tape.
     """
 
-    def __init__(self, store: PositionalStore, params: LpeParams):
+    def __init__(self, store: PositionalStore, params: dict[str, Tensor]):
         self.commits = store._commits
-        self.kernel = filter_kernel(params.filter_re, params.filter_im, params.sum_pool)
-        self.table = np.zeros((store.num_nodes, params.d_p))
+        self.kernel = _kernel(params)
+        self.table = np.zeros((store.num_nodes, store.d_p))
         self.contracted = np.full(store.num_nodes, -1, dtype=np.int64)
 
     def stale(self, nodes: np.ndarray) -> np.ndarray:
@@ -200,7 +182,7 @@ def refine_pe(
     nodes: np.ndarray,
     window: RecentInteractions,
     tau: np.ndarray,
-    params: LpeParams,
+    params: dict[str, Tensor],
 ) -> Tensor:
     """Learned encodings p = p~ + tanh(W_self p~ + W2 relu(W1 q)), one row
     per node of ``nodes``.
@@ -223,8 +205,8 @@ def refine_pe(
     q = concat(tau.sum(axis=1), nbr_sum)
     gate = tanh(
         add(
-            linear(p_tilde, params.w_self),
-            linear(relu(linear(q, params.w1)), params.w2),
+            linear(p_tilde, params["pe_w_self"]),
+            linear(relu(linear(q, params["pe_w1"])), params["pe_w2"]),
         )
     )
     return add(p_tilde, gate)
@@ -236,7 +218,7 @@ def commit_pe(
     nodes: np.ndarray,
     window: RecentInteractions,
     t_commit: float,
-    params: LpeParams,
+    params: dict[str, Tensor],
     cfg: RunConfig,
 ) -> np.ndarray:
     """Committed encodings ``refine_pe`` of each node's commit ``window``.
@@ -273,7 +255,7 @@ def ring_eigenvalues(length: int) -> np.ndarray:
     return 2.0 - np.cos(2.0 * np.pi * k / length)
 
 
-def theorem1_check(trace: np.ndarray, params: LpeParams) -> BoundReport:
+def theorem1_check(trace: np.ndarray, params: dict[str, Tensor]) -> BoundReport:
     """Compare the worst step-to-step drift of a PE trace to its bound.
 
     The bound is (sum_k lambda_k * |filter|_k) * (2L - 2) with lambda the
@@ -287,7 +269,7 @@ def theorem1_check(trace: np.ndarray, params: LpeParams) -> BoundReport:
         )
     diffs = np.linalg.norm(np.diff(trace, axis=0), axis=1)
     max_step_diff = float(diffs.max())
-    length = params.history_len
-    mag = np.hypot(params.filter_re.data, params.filter_im.data).mean(axis=0)
+    length = params["filter_real"].shape[1]
+    mag = np.hypot(params["filter_real"].data, params["filter_imag"].data).mean(axis=0)
     bound = float(np.sum(ring_eigenvalues(length) * mag) * (2.0 * length - 2.0))
     return BoundReport(max_step_diff, bound, max_step_diff <= bound)

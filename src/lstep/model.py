@@ -7,8 +7,6 @@ import numpy as np
 
 from .autodiff import Tensor
 from .config import RunConfig
-from .encoder import EncoderParams
-from .lpe import LpeParams
 
 __all__ = ["ModelDims", "ModelParams", "init_model_params"]
 
@@ -49,10 +47,10 @@ def _shapes(dims: ModelDims) -> dict[str, tuple[tuple[int, ...], int]]:
 
 
 class ModelParams:
-    """All learnable tensors keyed by name, with typed views on top."""
+    """All learnable tensors keyed by their checkpoint names; every layer
+    reads ``tensors`` by those names."""
 
     def __init__(self, dims: ModelDims, tensors: dict[str, Tensor]):
-        self.dims = dims
         expected = _shapes(dims)
         if set(tensors) != set(expected):
             missing = sorted(set(expected) - set(tensors))
@@ -65,31 +63,6 @@ class ModelParams:
                     f"expected {shape}"
                 )
         self.tensors = tensors
-
-    @property
-    def lpe(self) -> LpeParams:
-        t = self.tensors
-        return LpeParams(
-            filter_re=t["filter_real"],
-            filter_im=t["filter_imag"],
-            sum_pool=t["pe_sum_pool"],
-            w1=t["pe_w1"],
-            w2=t["pe_w2"],
-            w_self=t["pe_w_self"],
-        )
-
-    @property
-    def encoder(self) -> EncoderParams:
-        t = self.tensors
-        return EncoderParams(
-            link_w1=t["link_w1"],
-            link_w2=t["link_w2"],
-            link_sum_pool=t["link_sum_pool"],
-            fuse_w=t["fuse_w"],
-            out_w=t["out_w"],
-            pred_w1=t["pred_w1"],
-            pred_w2=t["pred_w2"],
-        )
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.tensors.items()}

@@ -38,7 +38,13 @@ class Sample:
 
 
 class NegativeSampler:
-    """Stateful sampler; pools grow incrementally as batches advance."""
+    """Draws negatives from pools fixed at construction.
+
+    The historical pool before t is the prefix, in first-seen order, of
+    the distinct pairs whose first event is earlier than t; the inductive
+    pool is the distinct pairs first seen at or after the training
+    boundary, in sorted order. The random strategy builds no pool.
+    """
 
     def __init__(
         self,
@@ -52,28 +58,20 @@ class NegativeSampler:
                 f"unknown strategy {strategy!r}, expected one of {STRATEGIES}"
             )
         self.stream = stream
-        self.split = split
         self.strategy = strategy
         self.rng = np.random.default_rng(seed)
-        self._ptr = 0  # events with index < _ptr are in the historical pool
         self._pool: list[tuple[int, int]] = []
-        self._pool_set: set[tuple[int, int]] = set()
-        if strategy == "inductive":
-            pairs, first = np.unique(
-                np.stack([stream.src, stream.dst], axis=1), axis=0, return_index=True
-            )
+        if strategy == "random":
+            return
+        pairs, first = np.unique(
+            np.stack([stream.src, stream.dst], axis=1), axis=0, return_index=True
+        )
+        if strategy == "historical":
+            order = np.argsort(first)
+            self._pool = list(map(tuple, pairs[order].tolist()))
+            self._first_ts = stream.ts[first[order]]  # nondecreasing: the stream is sorted
+        else:
             self._pool = list(map(tuple, pairs[first >= split.train_end].tolist()))
-            self._pool_set = set(self._pool)
-
-    def _advance_pool(self, t: float) -> None:
-        src, dst, ts = self.stream.src, self.stream.dst, self.stream.ts
-        n = self.stream.num_events
-        while self._ptr < n and ts[self._ptr] < t:
-            key = (int(src[self._ptr]), int(dst[self._ptr]))
-            if key not in self._pool_set:
-                self._pool_set.add(key)
-                self._pool.append(key)
-            self._ptr += 1
 
     def _random_dst(self, u: int, t: float, blocked: set[tuple[int, int]]) -> int:
         n = self.stream.num_nodes
@@ -88,19 +86,16 @@ class NegativeSampler:
                 return v
         raise RuntimeError(f"no admissible negative destination for node {u} at t={t}")
 
-    def _pool_draw(
-        self, t: float, blocked: set[tuple[int, int]]
-    ) -> tuple[int, int] | None:
+    def _pool_draw(self, size: int, blocked: set[tuple[int, int]]) -> tuple[int, int] | None:
+        """A pair of the pool's first ``size`` that is not ``blocked``."""
         pool = self._pool
-        if not pool:
-            return None
-        for _ in range(min(_MAX_TRIES, 4 * len(pool))):
-            u, v = pool[int(self.rng.integers(0, len(pool)))]
+        for _ in range(min(_MAX_TRIES, 4 * size)):
+            u, v = pool[int(self.rng.integers(0, size))]
             if (u, v) not in blocked:
                 return u, v
-        for u, v in pool:  # deterministic sweep before giving up
-            if (u, v) not in blocked:
-                return u, v
+        for i in range(size):  # deterministic sweep before giving up
+            if pool[i] not in blocked:
+                return pool[i]
         return None
 
     def sample(self, batch_indices: np.ndarray) -> Sample:
@@ -130,9 +125,10 @@ class NegativeSampler:
                 neg_src[i] = u
                 neg_dst[i] = self._random_dst(u, t, blocked)
                 continue
+            size = len(self._pool)
             if self.strategy == "historical":
-                self._advance_pool(t)
-            pair = self._pool_draw(t, blocked)
+                size = int(np.searchsorted(self._first_ts, t, side="left"))
+            pair = self._pool_draw(size, blocked)
             if pair is None:
                 fallbacks += 1
                 neg_src[i] = u

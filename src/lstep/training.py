@@ -193,23 +193,23 @@ def _batch_forward(
         recent = stream.recent_interactions(q_nodes, q_ts, k)
         need += [q_nodes, recent.neighbors[~recent.pad_mask]]
     nodes = np.unique(np.concatenate(need))
+    tensors = params.tensors
     if frozen is None:
-        ptilde = approximate_pe(store.history_matrix(nodes), params.lpe)
+        ptilde = approximate_pe(store.history_matrix(nodes), tensors)
     else:
         stale = frozen.stale(nodes)
         frozen.refresh(
-            stale, approximate_pe(store.history_matrix(stale), params.lpe, frozen.kernel).data
+            stale, approximate_pe(store.history_matrix(stale), tensors, frozen.kernel).data
         )
         ptilde = Tensor(frozen.table[nodes])
     fwd = _Forward(nodes, ptilde, touched, t_commit, window)
     if scoring:
-        enc = params.encoder
         reps = temporal_representation(
-            stream, q_nodes, q_ts, enc, params.lpe, cfg, ptilde, nodes, recent
+            stream, q_nodes, q_ts, tensors, cfg, ptilde, nodes, recent
         )
         u, v, nu, nv = np.split(which.reshape(-1), 4)
-        fwd.pos = predict_link(gather_rows(reps, u), gather_rows(reps, v), enc)
-        fwd.neg = predict_link(gather_rows(reps, nu), gather_rows(reps, nv), enc)
+        fwd.pos = predict_link(gather_rows(reps, u), gather_rows(reps, v), tensors)
+        fwd.neg = predict_link(gather_rows(reps, nu), gather_rows(reps, nv), tensors)
     return fwd
 
 
@@ -236,7 +236,7 @@ def _commit_batch(
     ``params`` holds now (see ``commit_pe``).
     """
     vecs = commit_pe(
-        fwd.ptilde, fwd.nodes, fwd.touched, fwd.window, fwd.t_commit, params.lpe, cfg
+        fwd.ptilde, fwd.nodes, fwd.touched, fwd.window, fwd.t_commit, params.tensors, cfg
     )
     store.commit(fwd.touched, vecs)
 
@@ -281,7 +281,7 @@ def _run_segment(
     endpoint among them. ``watch`` nodes get their p~ rows recorded.
     """
     if frozen is None:
-        frozen = FrozenPE(store, params.lpe)
+        frozen = FrozenPE(store, params.tensors)
     seg = _Segment()
     for _, batch in batch_iter(start, end, cfg.batch_size):
         scored, neg = None, None
@@ -395,7 +395,7 @@ def evaluate(
     store.reset(initial_pe)
     score_lo, score_hi = split.test_range
     new_nodes = np.fromiter(split.new_nodes, np.int64) if setting == "inductive" else None
-    frozen = FrozenPE(store, params.lpe)
+    frozen = FrozenPE(store, params.tensors)
     # the warm replay ends where scoring starts
     _run_segment(stream, store, params, cfg, 0, score_lo, frozen)
     return _run_segment(

@@ -96,7 +96,7 @@ def test_criterion_04_metric_oracles():
 
 
 def test_criterion_05_pass_through_fixed_point():
-    rep = check_pass_through(num_steps=50)
+    rep = check_pass_through()
     line = _verdict(
         5, rep, f"{rep['steps']} steps, max_step_diff={rep['max_step_diff']!r} == 0.0"
     )

@@ -11,6 +11,7 @@ from lstep.autodiff import (
     concat,
     elementwise_mul,
     gather_rows,
+    linear,
     log,
     matmul,
     norm2,
@@ -20,7 +21,6 @@ from lstep.autodiff import (
     sub,
     sum_all,
     tanh,
-    transpose,
     weighted_sum_cols,
 )
 
@@ -108,7 +108,7 @@ def test_pooling_op_gradients():
     def build():
         pooled = weighted_sum_cols(x, w)
         batched = weighted_sum_cols(stack, w)  # (2, 4): one row per stacked matrix
-        cols = weighted_sum_cols(transpose(x), v)
+        cols = weighted_sum_cols(linear(np.eye(5), x), v)  # x.T
         return add(add(norm2(pooled), sum_all(norm2(batched))), norm2(cols))
 
     _fd_check(build, {"x": x, "stack": stack, "w": w, "v": v})

@@ -145,6 +145,16 @@ def test_ingest_writes_the_csv_writer_bytes(tmp_path, monkeypatch, features, blo
     np.testing.assert_array_equal(again.ts, load_events(raw).ts)
 
 
+def test_ingest_note_counts_inverted_pairs(tmp_path, capsys):
+    # one row (t = 3) moves, but it was out of order with two others
+    raw = tmp_path / "unsorted.csv"
+    raw.write_text("src,dst,timestamp\n1,2,3.0\n1,3,1.0\n2,3,2.0\n")
+    assert main(["ingest", str(raw), "--out", str(tmp_path / "x")]) == 0
+    printed = capsys.readouterr().out
+    assert "note: re-sorted rows out of time order (2 inverted pairs)" in printed
+    assert load_events(tmp_path / "x" / "events.csv").ts.tolist() == [1.0, 2.0, 3.0]
+
+
 def test_ingest_empty_file_writes_nothing(tmp_path):
     raw = tmp_path / "empty.csv"
     raw.write_text("src,dst,timestamp\n")

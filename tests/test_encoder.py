@@ -5,7 +5,6 @@ import pytest
 from lstep.autodiff import GradientTape, Tensor, backward, gather_rows, sum_all
 from lstep.config import RunConfig
 from lstep.encoder import (
-    EncoderParams,
     _interaction_rows,
     _pooled_link,
     node_encoding,
@@ -13,7 +12,6 @@ from lstep.encoder import (
     temporal_representation,
 )
 from lstep.events import EventStream
-from lstep.lpe import LpeParams
 from lstep.timeenc import time_encode
 
 
@@ -30,30 +28,26 @@ def _stream(d_n=3, d_e=2):
     )
 
 
-def _params(rng, d_n=3, d_e=2, d_p=2, d_t=4, k=2, length=3):
-    """Encoder weights and the positional refinement's weights."""
+def _params(rng, d_n=3, d_e=2, d_p=2, d_t=4, k=2):
+    """The tensors the representation and predictor read, by their
+    checkpoint names; p~ comes in as a table, so no filter is read."""
 
     def w(*shape):
         return Tensor(rng.normal(size=shape) * 0.4, learnable=True)
 
     # drawn in one fixed order: link, fuse, out, refinement, predictor
-    link = dict(
-        link_w1=w(d_t + d_e, d_t + d_e),
-        link_w2=w(d_t + d_e, d_t + d_e),
-        link_sum_pool=w(k, 1),
-        fuse_w=w(d_n, d_n + d_t + d_e),
-        out_w=w(d_n, d_n + d_p),
-    )
-    pe = LpeParams(
-        filter_re=Tensor(np.ones((d_p, length))),
-        filter_im=Tensor(np.zeros((d_p, length))),
-        sum_pool=Tensor(np.ones((length, 1))),
-        w1=w(d_p, d_p + d_t),
-        w2=w(d_p, d_p),
-        w_self=w(d_p, d_p),
-    )
-    enc = EncoderParams(**link, pred_w1=w(2 * d_n, d_n), pred_w2=w(d_n, 1))
-    return enc, pe
+    return {
+        "link_w1": w(d_t + d_e, d_t + d_e),
+        "link_w2": w(d_t + d_e, d_t + d_e),
+        "link_sum_pool": w(k, 1),
+        "fuse_w": w(d_n, d_n + d_t + d_e),
+        "out_w": w(d_n, d_n + d_p),
+        "pe_w1": w(d_p, d_p + d_t),
+        "pe_w2": w(d_p, d_p),
+        "pe_w_self": w(d_p, d_p),
+        "pred_w1": w(2 * d_n, d_n),
+        "pred_w2": w(d_n, 1),
+    }
 
 
 def test_node_encoding_averages_window_neighbors():
@@ -83,7 +77,7 @@ def _link_encoding(s, nodes, ts, p, cfg):
 def test_link_encoding_matches_hand_trace():
     rng = np.random.default_rng(61)
     s = _stream()
-    p, _ = _params(rng)
+    p = _params(rng)
     cfg = RunConfig(d_t=4, recent_k=2)
     t = 4.0
     got = _link_encoding(s, np.array([0]), np.array([t]), p, cfg).data[0]
@@ -92,88 +86,88 @@ def test_link_encoding_matches_hand_trace():
     rows = np.zeros((2, 6))
     rows[0] = np.concatenate([time_encode(3.0, cfg), s.edge_features[0]])
     rows[1] = np.concatenate([time_encode(1.0, cfg), s.edge_features[2]])
-    pooled = (rows @ p.link_w1.data).T @ p.link_sum_pool.data.ravel()
-    want = p.link_w2.data @ np.maximum(pooled, 0.0)
+    pooled = (rows @ p["link_w1"].data).T @ p["link_sum_pool"].data.ravel()
+    want = p["link_w2"].data @ np.maximum(pooled, 0.0)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_link_encoding_padded_rows_contribute_nothing():
     rng = np.random.default_rng(62)
     s = _stream()
-    p, _ = _params(rng, k=5)  # node 0 has only 2 interactions, 3 pads
+    p = _params(rng, k=5)  # node 0 has only 2 interactions, 3 pads
     cfg = RunConfig(d_t=4, recent_k=5)
     got = _link_encoding(s, np.array([0]), np.array([4.0]), p, cfg).data[0]
 
     rows = np.zeros((5, 6))
     rows[3] = np.concatenate([time_encode(3.0, cfg), s.edge_features[0]])
     rows[4] = np.concatenate([time_encode(1.0, cfg), s.edge_features[2]])
-    pooled = (rows @ p.link_w1.data).T @ p.link_sum_pool.data.ravel()
-    want = p.link_w2.data @ np.maximum(pooled, 0.0)
+    pooled = (rows @ p["link_w1"].data).T @ p["link_sum_pool"].data.ravel()
+    want = p["link_w2"].data @ np.maximum(pooled, 0.0)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_temporal_representation_matches_hand_trace():
     rng = np.random.default_rng(63)
     s = _stream()
-    p, pe = _params(rng)
+    p = _params(rng)
     cfg = RunConfig(d_t=4, t_gap=10.0, recent_k=2)
     t = 4.0
     ptil = {0: np.array([0.5, -0.5]), 1: np.array([1.0, 2.0]), 2: np.array([-1.0, 3.0])}
     table = Tensor(np.stack([ptil[0], ptil[1], ptil[2]]))
     nodes, ts = np.array([0]), np.array([t])
     got = temporal_representation(
-        s, nodes, ts, p, pe, cfg, ptilde=table, ptilde_nodes=np.arange(3),
+        s, nodes, ts, p, cfg, ptilde=table, ptilde_nodes=np.arange(3),
         recent=s.recent_interactions(nodes, ts, cfg.recent_k),
     ).data[0]
 
     h_n = s.node_features[0] + (s.node_features[1] + s.node_features[2]) / 2.0
     h_e = _link_encoding(s, np.array([0]), np.array([t]), p, cfg).data[0]
-    h_ne = p.fuse_w.data @ np.concatenate([h_n, h_e])
+    h_ne = p["fuse_w"].data @ np.concatenate([h_n, h_e])
     tau = time_encode(3.0, cfg) + time_encode(1.0, cfg)
     h_hat = np.concatenate([tau, ptil[1] + ptil[2]])
     gate = np.tanh(
-        pe.w_self.data @ ptil[0]
-        + pe.w2.data @ np.maximum(pe.w1.data @ h_hat, 0.0)
+        p["pe_w_self"].data @ ptil[0]
+        + p["pe_w2"].data @ np.maximum(p["pe_w1"].data @ h_hat, 0.0)
     )
-    want = p.out_w.data @ np.concatenate([h_ne, ptil[0] + gate])
+    want = p["out_w"].data @ np.concatenate([h_ne, ptil[0] + gate])
     assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_temporal_representation_no_history_uses_zero_context():
     rng = np.random.default_rng(64)
     s = _stream()
-    p, pe = _params(rng)
+    p = _params(rng)
     cfg = RunConfig(d_t=4, t_gap=0.5, recent_k=2)
     ptil = np.array([0.25, 0.75])
     # node 2 has no interaction strictly before t=2.0
     nodes, ts = np.array([2]), np.array([2.0])
     got = temporal_representation(
-        s, nodes, ts, p, pe, cfg,
+        s, nodes, ts, p, cfg,
         ptilde=Tensor(np.tile(ptil, (3, 1))), ptilde_nodes=np.arange(3),
         recent=s.recent_interactions(nodes, ts, cfg.recent_k),
     ).data[0]
 
     h_n = s.node_features[2]
     rows = np.zeros((2, 6))
-    pooled = (rows @ p.link_w1.data).T @ p.link_sum_pool.data.ravel()
-    h_e = p.link_w2.data @ np.maximum(pooled, 0.0)
-    h_ne = p.fuse_w.data @ np.concatenate([h_n, h_e])
+    pooled = (rows @ p["link_w1"].data).T @ p["link_sum_pool"].data.ravel()
+    h_e = p["link_w2"].data @ np.maximum(pooled, 0.0)
+    h_ne = p["fuse_w"].data @ np.concatenate([h_n, h_e])
     gate = np.tanh(
-        pe.w_self.data @ ptil
-        + pe.w2.data @ np.maximum(pe.w1.data @ np.zeros(6), 0.0)
+        p["pe_w_self"].data @ ptil
+        + p["pe_w2"].data @ np.maximum(p["pe_w1"].data @ np.zeros(6), 0.0)
     )
-    want = p.out_w.data @ np.concatenate([h_ne, ptil + gate])
+    want = p["out_w"].data @ np.concatenate([h_ne, ptil + gate])
     assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_predict_link_hand_trace_and_range():
     rng = np.random.default_rng(65)
-    p, _ = _params(rng)
+    p = _params(rng)
     hu = rng.normal(size=3)
     hv = rng.normal(size=3)
     got = predict_link(Tensor(hu[None]), Tensor(hv[None]), p).data
-    hidden = np.maximum(np.concatenate([hu, hv]) @ p.pred_w1.data, 0.0)
-    want = 1.0 / (1.0 + np.exp(-(hidden @ p.pred_w2.data)))
+    hidden = np.maximum(np.concatenate([hu, hv]) @ p["pred_w1"].data, 0.0)
+    want = 1.0 / (1.0 + np.exp(-(hidden @ p["pred_w2"].data)))
     assert got.shape == (1, 1)
     assert abs(got[0, 0] - want[0]) < 1e-12
     assert 0.0 < got[0, 0] < 1.0
@@ -181,8 +175,8 @@ def test_predict_link_hand_trace_and_range():
 
 def test_predict_link_zero_weights_gives_half():
     rng = np.random.default_rng(66)
-    p, _ = _params(rng)
-    p.pred_w2.data[:] = 0.0
+    p = _params(rng)
+    p["pred_w2"].data[:] = 0.0
     got = predict_link(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), p).data
     assert got.tolist() == [[0.5], [0.5]]
 
@@ -190,31 +184,18 @@ def test_predict_link_zero_weights_gives_half():
 def test_gradients_reach_all_encoder_parameters():
     rng = np.random.default_rng(67)
     s = _stream()
-    p, pe = _params(rng)
+    p = _params(rng)
     cfg = RunConfig(d_t=4, t_gap=10.0, recent_k=2)
     table = Tensor(rng.normal(size=(3, 2)), learnable=True)
     nodes, ts = np.array([0, 2]), np.array([4.0, 4.0])
     recent = s.recent_interactions(nodes, ts, cfg.recent_k)
     with GradientTape() as tape:
         reps = temporal_representation(
-            s, nodes, ts, p, pe, cfg, ptilde=table, ptilde_nodes=np.arange(3),
+            s, nodes, ts, p, cfg, ptilde=table, ptilde_nodes=np.arange(3),
             recent=recent,
         )
         hu, hv = gather_rows(reps, np.array([0])), gather_rows(reps, np.array([1]))
         loss = sum_all(predict_link(hu, hv, p))
-    params = {
-        "link_w1": p.link_w1,
-        "link_w2": p.link_w2,
-        "link_sum_pool": p.link_sum_pool,
-        "fuse_w": p.fuse_w,
-        "out_w": p.out_w,
-        "pe_w1": pe.w1,
-        "pe_w2": pe.w2,
-        "pe_w_self": pe.w_self,
-        "pred_w1": p.pred_w1,
-        "pred_w2": p.pred_w2,
-        "ptilde": table,
-    }
-    grads = backward(tape, loss, params)
+    grads = backward(tape, loss, p | {"ptilde": table})
     for name, g in grads.items():
         assert np.any(g != 0.0), f"no gradient reached {name}"

@@ -10,7 +10,6 @@ from lstep.config import RunConfig
 from lstep.events import PAD_ID, RecentInteractions
 from lstep.lpe import (
     FrozenPE,
-    LpeParams,
     PositionalStore,
     approximate_pe,
     commit_pe,
@@ -23,6 +22,7 @@ from lstep.timeenc import time_encode
 
 
 def _params(d_p, length, rng=None, identity=True, d_t=4):
+    """The tensors the positional layers read, by their checkpoint names."""
     if identity:
         fr = np.ones((d_p, length))
         fi = np.zeros((d_p, length))
@@ -33,26 +33,19 @@ def _params(d_p, length, rng=None, identity=True, d_t=4):
     pool[-1, 0] = 1.0
     if rng is not None and not identity:
         pool = rng.normal(size=(length, 1))
-    return LpeParams(
-        filter_re=Tensor(fr, learnable=True),
-        filter_im=Tensor(fi, learnable=True),
-        sum_pool=Tensor(pool, learnable=True),
-        w1=(
-            Tensor(np.zeros((d_p, d_p + d_t)), learnable=True)
-            if rng is None
-            else Tensor(rng.normal(size=(d_p, d_p + d_t)) * 0.3, learnable=True)
-        ),
-        w2=(
-            Tensor(np.zeros((d_p, d_p)), learnable=True)
-            if rng is None
-            else Tensor(rng.normal(size=(d_p, d_p)) * 0.3, learnable=True)
-        ),
-        w_self=(
-            Tensor(np.zeros((d_p, d_p)), learnable=True)
-            if rng is None
-            else Tensor(rng.normal(size=(d_p, d_p)) * 0.3, learnable=True)
-        ),
-    )
+
+    def w(*shape):
+        return np.zeros(shape) if rng is None else rng.normal(size=shape) * 0.3
+
+    arrays = {
+        "filter_real": fr,
+        "filter_imag": fi,
+        "pe_sum_pool": pool,
+        "pe_w1": w(d_p, d_p + d_t),
+        "pe_w2": w(d_p, d_p),
+        "pe_w_self": w(d_p, d_p),
+    }
+    return {name: Tensor(a, learnable=True, name=name) for name, a in arrays.items()}
 
 
 def _hist(store, node):
@@ -164,7 +157,7 @@ def test_identity_filter_still_differentiates_under_tape():
     h = Tensor(np.arange(8.0).reshape(1, 2, 4), learnable=True)
     with GradientTape() as tape:
         loss = sum_all(norm2(approximate_pe(h, params)))
-    grads = backward(tape, loss, {"fr": params.filter_re, "h": h})
+    grads = backward(tape, loss, {"fr": params["filter_real"], "h": h})
     # the transform chain runs when recording, so filter gradients exist
     assert grads["fr"].shape == (2, 4)
     assert np.any(grads["fr"] != 0.0)
@@ -179,8 +172,8 @@ def test_approximation_matches_complex_oracle():
         h = rng.normal(size=(d_p, length))
         got = approximate_pe(h[None], params).data[0]
 
-        filt = params.filter_re.data + 1j * params.filter_im.data
-        pool = params.sum_pool.data.ravel()
+        filt = params["filter_real"].data + 1j * params["filter_imag"].data
+        pool = params["pe_sum_pool"].data.ravel()
         want = np.zeros(d_p)
         for d in range(d_p):
             spec = [
@@ -266,7 +259,7 @@ def test_commit_matches_hand_computation():
     tau = time_encode(1.5, cfg) + time_encode(0.5, cfg)
     nbr = table[1] + table[2]
     q = np.concatenate([tau, nbr])
-    w1, w2, ws = params.w1.data, params.w2.data, params.w_self.data
+    w1, w2, ws = (params[n].data for n in ("pe_w1", "pe_w2", "pe_w_self"))
     p_tilde = table[0]
     want = p_tilde + np.tanh(ws @ p_tilde + w2 @ np.maximum(w1 @ q, 0.0))
     assert np.max(np.abs(got - want)) < 1e-12
@@ -287,7 +280,7 @@ def test_refine_pe_is_the_same_rows_on_and_off_the_tape():
         taped = refine_pe(table, ids, nodes, window, tau, params)
         loss = sum_all(taped)
     assert np.array_equal(taped.data, detached)
-    w1, w2, ws = params.w1.data, params.w2.data, params.w_self.data
+    w1, w2, ws = (params[n].data for n in ("pe_w1", "pe_w2", "pe_w_self"))
     row = {int(n): table.data[i] for i, n in enumerate(ids)}
     nbr_sum = [row[7], row[2] + row[7]]
     for i, node in enumerate(nodes):
@@ -295,7 +288,7 @@ def test_refine_pe_is_the_same_rows_on_and_off_the_tape():
         q = np.concatenate([tau[i].sum(axis=0), nbr_sum[i]])
         want = p_tilde + np.tanh(ws @ p_tilde + w2 @ np.maximum(w1 @ q, 0.0))
         assert np.max(np.abs(detached[i] - want)) < 1e-12
-    leaves = {"w1": params.w1, "w2": params.w2, "w_self": params.w_self, "ptilde": table}
+    leaves = {n: params[n] for n in ("pe_w1", "pe_w2", "pe_w_self")} | {"ptilde": table}
     grads = backward(tape, loss, leaves)
     for name, g in grads.items():
         assert np.any(g != 0.0), f"no gradient reached {name}"
@@ -325,7 +318,7 @@ def test_commit_all_padding_uses_zero_q():
     table = np.stack([np.full(2, np.nan), p_tilde])
     window = _window([[0, 0]], [[3.0, 3.0]], [[True, True]])
     got = commit_pe(Tensor(table), np.arange(2), np.array([1]), window, 3.0, params, cfg)[0]
-    ws, w2, w1 = params.w_self.data, params.w2.data, params.w1.data
+    w1, w2, ws = (params[n].data for n in ("pe_w1", "pe_w2", "pe_w_self"))
     want = p_tilde + np.tanh(ws @ p_tilde + w2 @ np.maximum(w1 @ np.zeros(6), 0.0))
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -336,7 +329,8 @@ def test_ring_eigenvalue_ladder():
 
 
 def test_drift_bound_value_and_verdict():
-    params = _params(1, 4)  # |filter| = 1 everywhere
+    # |filter| = 1 everywhere; the bound reads only the filter
+    params = {n: t for n, t in _params(1, 4).items() if n.startswith("filter")}
     # bound = (2 + 3 + 2 + 1) * (2 * 4 - 2) = 48
     ok = theorem1_check(np.array([[0.0], [5.0]]), params)
     assert abs(ok.bound - 48.0) < 1e-12
@@ -348,8 +342,8 @@ def test_drift_bound_value_and_verdict():
 
 def test_drift_bound_scales_with_filter_modulus():
     params = _params(1, 4)
-    params.filter_re.data[:] = 3.0
-    params.filter_im.data[:] = 4.0  # modulus 5 at every frequency
+    params["filter_real"].data[:] = 3.0
+    params["filter_imag"].data[:] = 4.0  # modulus 5 at every frequency
     rep = theorem1_check(np.zeros((3, 1)), params)
     assert abs(rep.bound - 5.0 * 48.0) < 1e-12
 

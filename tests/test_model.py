@@ -1,4 +1,4 @@
-"""Parameter bundle shapes, initialization, and views."""
+"""Parameter bundle shapes, initialization, and validation."""
 import numpy as np
 import pytest
 
@@ -24,6 +24,10 @@ def test_shapes_and_names():
     for name, tensor in t.items():
         assert tensor.learnable, name
         assert tensor.name == name
+    # 13 tensors, and one PE MLP: the commits and the representation
+    # both read these three by name
+    assert len(t) == 13
+    assert sorted(n for n in t if n.startswith("pe_w")) == ["pe_w1", "pe_w2", "pe_w_self"]
 
 
 def test_filter_initializes_to_identity():
@@ -61,17 +65,6 @@ def test_init_is_seed_deterministic():
     for name in a.tensors:
         assert np.array_equal(a.tensors[name].data, b.tensors[name].data)
     assert not np.array_equal(a.tensors["fuse_w"].data, c.tensors["fuse_w"].data)
-
-
-def test_lpe_view_holds_the_only_pe_mlp():
-    params = init_model_params(DIMS, seed=0)
-    lpe = params.lpe
-    assert lpe.w1 is params.tensors["pe_w1"]
-    assert lpe.w2 is params.tensors["pe_w2"]
-    assert lpe.w_self is params.tensors["pe_w_self"]
-    enc = vars(params.encoder)
-    assert not any(t is lpe.w1 or t is lpe.w2 or t is lpe.w_self for t in enc.values())
-    assert len(params.tensors) == 13
 
 
 def test_dims_from_config():
