@@ -273,30 +273,37 @@ def scale(x: Tensor, s: float) -> Tensor:
 
 
 def weighted_sum_cols(x: Tensor, w: Tensor) -> Tensor:
-    """Weighted sum of the columns of x: (..., d, L) -> (..., d).
+    """Weighted sum of the columns of x: (..., d, m) -> (..., d).
 
-    ``w`` is (L, 1), one weight per column shared by every row, or
-    (d, L), one set of weights per row. The gradient of ``x`` is formed
-    only when ``x`` can carry one, so a large constant input costs
-    nothing in the backward pass.
+    ``w`` is (m, 1), one weight per column shared by every row, or
+    (d, L), one set of weights per row. A per-row ``w`` takes any width
+    0 < m <= L and contracts x against its last m columns; its gradient is
+    still (d, L), exactly zero in the first L - m columns. The gradient
+    of ``x`` is formed only when ``x`` can carry one, so a large
+    constant input costs nothing in the backward pass.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim < 2:
         raise ValueError(f"weighted_sum_cols expects >= 2-D input, got {x.data.shape}")
-    d, length = x.data.shape[-2:]
-    shared = w.data.shape == (length, 1)
-    if not shared and w.data.shape != (d, length):
+    d, width = x.data.shape[-2:]
+    shared = w.data.shape == (width, 1)
+    per_row = w.data.ndim == 2 and w.data.shape[0] == d and 0 < width <= w.data.shape[1]
+    if not (shared or per_row):
         raise ValueError(
             f"weighted_sum_cols shape mismatch: {x.data.shape} vs {w.data.shape}"
         )
-    kern = np.broadcast_to(w.data.T, (d, length)) if shared else w.data
-    xs = x.data.reshape((-1, d, length))
+    kern = np.broadcast_to(w.data.T, (d, width)) if shared else w.data[:, -width:]
+    xs = x.data.reshape((-1, d, width))
     need_x = x.learnable or x._rec
 
     def vjp(g):
         gx = g[..., None] * kern if need_x else None
         gk = np.einsum("ndl,nd->dl", xs, g.reshape(xs.shape[:2]))
-        return gx, gk.sum(axis=0).reshape(w.data.shape) if shared else gk
+        if shared:
+            return gx, gk.sum(axis=0).reshape(w.data.shape)
+        gw = np.zeros(w.data.shape)
+        gw[:, -width:] = gk
+        return gx, gw
 
     out = np.einsum("ndl,dl->nd", xs, kern).reshape(x.data.shape[:-1])
     return _emit(out, (x, w), vjp)

@@ -302,15 +302,6 @@ def check_metrics(seed: int = 0) -> dict:
     }
 
 
-def _pass_through_params(cfg: RunConfig, seed: int = 0):
-    params = init_model_params(ModelDims.from_config(cfg), seed=seed)
-    for name in ("pe_w1", "pe_w2", "pe_w_self"):
-        params.tensors[name].data[:] = 0.0
-    params.tensors["pe_sum_pool"].data[:] = 0.0
-    params.tensors["pe_sum_pool"].data[-1, 0] = 1.0
-    return params
-
-
 def check_pass_through() -> dict:
     """Identity filter + last-column pool + zero MLP holds encodings fixed."""
     t0 = time.monotonic()
@@ -323,7 +314,11 @@ def check_pass_through() -> dict:
     stream = make_static_stream(edges, num_steps, d_n=6, d_e=6)
     split = chronological_split(stream)
     initial = build_initial_pe(stream, split, cfg)
-    params = _pass_through_params(cfg)
+    params = init_model_params(ModelDims.from_config(cfg), seed=0)
+    for name in ("pe_w1", "pe_w2", "pe_w_self"):
+        params.tensors[name].data[:] = 0.0
+    params.tensors["pe_sum_pool"].data[:] = 0.0
+    params.tensors["pe_sum_pool"].data[-1, 0] = 1.0
     nodes = np.arange(stream.num_nodes)
     trace = collect_pe_trace(stream, params, cfg, nodes, initial_pe=initial)
     step = float(np.linalg.norm(np.diff(trace, axis=0), axis=2).max())

@@ -10,8 +10,11 @@ axis in the frequency domain, multiplies by a learnable complex filter,
 transforms back, and pools the columns with learnable weights. That
 chain is linear in the history, so it is one real (d_P, L) kernel,
 ``fourier.filter_kernel`` of the filter and the pool, built the same
-way with and without a gradient tape. The encodings of every node a
-batch needs are one contraction of their stacked histories against it.
+way with and without a gradient tape. A batch gathers only the newest
+m <= L columns of the histories it needs, m the most commits among its
+nodes: the older columns are zero in all of them. The encodings of
+every node a batch needs are one contraction of those stacked
+(d_P, m) histories against the kernel's last m columns.
 ``refine_pe`` adds a gated MLP correction built from a node's most
 recent interactions, and pools that window itself; the representation
 uses it under the tape, and the commits use it detached, so no
@@ -67,7 +70,8 @@ class PositionalStore:
     ``_commits`` counts every commit to each node: slot ``_commits % L``
     is the next one written, and ``min(_commits, L)`` slots are filled.
     Slots a node has not written yet are zero (``reset`` clears them),
-    so a gather needs no mask.
+    so a gather needs no mask, and ``history_matrix`` returns only the
+    newest m <= L columns, those that some gathered node has written.
     """
 
     def __init__(self, num_nodes: int, d_p: int, history_len: int):
@@ -103,11 +107,19 @@ class PositionalStore:
         self._commits[nodes] += 1
 
     def history_matrix(self, nodes: np.ndarray) -> np.ndarray:
-        """(n, d_p, L) histories, columns oldest to newest; missing oldest are zero."""
+        """(n, d_p, m) histories: the newest m <= L columns, oldest to newest.
+
+        m = min(L, most commits among ``nodes``), at least 1, so every
+        column some node has written is kept and a node's missing oldest
+        columns are zero; the dropped ones are zero for every node.
+        """
         nodes = np.asarray(nodes, dtype=np.int64)
         length = self.history_len
-        # the newest commit sits just before the next slot, so column c is slot next + c
-        slots = (np.arange(length) + self._commits[nodes, None]) % length
+        commits = self._commits[nodes]
+        width = max(1, min(length, int(commits.max(initial=0))))
+        # the newest commit sits just before the next slot, so column c of
+        # the full L is slot next + c; the newest m are c = L - m .. L - 1
+        slots = (np.arange(length - width, length) + commits[:, None]) % length
         return self._ring[nodes[:, None], slots].transpose(0, 2, 1)
 
 
@@ -119,17 +131,20 @@ def _kernel(params: dict[str, Tensor]) -> Tensor:
 def approximate_pe(
     histories: Tensor | np.ndarray, params: dict[str, Tensor], kernel: Tensor | None = None
 ) -> Tensor:
-    """Filtered, pooled encodings (n, d_p) of n stacked (d_p, L) histories.
+    """Filtered, pooled encodings (n, d_p) of n stacked (d_p, m) histories.
 
-    Every history row is contracted with ``kernel``, by default the
+    The histories hold the newest m <= L columns, as
+    ``PositionalStore.history_matrix`` returns them; the columns before
+    them are zero and add nothing. Every history row is contracted with
+    the last m columns of ``kernel``, by default the
     ``fourier.filter_kernel`` of the model's ``params`` now; the filter
     and pool gradients flow through that kernel only. A frozen segment
     passes the kernel it built once (``FrozenPE.kernel``).
     """
     h = histories if isinstance(histories, Tensor) else Tensor(histories)
     d_p, length = params["filter_real"].shape
-    if h.data.ndim != 3 or h.data.shape[1:] != (d_p, length):
-        raise ValueError(f"history shape {h.data.shape} != (n, {d_p}, {length})")
+    if h.data.ndim != 3 or h.data.shape[1] != d_p or not 0 < h.data.shape[2] <= length:
+        raise ValueError(f"history shape {h.data.shape} != (n, {d_p}, m <= {length})")
     if kernel is None:
         kernel = _kernel(params)
     return weighted_sum_cols(h, kernel)

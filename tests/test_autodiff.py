@@ -120,14 +120,17 @@ def test_batched_ops_gradients():
     hist = Tensor(rng.normal(size=(2, 3, 5)), learnable=True)
     kern = Tensor(rng.normal(size=(3, 5)), learnable=True)
     other = Tensor(rng.normal(size=(6, 2)), learnable=True)
+    short = Tensor(rng.normal(size=(4, 3, 2)), learnable=True)
 
     def build():
         rows = gather_rows(table, np.array([2, 0, 2, 3, 2, 1]))  # row 2 three times
         mixed = concat(rows, other)  # (6, 5)
         pooled = weighted_sum_cols(hist, kern)  # (2, 3): one weight row per d
-        return add(sum_all(norm2(mixed)), sum_all(tanh(pooled)))
+        newest = weighted_sum_cols(short, kern)  # (4, 3): kern's last 2 columns
+        return add(add(sum_all(norm2(mixed)), sum_all(tanh(pooled))), sum_all(tanh(newest)))
 
-    _fd_check(build, {"table": table, "hist": hist, "kern": kern, "other": other})
+    leaves = {"table": table, "hist": hist, "kern": kern, "other": other, "short": short}
+    _fd_check(build, leaves)
 
 
 def test_batched_ops_forward_values():
@@ -145,6 +148,23 @@ def test_batched_ops_forward_values():
         weighted_sum_cols(Tensor(h), Tensor(k.T))
     with pytest.raises(ValueError, match="concat shape mismatch"):
         concat(Tensor(x), Tensor(np.zeros((3, 1))))
+
+
+def test_weighted_sum_cols_takes_the_last_columns_of_a_wider_weight():
+    rng = np.random.default_rng(9)
+    h = rng.normal(size=(4, 3, 2))
+    k = Tensor(rng.normal(size=(3, 5)), learnable=True)
+    with GradientTape() as tape:
+        out = weighted_sum_cols(Tensor(h), k)
+        loss = sum_all(out)
+    assert np.array_equal(out.data, np.einsum("ndl,dl->nd", h, k.data[:, 3:]))
+    g = backward(tape, loss, {"k": k})["k"]
+    assert g.shape == (3, 5)
+    assert np.all(g[:, :3] == 0.0)
+    assert np.array_equal(g[:, 3:], h.sum(axis=0))
+    for bad in (np.zeros((4, 3, 6)), np.zeros((4, 2, 2)), np.zeros((4, 3, 0))):
+        with pytest.raises(ValueError, match="weighted_sum_cols shape mismatch"):
+            weighted_sum_cols(Tensor(bad), k)  # m > L, a wrong d, or m = 0
 
 
 def test_log_clamp_gradients():

@@ -5,7 +5,7 @@ import cmath
 import numpy as np
 import pytest
 
-from lstep.autodiff import GradientTape, Tensor, backward, norm2, sum_all
+from lstep.autodiff import GradientTape, Tensor, add, backward, norm2, sum_all, tanh
 from lstep.config import RunConfig
 from lstep.events import PAD_ID, RecentInteractions
 from lstep.lpe import (
@@ -55,8 +55,12 @@ def _hist(store, node):
 
 def test_store_starts_empty_with_zero_history():
     store = PositionalStore(num_nodes=3, d_p=2, history_len=4)
-    assert _hist(store, 1).shape == (2, 4)
+    # no node has written a column: the gather keeps one, all zero
+    assert _hist(store, 1).shape == (2, 1)
     assert not _hist(store, 1).any()
+    everyone = store.history_matrix(np.arange(3))
+    assert everyone.shape == (3, 2, 1)
+    assert not everyone.any()
 
 
 def test_commits_fill_newest_columns_oldest_first():
@@ -64,9 +68,13 @@ def test_commits_fill_newest_columns_oldest_first():
     store.commit(np.array([0]), np.array([1.0, 10.0])[None])
     store.commit(np.array([0]), np.array([2.0, 20.0])[None])
     h = _hist(store, 0)
-    assert h[:, :2].tolist() == [[0.0, 0.0], [0.0, 0.0]]
-    assert h[:, 2].tolist() == [1.0, 10.0]
-    assert h[:, 3].tolist() == [2.0, 20.0]
+    assert h.tolist() == [[1.0, 2.0], [10.0, 20.0]]
+    # beside a node with three commits, node 0's missing oldest column is zero
+    for v in (5.0, 6.0, 7.0):
+        store.commit(np.array([1]), np.full((1, 2), v))
+    both = store.history_matrix(np.array([0, 1]))
+    assert both[0].tolist() == [[0.0, 1.0, 2.0], [0.0, 10.0, 20.0]]
+    assert both[1].tolist() == [[5.0, 6.0, 7.0], [5.0, 6.0, 7.0]]
 
 
 def test_ring_evicts_oldest_beyond_capacity():
@@ -100,11 +108,15 @@ def test_store_matches_plain_list_reference():
         store.commit(nodes, vecs)
         for node, vec in zip(nodes, vecs):
             committed[node].append(vec)
+        # the gather keeps the newest m columns, m the fullest node's fill
+        width = max(1, min(length, max(len(c) for c in committed)))
         got = store.history_matrix(all_nodes)
+        assert got.shape == (num_nodes, d_p, width)
         for node in all_nodes:
             # a commit that does not touch a node adds no column to it
             want = _reference_history(committed[node], length, d_p)
-            assert np.array_equal(got[node], want)
+            assert not want[:, : length - width].any()
+            assert np.array_equal(got[node], want[:, length - width :])
     fills = [len(c) for c in committed]
     assert fills[4] == 0 and 0 < fills[3] < length < fills[0]
 
@@ -118,14 +130,84 @@ def test_reset_seeds_snapshot_nodes():
         present=np.array([0, 2]),
     )
     store.reset(init)
-    assert _hist(store, 0)[:, -1].tolist() == [1.0, 2.0]
-    assert _hist(store, 2)[:, -1].tolist() == [3.0, 4.0]
-    assert not _hist(store, 0)[:, :-1].any()
+    assert _hist(store, 0).tolist() == [[1.0], [2.0]]
+    assert _hist(store, 2).tolist() == [[3.0], [4.0]]
     assert not _hist(store, 1).any()
     many = store.history_matrix(np.array([2, 0, 1, 2]))
-    assert many.shape == (4, 2, 4)
+    assert many.shape == (4, 2, 1)
     for got, node in zip(many, [2, 0, 1, 2]):
         assert np.array_equal(got, _hist(store, node))
+    # fill node 2's ring: beside it the other nodes show all L columns,
+    # so node 1's slot written before the reset must read zero again
+    for _ in range(3):
+        store.commit(np.array([2]), np.zeros((1, 2)))
+    full = store.history_matrix(np.array([0, 1, 2]))
+    assert full.shape == (3, 2, 4)
+    assert full[0].tolist() == [[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 2.0]]
+    assert not full[1].any()
+    assert full[2][:, 0].tolist() == [3.0, 4.0]
+
+
+def test_history_width_is_the_fullest_gathered_node():
+    store = PositionalStore(5, 2, history_len=5)
+    for node, times in ((0, 3), (1, 1), (2, 7)):  # node 2 wraps the ring
+        for _ in range(times):
+            store.commit(np.array([node]), np.ones((1, 2)))
+    widths = {(1,): 1, (0, 1): 3, (1, 0, 1): 3, (2,): 5, (0, 1, 2): 5, (4,): 1, (): 1}
+    for nodes, width in widths.items():
+        got = store.history_matrix(np.array(nodes, dtype=np.int64))
+        assert got.shape == (len(nodes), 2, width), nodes
+    # the floor: nodes that never committed give one zero column
+    assert not store.history_matrix(np.array([3, 4])).any()
+    params = _params(2, 5)
+    nobody = np.array([], dtype=np.int64)
+    assert approximate_pe(store.history_matrix(nobody), params).shape == (0, 2)
+    with GradientTape():
+        assert approximate_pe(store.history_matrix(nobody), params).shape == (0, 2)
+
+
+def test_trimmed_contraction_equals_the_full_width_one_bit_for_bit():
+    rng = np.random.default_rng(56)
+    num_nodes, d_p, length = 9, 3, 16
+    store = PositionalStore(num_nodes, d_p, length)
+    committed = [[] for _ in range(num_nodes)]
+    for _ in range(11):  # too few rounds for any node to fill its ring
+        nodes = np.flatnonzero(rng.random(num_nodes) < np.linspace(0.6, 0.0, num_nodes))
+        vecs = rng.normal(size=(nodes.size, d_p))
+        store.commit(nodes, vecs)
+        for node, vec in zip(nodes, vecs):
+            committed[node].append(vec)
+    params = _params(d_p, length, rng=rng, identity=False)
+    nodes = np.array([4, 0, 7, 2, 4, 1])
+    trimmed = store.history_matrix(nodes)
+    width = trimmed.shape[2]
+    assert width == max(len(committed[n]) for n in nodes) < length
+    # the zero-padded (n, d_p, L) histories, laid out as the ring holds
+    # them, (n, L, d_p), so both contractions add in the same order
+    full = np.stack([_reference_history(committed[n], length, d_p).T for n in nodes])
+    full = full.transpose(0, 2, 1)
+    assert np.array_equal(trimmed, full[:, :, length - width :])
+    assert np.array_equal(approximate_pe(trimmed, params).data, approximate_pe(full, params).data)
+
+    kernel = Tensor(rng.normal(size=(d_p, length)), learnable=True)
+    filters = ("filter_real", "filter_imag", "pe_sum_pool")
+    leaves = {"kernel": kernel} | {n: params[n] for n in filters}
+    out, grads = {}, {}
+    for name, h in (("trimmed", trimmed), ("full", full)):
+        with GradientTape() as tape:
+            filtered = approximate_pe(h, params)
+            given = approximate_pe(h, params, kernel)
+            loss = add(sum_all(norm2(filtered)), sum_all(tanh(given)))
+        out[name] = (filtered.data, given.data)
+        grads[name] = backward(tape, loss, leaves)
+    for a, b in zip(out["trimmed"], out["full"]):
+        assert np.array_equal(a, b)
+    for leaf in leaves:
+        assert np.array_equal(grads["trimmed"][leaf], grads["full"][leaf]), leaf
+    # no node wrote the kernel's first L - m columns: their gradient is 0.0
+    unwritten = grads["trimmed"]["kernel"][:, : length - width]
+    assert unwritten.size and np.all(unwritten == 0.0)
+    assert np.any(grads["trimmed"]["kernel"][:, length - width :] != 0.0)
 
 
 def test_reset_rejects_mismatched_table():
@@ -204,6 +286,10 @@ def test_approximate_pe_shape_check():
         approximate_pe(np.zeros((1, 3, 4)), params)
     with pytest.raises(ValueError, match="history shape"):
         approximate_pe(np.zeros((2, 4)), params)
+    for width in (0, 5):  # no column, or more than L
+        with pytest.raises(ValueError, match="history shape"):
+            approximate_pe(np.zeros((1, 2, width)), params)
+    assert approximate_pe(np.ones((1, 2, 3)), params).shape == (1, 2)
 
 
 def test_frozen_table_is_not_read_under_a_tape():
