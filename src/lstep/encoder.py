@@ -8,19 +8,24 @@ positional encoding against the positional encodings of those same K
 interaction partners (``lpe.refine_pe``, the update commits apply).
 Every function takes a batch of (node, t) queries and returns one row
 per query, so a batch costs a fixed handful of matrix products whatever
-its size. The link predictor is a two-layer MLP over the concatenated
-endpoint representations. Each layer reads the model's tensors by their
-checkpoint names from one dict (``ModelParams.tensors``).
+its size. The K slots are pooled one slot position at a time from one
+phase row per distinct window event, taken against the batch's latest
+query time t_ref, so no (n, K, .) slot tensor is formed; against t_ref
+the time encodings match ``timeenc.time_encode`` of each delta within
+1e-9 at Unix-epoch timestamps. The link predictor is a two-layer MLP
+over the concatenated endpoint representations. Each layer reads the
+model's tensors by their checkpoint names from one dict
+(``ModelParams.tensors``).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, concat, linear, matmul, relu, sigmoid, weighted_sum_cols
+from .autodiff import Tensor, concat, linear, matmul, phase_pool, relu, sigmoid
 from .config import RunConfig
 from .events import EventStream, RecentInteractions
 from .lpe import refine_pe
-from .timeenc import time_encode_many
+from .timeenc import angular_frequencies
 
 __all__ = ["node_encoding", "temporal_representation", "predict_link"]
 
@@ -44,27 +49,44 @@ def node_encoding(
     return out
 
 
-def _interaction_rows(
-    stream: EventStream, recent: RecentInteractions, ts: np.ndarray, cfg: RunConfig
-) -> np.ndarray:
-    """(n, K, d_t + d_e) rows of concat(time encoding, edge features).
+def _phases(times: np.ndarray, t_ref: float, cfg: RunConfig) -> np.ndarray:
+    """(..., 2 d_t) [cos, sin] of omega (times - t_ref), omega the time encoder's ladder."""
+    angle = (times - t_ref)[..., None] * angular_frequencies(cfg)
+    return np.concatenate([np.cos(angle), np.sin(angle)], axis=-1)
 
-    Padded slots stay exactly zero across the whole row.
+
+def _pool_window(
+    stream: EventStream,
+    recent: RecentInteractions,
+    ts: np.ndarray,
+    params: dict[str, Tensor],
+    cfg: RunConfig,
+) -> tuple[Tensor, np.ndarray]:
+    """Link encodings (n, d_t + d_e) of each query's window ``recent``,
+    and the sums (n, d_t) of its slots' time encodings.
+
+    A slot's row is concat(cos omega (t - t_e), x_e) for its event e and
+    the query time t; a padded slot's is zero. The window's distinct
+    events get one phase row each against the batch's latest query time
+    t_ref, and ``phase_pool`` pools the slots and turns them to each
+    query's phase, so a batch evaluates 2 d_t (n + distinct events)
+    sines and cosines, not n K d_t cosines; against t_ref the phases stay
+    as small as the deltas themselves. Pooling the K slots and
+    ``link_w1`` are both linear, so the slots are pooled first and only
+    (n, d_t + d_e) rows meet the weight.
     """
+    real = ~recent.pad_mask
+    events, which = np.unique(recent.event_ids[real], return_inverse=True)
+    index = np.full(real.shape, events.size)
+    index[real] = which
+    t_ref = float(ts.max()) if ts.size else 0.0
     d_t = cfg.d_t
-    rows = np.empty(recent.pad_mask.shape + (d_t + stream.d_e,))
-    rows[..., :d_t] = time_encode_many(ts[:, None] - recent.times, cfg)
-    rows[..., d_t:] = stream.edge_features[recent.event_ids]
-    rows[recent.pad_mask] = 0.0
-    return rows
-
-
-def _pooled_link(rows: np.ndarray, params: dict[str, Tensor]) -> Tensor:
-    """(n, d_t + d_e) link encodings of ``_interaction_rows``' (n, K, .)
-    rows. Pooling the K slots and ``link_w1`` are both linear, so the
-    rows are pooled first and only (n, d_t + d_e) rows meet the weight."""
-    pooled = weighted_sum_cols(Tensor(rows.transpose(0, 2, 1)), params["link_sum_pool"])
-    return linear(relu(matmul(pooled, params["link_w1"])), params["link_w2"])
+    rows = np.empty((events.size + 1, 2 * d_t + stream.d_e))
+    rows[:-1, : 2 * d_t] = _phases(stream.ts[events], t_ref, cfg)
+    rows[:-1, 2 * d_t :] = stream.edge_features[events]
+    rows[-1] = 0.0  # what padded slots read
+    pooled, tau = phase_pool(rows, index, params["link_sum_pool"], _phases(ts, t_ref, cfg))
+    return linear(relu(matmul(pooled, params["link_w1"])), params["link_w2"]), tau
 
 
 def temporal_representation(
@@ -90,11 +112,10 @@ def temporal_representation(
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     ts = np.asarray(ts, dtype=np.float64)
-    rows = _interaction_rows(stream, recent, ts, cfg)
     h_n = Tensor(node_encoding(stream, nodes, ts, cfg.t_gap))
-    h_e = _pooled_link(rows, params)
+    h_e, tau = _pool_window(stream, recent, ts, params, cfg)
     h_ne = linear(concat(h_n, h_e), params["fuse_w"])
-    h_p = refine_pe(ptilde, ptilde_nodes, nodes, recent, rows[..., : cfg.d_t], params)
+    h_p = refine_pe(ptilde, ptilde_nodes, nodes, recent, tau, params)
     return linear(concat(h_ne, h_p), params["out_w"])
 
 

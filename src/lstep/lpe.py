@@ -196,7 +196,7 @@ def refine_pe(
     ptilde_nodes: np.ndarray,
     nodes: np.ndarray,
     window: RecentInteractions,
-    tau: np.ndarray,
+    tau_sum: np.ndarray,
     params: dict[str, Tensor],
 ) -> Tensor:
     """Learned encodings p = p~ + tanh(W_self p~ + W2 relu(W1 q)), one row
@@ -205,10 +205,9 @@ def refine_pe(
     ``ptilde`` holds p~ (m, d_p) of the sorted node ids ``ptilde_nodes``,
     which cover ``nodes`` and their interaction partners. q = [tau_sum,
     nbr_sum] pools each node's ``window`` of K most recent interactions:
-    ``tau_sum`` sums their (n, K, d_t) time encodings ``tau``, zero in
-    padded slots, and ``nbr_sum`` the real slots' partners' p~. The
-    representation runs it under the tape and the commits detached, so
-    both use the same weights.
+    ``tau_sum`` (n, d_t) sums the time encodings of its real slots, and
+    ``nbr_sum`` their partners' p~. The representation runs it under the
+    tape and the commits detached, so both use the same weights.
     """
     # under a tape, the order of the two gathers fixes the order in
     # which ptilde's row gradients add up, and so their last bits
@@ -217,7 +216,7 @@ def refine_pe(
     partners = np.zeros(real.shape, dtype=np.int64)
     partners[real] = node_rows(ptilde_nodes, window.neighbors[real])
     nbr_sum = gather_sum_rows(ptilde, partners, real)
-    q = concat(tau.sum(axis=1), nbr_sum)
+    q = concat(tau_sum, nbr_sum)
     gate = tanh(
         add(
             linear(p_tilde, params["pe_w_self"]),
@@ -252,9 +251,13 @@ def commit_pe(
     # the window shares one commit time, so a delta repeats once per
     # endpoint of its event; each distinct one is encoded once
     distinct, which = np.unique((t_commit - window.times)[real], return_inverse=True)
-    tau = np.zeros(real.shape + (cfg.d_t,))
-    tau[real] = time_encode_many(distinct, cfg)[which]
-    return refine_pe(ptilde, ptilde_nodes, nodes, window, tau, params).data
+    # padded slots read a final zero row, which stays valid when no slot is real
+    codes = np.zeros((distinct.size + 1, cfg.d_t))
+    codes[:-1] = time_encode_many(distinct, cfg)
+    slots = np.full(real.shape, distinct.size)
+    slots[real] = which
+    tau_sum = gather_sum_rows(codes, slots, real).data
+    return refine_pe(ptilde, ptilde_nodes, nodes, window, tau_sum, params).data
 
 
 @dataclass(frozen=True)

@@ -41,11 +41,27 @@ def adam_step(
             state.v[name] = np.zeros_like(p.data)
         m = state.m[name]
         v = state.v[name]
+        # in place through two scratch arrays, in the operation order of
+        # m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g and
+        # p -= (lr m_hat) / (sqrt(v_hat) + eps), so the bits match it.
+        # A linear layer's weight gradient is a transposed view, so g is
+        # first copied to the parameter's layout: every later op is then
+        # elementwise over equally laid out arrays.
+        a = np.empty_like(p.data)
+        b = np.empty_like(p.data)
+        b[...] = g
+        np.multiply(1.0 - BETA1, b, out=a)
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        m += a
+        np.multiply(1.0 - BETA2, b, out=a)
+        a *= b
         v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        m_hat = m / (1.0 - BETA1**t)
-        v_hat = v / (1.0 - BETA2**t)
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + EPS)
+        v += a
+        np.divide(m, 1.0 - BETA1**t, out=a)
+        a *= state.lr
+        np.divide(v, 1.0 - BETA2**t, out=b)
+        np.sqrt(b, out=b)
+        b += EPS
+        a /= b
+        p.data -= a
     return params

@@ -4,6 +4,15 @@ Encodes an elapsed time delta as cos(delta * omega) against a geometric
 frequency ladder omega_i = alpha ** (-(i - 1) / beta), i = 1..d_t, with
 ``d_t``, ``alpha`` and ``beta`` read from the run's ``RunConfig``. There
 are no learnable parameters; a zero delta encodes to the all-ones vector.
+
+The temporal representation does not call this per slot: it evaluates
+cos and sin of omega (t - t_ref) once per query and once per distinct
+window event, t_ref the batch's latest query time, and recombines them
+by cos(a - b) = cos a cos b + sin a sin b. Against that per-batch
+reference a phase is no larger than the deltas themselves, so at
+Unix-epoch timestamps (about 1.7e9) with deltas up to 1e5 the results
+match this encoder within 1e-9; phases against t = 0 would be about
+1.7e9 rad and miss by about 2e-7.
 """
 from __future__ import annotations
 

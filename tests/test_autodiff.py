@@ -15,6 +15,7 @@ from lstep.autodiff import (
     log,
     matmul,
     norm2,
+    phase_pool,
     relu,
     scale,
     sigmoid,
@@ -102,8 +103,8 @@ def test_pooling_op_gradients():
     rng = np.random.default_rng(4)
     x = Tensor(rng.normal(size=(4, 5)), learnable=True)
     stack = Tensor(rng.normal(size=(2, 4, 5)), learnable=True)
-    w = Tensor(rng.normal(size=(5, 1)), learnable=True)
-    v = Tensor(rng.normal(size=(4, 1)), learnable=True)
+    w = Tensor(rng.normal(size=(4, 5)), learnable=True)  # one weight row per d
+    v = Tensor(rng.normal(size=(5, 4)), learnable=True)
 
     def build():
         pooled = weighted_sum_cols(x, w)
@@ -188,8 +189,11 @@ def test_weighted_sum_cols_matches_matmul():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(3, 7))
     w = rng.normal(size=(7, 1))
-    got = weighted_sum_cols(Tensor(x), Tensor(w)).data
+    # a per-row kernel whose rows all equal w is the product x @ w
+    got = weighted_sum_cols(Tensor(x), Tensor(np.tile(w.T, (3, 1)))).data
     assert np.allclose(got, (x @ w).ravel(), atol=1e-14)
+    with pytest.raises(ValueError, match="weighted_sum_cols shape mismatch"):
+        weighted_sum_cols(Tensor(x), Tensor(w))  # one weight per column is gone
 
 
 def test_norm2_zero_input_has_zero_gradient():
@@ -245,3 +249,26 @@ def test_nested_tape_rejected():
         with pytest.raises(RuntimeError, match="already active"):
             with GradientTape():
                 pass
+
+
+def test_phase_pool_turns_slot_sums_to_each_query_phase():
+    rng = np.random.default_rng(10)
+    d, e = 3, 2
+    b = rng.uniform(-5.0, 0.0, size=(4, d))  # event phases; row 4 is the padding
+    rows = np.vstack([np.hstack([np.cos(b), np.sin(b), rng.normal(size=(4, e))]), np.zeros(2 * d + e)])
+    index = np.array([[4, 0, 2], [1, 2, 2]])  # a padded slot, an event in both windows
+    a = rng.uniform(-1.0, 0.0, size=(2, d))
+    w = Tensor(rng.normal(size=(3, 1)), learnable=True)
+    out, tau = phase_pool(rows, index, w, np.hstack([np.cos(a), np.sin(a)]))
+    for i in range(2):
+        real = [k for k in range(3) if index[i, k] < 4]
+        want_t = sum(w.data[k, 0] * np.cos(a[i] - b[index[i, k]]) for k in real)
+        want_x = sum(w.data[k, 0] * rows[index[i, k], 2 * d:] for k in real)
+        assert np.allclose(out.data[i], np.concatenate([want_t, want_x]), atol=1e-14)
+        assert np.allclose(tau[i], sum(np.cos(a[i] - b[index[i, k]]) for k in real), atol=1e-14)
+    phases = np.hstack([np.cos(a), np.sin(a)])
+    _fd_check(lambda: sum_all(tanh(phase_pool(rows, index, w, phases)[0])), {"w": w})
+    with pytest.raises(ValueError, match="phase_pool shape mismatch"):
+        phase_pool(rows, index, Tensor(np.ones((2, 1))), phases)
+    with pytest.raises(IndexError, match="outside the 5 rows"):
+        phase_pool(rows, index + 1, w, phases)

@@ -1,12 +1,14 @@
 """Node, link, and fused temporal representations against hand traces."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from lstep.autodiff import GradientTape, Tensor, backward, gather_rows, sum_all
+from lstep import encoder
+from lstep.autodiff import GradientTape, Tensor, backward, gather_rows, sum_all, tanh
 from lstep.config import RunConfig
 from lstep.encoder import (
-    _interaction_rows,
-    _pooled_link,
+    _pool_window,
     node_encoding,
     predict_link,
     temporal_representation,
@@ -71,7 +73,7 @@ def test_node_encoding_empty_window_is_raw_feature():
 def _link_encoding(s, nodes, ts, p, cfg):
     """Pooled encodings of the K most recent interactions strictly before t."""
     recent = s.recent_interactions(nodes, ts, cfg.recent_k)
-    return _pooled_link(_interaction_rows(s, recent, ts, cfg), p)
+    return _pool_window(s, recent, ts, p, cfg)[0]
 
 
 def test_link_encoding_matches_hand_trace():
@@ -199,3 +201,134 @@ def test_gradients_reach_all_encoder_parameters():
     grads = backward(tape, loss, p | {"ptilde": table})
     for name, g in grads.items():
         assert np.any(g != 0.0), f"no gradient reached {name}"
+
+
+def test_pooling_gradients_match_central_differences():
+    """Gradients to ``link_sum_pool`` through the slot pooling, and to a
+    learnable p~ table through the slot-by-slot partner sum. Both
+    windows have a padded slot and share event 2, (0, 2) at t = 3."""
+    rng = np.random.default_rng(68)
+    s = _stream()
+    p = _params(rng, k=3)
+    cfg = RunConfig(d_t=4, t_gap=10.0, recent_k=3)
+    table = Tensor(rng.normal(size=(3, 2)), learnable=True)
+    nodes, ts = np.array([0, 2]), np.array([4.0, 3.5])
+    recent = s.recent_interactions(nodes, ts, cfg.recent_k)
+    assert recent.pad_mask[:, 0].all() and not recent.pad_mask[:, 1:].any()
+    assert recent.event_ids[0, 2] == recent.event_ids[1, 2] == 2
+
+    def loss():
+        reps = temporal_representation(
+            s, nodes, ts, p, cfg, ptilde=table, ptilde_nodes=np.arange(3), recent=recent
+        )
+        return sum_all(tanh(reps))
+
+    with GradientTape() as tape:
+        out = loss()
+    leaves = {"link_sum_pool": p["link_sum_pool"], "ptilde": table}
+    grads = backward(tape, out, leaves)
+    h = 1e-6
+    for name, t in leaves.items():
+        flat = t.data.ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = float(loss().data)
+            flat[i] = orig - h
+            dn = float(loss().data)
+            flat[i] = orig
+            fd = (up - dn) / (2.0 * h)
+            an = float(grads[name].ravel()[i])
+            assert abs(an - fd) <= 1e-6 * max(abs(an), abs(fd)) + 1e-9, f"{name}[{i}]"
+
+
+def _busy_stream(rng, d=64):
+    """200 events among 3 nodes, so a window of K <= 200 slots has at
+    most 200 distinct events to encode, whatever the number of queries."""
+    pairs = np.array([[0, 1], [1, 2], [0, 2]])[rng.integers(0, 3, size=200)]
+    return EventStream(
+        pairs[:, 0], pairs[:, 1], np.arange(1.0, 201.0),
+        edge_features=rng.normal(size=(200, d)), node_features=rng.normal(size=(3, d)),
+        d_n=d, d_e=d,
+    )
+
+
+def test_representation_memory_does_not_scale_with_window_slots():
+    """The tracemalloc peak of one call grows less than 1.5x from K = 4
+    to K = 64 at fixed n and widths: only (n, K) index arrays grow, and
+    no (n, K, .) slot tensor is formed (one would grow 16x)."""
+    rng = np.random.default_rng(69)
+    d = 64
+    s = _busy_stream(rng, d)
+    n = 256
+    nodes, ts = np.arange(n) % 3, np.full(n, 250.0)
+    table = Tensor(rng.normal(size=(3, 16)))
+    peaks = {}
+    for k in (4, 64):
+        p = _params(rng, d_n=d, d_e=d, d_p=16, d_t=d, k=k)
+        cfg = RunConfig(d_t=d, d_n=d, d_e=d, d_p=16, t_gap=1.0, recent_k=k)
+        recent = s.recent_interactions(nodes, ts, k)
+        tracemalloc.start()
+        try:
+            temporal_representation(
+                s, nodes, ts, p, cfg, ptilde=table, ptilde_nodes=np.arange(3), recent=recent
+            )
+            peaks[k] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[64] < 1.5 * peaks[4], peaks
+
+
+def _reference_rep(s, p, cfg, table, node, t):
+    """One query's representation from ``time_encode`` of each slot's delta."""
+    w = {name: t_.data for name, t_ in p.items()}
+    recent = s.recent_interactions(np.array([node]), np.array([t]), cfg.recent_k)
+    rows = np.zeros((cfg.recent_k, cfg.d_t + s.d_e))
+    tau, nbr = np.zeros(cfg.d_t), np.zeros(table.shape[1])
+    for k in np.flatnonzero(~recent.pad_mask[0]):
+        code = time_encode(t - recent.times[0, k], cfg)
+        rows[k] = np.concatenate([code, s.edge_features[recent.event_ids[0, k]]])
+        tau += code
+        nbr += table[recent.neighbors[0, k]]
+    pooled = (rows @ w["link_w1"]).T @ w["link_sum_pool"].ravel()
+    h_e = w["link_w2"] @ np.maximum(pooled, 0.0)
+    h_n = node_encoding(s, np.array([node]), np.array([t]), cfg.t_gap)[0]
+    h_ne = w["fuse_w"] @ np.concatenate([h_n, h_e])
+    gate = np.tanh(
+        w["pe_w_self"] @ table[node]
+        + w["pe_w2"] @ np.maximum(w["pe_w1"] @ np.concatenate([tau, nbr]), 0.0)
+    )
+    return w["out_w"] @ np.concatenate([h_ne, table[node] + gate])
+
+
+def test_phases_against_the_batch_reference_time_hold_at_epoch_timestamps(monkeypatch):
+    """Timestamps near 1.7e9 with deltas up to 1e5: the representation
+    matches the per-slot reference within 1e-9. Phases against t = 0
+    (absolute phases) miss it, so the bound tells the two apart."""
+    rng = np.random.default_rng(70)
+    d, num_nodes, k = 8, 6, 5
+    times = 1.7e9 + np.sort(rng.uniform(0.0, 1e5, size=60))
+    src = rng.integers(0, 3, size=60)
+    s = EventStream(
+        src, rng.integers(3, num_nodes, size=60), times,
+        edge_features=rng.normal(size=(60, d)), node_features=rng.normal(size=(num_nodes, d)),
+        d_n=d, d_e=d,
+    )
+    cfg = RunConfig(d_t=100, d_n=d, d_e=d, d_p=d, t_gap=2e4, recent_k=k)
+    p = _params(rng, d_n=d, d_e=d, d_p=d, d_t=100, k=k)
+    table = rng.normal(size=(num_nodes, d))
+    nodes = np.arange(num_nodes)
+    ts = 1.7e9 + 1e5 + rng.uniform(0.0, 10.0, size=num_nodes)
+    want = np.stack([_reference_rep(s, p, cfg, table, u, t) for u, t in zip(nodes, ts)])
+
+    def error():
+        got = temporal_representation(
+            s, nodes, ts, p, cfg, ptilde=Tensor(table), ptilde_nodes=nodes,
+            recent=s.recent_interactions(nodes, ts, k),
+        ).data
+        return np.max(np.abs(got - want))
+
+    assert error() < 1e-9
+    phases = encoder._phases
+    monkeypatch.setattr(encoder, "_phases", lambda times, t_ref, cfg: phases(times, 0.0, cfg))
+    assert error() > 1e-9

@@ -359,8 +359,7 @@ def test_refine_pe_is_the_same_rows_on_and_off_the_tape():
     table = Tensor(rng.normal(size=(4, 3)), learnable=True)
     nodes = np.array([5, 9])
     window = _window([[0, 7], [2, 7]], [[0.0, 0.0], [0.0, 0.0]], [[True, False], [False, False]])
-    tau = rng.normal(size=(2, 2, 4))
-    tau[0, 0] = 0.0  # the padded slot's encoding
+    tau = rng.normal(size=(2, 4))  # each window's time-encoding sum
     detached = refine_pe(table, ids, nodes, window, tau, params).data
     with GradientTape() as tape:
         taped = refine_pe(table, ids, nodes, window, tau, params)
@@ -371,7 +370,7 @@ def test_refine_pe_is_the_same_rows_on_and_off_the_tape():
     nbr_sum = [row[7], row[2] + row[7]]
     for i, node in enumerate(nodes):
         p_tilde = row[int(node)]
-        q = np.concatenate([tau[i].sum(axis=0), nbr_sum[i]])
+        q = np.concatenate([tau[i], nbr_sum[i]])
         want = p_tilde + np.tanh(ws @ p_tilde + w2 @ np.maximum(w1 @ q, 0.0))
         assert np.max(np.abs(detached[i] - want)) < 1e-12
     leaves = {n: params[n] for n in ("pe_w1", "pe_w2", "pe_w_self")} | {"ptilde": table}

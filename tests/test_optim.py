@@ -79,3 +79,48 @@ def test_step_counter_advances_once_per_call():
     q = Tensor(np.ones(1), learnable=True, name="u")
     adam_step(state, {"w": p, "u": q}, {"w": np.ones(1), "u": np.ones(1)})
     assert state.step == 1
+
+
+def _reference_step(state, params, grads):
+    """The allocating update, kept as the bit-exact reference."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    state.step += 1
+    t = state.step
+    for name, p in params.items():
+        g = grads[name]
+        m = state.m.setdefault(name, np.zeros_like(p.data))
+        v = state.v.setdefault(name, np.zeros_like(p.data))
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def test_in_place_update_equals_the_allocating_formula_bit_for_bit():
+    rng = np.random.default_rng(33)
+    shapes = {"w": (5, 3), "k": (4, 7), "b": (3, 1)}
+    start = {n: rng.normal(size=s) for n, s in shapes.items()}
+    steps = [{n: rng.normal(size=s) * 10.0 ** rng.integers(-6, 2) for n, s in shapes.items()}
+             for _ in range(20)]
+    for grads in steps:
+        grads["k"] = np.asfortranarray(grads["k"])  # as a linear layer's transposed gradient
+
+    state, ref = AdamState(lr=1e-3), AdamState(lr=1e-3)
+    params = {n: Tensor(a.copy(), learnable=True) for n, a in start.items()}
+    want = {n: Tensor(a.copy(), learnable=True) for n, a in start.items()}
+    buffers = {n: p.data for n, p in params.items()}
+    for grads in steps:
+        adam_step(state, params, grads)
+        _reference_step(ref, want, grads)
+        if state.step == 1:
+            moments = {n: (state.m[n], state.v[n]) for n in shapes}
+    for n in shapes:
+        assert params[n].data.tobytes() == want[n].data.tobytes()
+        assert state.m[n].tobytes() == ref.m[n].tobytes()
+        assert state.v[n].tobytes() == ref.v[n].tobytes()
+        # the parameter and both moments keep the arrays they started with
+        assert params[n].data is buffers[n]
+        assert state.m[n] is moments[n][0] and state.v[n] is moments[n][1]
