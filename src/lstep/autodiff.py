@@ -20,7 +20,6 @@ __all__ = [
     "concat",
     "gather_rows",
     "gather_sum_rows",
-    "phase_pool",
     "relu",
     "tanh",
     "sigmoid",
@@ -28,7 +27,6 @@ __all__ = [
     "clamp",
     "elementwise_mul",
     "scale",
-    "weighted_sum_cols",
     "sum_all",
     "norm2",
 ]
@@ -222,64 +220,6 @@ def gather_sum_rows(x: Tensor, index: np.ndarray, mask: np.ndarray) -> Tensor:
     return _emit(out_data, (x,), vjp)
 
 
-def phase_pool(
-    rows: np.ndarray, index: np.ndarray, w: Tensor, phases: np.ndarray
-) -> tuple[Tensor, np.ndarray]:
-    """Weighted and plain slot sums of phase rows, turned to each query's phase.
-
-    ``rows`` (R, 2d + e) holds [cos b, sin b, x] per row, ``index`` (n, K)
-    the row of each query's slot k, ``w`` (K, 1) one weight per slot and
-    ``phases`` (n, 2d) each query's [cos a, sin a]. Since cos(a - b) =
-    cos a cos b + sin a sin b, the weighted sums turn into the rows
-    [sum_k w_k cos(a - b_k), sum_k w_k x_k] (n, d + e), returned as a
-    tensor, and the plain sums into sum_k cos(a - b_k) (n, d), returned
-    as an array. The sums walk the K slots, so no (n, K, .) array is
-    formed; the gradient reaches ``w`` only, and re-gathers each slot.
-    """
-    w = _as_tensor(w)
-    index = np.asarray(index, dtype=np.int64)
-    n, k = index.shape
-    d = phases.shape[1] // 2
-    if rows.ndim != 2 or rows.shape[1] < 2 * d or w.data.shape != (k, 1) or phases.shape[0] != n:
-        raise ValueError(
-            f"phase_pool shape mismatch: rows {rows.shape}, index {index.shape}, "
-            f"w {w.data.shape}, phases {phases.shape}"
-        )
-    if index.size and not 0 <= index.min() <= index.max() < rows.shape[0]:
-        raise IndexError(f"phase_pool index outside the {rows.shape[0]} rows")
-    cos_q, sin_q = phases[:, :d], phases[:, d:]
-    weighted = np.zeros((n, rows.shape[1]))
-    plain = np.zeros((n, 2 * d))
-    slot = np.empty((n, rows.shape[1]))
-    # the indices are checked above; "clip" lets take write to out unbuffered
-    for j in range(k):
-        np.take(rows, index[:, j], axis=0, out=slot, mode="clip")
-        plain += slot[:, : 2 * d]
-        slot *= w.data[j, 0]
-        weighted += slot
-    out = np.empty((n, rows.shape[1] - d))
-    np.multiply(cos_q, weighted[:, :d], out=out[:, :d])
-    out[:, :d] += sin_q * weighted[:, d : 2 * d]
-    out[:, d:] = weighted[:, 2 * d :]
-    tau = cos_q * plain[:, :d]
-    tau += sin_q * plain[:, d:]
-
-    def vjp(g):
-        # the gradient of every slot row, then its dot with each slot's rows
-        g_rows = np.empty((n, rows.shape[1]))
-        np.multiply(cos_q, g[:, :d], out=g_rows[:, :d])
-        np.multiply(sin_q, g[:, :d], out=g_rows[:, d : 2 * d])
-        g_rows[:, 2 * d :] = g[:, d:]
-        picked = np.empty_like(g_rows)
-        gw = np.empty((k, 1))
-        for j in range(k):
-            np.take(rows, index[:, j], axis=0, out=picked, mode="clip")
-            gw[j, 0] = np.vdot(picked, g_rows)
-        return (gw,)
-
-    return _emit(out, (w,), vjp), tau
-
-
 def relu(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     mask = x.data > 0.0
@@ -332,37 +272,6 @@ def elementwise_mul(a: Tensor, b) -> Tensor:
 
 def scale(x: Tensor, s: float) -> Tensor:
     return elementwise_mul(x, float(s))
-
-
-def weighted_sum_cols(x: Tensor, w: Tensor) -> Tensor:
-    """Weighted sum of the columns of x: (..., d, m) -> (..., d).
-
-    ``w`` is (d, L), one set of weights per row, for any width
-    0 < m <= L: x is contracted against its last m columns, and the
-    gradient of ``w`` is still (d, L), exactly zero in the first L - m
-    columns. The gradient of ``x`` is formed only when ``x`` can carry
-    one, so a large constant input costs nothing in the backward pass.
-    """
-    x, w = _as_tensor(x), _as_tensor(w)
-    if x.data.ndim < 2:
-        raise ValueError(f"weighted_sum_cols expects >= 2-D input, got {x.data.shape}")
-    d, width = x.data.shape[-2:]
-    if not (w.data.ndim == 2 and w.data.shape[0] == d and 0 < width <= w.data.shape[1]):
-        raise ValueError(
-            f"weighted_sum_cols shape mismatch: {x.data.shape} vs {w.data.shape}"
-        )
-    kern = w.data[:, -width:]
-    xs = x.data.reshape((-1, d, width))
-    need_x = x.learnable or x._rec
-
-    def vjp(g):
-        gx = g[..., None] * kern if need_x else None
-        gw = np.zeros(w.data.shape)
-        gw[:, -width:] = np.einsum("ndl,nd->dl", xs, g.reshape(xs.shape[:2]))
-        return gx, gw
-
-    out = np.einsum("ndl,dl->nd", xs, kern).reshape(x.data.shape[:-1])
-    return _emit(out, (x, w), vjp)
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -31,12 +31,17 @@ from .events import EventStream, chronological_split, load_events, write_manifes
 from .model import ModelDims, ModelParams, init_model_params
 from .peinit import InitialPE
 from .sampling import STRATEGIES
-from .training import EvalReport, build_initial_pe, evaluate, train, write_loss_csv
+from .training import (
+    SETTINGS,
+    EvalReport,
+    build_initial_pe,
+    check_setting,
+    evaluate,
+    train,
+    write_loss_csv,
+)
 
 __all__ = ["main", "cmd_ingest", "cmd_train", "cmd_eval", "cmd_check"]
-
-_SETTINGS = ("transductive", "inductive")
-
 
 class _Parser(argparse.ArgumentParser):
     """Argument errors are validation errors: exit 1, not argparse's 2."""
@@ -231,7 +236,7 @@ def _expand(kind: str, arg: str, choices: tuple[str, ...], every: str) -> tuple[
 
 def cmd_eval(args) -> int:
     """Score a checkpoint on the test segment for setting x strategy cells."""
-    settings = _expand("setting", args.setting, _SETTINGS, "both")
+    settings = _expand("setting", args.setting, SETTINGS, "both")
     strategies = _expand("strategy", args.strategy, STRATEGIES, "all")
     tensors, meta = load_container(args.checkpoint)
     cfg = _resolve_config(args, embedded=meta.get("config"))
@@ -254,6 +259,8 @@ def cmd_eval(args) -> int:
 
     stream = _load_stream(cfg)
     split = _split_stream(stream, cfg)
+    for setting in settings:  # every cell must be scorable before the first is scored
+        check_setting(stream, split, setting)
     if "__initial_pe_table" in tensors:
         initial = InitialPE(
             tensors["__initial_pe_table"],

@@ -10,9 +10,13 @@ Every function takes a batch of (node, t) queries and returns one row
 per query, so a batch costs a fixed handful of matrix products whatever
 its size. The K slots are pooled one slot position at a time from one
 phase row per distinct window event, taken against the batch's latest
-query time t_ref, so no (n, K, .) slot tensor is formed; against t_ref
-the time encodings match ``timeenc.time_encode`` of each delta within
-1e-9 at Unix-epoch timestamps. The link predictor is a two-layer MLP
+query time t_ref, so no (n, K, .) slot tensor is formed; ``phase_pool``
+turns the pooled rows to each query's phase by cos(a - b) =
+cos a cos b + sin a sin b. Against t_ref a phase is no larger than the
+deltas themselves, so at Unix-epoch timestamps (about 1.7e9) with
+deltas up to 1e5 the time encodings match ``timeenc.time_encode`` of
+each delta within 1e-9; phases against t = 0 would be about 1.7e9 rad
+and miss by about 2e-7. The link predictor is a two-layer MLP
 over the concatenated endpoint representations. Each layer reads the
 model's tensors by their checkpoint names from one dict
 (``ModelParams.tensors``).
@@ -21,13 +25,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, concat, linear, matmul, phase_pool, relu, sigmoid
+from .autodiff import Tensor, _emit, concat, linear, matmul, relu, sigmoid
 from .config import RunConfig
 from .events import EventStream, RecentInteractions
 from .lpe import refine_pe
 from .timeenc import angular_frequencies
 
-__all__ = ["node_encoding", "temporal_representation", "predict_link"]
+__all__ = ["node_encoding", "phase_pool", "temporal_representation", "predict_link"]
 
 
 def node_encoding(
@@ -53,6 +57,63 @@ def _phases(times: np.ndarray, t_ref: float, cfg: RunConfig) -> np.ndarray:
     """(..., 2 d_t) [cos, sin] of omega (times - t_ref), omega the time encoder's ladder."""
     angle = (times - t_ref)[..., None] * angular_frequencies(cfg)
     return np.concatenate([np.cos(angle), np.sin(angle)], axis=-1)
+
+
+def phase_pool(
+    rows: np.ndarray, index: np.ndarray, w: Tensor, phases: np.ndarray
+) -> tuple[Tensor, np.ndarray]:
+    """Weighted and plain slot sums of phase rows, turned to each query's phase.
+
+    ``rows`` (R, 2d + e) holds [cos b, sin b, x] per row, ``index`` (n, K)
+    the row of each query's slot k, ``w`` (K, 1) one weight per slot and
+    ``phases`` (n, 2d) each query's [cos a, sin a]. Since cos(a - b) =
+    cos a cos b + sin a sin b, the weighted sums turn into the rows
+    [sum_k w_k cos(a - b_k), sum_k w_k x_k] (n, d + e), returned as a
+    tensor, and the plain sums into sum_k cos(a - b_k) (n, d), returned
+    as an array. The sums walk the K slots, so no (n, K, .) array is
+    formed; the gradient reaches ``w`` only, and re-gathers each slot.
+    """
+    index = np.asarray(index, dtype=np.int64)
+    n, k = index.shape
+    d = phases.shape[1] // 2
+    if rows.ndim != 2 or rows.shape[1] < 2 * d or w.data.shape != (k, 1) or phases.shape[0] != n:
+        raise ValueError(
+            f"phase_pool shape mismatch: rows {rows.shape}, index {index.shape}, "
+            f"w {w.data.shape}, phases {phases.shape}"
+        )
+    if index.size and not 0 <= index.min() <= index.max() < rows.shape[0]:
+        raise IndexError(f"phase_pool index outside the {rows.shape[0]} rows")
+    cos_q, sin_q = phases[:, :d], phases[:, d:]
+    weighted = np.zeros((n, rows.shape[1]))
+    plain = np.zeros((n, 2 * d))
+    slot = np.empty((n, rows.shape[1]))
+    # the indices are checked above; "clip" lets take write to out unbuffered
+    for j in range(k):
+        np.take(rows, index[:, j], axis=0, out=slot, mode="clip")
+        plain += slot[:, : 2 * d]
+        slot *= w.data[j, 0]
+        weighted += slot
+    out = np.empty((n, rows.shape[1] - d))
+    np.multiply(cos_q, weighted[:, :d], out=out[:, :d])
+    out[:, :d] += sin_q * weighted[:, d : 2 * d]
+    out[:, d:] = weighted[:, 2 * d :]
+    tau = cos_q * plain[:, :d]
+    tau += sin_q * plain[:, d:]
+
+    def vjp(g):
+        # the gradient of every slot row, then its dot with each slot's rows
+        g_rows = np.empty((n, rows.shape[1]))
+        np.multiply(cos_q, g[:, :d], out=g_rows[:, :d])
+        np.multiply(sin_q, g[:, :d], out=g_rows[:, d : 2 * d])
+        g_rows[:, 2 * d :] = g[:, d:]
+        picked = np.empty_like(g_rows)
+        gw = np.empty((k, 1))
+        for j in range(k):
+            np.take(rows, index[:, j], axis=0, out=picked, mode="clip")
+            gw[j, 0] = np.vdot(picked, g_rows)
+        return (gw,)
+
+    return _emit(out, (w,), vjp), tau
 
 
 def _pool_window(

@@ -34,22 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff
-from .autodiff import (
-    Tensor,
-    add,
-    concat,
-    gather_rows,
-    gather_sum_rows,
-    linear,
-    relu,
-    tanh,
-    weighted_sum_cols,
-)
+from .autodiff import Tensor, _emit, add, concat, gather_rows, gather_sum_rows, linear, relu, tanh
 from .config import RunConfig
 from .events import RecentInteractions
 from .fourier import filter_kernel
 from .peinit import InitialPE
-from .timeenc import time_encode_many
+from .timeenc import time_encode
 
 __all__ = [
     "PositionalStore",
@@ -129,7 +119,7 @@ def _kernel(params: dict[str, Tensor]) -> Tensor:
 
 
 def approximate_pe(
-    histories: Tensor | np.ndarray, params: dict[str, Tensor], kernel: Tensor | None = None
+    histories: np.ndarray, params: dict[str, Tensor], kernel: Tensor | None = None
 ) -> Tensor:
     """Filtered, pooled encodings (n, d_p) of n stacked (d_p, m) histories.
 
@@ -137,17 +127,29 @@ def approximate_pe(
     ``PositionalStore.history_matrix`` returns them; the columns before
     them are zero and add nothing. Every history row is contracted with
     the last m columns of ``kernel``, by default the
-    ``fourier.filter_kernel`` of the model's ``params`` now; the filter
-    and pool gradients flow through that kernel only. A frozen segment
-    passes the kernel it built once (``FrozenPE.kernel``).
+    ``fourier.filter_kernel`` of the model's ``params`` now, and the
+    kernel's gradient is still (d_p, L), exactly zero in its first
+    L - m columns. The histories are the store's constants, so no
+    gradient flows to them; the filter and pool gradients flow through
+    the kernel only. A frozen segment passes the kernel it built once
+    (``FrozenPE.kernel``).
     """
-    h = histories if isinstance(histories, Tensor) else Tensor(histories)
+    if isinstance(histories, Tensor):
+        raise TypeError("histories must be a plain array: the store's histories take no gradient")
+    h = np.asarray(histories, dtype=np.float64)
     d_p, length = params["filter_real"].shape
-    if h.data.ndim != 3 or h.data.shape[1] != d_p or not 0 < h.data.shape[2] <= length:
-        raise ValueError(f"history shape {h.data.shape} != (n, {d_p}, m <= {length})")
+    if h.ndim != 3 or h.shape[1] != d_p or not 0 < h.shape[2] <= length:
+        raise ValueError(f"history shape {h.shape} != (n, {d_p}, m <= {length})")
     if kernel is None:
         kernel = _kernel(params)
-    return weighted_sum_cols(h, kernel)
+    width = h.shape[2]
+
+    def vjp(g):
+        gk = np.zeros(kernel.data.shape)
+        gk[:, -width:] = np.einsum("ndl,nd->dl", h, g)
+        return (gk,)
+
+    return _emit(np.einsum("ndl,dl->nd", h, kernel.data[:, -width:]), (kernel,), vjp)
 
 
 class FrozenPE:
@@ -253,7 +255,7 @@ def commit_pe(
     distinct, which = np.unique((t_commit - window.times)[real], return_inverse=True)
     # padded slots read a final zero row, which stays valid when no slot is real
     codes = np.zeros((distinct.size + 1, cfg.d_t))
-    codes[:-1] = time_encode_many(distinct, cfg)
+    codes[:-1] = time_encode(distinct, cfg)
     slots = np.full(real.shape, distinct.size)
     slots[real] = which
     tau_sum = gather_sum_rows(codes, slots, real).data

@@ -48,14 +48,18 @@ from .peinit import InitialPE, laplacian_pe, random_walk_pe, zero_pe
 from .sampling import NegativeSampler, Sample
 
 __all__ = [
+    "SETTINGS",
     "EvalReport",
     "TrainResult",
     "build_initial_pe",
     "train",
+    "check_setting",
     "evaluate",
     "collect_pe_trace",
     "write_loss_csv",
 ]
+
+SETTINGS = ("transductive", "inductive")
 
 
 @dataclass
@@ -254,11 +258,24 @@ class _Segment:
 
     def metrics(self, setting: str) -> tuple[float, float, int]:
         """(AP, ROC-AUC, sampler fallbacks) of the scored pairs."""
-        if not self.scores:
-            raise ValueError(f"no qualifying positives in segment for setting {setting!r}")
+        _require_positives(len(self.scores), setting)
         arr_s = np.concatenate(self.scores)
         arr_l = np.tile([1, 0], arr_s.size // 2)
         return average_precision(arr_s, arr_l), roc_auc(arr_s, arr_l), self.fallbacks
+
+
+def _require_positives(count: int, setting: str) -> None:
+    if not count:
+        raise ValueError(f"no qualifying positives in segment for setting {setting!r}")
+
+
+def _scored(stream: EventStream, events: np.ndarray, new_nodes: np.ndarray | None) -> np.ndarray:
+    """The positives among ``events`` a segment scores: all of them, or
+    with ``new_nodes`` those with an endpoint among them."""
+    if new_nodes is None:
+        return events
+    ends = np.stack([stream.src[events], stream.dst[events]])
+    return events[np.isin(ends, new_nodes).any(axis=0)]
 
 
 def _run_segment(
@@ -286,10 +303,7 @@ def _run_segment(
     for _, batch in batch_iter(start, end, cfg.batch_size):
         scored, neg = None, None
         if sampler is not None:
-            scored = batch
-            if new_nodes is not None:
-                ends = np.stack([stream.src[batch], stream.dst[batch]])
-                scored = batch[np.isin(ends, new_nodes).any(axis=0)]
+            scored = _scored(stream, batch, new_nodes)
             if scored.size:
                 neg = sampler.sample(scored)
                 seg.fallbacks += neg.fallbacks
@@ -370,6 +384,18 @@ def train(stream: EventStream, split: ChronoSplit, cfg: RunConfig) -> TrainResul
     return TrainResult(params, initial, report)
 
 
+def check_setting(stream: EventStream, split: ChronoSplit, setting: str) -> np.ndarray | None:
+    """The new nodes that ``setting`` restricts the test positives to:
+    None for the transductive setting, the nodes unseen in training for
+    the inductive one. Fails, with no work done, on an unknown setting
+    or when no test positive qualifies."""
+    if setting not in SETTINGS:
+        raise ValueError(f"unknown setting {setting!r}")
+    new_nodes = np.fromiter(split.new_nodes, np.int64) if setting == "inductive" else None
+    _require_positives(_scored(stream, np.arange(*split.test_range), new_nodes).size, setting)
+    return new_nodes
+
+
 def evaluate(
     stream: EventStream,
     split: ChronoSplit,
@@ -384,17 +410,16 @@ def evaluate(
     """(AP, ROC-AUC, sampler fallbacks) over the test segment after a
     commit-only warm replay from ``initial_pe``.
 
-    The arguments are checked before any work; the replay and the
-    scoring are one frozen segment.
+    The arguments, and that some test positive qualifies for
+    ``setting`` (``check_setting``), are checked before any work; the
+    replay and the scoring are one frozen segment.
     """
     validate_config(cfg)
-    if setting not in ("transductive", "inductive"):
-        raise ValueError(f"unknown setting {setting!r}")
+    new_nodes = check_setting(stream, split, setting)
     sampler = NegativeSampler(stream, split, strategy, seed)  # checks the strategy
     store = PositionalStore(stream.num_nodes, cfg.d_p, cfg.history_len)
     store.reset(initial_pe)
     score_lo, score_hi = split.test_range
-    new_nodes = np.fromiter(split.new_nodes, np.int64) if setting == "inductive" else None
     frozen = FrozenPE(store, params.tensors)
     # the warm replay ends where scoring starts
     _run_segment(stream, store, params, cfg, 0, score_lo, frozen)

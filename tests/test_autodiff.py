@@ -11,18 +11,17 @@ from lstep.autodiff import (
     concat,
     elementwise_mul,
     gather_rows,
+    gather_sum_rows,
     linear,
     log,
     matmul,
     norm2,
-    phase_pool,
     relu,
     scale,
     sigmoid,
     sub,
     sum_all,
     tanh,
-    weighted_sum_cols,
 )
 
 
@@ -101,71 +100,43 @@ def test_matmul_concat_relu_gradients():
 
 def test_pooling_op_gradients():
     rng = np.random.default_rng(4)
-    x = Tensor(rng.normal(size=(4, 5)), learnable=True)
-    stack = Tensor(rng.normal(size=(2, 4, 5)), learnable=True)
-    w = Tensor(rng.normal(size=(4, 5)), learnable=True)  # one weight row per d
-    v = Tensor(rng.normal(size=(5, 4)), learnable=True)
+    x = Tensor(rng.normal(size=(4, 3)), learnable=True)
+    index = np.array([[2, 0, 2], [1, 3, 3], [0, 0, 1]])  # repeated rows within a sum
+    mask = np.array([[True, False, True], [False, False, False], [True, True, True]])
+    want = np.stack([x.data[index[i]][mask[i]].sum(axis=0) for i in range(3)])
+    assert np.allclose(gather_sum_rows(x, index, mask).data, want, atol=1e-14)
 
     def build():
-        pooled = weighted_sum_cols(x, w)
-        batched = weighted_sum_cols(stack, w)  # (2, 4): one row per stacked matrix
-        cols = weighted_sum_cols(linear(np.eye(5), x), v)  # x.T
-        return add(add(norm2(pooled), sum_all(norm2(batched))), norm2(cols))
+        return sum_all(tanh(gather_sum_rows(x, index, mask)))
 
-    _fd_check(build, {"x": x, "stack": stack, "w": w, "v": v})
+    _fd_check(build, {"x": x})
+    with pytest.raises(ValueError, match="gather_sum_rows expects"):
+        gather_sum_rows(x, index, mask[:, :2])
 
 
 def test_batched_ops_gradients():
     rng = np.random.default_rng(7)
     table = Tensor(rng.normal(size=(4, 3)), learnable=True)
-    hist = Tensor(rng.normal(size=(2, 3, 5)), learnable=True)
-    kern = Tensor(rng.normal(size=(3, 5)), learnable=True)
     other = Tensor(rng.normal(size=(6, 2)), learnable=True)
-    short = Tensor(rng.normal(size=(4, 3, 2)), learnable=True)
+    w = Tensor(rng.normal(size=(2, 5)), learnable=True)  # stored as (out, in)
 
     def build():
         rows = gather_rows(table, np.array([2, 0, 2, 3, 2, 1]))  # row 2 three times
         mixed = concat(rows, other)  # (6, 5)
-        pooled = weighted_sum_cols(hist, kern)  # (2, 3): one weight row per d
-        newest = weighted_sum_cols(short, kern)  # (4, 3): kern's last 2 columns
-        return add(add(sum_all(norm2(mixed)), sum_all(tanh(pooled))), sum_all(tanh(newest)))
+        return add(sum_all(norm2(mixed)), sum_all(tanh(linear(mixed, w))))
 
-    leaves = {"table": table, "hist": hist, "kern": kern, "other": other, "short": short}
-    _fd_check(build, leaves)
+    _fd_check(build, {"table": table, "other": other, "w": w})
 
 
 def test_batched_ops_forward_values():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(4, 3))
-    h = rng.normal(size=(2, 3, 5))
-    k = rng.normal(size=(3, 5))
     assert np.array_equal(gather_rows(Tensor(x), np.array([3, 3, 0])).data, x[[3, 3, 0]])
-    got = weighted_sum_cols(Tensor(h), Tensor(k)).data
-    assert np.allclose(got, (h * k).sum(axis=2), atol=1e-14)
     assert np.allclose(norm2(Tensor(x)).data, np.linalg.norm(x, axis=1), atol=1e-14)
     both = concat(Tensor(x), Tensor(x[:, :1])).data
     assert np.array_equal(both, np.hstack([x, x[:, :1]]))
-    with pytest.raises(ValueError, match="weighted_sum_cols shape mismatch"):
-        weighted_sum_cols(Tensor(h), Tensor(k.T))
     with pytest.raises(ValueError, match="concat shape mismatch"):
         concat(Tensor(x), Tensor(np.zeros((3, 1))))
-
-
-def test_weighted_sum_cols_takes_the_last_columns_of_a_wider_weight():
-    rng = np.random.default_rng(9)
-    h = rng.normal(size=(4, 3, 2))
-    k = Tensor(rng.normal(size=(3, 5)), learnable=True)
-    with GradientTape() as tape:
-        out = weighted_sum_cols(Tensor(h), k)
-        loss = sum_all(out)
-    assert np.array_equal(out.data, np.einsum("ndl,dl->nd", h, k.data[:, 3:]))
-    g = backward(tape, loss, {"k": k})["k"]
-    assert g.shape == (3, 5)
-    assert np.all(g[:, :3] == 0.0)
-    assert np.array_equal(g[:, 3:], h.sum(axis=0))
-    for bad in (np.zeros((4, 3, 6)), np.zeros((4, 2, 2)), np.zeros((4, 3, 0))):
-        with pytest.raises(ValueError, match="weighted_sum_cols shape mismatch"):
-            weighted_sum_cols(Tensor(bad), k)  # m > L, a wrong d, or m = 0
 
 
 def test_log_clamp_gradients():
@@ -183,17 +154,6 @@ def test_clamp_blocks_gradient_outside_interior():
         loss = sum_all(clamp(x, 0.0, 1.0))
     g = backward(tape, loss, {"x": x})["x"]
     assert np.array_equal(g, np.array([0.0, 1.0, 0.0]))
-
-
-def test_weighted_sum_cols_matches_matmul():
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(3, 7))
-    w = rng.normal(size=(7, 1))
-    # a per-row kernel whose rows all equal w is the product x @ w
-    got = weighted_sum_cols(Tensor(x), Tensor(np.tile(w.T, (3, 1)))).data
-    assert np.allclose(got, (x @ w).ravel(), atol=1e-14)
-    with pytest.raises(ValueError, match="weighted_sum_cols shape mismatch"):
-        weighted_sum_cols(Tensor(x), Tensor(w))  # one weight per column is gone
 
 
 def test_norm2_zero_input_has_zero_gradient():
@@ -249,26 +209,3 @@ def test_nested_tape_rejected():
         with pytest.raises(RuntimeError, match="already active"):
             with GradientTape():
                 pass
-
-
-def test_phase_pool_turns_slot_sums_to_each_query_phase():
-    rng = np.random.default_rng(10)
-    d, e = 3, 2
-    b = rng.uniform(-5.0, 0.0, size=(4, d))  # event phases; row 4 is the padding
-    rows = np.vstack([np.hstack([np.cos(b), np.sin(b), rng.normal(size=(4, e))]), np.zeros(2 * d + e)])
-    index = np.array([[4, 0, 2], [1, 2, 2]])  # a padded slot, an event in both windows
-    a = rng.uniform(-1.0, 0.0, size=(2, d))
-    w = Tensor(rng.normal(size=(3, 1)), learnable=True)
-    out, tau = phase_pool(rows, index, w, np.hstack([np.cos(a), np.sin(a)]))
-    for i in range(2):
-        real = [k for k in range(3) if index[i, k] < 4]
-        want_t = sum(w.data[k, 0] * np.cos(a[i] - b[index[i, k]]) for k in real)
-        want_x = sum(w.data[k, 0] * rows[index[i, k], 2 * d:] for k in real)
-        assert np.allclose(out.data[i], np.concatenate([want_t, want_x]), atol=1e-14)
-        assert np.allclose(tau[i], sum(np.cos(a[i] - b[index[i, k]]) for k in real), atol=1e-14)
-    phases = np.hstack([np.cos(a), np.sin(a)])
-    _fd_check(lambda: sum_all(tanh(phase_pool(rows, index, w, phases)[0])), {"w": w})
-    with pytest.raises(ValueError, match="phase_pool shape mismatch"):
-        phase_pool(rows, index, Tensor(np.ones((2, 1))), phases)
-    with pytest.raises(IndexError, match="outside the 5 rows"):
-        phase_pool(rows, index + 1, w, phases)

@@ -375,6 +375,29 @@ def test_eval_unknown_setting_and_strategy(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_eval_fails_before_any_cell_when_a_setting_cannot_be_scored(tmp_path, capsys):
+    # the training segment, events 0 and 1, sees all three nodes, so the
+    # inductive setting has no test positive to score
+    raw = tmp_path / "events.csv"
+    raw.write_text(
+        "src,dst,timestamp,f0,f1\n0,1,1.0,0.5,0.1\n1,2,2.0,0.2,0.3\n"
+        "0,2,3.0,0.4,0.6\n0,1,4.0,0.7,0.8\n"
+    )
+    cfg_path, out = _train(tmp_path, raw, batch_size=1)
+    capsys.readouterr()
+    eval_out = tmp_path / "eval"
+    assert main(["eval", "--checkpoint", str(out / "checkpoint.lstp"),
+                 "--config", str(cfg_path), "--setting", "both",
+                 "--strategy", "all", "--out", str(eval_out)]) == 1
+    captured = capsys.readouterr()
+    assert "test/" not in captured.out
+    assert "no qualifying positives in segment for setting 'inductive'" in captured.err
+    assert not (eval_out / "eval_report.json").exists()
+    assert main(["eval", "--checkpoint", str(out / "checkpoint.lstp"),
+                 "--config", str(cfg_path), "--out", str(eval_out)]) == 0
+    assert "test/transductive/random" in capsys.readouterr().out
+
+
 def test_check_suite_writes_json_summary(tmp_path, capsys):
     out = tmp_path / "checks"
     assert main(["check", "--suite", "fourier", "--out", str(out)]) == 0

@@ -10,6 +10,7 @@ from lstep.config import RunConfig
 from lstep.encoder import (
     _pool_window,
     node_encoding,
+    phase_pool,
     predict_link,
     temporal_representation,
 )
@@ -201,6 +202,44 @@ def test_gradients_reach_all_encoder_parameters():
     grads = backward(tape, loss, p | {"ptilde": table})
     for name, g in grads.items():
         assert np.any(g != 0.0), f"no gradient reached {name}"
+
+
+def test_phase_pool_turns_slot_sums_to_each_query_phase():
+    rng = np.random.default_rng(10)
+    d, e = 3, 2
+    b = rng.uniform(-5.0, 0.0, size=(4, d))  # event phases; row 4 is the padding
+    rows = np.vstack([np.hstack([np.cos(b), np.sin(b), rng.normal(size=(4, e))]), np.zeros(2 * d + e)])
+    index = np.array([[4, 0, 2], [1, 2, 2]])  # a padded slot, an event in both windows
+    a = rng.uniform(-1.0, 0.0, size=(2, d))
+    w = Tensor(rng.normal(size=(3, 1)), learnable=True)
+    out, tau = phase_pool(rows, index, w, np.hstack([np.cos(a), np.sin(a)]))
+    for i in range(2):
+        real = [k for k in range(3) if index[i, k] < 4]
+        want_t = sum(w.data[k, 0] * np.cos(a[i] - b[index[i, k]]) for k in real)
+        want_x = sum(w.data[k, 0] * rows[index[i, k], 2 * d:] for k in real)
+        assert np.allclose(out.data[i], np.concatenate([want_t, want_x]), atol=1e-14)
+        assert np.allclose(tau[i], sum(np.cos(a[i] - b[index[i, k]]) for k in real), atol=1e-14)
+    phases = np.hstack([np.cos(a), np.sin(a)])
+
+    def loss():
+        return sum_all(tanh(phase_pool(rows, index, w, phases)[0]))
+
+    with GradientTape() as tape:
+        out = loss()
+    grad = backward(tape, out, {"w": w})["w"]
+    for k in range(3):
+        orig = w.data[k, 0]
+        w.data[k, 0] = orig + 1e-6
+        up = float(loss().data)
+        w.data[k, 0] = orig - 1e-6
+        dn = float(loss().data)
+        w.data[k, 0] = orig
+        fd, an = (up - dn) / 2e-6, float(grad[k, 0])
+        assert abs(an - fd) < 1e-6 * max(abs(an), abs(fd), 1e-6), f"w[{k}]"
+    with pytest.raises(ValueError, match="phase_pool shape mismatch"):
+        phase_pool(rows, index, Tensor(np.ones((2, 1))), phases)
+    with pytest.raises(IndexError, match="outside the 5 rows"):
+        phase_pool(rows, index + 1, w, phases)
 
 
 def test_pooling_gradients_match_central_differences():

@@ -4,15 +4,9 @@ import cmath
 import numpy as np
 import pytest
 
-from lstep.autodiff import (
-    GradientTape,
-    Tensor,
-    backward,
-    norm2,
-    sum_all,
-    weighted_sum_cols,
-)
+from lstep.autodiff import GradientTape, Tensor, add, backward, norm2, sum_all, tanh
 from lstep.fourier import dft, filter_kernel, idft
+from lstep.lpe import approximate_pe
 
 LENGTHS = (1, 2, 3, 8, 16, 100)
 
@@ -144,17 +138,26 @@ def _assert_gradients_match_fd(build, tensors):
             assert abs(an - fd) / max(abs(an), abs(fd), 1e-6) < 1e-5, (name, i)
 
 
+def _filter_params(wr, wi, pool):
+    """The tensors ``approximate_pe`` reads, by their checkpoint names."""
+    return {"filter_real": wr, "filter_imag": wi, "pe_sum_pool": pool}
+
+
 def test_filter_chain_gradient_matches_finite_differences():
     """filter_kernel's F_re, F_im and pool gradients, with the kernel
-    contracted against a history and the result passed through a norm."""
+    contracted by ``approximate_pe`` against full-width and trimmed
+    (m < L) histories and the results passed through a norm and a tanh."""
     rng = np.random.default_rng(15)
-    h = Tensor(rng.normal(size=(3, 2, 6)))
+    h = rng.normal(size=(3, 2, 6))
+    short = rng.normal(size=(4, 2, 2))
     wr = Tensor(rng.normal(size=(2, 6)), learnable=True)
     wi = Tensor(rng.normal(size=(2, 6)), learnable=True)
     pool = Tensor(rng.normal(size=(6, 1)), learnable=True)
+    params = _filter_params(wr, wi, pool)
 
     def build():
-        return sum_all(norm2(weighted_sum_cols(h, filter_kernel(wr, wi, pool))))
+        full = sum_all(norm2(approximate_pe(h, params)))
+        return add(full, sum_all(tanh(approximate_pe(short, params))))
 
     _assert_gradients_match_fd(build, {"wr": wr, "wi": wi, "pool": pool})
 
@@ -163,7 +166,7 @@ def test_identity_filter_kernel_is_the_pool_on_and_off_the_tape():
     """At F = 1 + 0i the kernel is the pool bit for bit (an FFT round trip
     would move its last bits), and the gradients there are the chain's."""
     rng = np.random.default_rng(17)
-    h = Tensor(rng.normal(size=(3, 4, 100)))
+    h = rng.normal(size=(3, 4, 100))
     wr = Tensor(np.ones((4, 100)), learnable=True)
     wi = Tensor(np.zeros((4, 100)), learnable=True)
     pool = Tensor(rng.normal(size=(100, 1)), learnable=True)
@@ -174,6 +177,6 @@ def test_identity_filter_kernel_is_the_pool_on_and_off_the_tape():
     assert taped.data.tobytes() == want.tobytes()
 
     def build():
-        return sum_all(norm2(weighted_sum_cols(h, filter_kernel(wr, wi, pool))))
+        return sum_all(norm2(approximate_pe(h, _filter_params(wr, wi, pool))))
 
     _assert_gradients_match_fd(build, {"wr": wr, "wi": wi, "pool": pool})

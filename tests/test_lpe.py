@@ -236,14 +236,13 @@ def test_identity_filter_last_column_pool_is_exact_pass_through():
 
 def test_identity_filter_still_differentiates_under_tape():
     params = _params(2, 4)
-    h = Tensor(np.arange(8.0).reshape(1, 2, 4), learnable=True)
+    h = np.arange(8.0).reshape(1, 2, 4)
     with GradientTape() as tape:
         loss = sum_all(norm2(approximate_pe(h, params)))
-    grads = backward(tape, loss, {"fr": params["filter_real"], "h": h})
+    grads = backward(tape, loss, {"fr": params["filter_real"]})
     # the transform chain runs when recording, so filter gradients exist
     assert grads["fr"].shape == (2, 4)
     assert np.any(grads["fr"] != 0.0)
-    assert np.any(grads["h"] != 0.0)
 
 
 def test_approximation_matches_complex_oracle():
@@ -290,6 +289,44 @@ def test_approximate_pe_shape_check():
         with pytest.raises(ValueError, match="history shape"):
             approximate_pe(np.zeros((1, 2, width)), params)
     assert approximate_pe(np.ones((1, 2, 3)), params).shape == (1, 2)
+    # the store's histories are constants: a tensor history is refused
+    for h in (Tensor(np.ones((1, 2, 4))), Tensor(np.ones((1, 2, 4)), learnable=True)):
+        with pytest.raises(TypeError, match="histories"):
+            approximate_pe(h, params)
+
+
+def test_approximate_pe_takes_the_last_kernel_columns():
+    """m < L columns meet the kernel's last m; the kernel's gradient is
+    (d_p, L), exactly 0.0 in its first L - m columns, and matches
+    central differences."""
+    rng = np.random.default_rng(9)
+    params = _params(3, 5)
+    h = rng.normal(size=(4, 3, 2))
+    k = Tensor(rng.normal(size=(3, 5)), learnable=True)
+    with GradientTape() as tape:
+        out = approximate_pe(h, params, k)
+        loss = sum_all(out)
+    assert np.array_equal(out.data, np.einsum("ndl,dl->nd", h, k.data[:, 3:]))
+    g = backward(tape, loss, {"k": k})["k"]
+    assert g.shape == (3, 5)
+    assert np.all(g[:, :3] == 0.0)
+    assert np.array_equal(g[:, 3:], h.sum(axis=0))
+
+    def build():
+        return sum_all(tanh(approximate_pe(h, params, k)))
+
+    with GradientTape() as tape:
+        loss = build()
+    g = backward(tape, loss, {"k": k})["k"]
+    for i in range(k.data.size):
+        orig = k.data.flat[i]
+        k.data.flat[i] = orig + 1e-6
+        up = float(build().data)
+        k.data.flat[i] = orig - 1e-6
+        dn = float(build().data)
+        k.data.flat[i] = orig
+        fd, an = (up - dn) / 2e-6, float(g.flat[i])
+        assert abs(an - fd) <= 1e-6 * max(abs(an), abs(fd), 1e-6), f"k[{i}]"
 
 
 def test_frozen_table_is_not_read_under_a_tape():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lstep.config import RunConfig
-from lstep.timeenc import angular_frequencies, time_encode, time_encode_many
+from lstep.timeenc import angular_frequencies, time_encode
 
 
 def test_first_frequency_is_one():
@@ -48,6 +48,8 @@ def test_large_delta_tail_is_slow():
 def test_negative_delta_rejected():
     with pytest.raises(ValueError, match="negative time delta"):
         time_encode(-0.5, RunConfig())
+    with pytest.raises(ValueError, match=r"negative time delta: -2\.0"):
+        time_encode(np.array([[1.0, -2.0], [0.0, 3.0]]), RunConfig())
 
 
 def test_values_bounded():
@@ -61,7 +63,9 @@ def test_values_bounded():
 def test_batch_matches_single():
     cfg = RunConfig(d_t=12)
     deltas = np.array([0.0, 1.0, 2.5, 100.0])
-    batch = time_encode_many(deltas, cfg)
+    batch = time_encode(deltas, cfg)
     assert batch.shape == (4, 12)
     for i, d in enumerate(deltas):
         assert np.array_equal(batch[i], time_encode(float(d), cfg))
+    assert time_encode(deltas.reshape(2, 2), cfg).shape == (2, 2, 12)
+    assert time_encode(np.array([]), cfg).shape == (0, 12)

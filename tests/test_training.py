@@ -186,6 +186,9 @@ def test_evaluate_rejects_unknown_arguments_before_any_work(monkeypatch):
         evaluate(s, split, params, TINY, setting="semi", initial_pe=initial)
     with pytest.raises(ValueError, match="unknown strategy"):
         evaluate(s, split, params, TINY, strategy="historic", initial_pe=initial)
+    assert not split.new_nodes  # so no test positive qualifies as inductive
+    with pytest.raises(ValueError, match="no qualifying positives"):
+        evaluate(s, split, params, TINY, setting="inductive", initial_pe=initial)
 
 
 def test_write_loss_csv_round_trips_floats(tmp_path):
@@ -292,8 +295,10 @@ def test_tape_length_does_not_grow_with_batch_size():
 
 
 def _store_arrays(store):
-    """Copies of the store's ring and commit counts."""
-    return store._ring.copy(), store._commits.copy()
+    """Every node's history and the store's commit counts, copied; the
+    histories are as wide as the fullest node's, so every written slot
+    is in them."""
+    return store.history_matrix(np.arange(store.num_nodes)), store._commits.copy()
 
 
 def _scores_and_store(stream, split, store, params, start):
