@@ -108,7 +108,9 @@ def check_gradients(seed: int = 0) -> dict:
     params.tensors["filter_real"].data += 0.2 * rng.normal(size=(4, 3))
     params.tensors["filter_imag"].data += 0.2 * rng.normal(size=(4, 3))
 
-    store = PositionalStore(num_nodes, cfg.d_p, cfg.history_len)
+    # the hand commit below is one more than the reset and the batches
+    # make, so every ring gets one slot more than its events need
+    store = PositionalStore(stream.interaction_counts() + 1, cfg.d_p, cfg.history_len)
     store.reset(
         InitialPE(
             rng.normal(size=(num_nodes, cfg.d_p)),
@@ -284,7 +286,7 @@ def check_metrics(seed: int = 0) -> dict:
     stream = make_random_stream(30, 600, seed=seed)
     split = chronological_split(stream)
     params = init_model_params(ModelDims.from_config(cfg), seed=seed)
-    store = PositionalStore(stream.num_nodes, cfg.d_p, cfg.history_len)
+    store = PositionalStore(stream.interaction_counts(), cfg.d_p, cfg.history_len)
     store.reset(build_initial_pe(stream, split, cfg))
     sampler = NegativeSampler(stream, split, "random", seed)
     _, auc, _ = _run_segment(
@@ -410,7 +412,7 @@ def _scaling_setup(num_nodes: int, seed: int, batches: int):
     stream = make_random_stream(num_nodes, batches * cfg.batch_size, seed=seed)
     split = chronological_split(stream, (0.99, 0.005, 0.005))
     params = init_model_params(ModelDims.from_config(cfg), seed=seed)
-    store = PositionalStore(num_nodes, cfg.d_p, cfg.history_len)
+    store = PositionalStore(stream.interaction_counts(), cfg.d_p, cfg.history_len)
     store.reset(zero_pe(num_nodes, cfg.d_p))
     return cfg, stream, split, params, store
 

@@ -199,6 +199,11 @@ class EventStream:
         # integer key answers an id bound for every query at once
         self._key = node[order] * self.num_events + self._eid
 
+    def interaction_counts(self) -> np.ndarray:
+        """(num_nodes,) events per node: each event counts once at each
+        of its endpoints, a self-loop once."""
+        return np.diff(self._offsets)
+
     def _position(self, nodes: np.ndarray, end) -> np.ndarray:
         """Per query, the CSR position after the node's entries with an
         event id below ``end``."""

@@ -3,7 +3,12 @@
 Each node's history is its own last L committed encodings, oldest
 first and zero-padded at the front. Training and evaluation commit once
 per batch to every node the batch touches, so a batch that does not
-touch a node adds nothing to its history.
+touch a node adds nothing to its history, and a node never holds more
+than 1 + its interaction count commits between two resets. The store
+gives each node only that many slots, at most L, in one flat array
+with a shared zero row: a gather points every column older than a
+node's fill at that row, so neither the store nor a reset ever writes
+the padding.
 
 The approximation filters the d_P x L history matrix along the time
 axis in the frequency domain, multiplies by a learnable complex filter,
@@ -55,34 +60,60 @@ __all__ = [
 
 
 class PositionalStore:
-    """Ring of each node's last ``history_len`` committed encodings.
+    """Ring of each node's last committed encodings, sized by its events.
 
-    ``_commits`` counts every commit to each node: slot ``_commits % L``
-    is the next one written, and ``min(_commits, L)`` slots are filled.
-    Slots a node has not written yet are zero (``reset`` clears them),
-    so a gather needs no mask, and ``history_matrix`` returns only the
-    newest m <= L columns, those that some gathered node has written.
+    ``counts`` holds each node's interaction count
+    (``EventStream.interaction_counts``). Between two resets a node
+    commits at most once per batch that touches it plus once at the
+    reset, so its ring has cap = min(L, 1 + count) slots; a commit past
+    a short ring's cap raises instead of dropping history. The rings
+    share one flat (sum(cap) + 1, d_p) array, node n's slots starting
+    at its offset; the last row is zero and never written.
+
+    ``_commits`` counts every commit to each node: slot ``_commits %
+    cap`` is the next one written, and ``min(_commits, cap)`` slots are
+    filled. Slots a node has not written since the last reset may hold
+    stale rows: ``reset`` only zeroes the counts, and
+    ``history_matrix`` reads the zero row for every column older than a
+    node's fill.
     """
 
-    def __init__(self, num_nodes: int, d_p: int, history_len: int):
+    def __init__(self, counts: np.ndarray, d_p: int, history_len: int):
         if history_len < 1:
             raise ValueError(f"history length must be >= 1, got {history_len}")
-        self.num_nodes = int(num_nodes)
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.ndim != 1 or (counts < 0).any():
+            raise ValueError("interaction counts must be a 1-D array of counts >= 0")
+        self.num_nodes = int(counts.size)
         self.d_p = int(d_p)
         self.history_len = int(history_len)
-        self._ring = np.zeros((num_nodes, history_len, d_p))
-        self._commits = np.zeros(num_nodes, dtype=np.int64)
+        self._cap = np.minimum(self.history_len, 1 + counts)
+        self._offset = np.cumsum(self._cap) - self._cap
+        self._ring = np.zeros((int(self._cap.sum()) + 1, self.d_p))
+        self._commits = np.zeros(self.num_nodes, dtype=np.int64)
+
+    def _check_nodes(self, nodes: np.ndarray, what: str) -> None:
+        bad = (nodes < 0) | (nodes >= self.num_nodes)
+        if bad.any():
+            raise ValueError(f"{what} node {int(nodes[bad][0])} outside [0, {self.num_nodes})")
+        if np.unique(nodes).size != nodes.size:
+            raise ValueError(f"{what} nodes must be distinct")
 
     def reset(self, initial: InitialPE) -> None:
-        """Clear all rings; commit the snapshot nodes' initial rows."""
-        self._ring[:] = 0.0
-        self._commits[:] = 0
+        """Empty every ring; commit the snapshot nodes' initial rows.
+
+        The input is checked first, so a rejected reset leaves the store
+        as it was. The counts are zeroed in place: ``FrozenPE`` reads
+        the same array.
+        """
         if initial.table.shape != (self.num_nodes, self.d_p):
             raise ValueError(
                 f"initial PE shape {initial.table.shape} != "
                 f"({self.num_nodes}, {self.d_p})"
             )
         present = np.asarray(initial.present, dtype=np.int64)
+        self._check_nodes(present, "initial PE")
+        self._commits[:] = 0
         self.commit(present, initial.table[present])
 
     def commit(self, nodes: np.ndarray, vecs: np.ndarray) -> None:
@@ -91,26 +122,33 @@ class PositionalStore:
         vecs = np.asarray(vecs, dtype=np.float64)
         if nodes.ndim != 1 or vecs.shape != (nodes.size, self.d_p):
             raise ValueError(f"commit shape {vecs.shape} != ({nodes.size}, {self.d_p})")
-        if np.unique(nodes).size != nodes.size:
-            raise ValueError("commit nodes must be distinct")
-        self._ring[nodes, self._commits[nodes] % self.history_len] = vecs
+        self._check_nodes(nodes, "commit")
+        commits, cap = self._commits[nodes], self._cap[nodes]
+        full = (commits >= cap) & (cap < self.history_len)
+        if full.any():
+            raise ValueError(
+                f"node {int(nodes[full][0])} is full at its capacity of "
+                f"{int(cap[full][0])} commits (1 + its count): "
+                "another would drop its oldest"
+            )
+        self._ring[self._offset[nodes] + commits % cap] = vecs
         self._commits[nodes] += 1
 
     def history_matrix(self, nodes: np.ndarray) -> np.ndarray:
         """(n, d_p, m) histories: the newest m <= L columns, oldest to newest.
 
         m = min(L, most commits among ``nodes``), at least 1, so every
-        column some node has written is kept and a node's missing oldest
-        columns are zero; the dropped ones are zero for every node.
+        column some node has written is kept; a column older than a
+        node's fill reads the zero row, and the dropped ones would be
+        zero for every node.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
-        length = self.history_len
-        commits = self._commits[nodes]
-        width = max(1, min(length, int(commits.max(initial=0))))
-        # the newest commit sits just before the next slot, so column c of
-        # the full L is slot next + c; the newest m are c = L - m .. L - 1
-        slots = (np.arange(length - width, length) + commits[:, None]) % length
-        return self._ring[nodes[:, None], slots].transpose(0, 2, 1)
+        commits, cap = self._commits[nodes, None], self._cap[nodes, None]
+        width = max(1, min(self.history_len, int(commits.max(initial=0))))
+        age = np.arange(width - 1, -1, -1)  # column j is the commit m - 1 - j back
+        rows = self._offset[nodes, None] + (commits - 1 - age) % cap
+        rows[age >= np.minimum(commits, cap)] = self._ring.shape[0] - 1
+        return self._ring[rows].transpose(0, 2, 1)
 
 
 def _kernel(params: dict[str, Tensor]) -> Tensor:

@@ -325,7 +325,7 @@ def train(stream: EventStream, split: ChronoSplit, cfg: RunConfig) -> TrainResul
     dims = ModelDims.from_config(cfg)
     params = init_model_params(dims, seed=cfg.seed)
     initial = build_initial_pe(stream, split, cfg)
-    store = PositionalStore(stream.num_nodes, cfg.d_p, cfg.history_len)
+    store = PositionalStore(stream.interaction_counts(), cfg.d_p, cfg.history_len)
     adam = AdamState(lr=cfg.lr)
 
     report = EvalReport(stream.dataset, cfg.seed, config_hash(cfg))
@@ -417,7 +417,7 @@ def evaluate(
     validate_config(cfg)
     new_nodes = check_setting(stream, split, setting)
     sampler = NegativeSampler(stream, split, strategy, seed)  # checks the strategy
-    store = PositionalStore(stream.num_nodes, cfg.d_p, cfg.history_len)
+    store = PositionalStore(stream.interaction_counts(), cfg.d_p, cfg.history_len)
     store.reset(initial_pe)
     score_lo, score_hi = split.test_range
     frozen = FrozenPE(store, params.tensors)
@@ -438,7 +438,7 @@ def collect_pe_trace(
     """Approximate encodings (steps, len(nodes), d_p) of ``nodes`` at
     every batch step, pre-commit, over one frozen segment that starts
     from ``initial_pe``."""
-    store = PositionalStore(stream.num_nodes, cfg.d_p, cfg.history_len)
+    store = PositionalStore(stream.interaction_counts(), cfg.d_p, cfg.history_len)
     store.reset(initial_pe)
     seg = _run_segment(
         stream, store, params, cfg, 0, stream.num_events, watch=np.asarray(nodes, np.int64)

@@ -51,7 +51,7 @@ def _setup():
     params = init_model_params(ModelDims.from_config(CFG), seed=3)
     for name in ("filter_real", "filter_imag"):
         params.tensors[name].data += 0.3 * rng.normal(size=(CFG.d_p, CFG.history_len))
-    store = PositionalStore(7, CFG.d_p, CFG.history_len)
+    store = PositionalStore(np.full(7, CFG.history_len), CFG.d_p, CFG.history_len)
     history = {node: [] for node in range(7)}
     # ring fill differs per node: nodes 5 and 6 have no history at all
     for nodes in ([0, 1, 2, 3], [0, 2, 4], [0, 1, 2, 3, 4], [2, 4]):

@@ -132,6 +132,13 @@ def test_self_loop_indexed_once():
     assert rec.neighbors.tolist() == [[PAD_ID, PAD_ID, 3]]
 
 
+def test_interaction_counts_count_a_self_loop_once():
+    s = EventStream(
+        np.array([3, 0, 1]), np.array([3, 1, 0]), np.array([1.0, 2.0, 3.0]), num_nodes=5
+    )
+    assert s.interaction_counts().tolist() == [2, 2, 0, 1, 0]
+
+
 def test_empty_stream_rejected():
     with pytest.raises(ValueError, match="empty"):
         EventStream(np.array([], dtype=int), np.array([], dtype=int), np.array([]))

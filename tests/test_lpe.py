@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lstep.autodiff import GradientTape, Tensor, add, backward, norm2, sum_all, tanh
-from lstep.config import RunConfig
+from lstep.config import RunConfig, apply_preset
 from lstep.events import PAD_ID, RecentInteractions
 from lstep.lpe import (
     FrozenPE,
@@ -17,7 +17,8 @@ from lstep.lpe import (
     ring_eigenvalues,
     theorem1_check,
 )
-from lstep.peinit import InitialPE
+from lstep.peinit import InitialPE, zero_pe
+from lstep.synthetic import make_random_stream
 from lstep.timeenc import time_encode
 
 
@@ -54,7 +55,7 @@ def _hist(store, node):
 
 
 def test_store_starts_empty_with_zero_history():
-    store = PositionalStore(num_nodes=3, d_p=2, history_len=4)
+    store = PositionalStore(np.full(3, 4), d_p=2, history_len=4)
     # no node has written a column: the gather keeps one, all zero
     assert _hist(store, 1).shape == (2, 1)
     assert not _hist(store, 1).any()
@@ -64,7 +65,7 @@ def test_store_starts_empty_with_zero_history():
 
 
 def test_commits_fill_newest_columns_oldest_first():
-    store = PositionalStore(3, 2, history_len=4)
+    store = PositionalStore(np.full(3, 4), 2, history_len=4)
     store.commit(np.array([0]), np.array([1.0, 10.0])[None])
     store.commit(np.array([0]), np.array([2.0, 20.0])[None])
     h = _hist(store, 0)
@@ -78,7 +79,7 @@ def test_commits_fill_newest_columns_oldest_first():
 
 
 def test_ring_evicts_oldest_beyond_capacity():
-    store = PositionalStore(1, 1, history_len=3)
+    store = PositionalStore(np.full(1, 3), 1, history_len=3)
     for v in range(5):
         store.commit(np.array([0]), np.array([float(v)])[None])
     assert _hist(store, 0).ravel().tolist() == [2.0, 3.0, 4.0]
@@ -96,18 +97,16 @@ def _reference_history(committed, length, d_p):
 
 def test_store_matches_plain_list_reference():
     rng = np.random.default_rng(55)
-    num_nodes, d_p, length = 5, 2, 3
-    store = PositionalStore(num_nodes, d_p, length)
+    d_p, length = 2, 3
+    # caps min(L, 1 + count) are 3, 3, 2, 1, 3: nodes 2 and 3 sit below L
+    counts = np.array([7, 2, 1, 0, 4])
+    cap = np.minimum(length, 1 + counts)
+    num_nodes = counts.size
+    store = PositionalStore(counts, d_p, length)
     committed = [[] for _ in range(num_nodes)]
     all_nodes = np.arange(num_nodes)
-    for _ in range(40):
-        # nodes are committed at different rates, so some wrap the ring
-        # many times while others never fill it; node 4 is never committed
-        nodes = np.flatnonzero(rng.random(num_nodes) < [0.8, 0.5, 0.2, 0.06, 0.0])
-        vecs = rng.normal(size=(nodes.size, d_p))
-        store.commit(nodes, vecs)
-        for node, vec in zip(nodes, vecs):
-            committed[node].append(vec)
+
+    def matches_reference():
         # the gather keeps the newest m columns, m the fullest node's fill
         width = max(1, min(length, max(len(c) for c in committed)))
         got = store.history_matrix(all_nodes)
@@ -117,12 +116,74 @@ def test_store_matches_plain_list_reference():
             want = _reference_history(committed[node], length, d_p)
             assert not want[:, : length - width].any()
             assert np.array_equal(got[node], want[:, length - width :])
-    fills = [len(c) for c in committed]
-    assert fills[4] == 0 and 0 < fills[3] < length < fills[0]
+
+    rate = [0.8, 0.5, 0.5, 0.3, 0.0]
+    for step in range(50):
+        if step == 25:
+            # node 0 has wrapped its ring and nodes 2 and 3 have filled
+            # theirs; node 4 has never committed
+            fills = [len(c) for c in committed]
+            assert fills[0] > length and fills[2] == 2 and fills[3] == 1 and fills[4] == 0
+            table = rng.normal(size=(num_nodes, d_p))
+            store.reset(InitialPE(table, "random", np.array([1, 3])))
+            committed = [[table[n]] if n in (1, 3) else [] for n in all_nodes]
+            # the slots written before the reset are still in the ring:
+            # the gather masks them rather than the reset zeroing them
+            assert store._ring[store._offset[0]].any() and store._ring[store._offset[2]].any()
+            matches_reference()
+            continue
+        room = [c == length or len(committed[n]) < c for n, c in enumerate(cap)]
+        nodes = np.flatnonzero((rng.random(num_nodes) < rate) & room)
+        vecs = rng.normal(size=(nodes.size, d_p))
+        store.commit(nodes, vecs)
+        for node, vec in zip(nodes, vecs):
+            committed[node].append(vec)
+        matches_reference()
+    assert len(committed[0]) > length  # node 0 wraps again after the reset
+
+
+def test_commit_past_a_short_ring_raises_before_writing():
+    store = PositionalStore(np.array([1, 0, 5]), 2, history_len=4)  # caps 2, 1, 4
+    store.commit(np.array([0, 1]), np.ones((2, 2)))
+    store.commit(np.array([0]), np.full((1, 2), 2.0))
+    ring, commits = store._ring.copy(), store._commits.copy()
+    for nodes, cap in (([2, 1], 1), ([0], 2)):
+        with pytest.raises(ValueError, match=f"node {nodes[-1]} is full at its capacity of {cap}"):
+            store.commit(np.array(nodes), np.zeros((len(nodes), 2)))
+        assert np.array_equal(store._ring, ring)
+        assert np.array_equal(store._commits, commits)
+    # a ring at L wraps instead
+    for v in range(6):
+        store.commit(np.array([2]), np.full((1, 2), float(v)))
+    assert _hist(store, 2)[0].tolist() == [2.0, 3.0, 4.0, 5.0]
+
+
+def test_ring_holds_one_row_per_possible_commit_plus_a_zero_row():
+    cfg = apply_preset(RunConfig(), "wikipedia")
+    stream = make_random_stream(300, 2000, seed=5)
+    # a random stream has no self-loops: each event counts at both ends
+    counts = np.bincount(np.concatenate([stream.src, stream.dst]), minlength=300)
+    assert np.array_equal(stream.interaction_counts(), counts)
+    store = PositionalStore(stream.interaction_counts(), cfg.d_p, cfg.history_len)
+    slots = int(np.minimum(cfg.history_len, 1 + counts).sum())
+    assert slots < 300 * cfg.history_len // 4
+    assert store._ring.shape == (slots + 1, cfg.d_p)
+    assert store._ring.nbytes == (slots + 1) * cfg.d_p * 8
+
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        nodes = rng.choice(300, size=50, replace=False)
+        store.commit(nodes, rng.normal(size=(50, cfg.d_p)))
+    written = store._ring.tobytes()
+    store.reset(zero_pe(300, cfg.d_p))
+    # a reset writes nothing into the ring: it only zeroes the counts
+    assert store._ring.tobytes() == written
+    assert not store._commits.any()
+    assert not store.history_matrix(np.arange(300)).any()
 
 
 def test_reset_seeds_snapshot_nodes():
-    store = PositionalStore(3, 2, history_len=4)
+    store = PositionalStore(np.full(3, 4), 2, history_len=4)
     store.commit(np.array([1]), np.ones((1, 2)))
     init = InitialPE(
         table=np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 4.0]]),
@@ -149,7 +210,7 @@ def test_reset_seeds_snapshot_nodes():
 
 
 def test_history_width_is_the_fullest_gathered_node():
-    store = PositionalStore(5, 2, history_len=5)
+    store = PositionalStore(np.full(5, 5), 2, history_len=5)
     for node, times in ((0, 3), (1, 1), (2, 7)):  # node 2 wraps the ring
         for _ in range(times):
             store.commit(np.array([node]), np.ones((1, 2)))
@@ -169,7 +230,7 @@ def test_history_width_is_the_fullest_gathered_node():
 def test_trimmed_contraction_equals_the_full_width_one_bit_for_bit():
     rng = np.random.default_rng(56)
     num_nodes, d_p, length = 9, 3, 16
-    store = PositionalStore(num_nodes, d_p, length)
+    store = PositionalStore(np.full(num_nodes, length), d_p, length)
     committed = [[] for _ in range(num_nodes)]
     for _ in range(11):  # too few rounds for any node to fill its ring
         nodes = np.flatnonzero(rng.random(num_nodes) < np.linspace(0.6, 0.0, num_nodes))
@@ -211,14 +272,26 @@ def test_trimmed_contraction_equals_the_full_width_one_bit_for_bit():
 
 
 def test_reset_rejects_mismatched_table():
-    store = PositionalStore(3, 2, history_len=4)
-    bad = InitialPE(np.zeros((2, 2)), "zero", np.array([0]))
-    with pytest.raises(ValueError, match="initial PE shape"):
-        store.reset(bad)
+    store = PositionalStore(np.full(3, 4), 2, history_len=4)
+    store.commit(np.array([0, 2]), np.array([[1.0, 2.0], [3.0, 4.0]]))
+    store.commit(np.array([2]), np.array([[5.0, 6.0]]))
+    histories, commits = store.history_matrix(np.arange(3)), store._commits.copy()
+    rejected = [
+        (np.zeros((2, 2)), [0], "initial PE shape"),
+        (np.zeros((3, 2)), [0, 3, -1], r"initial PE node 3 outside \[0, 3\)"),
+        (np.zeros((3, 2)), [-1], r"initial PE node -1 outside \[0, 3\)"),
+        (np.zeros((3, 2)), [1, 1], "initial PE nodes must be distinct"),
+    ]
+    for table, present, message in rejected:
+        with pytest.raises(ValueError, match=message):
+            store.reset(InitialPE(table, "zero", np.array(present)))
+        # a rejected reset leaves the store as it was
+        assert np.array_equal(store.history_matrix(np.arange(3)), histories)
+        assert np.array_equal(store._commits, commits)
 
 
 def test_commit_shape_check():
-    store = PositionalStore(2, 3, history_len=2)
+    store = PositionalStore(np.full(2, 2), 3, history_len=2)
     with pytest.raises(ValueError, match="commit shape"):
         store.commit(np.array([0]), np.zeros((1, 4)))
     with pytest.raises(ValueError, match="distinct"):
@@ -330,7 +403,7 @@ def test_approximate_pe_takes_the_last_kernel_columns():
 
 
 def test_frozen_table_is_not_read_under_a_tape():
-    frozen = FrozenPE(PositionalStore(3, 2, 4), _params(2, 4))
+    frozen = FrozenPE(PositionalStore(np.full(3, 4), 2, 4), _params(2, 4))
     nodes = np.array([0, 2])
     assert frozen.stale(nodes).tolist() == [0, 2]
     frozen.refresh(np.array([2]), np.ones((1, 2)))
@@ -341,7 +414,7 @@ def test_frozen_table_is_not_read_under_a_tape():
 
 
 def test_frozen_rows_go_stale_when_the_store_commits():
-    store = PositionalStore(4, 2, 3)
+    store = PositionalStore(np.full(4, 3), 2, 3)
     frozen = FrozenPE(store, _params(2, 3))
     nodes = np.arange(4)
     frozen.refresh(nodes, np.ones((4, 2)))

@@ -204,6 +204,12 @@ def test_write_loss_csv_round_trips_floats(tmp_path):
     assert parsed == rows
 
 
+def _full_store(stream, cfg):
+    """A store with all L slots for every node, whatever its events: the
+    program's stores, sized by the events, must read the same."""
+    return PositionalStore(np.full(stream.num_nodes, cfg.history_len), cfg.d_p, cfg.history_len)
+
+
 def test_commit_reads_pre_step_encodings_and_post_step_weights(monkeypatch):
     # lr is large so that one Adam step moves every weight visibly
     cfg = parse_config("lr = 0.5\nmax_epochs = 1", base=TINY)
@@ -229,7 +235,7 @@ def test_commit_reads_pre_step_encodings_and_post_step_weights(monkeypatch):
     train(s, split, cfg)
 
     initial = build_initial_pe(s, split, cfg)
-    store = PositionalStore(s.num_nodes, cfg.d_p, cfg.history_len)
+    store = _full_store(s, cfg)
     store.reset(initial)
     pre, post = seen["pre"], seen["post"]
     # p~ from the pre-step filter (the identity at init) over the reset store
@@ -322,7 +328,7 @@ def test_store_restore_mid_stream_replays_the_same_scores():
     runs = []
     for _ in range(2):
         # a fresh store brought to the mid-stream state by replay
-        store = PositionalStore(s.num_nodes, TINY.d_p, TINY.history_len)
+        store = _full_store(s, TINY)
         store.reset(result.initial_pe)
         training._run_segment(s, store, result.params, TINY, 0, mid)
         runs.append((_store_arrays(store),) + _scores_and_store(s, split, store, result.params, mid))
@@ -335,7 +341,7 @@ def test_store_restore_mid_stream_replays_the_same_scores():
 
 def _commit_window(stream, cfg, batch):
     params = init_model_params(ModelDims.from_config(cfg), seed=0)
-    store = PositionalStore(stream.num_nodes, cfg.d_p, cfg.history_len)
+    store = _full_store(stream, cfg)
     fwd = training._batch_forward(stream, store, params, cfg, batch)
     return fwd.touched, fwd.window
 
@@ -438,7 +444,7 @@ def test_frozen_eval_equals_the_per_batch_forward(monkeypatch, filt, taped):
     initial = build_initial_pe(s, split, TINY)
     evaluate(s, split, params, TINY, seed=5, initial_pe=initial)
 
-    store = PositionalStore(s.num_nodes, TINY.d_p, TINY.history_len)
+    store = _full_store(s, TINY)
     store.reset(initial)
     _per_batch(s, store, params, 0, split.val_end, taped)
     for got, want in zip(_store_arrays(store), seen["store"]):
@@ -465,7 +471,7 @@ def test_frozen_replay_gathers_only_rows_committed_since_their_refresh(monkeypat
 
     monkeypatch.setattr(training, "_batch_forward", recorded_forward)
     monkeypatch.setattr(PositionalStore, "history_matrix", recorded_gather)
-    store = PositionalStore(s.num_nodes, TINY.d_p, TINY.history_len)
+    store = _full_store(s, TINY)
     store.reset(build_initial_pe(s, split, TINY))
     training._run_segment(s, store, params, TINY, 0, s.num_events)
 
@@ -485,7 +491,7 @@ def test_pe_trace_equals_the_per_batch_forward(filt):
     s, split, params = _fixed_params(filt)
     initial = build_initial_pe(s, split, TINY)
     nodes = np.array([0, s.num_nodes - 1])
-    store = PositionalStore(s.num_nodes, TINY.d_p, TINY.history_len)
+    store = _full_store(s, TINY)
     store.reset(initial)
     want = _per_batch(s, store, params, 0, s.num_events, False, watch=nodes)
     got = collect_pe_trace(s, params, TINY, nodes, initial_pe=initial)
