@@ -28,12 +28,14 @@ from .peinit import InitialPE, zero_pe
 from .sampling import NegativeSampler
 from .synthetic import make_periodic_stream, make_random_stream, make_static_stream
 from .training import (
+    _Cell,
     _batch_forward,
     _batch_loss,
     _run_segment,
     build_initial_pe,
     collect_pe_trace,
     evaluate,
+    evaluate_cells,
     train,
 )
 
@@ -288,10 +290,9 @@ def check_metrics(seed: int = 0) -> dict:
     params = init_model_params(ModelDims.from_config(cfg), seed=seed)
     store = PositionalStore(stream.interaction_counts(), cfg.d_p, cfg.history_len)
     store.reset(build_initial_pe(stream, split, cfg))
-    sampler = NegativeSampler(stream, split, "random", seed)
-    _, auc, _ = _run_segment(
-        stream, store, params, cfg, 0, 250, sampler=sampler
-    ).metrics("transductive")
+    cell = _Cell("transductive", NegativeSampler(stream, split, "random", seed))
+    _run_segment(stream, store, params, cfg, 0, 250, cells=[cell])
+    _, auc, _ = cell.metrics()
     auc_centered = bool(abs(auc - 0.5) <= 0.1)
     return {
         "name": "metrics",
@@ -381,13 +382,9 @@ def check_synthetic(seed: int = 0) -> dict:
     cfg = parse_config(SYNTHETIC_RECIPE + f"seed = {seed}\n")
     split = chronological_split(stream)
     result = train(stream, split, cfg)
-    ap_t, auc_t, _ = evaluate(
-        stream, split, result.params, cfg, setting="transductive",
-        strategy="random", seed=seed, initial_pe=result.initial_pe,
-    )
-    ap_i, auc_i, _ = evaluate(
-        stream, split, result.params, cfg, setting="inductive",
-        strategy="random", seed=seed, initial_pe=result.initial_pe,
+    (ap_t, auc_t, _), (ap_i, auc_i, _) = evaluate_cells(
+        stream, split, result.params, cfg, [("transductive", "random"), ("inductive", "random")],
+        seed, initial_pe=result.initial_pe,
     )
     return {
         "name": "synthetic",
@@ -425,8 +422,8 @@ def _timed_batches(num_nodes: int, seed: int, trials: int):
 
     def run(k: int) -> float:
         t0 = time.monotonic()
-        sampler = NegativeSampler(stream, split, "random", seed + k)
-        _run_segment(stream, store, params, cfg, k * b, (k + 1) * b, sampler=sampler)
+        cell = _Cell("transductive", NegativeSampler(stream, split, "random", seed + k))
+        _run_segment(stream, store, params, cfg, k * b, (k + 1) * b, cells=[cell])
         return time.monotonic() - t0
 
     return run

@@ -35,8 +35,7 @@ from .training import (
     SETTINGS,
     EvalReport,
     build_initial_pe,
-    check_setting,
-    evaluate,
+    evaluate_cells,
     train,
     write_loss_csv,
 )
@@ -234,6 +233,22 @@ def _expand(kind: str, arg: str, choices: tuple[str, ...], every: str) -> tuple[
     )
 
 
+def _stored_initial_pe(path, tensors: dict[str, np.ndarray], method: str) -> InitialPE | None:
+    """The initial encodings a checkpoint holds, or None when it holds
+    neither of their two entries: a 2-D table and a 1-D array of
+    integral node ids."""
+    table, present = tensors.get("__initial_pe_table"), tensors.get("__initial_pe_present")
+    if table is None and present is None:
+        return None
+    for name, arr, dim in [("__initial_pe_table", table, 2), ("__initial_pe_present", present, 1)]:
+        if arr is None or arr.ndim != dim:
+            found = "missing" if arr is None else f"of shape {arr.shape}"
+            raise ValueError(f"checkpoint {path}: entry {name!r} is {found}, expected {dim}-D")
+    if not np.all(present % 1 == 0):
+        raise ValueError(f"checkpoint {path}: entry '__initial_pe_present' holds non-integral ids")
+    return InitialPE(table, method, present.astype(np.int64))
+
+
 def cmd_eval(args) -> int:
     """Score a checkpoint on the test segment for setting x strategy cells."""
     settings = _expand("setting", args.setting, SETTINGS, "both")
@@ -256,35 +271,19 @@ def cmd_eval(args) -> int:
     if missing:
         raise ValueError(f"checkpoint missing parameters: {missing}")
     params.load_state_arrays(state)
+    initial = _stored_initial_pe(args.checkpoint, tensors, meta.get("pe_method", cfg.pe_init))
 
     stream = _load_stream(cfg)
     split = _split_stream(stream, cfg)
-    for setting in settings:  # every cell must be scorable before the first is scored
-        check_setting(stream, split, setting)
-    if "__initial_pe_table" in tensors:
-        initial = InitialPE(
-            tensors["__initial_pe_table"],
-            meta.get("pe_method", cfg.pe_init),
-            tensors["__initial_pe_present"].astype(np.int64),
-        )
-    else:
+    if initial is None:
         initial = build_initial_pe(stream, split, cfg)
+    cells = [(setting, strategy) for setting in settings for strategy in strategies]
     metrics: dict[str, dict[str, float]] = {}
-    for setting in settings:
-        for strategy in strategies:
-            ap, auc, fallbacks = evaluate(
-                stream,
-                split,
-                params,
-                cfg,
-                setting=setting,
-                strategy=strategy,
-                seed=cfg.seed,
-                initial_pe=initial,
-            )
-            key = f"test/{setting}/{strategy}"
-            metrics[key] = {"ap": ap, "roc_auc": auc, "fallbacks": fallbacks}
-            print(f"{key}: ap {ap:.4f}, roc_auc {auc:.4f}, fallbacks {fallbacks}")
+    results = evaluate_cells(stream, split, params, cfg, cells, cfg.seed, initial_pe=initial)
+    for (setting, strategy), (ap, auc, fallbacks) in zip(cells, results):
+        key = f"test/{setting}/{strategy}"
+        metrics[key] = {"ap": ap, "roc_auc": auc, "fallbacks": fallbacks}
+        print(f"{key}: ap {ap:.4f}, roc_auc {auc:.4f}, fallbacks {fallbacks}")
 
     report = EvalReport(cfg.dataset, cfg.seed, config_hash(cfg), metrics=metrics)
     out = Path(args.out)

@@ -13,12 +13,13 @@ so the store state a batch sees never depends on anything later than
 itself.
 
 A run of batches without a tape is a frozen segment: evaluation's
-warm replay and its scoring (one segment, sharing one state), the
-validation pass of each epoch, the PE trace, and the runs of the
-metrics and scaling checks. One segment runner, ``_run_segment``,
-walks every one of them: per batch it draws the scored positives'
-negatives, runs the batch forward, records the scores and any watched
-p~ rows, and commits. Each segment makes an ``lpe.FrozenPE`` when it
+warm replay and its scoring (one segment, sharing one state, whatever
+the number of (setting, strategy) cells scored), the validation pass
+of each epoch, the PE trace, and the runs of the metrics and scaling
+checks. One segment runner, ``_run_segment``, walks every one of
+them: per batch each scored cell draws its positives' negatives and
+runs its own batch forward, and then the batch records any watched p~
+rows and commits once. Each segment makes an ``lpe.FrozenPE`` when it
 starts. Its batches contract only the needed nodes whose commit
 count in the store has moved on since their p~ was last computed,
 against a kernel built once, and read the rest from the state's table;
@@ -53,7 +54,7 @@ __all__ = [
     "TrainResult",
     "build_initial_pe",
     "train",
-    "check_setting",
+    "evaluate_cells",
     "evaluate",
     "collect_pe_trace",
     "write_loss_csv",
@@ -246,19 +247,30 @@ def _commit_batch(
 
 
 @dataclass
-class _Segment:
-    """What a frozen segment scored: the link probabilities of each
-    batch's positives and negatives, interleaved positive, negative; the
-    sampler's fallbacks; and the watched nodes' p~ rows before each
-    commit."""
+class _Cell:
+    """One scored (setting, strategy) cell of a frozen segment: the
+    sampler its negatives come from, the new nodes one of its positives'
+    endpoints must be among (None: every positive qualifies), and what
+    it scored: the link probabilities of each batch's positives and
+    negatives, interleaved positive, negative, and the sampler's
+    fallbacks."""
 
+    setting: str
+    sampler: NegativeSampler
+    new_nodes: np.ndarray | None = None
     scores: list[np.ndarray] = field(default_factory=list)
     fallbacks: int = 0
-    watched: list[np.ndarray] = field(default_factory=list)
 
-    def metrics(self, setting: str) -> tuple[float, float, int]:
+    def scored(self, stream: EventStream, events: np.ndarray) -> np.ndarray:
+        """The positives among ``events`` that this cell scores."""
+        if self.new_nodes is None:
+            return events
+        ends = np.stack([stream.src[events], stream.dst[events]])
+        return events[np.isin(ends, self.new_nodes).any(axis=0)]
+
+    def metrics(self) -> tuple[float, float, int]:
         """(AP, ROC-AUC, sampler fallbacks) of the scored pairs."""
-        _require_positives(len(self.scores), setting)
+        _require_positives(len(self.scores), self.setting)
         arr_s = np.concatenate(self.scores)
         arr_l = np.tile([1, 0], arr_s.size // 2)
         return average_precision(arr_s, arr_l), roc_auc(arr_s, arr_l), self.fallbacks
@@ -269,15 +281,6 @@ def _require_positives(count: int, setting: str) -> None:
         raise ValueError(f"no qualifying positives in segment for setting {setting!r}")
 
 
-def _scored(stream: EventStream, events: np.ndarray, new_nodes: np.ndarray | None) -> np.ndarray:
-    """The positives among ``events`` a segment scores: all of them, or
-    with ``new_nodes`` those with an endpoint among them."""
-    if new_nodes is None:
-        return events
-    ends = np.stack([stream.src[events], stream.dst[events]])
-    return events[np.isin(ends, new_nodes).any(axis=0)]
-
-
 def _run_segment(
     stream: EventStream,
     store: PositionalStore,
@@ -286,36 +289,41 @@ def _run_segment(
     start: int,
     end: int,
     frozen: FrozenPE | None = None,
-    sampler: NegativeSampler | None = None,
-    new_nodes: np.ndarray | None = None,
+    cells: Iterable[_Cell] = (),
     watch: np.ndarray | None = None,
-) -> _Segment:
-    """Run the batches of [start, end) forward and commit each, as (part
-    of) the frozen segment ``frozen``, or as one of its own.
+) -> list[np.ndarray]:
+    """Run the batches of [start, end) forward and commit each once, as
+    (part of) the frozen segment ``frozen``, or as one of its own.
 
-    With a ``sampler``, a batch's positives are scored against one of its
-    negatives each: all of them, or with ``new_nodes`` only those with an
-    endpoint among them. ``watch`` nodes get their p~ rows recorded.
+    In each batch, every one of ``cells`` with a qualifying positive
+    scores those positives against one negative each from its own
+    sampler, in a forward of its own, and records the scores and
+    fallbacks in its entry; a batch that no cell scores runs one forward
+    that scores nothing. Every forward of a batch reads the store as the
+    previous batch left it, so each cell scores as it would alone, and
+    the batch commits once, from its last forward. Returns the p~ rows
+    of the ``watch`` nodes before each commit.
     """
     if frozen is None:
         frozen = FrozenPE(store, params.tensors)
-    seg = _Segment()
+    watched = []
     for _, batch in batch_iter(start, end, cfg.batch_size):
-        scored, neg = None, None
-        if sampler is not None:
-            scored = _scored(stream, batch, new_nodes)
+        fwd = None
+        for cell in cells:
+            scored = cell.scored(stream, batch)
             if scored.size:
-                neg = sampler.sample(scored)
-                seg.fallbacks += neg.fallbacks
-        fwd = _batch_forward(
-            stream, store, params, cfg, batch, scored, neg, extra=watch, frozen=frozen
-        )
-        if fwd.pos is not None:
-            seg.scores.append(np.concatenate([fwd.pos.data, fwd.neg.data], axis=1).reshape(-1))
+                neg = cell.sampler.sample(scored)
+                cell.fallbacks += neg.fallbacks
+                fwd = _batch_forward(
+                    stream, store, params, cfg, batch, scored, neg, extra=watch, frozen=frozen
+                )
+                cell.scores.append(np.hstack([fwd.pos.data, fwd.neg.data]).ravel())
+        if fwd is None:
+            fwd = _batch_forward(stream, store, params, cfg, batch, extra=watch, frozen=frozen)
         if watch is not None:
-            seg.watched.append(fwd.ptilde.data[fwd.rows(watch)])
+            watched.append(fwd.ptilde.data[fwd.rows(watch)])
         _commit_batch(store, params, cfg, fwd)
-    return seg
+    return watched
 
 
 def train(stream: EventStream, split: ChronoSplit, cfg: RunConfig) -> TrainResult:
@@ -356,12 +364,10 @@ def train(stream: EventStream, split: ChronoSplit, cfg: RunConfig) -> TrainResul
             report.loss_rows.append((epoch, k, lval))
 
         report.epoch_train_loss.append(float(np.mean(batch_losses)))
-        val_sampler = NegativeSampler(
-            stream, split, "random", np.random.SeedSequence(cfg.seed, spawn_key=(2, epoch))
-        )
-        val_ap, val_auc, _ = _run_segment(
-            stream, store, params, cfg, *split.val_range, sampler=val_sampler
-        ).metrics("transductive")
+        val_seed = np.random.SeedSequence(cfg.seed, spawn_key=(2, epoch))
+        val = _Cell("transductive", NegativeSampler(stream, split, "random", val_seed))
+        _run_segment(stream, store, params, cfg, *split.val_range, cells=[val])
+        val_ap, val_auc, _ = val.metrics()
         report.epoch_val_ap.append(val_ap)
         report.epochs_run = epoch + 1
         if val_ap > best_ap:
@@ -384,16 +390,45 @@ def train(stream: EventStream, split: ChronoSplit, cfg: RunConfig) -> TrainResul
     return TrainResult(params, initial, report)
 
 
-def check_setting(stream: EventStream, split: ChronoSplit, setting: str) -> np.ndarray | None:
-    """The new nodes that ``setting`` restricts the test positives to:
-    None for the transductive setting, the nodes unseen in training for
-    the inductive one. Fails, with no work done, on an unknown setting
-    or when no test positive qualifies."""
-    if setting not in SETTINGS:
-        raise ValueError(f"unknown setting {setting!r}")
-    new_nodes = np.fromiter(split.new_nodes, np.int64) if setting == "inductive" else None
-    _require_positives(_scored(stream, np.arange(*split.test_range), new_nodes).size, setting)
-    return new_nodes
+def evaluate_cells(
+    stream: EventStream,
+    split: ChronoSplit,
+    params: ModelParams,
+    cfg: RunConfig,
+    cells: Iterable[tuple[str, str]],
+    seed=0,
+    *,
+    initial_pe: InitialPE,
+) -> list[tuple[float, float, int]]:
+    """(AP, ROC-AUC, sampler fallbacks) of each (setting, strategy) cell
+    over the test segment, after one commit-only warm replay from
+    ``initial_pe``.
+
+    Every cell is checked before any work: its setting, its strategy,
+    and that some test positive qualifies for its setting (the
+    transductive setting scores every positive, the inductive one those
+    with an endpoint unseen in training). The replay and the scoring are
+    one frozen segment that commits once per batch for all the cells;
+    each cell draws its negatives from its own sampler, seeded with
+    ``seed``, and runs its own forward, so it scores exactly as a
+    one-cell call does.
+    """
+    validate_config(cfg)
+    runs = []
+    for setting, strategy in cells:
+        if setting not in SETTINGS:
+            raise ValueError(f"unknown setting {setting!r}")
+        new_nodes = np.fromiter(split.new_nodes, np.int64) if setting == "inductive" else None
+        # the sampler checks the strategy
+        runs.append(_Cell(setting, NegativeSampler(stream, split, strategy, seed), new_nodes))
+        _require_positives(runs[-1].scored(stream, np.arange(*split.test_range)).size, setting)
+    store = PositionalStore(stream.interaction_counts(), cfg.d_p, cfg.history_len)
+    store.reset(initial_pe)
+    frozen = FrozenPE(store, params.tensors)
+    # the warm replay ends where scoring starts
+    _run_segment(stream, store, params, cfg, 0, split.val_end, frozen)
+    _run_segment(stream, store, params, cfg, *split.test_range, frozen, runs)
+    return [run.metrics() for run in runs]
 
 
 def evaluate(
@@ -407,25 +442,11 @@ def evaluate(
     *,
     initial_pe: InitialPE,
 ) -> tuple[float, float, int]:
-    """(AP, ROC-AUC, sampler fallbacks) over the test segment after a
-    commit-only warm replay from ``initial_pe``.
-
-    The arguments, and that some test positive qualifies for
-    ``setting`` (``check_setting``), are checked before any work; the
-    replay and the scoring are one frozen segment.
-    """
-    validate_config(cfg)
-    new_nodes = check_setting(stream, split, setting)
-    sampler = NegativeSampler(stream, split, strategy, seed)  # checks the strategy
-    store = PositionalStore(stream.interaction_counts(), cfg.d_p, cfg.history_len)
-    store.reset(initial_pe)
-    score_lo, score_hi = split.test_range
-    frozen = FrozenPE(store, params.tensors)
-    # the warm replay ends where scoring starts
-    _run_segment(stream, store, params, cfg, 0, score_lo, frozen)
-    return _run_segment(
-        stream, store, params, cfg, score_lo, score_hi, frozen, sampler, new_nodes
-    ).metrics(setting)
+    """(AP, ROC-AUC, sampler fallbacks) of the one cell (``setting``,
+    ``strategy``): ``evaluate_cells`` of that cell alone."""
+    return evaluate_cells(
+        stream, split, params, cfg, [(setting, strategy)], seed, initial_pe=initial_pe
+    )[0]
 
 
 def collect_pe_trace(
@@ -440,7 +461,6 @@ def collect_pe_trace(
     from ``initial_pe``."""
     store = PositionalStore(stream.interaction_counts(), cfg.d_p, cfg.history_len)
     store.reset(initial_pe)
-    seg = _run_segment(
+    return np.stack(_run_segment(
         stream, store, params, cfg, 0, stream.num_events, watch=np.asarray(nodes, np.int64)
-    )
-    return np.stack(seg.watched)
+    ))

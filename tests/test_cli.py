@@ -365,6 +365,45 @@ def test_eval_damaged_checkpoint_names_path_and_exits_1(tmp_path, capsys):
         assert str(path) in capsys.readouterr().err
 
 
+def _eval_edited_initial_pe(tmp_path, capsys, edit):
+    """Exit code and stderr of ``eval`` on a checkpoint whose initial-PE
+    entries went through ``edit``."""
+    events = _ingest(tmp_path)
+    _, out = _train(tmp_path, events)
+    tensors, meta = load_container(out / "checkpoint.lstp")
+    edit(tensors)
+    edited = tmp_path / "edited.lstp"
+    save_container(edited, tensors, meta)
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(edited), "--out", str(tmp_path / "e")])
+    err = capsys.readouterr().err
+    assert str(edited) in err and "__initial_pe_present" in err
+    return code, err
+
+
+def test_eval_rejects_a_checkpoint_with_one_initial_pe_entry(tmp_path, capsys):
+    code, err = _eval_edited_initial_pe(
+        tmp_path, capsys, lambda t: t.pop("__initial_pe_present")
+    )
+    assert code == 1 and "missing" in err
+
+
+def test_eval_rejects_non_integral_initial_pe_ids(tmp_path, capsys):
+    def shift(tensors):
+        tensors["__initial_pe_present"] = tensors["__initial_pe_present"] + 0.5
+
+    code, err = _eval_edited_initial_pe(tmp_path, capsys, shift)
+    assert code == 1 and "non-integral" in err
+
+
+def test_eval_rejects_initial_pe_ids_that_are_not_1d(tmp_path, capsys):
+    def reshape(tensors):
+        tensors["__initial_pe_present"] = tensors["__initial_pe_present"].reshape(1, -1)
+
+    code, err = _eval_edited_initial_pe(tmp_path, capsys, reshape)
+    assert code == 1 and "expected 1-D" in err
+
+
 def test_eval_unknown_setting_and_strategy(tmp_path, capsys):
     events = _ingest(tmp_path)
     _, out = _train(tmp_path, events)

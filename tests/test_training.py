@@ -1,6 +1,5 @@
 """Training loop behavior: determinism, learning, early stop, replay."""
 import contextlib
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from lstep.training import (
     build_initial_pe,
     collect_pe_trace,
     evaluate,
+    evaluate_cells,
     train,
     write_loss_csv,
 )
@@ -96,10 +96,12 @@ def test_early_stopping_restores_best_parameters(monkeypatch):
     script = iter([0.5, 0.9, 0.4, 0.3, 0.2, 0.1])
     snapshots = {}
 
-    def fake_run(stream, store, params, cfg, *rest, **kw):
+    def fake_run(stream, store, params, cfg, *rest, cells, **kw):
+        # the validation pass scores its one cell, which reports ``ap``
         ap = next(script)
         snapshots[ap] = params.state_arrays()
-        return SimpleNamespace(metrics=lambda setting: (ap, 0.5, 0))
+        cells[0].metrics = lambda: (ap, 0.5, 0)
+        return []
     monkeypatch.setattr(training, "_run_segment", fake_run)
 
     s = _tiny_stream()
@@ -189,6 +191,56 @@ def test_evaluate_rejects_unknown_arguments_before_any_work(monkeypatch):
     assert not split.new_nodes  # so no test positive qualifies as inductive
     with pytest.raises(ValueError, match="no qualifying positives"):
         evaluate(s, split, params, TINY, setting="inductive", initial_pe=initial)
+    # a cell list is checked whole: its good cells start no work either
+    good = [("transductive", "random"), ("transductive", "historical")]
+    for bad, match in [(("semi", "random"), "unknown setting"),
+                       (("transductive", "historic"), "unknown strategy"),
+                       (("inductive", "random"), "no qualifying positives")]:
+        with pytest.raises(ValueError, match=match):
+            evaluate_cells(s, split, params, TINY, good + [bad], initial_pe=initial)
+
+
+def test_one_replay_for_all_cells_scores_each_cell_as_alone(monkeypatch):
+    s = make_periodic_stream(num_pairs=4, num_events=120, holdout_pairs=1, d_n=6, d_e=6)
+    split = chronological_split(s)
+    assert split.new_nodes
+    res = train(s, split, TINY)
+    assert not np.all(res.params.tensors["filter_real"].data == 1.0)  # off the identity
+    cells = [(setting, strategy) for setting in training.SETTINGS
+             for strategy in ("random", "historical", "inductive")]
+    seen = {"scores": [], "commits": 0}
+    real_ap, real_commit = training.average_precision, PositionalStore.commit
+
+    def ap(scores, labels):
+        seen["scores"].append(np.array(scores))
+        return real_ap(scores, labels)
+
+    def commit(store, nodes, vecs):
+        seen["commits"] += 1
+        return real_commit(store, nodes, vecs)
+
+    monkeypatch.setattr(training, "average_precision", ap)
+    monkeypatch.setattr(PositionalStore, "commit", commit)
+
+    def run(cell_list):
+        seen["scores"], seen["commits"] = [], 0
+        out = evaluate_cells(s, split, res.params, TINY, cell_list, 3, initial_pe=res.initial_pe)
+        return out, seen["scores"], seen["commits"]
+
+    alone = [run([cell]) for cell in cells]
+    shared, scores, commits = run(cells)
+    assert shared == [metrics for (metrics,), _, _ in alone]
+    for got, (_, (want,), _) in zip(scores, alone):
+        assert got.tobytes() == want.tobytes()
+    last = evaluate(s, split, res.params, TINY, *cells[-1], 3, initial_pe=res.initial_pe)
+    assert last == shared[-1]
+    # the reset, then one commit per batch of the replay and of the scoring
+    batches = sum(
+        len(list(batch_iter(lo, hi, TINY.batch_size)))
+        for lo, hi in [(0, split.val_end), split.test_range]
+    )
+    assert commits == 1 + batches
+    assert all(n == commits for _, _, n in alone)
 
 
 def test_write_loss_csv_round_trips_floats(tmp_path):
