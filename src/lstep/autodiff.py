@@ -3,9 +3,15 @@
 A ``GradientTape`` records every operation executed while it is active.
 Recording order is creation order, which is already a valid topological
 order, so the backward pass is a single reverse sweep over the tape.
-All tensors are float64.
+The tape holds no tensor: per op it keeps the output's key and shape,
+the key of each input that takes a gradient, and the VJP, whose closure
+holds only the arrays it reads. An activation that no VJP reads is freed
+as soon as the forward drops it, and the sweep frees each op's arrays
+as it passes, so a tape is swept once. All tensors are float64.
 """
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -32,22 +38,26 @@ __all__ = [
 ]
 
 _ACTIVE_TAPE: "GradientTape | None" = None
+# id() is reused once a tensor dies, and a taped forward drops most of its
+# tensors before the sweep, so the tape names tensors by these keys
+_KEYS = itertools.count()
 
 
 class Tensor:
     """A float64 array plus bookkeeping for the tape.
 
     ``learnable`` marks an optimizable leaf; ``_rec`` is set on any tensor
-    produced by a recorded operation.
+    produced by a recorded operation; ``_key`` names the tensor on a tape.
     """
 
-    __slots__ = ("data", "learnable", "name", "_rec")
+    __slots__ = ("data", "learnable", "name", "_rec", "_key")
 
     def __init__(self, data, learnable: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.learnable = learnable
         self.name = name
         self._rec = False
+        self._key = next(_KEYS)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -59,10 +69,17 @@ class Tensor:
 
 
 class GradientTape:
-    """Ordered record of operations; inputs always precede their consumers."""
+    """Ordered record of operations; inputs always precede their consumers.
+
+    Each entry is (output keys, output shapes, input keys, vjp), with the
+    key None for an input that takes no gradient (neither learnable nor
+    recorded). ``backward`` empties the tape as it sweeps; ``len`` still
+    counts the ops recorded.
+    """
 
     def __init__(self):
-        self._nodes: list[tuple[tuple[Tensor, ...], tuple[Tensor, ...], object]] = []
+        self._nodes: list[tuple] = []
+        self._recorded = 0
 
     def __enter__(self) -> "GradientTape":
         global _ACTIVE_TAPE
@@ -76,42 +93,54 @@ class GradientTape:
         _ACTIVE_TAPE = None
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return self._recorded
 
     def record(self, outs, inputs, vjp) -> None:
         for o in outs:
             o._rec = True
-        self._nodes.append((outs, inputs, vjp))
+        self._nodes.append((
+            tuple(o._key for o in outs),
+            tuple(o.data.shape for o in outs),
+            tuple(t._key if t.learnable or t._rec else None for t in inputs),
+            vjp,
+        ))
+        self._recorded += 1
 
 
 def backward(
     tape: GradientTape, loss: Tensor, params: dict[str, Tensor]
 ) -> dict[str, np.ndarray]:
     """Reverse sweep from ``loss``; returns the gradient of every entry of
-    ``params``, zero-filled for parameters the loss does not depend on."""
+    ``params``, zero-filled for parameters the loss does not depend on.
+
+    ``loss`` must be a scalar recorded on ``tape``, or a learnable leaf.
+    The sweep pops each entry, freeing the arrays its VJP held, so the
+    tape is empty afterwards and a second sweep raises.
+    """
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
-    if not loss._rec and not loss.learnable:
+    nodes = tape._nodes
+    if len(nodes) != tape._recorded:
+        raise ValueError("this tape was already swept by backward")
+    if not loss.learnable and not any(loss._key in outs for outs, _, _, _ in nodes):
         raise ValueError("loss is not recorded on this tape")
 
     # an output's entry is consumed when its op is swept, so what remains
     # at the end are the gradients of the learnable leaves
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for outs, inputs, vjp in reversed(tape._nodes):
-        gouts = tuple(grads.pop(id(o), None) for o in outs)
+    grads: dict[int, np.ndarray] = {loss._key: np.ones_like(loss.data)}
+    while nodes:
+        outs, shapes, inputs, vjp = nodes.pop()
+        gouts = tuple(grads.pop(o, None) for o in outs)
         if all(g is None for g in gouts):
             continue
-        gouts = tuple(
-            np.zeros_like(o.data) if g is None else g for o, g in zip(outs, gouts)
-        )
+        gouts = tuple(np.zeros(s) if g is None else g for s, g in zip(shapes, gouts))
         gins = vjp(*gouts)
-        for t, g in zip(inputs, gins):
-            if g is None or not (t.learnable or t._rec):
+        for key, g in zip(inputs, gins):
+            if g is None or key is None:
                 continue  # constants take no gradient
-            key = id(t)
             grads[key] = grads[key] + g if key in grads else g
 
-    return {name: grads.get(id(t), np.zeros_like(t.data)) for name, t in params.items()}
+    return {name: grads.get(t._key, np.zeros_like(t.data)) for name, t in params.items()}
 
 
 def _as_tensor(x) -> Tensor:
@@ -172,14 +201,18 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def _scatter_rows(shape: tuple[int, ...], index: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Zeros of ``shape`` with each row ``g[i]`` added at row ``index[i]``."""
+def _scatter_rows(
+    shape: tuple[int, ...], index: np.ndarray, g: np.ndarray, select: np.ndarray | None = None
+) -> np.ndarray:
+    """Zeros of ``shape`` with each row ``g[i]`` added at row ``index[i]``;
+    with ``select``, the row ``g[select[i]]`` instead, gathered once."""
     out = np.zeros(shape)
     if index.size:
         order = np.argsort(index, kind="stable")
         rows = index[order]
         starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-        out[rows[starts]] = np.add.reduceat(g[order], starts, axis=0)
+        picked = g[order] if select is None else g[select[order]]
+        out[rows[starts]] = np.add.reduceat(picked, starts, axis=0)
     return out
 
 
@@ -192,7 +225,8 @@ def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
             f"gather_rows expects 2-D data and 1-D index, got {x.data.shape}, {index.shape}"
         )
 
-    return _emit(x.data[index], (x,), lambda g: (_scatter_rows(x.data.shape, index, g),))
+    shape = x.data.shape
+    return _emit(x.data[index], (x,), lambda g: (_scatter_rows(shape, index, g),))
 
 
 def gather_sum_rows(x: Tensor, index: np.ndarray, mask: np.ndarray) -> Tensor:
@@ -212,10 +246,10 @@ def gather_sum_rows(x: Tensor, index: np.ndarray, mask: np.ndarray) -> Tensor:
         picked = x.data[index[:, k]]
         picked[~mask[:, k]] = 0.0
         out_data += picked
-    owner = np.nonzero(mask)[0]
+    shape = x.data.shape
 
     def vjp(g):
-        return (_scatter_rows(x.data.shape, index[mask], g[owner]),)
+        return (_scatter_rows(shape, index[mask], g, select=np.nonzero(mask)[0]),)
 
     return _emit(out_data, (x,), vjp)
 
@@ -245,7 +279,8 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def log(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    return _emit(np.log(x.data), (x,), lambda g: (g / x.data,))
+    xd = x.data
+    return _emit(np.log(xd), (x,), lambda g: (g / xd,))
 
 
 def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
@@ -276,10 +311,9 @@ def scale(x: Tensor, s: float) -> Tensor:
 
 def sum_all(x: Tensor) -> Tensor:
     x = _as_tensor(x)
+    shape = x.data.shape
     return _emit(
-        np.asarray(x.data.sum()),
-        (x,),
-        lambda g: (np.broadcast_to(g, x.data.shape).copy(),),
+        np.asarray(x.data.sum()), (x,), lambda g: (np.broadcast_to(g, shape).copy(),)
     )
 
 
@@ -291,10 +325,11 @@ def norm2(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     if x.data.ndim not in (1, 2):
         raise ValueError(f"norm2 expects 1-D or 2-D, got {x.data.shape}")
-    n = np.sqrt(np.einsum("...i,...i->...", x.data, x.data))
+    xd = x.data
+    n = np.sqrt(np.einsum("...i,...i->...", xd, xd))
 
     def vjp(g):
         safe = np.where(n == 0.0, 1.0, n)
-        return (np.where(n == 0.0, 0.0, g / safe)[..., None] * x.data,)
+        return (np.where(n == 0.0, 0.0, g / safe)[..., None] * xd,)
 
     return _emit(n, (x,), vjp)

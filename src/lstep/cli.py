@@ -233,19 +233,33 @@ def _expand(kind: str, arg: str, choices: tuple[str, ...], every: str) -> tuple[
     )
 
 
-def _stored_initial_pe(path, tensors: dict[str, np.ndarray], method: str) -> InitialPE | None:
+def _stored_initial_pe(
+    path, tensors: dict[str, np.ndarray], method: str, num_nodes: int, d_p: int
+) -> InitialPE | None:
     """The initial encodings a checkpoint holds, or None when it holds
-    neither of their two entries: a 2-D table and a 1-D array of
-    integral node ids."""
+    neither of their two entries: a (num_nodes, d_p) table and a 1-D
+    array of distinct integral node ids in [0, num_nodes)."""
     table, present = tensors.get("__initial_pe_table"), tensors.get("__initial_pe_present")
     if table is None and present is None:
         return None
+
+    def fail(name: str, problem: str) -> ValueError:
+        return ValueError(f"checkpoint {path}: entry {name!r} {problem}")
+
     for name, arr, dim in [("__initial_pe_table", table, 2), ("__initial_pe_present", present, 1)]:
         if arr is None or arr.ndim != dim:
             found = "missing" if arr is None else f"of shape {arr.shape}"
-            raise ValueError(f"checkpoint {path}: entry {name!r} is {found}, expected {dim}-D")
+            raise fail(name, f"is {found}, expected {dim}-D")
+    if table.shape != (num_nodes, d_p):
+        raise fail("__initial_pe_table", f"has shape {table.shape}, expected ({num_nodes}, {d_p})")
     if not np.all(present % 1 == 0):
-        raise ValueError(f"checkpoint {path}: entry '__initial_pe_present' holds non-integral ids")
+        raise fail("__initial_pe_present", "holds non-integral ids")
+    bad = present[(present < 0) | (present >= num_nodes)]
+    if bad.size:
+        raise fail("__initial_pe_present", f"holds node id {bad[0]:g} outside [0, {num_nodes})")
+    ids, counts = np.unique(present, return_counts=True)
+    if np.any(counts > 1):
+        raise fail("__initial_pe_present", f"repeats node id {ids[counts > 1][0]:g}")
     return InitialPE(table, method, present.astype(np.int64))
 
 
@@ -271,10 +285,12 @@ def cmd_eval(args) -> int:
     if missing:
         raise ValueError(f"checkpoint missing parameters: {missing}")
     params.load_state_arrays(state)
-    initial = _stored_initial_pe(args.checkpoint, tensors, meta.get("pe_method", cfg.pe_init))
 
     stream = _load_stream(cfg)
     split = _split_stream(stream, cfg)
+    initial = _stored_initial_pe(
+        args.checkpoint, tensors, meta.get("pe_method", cfg.pe_init), stream.num_nodes, cfg.d_p
+    )
     if initial is None:
         initial = build_initial_pe(stream, split, cfg)
     cells = [(setting, strategy) for setting in settings for strategy in strategies]

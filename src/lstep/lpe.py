@@ -180,10 +180,10 @@ def approximate_pe(
         raise ValueError(f"history shape {h.shape} != (n, {d_p}, m <= {length})")
     if kernel is None:
         kernel = _kernel(params)
-    width = h.shape[2]
+    width, shape = h.shape[2], kernel.data.shape
 
     def vjp(g):
-        gk = np.zeros(kernel.data.shape)
+        gk = np.zeros(shape)
         gk[:, -width:] = np.einsum("ndl,nd->dl", h, g)
         return (gk,)
 

@@ -14,6 +14,7 @@ is reported.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,14 @@ class NegativeSampler:
             self._first_ts = stream.ts[first[order]]  # nondecreasing: the stream is sorted
         else:
             self._pool = list(map(tuple, pairs[first >= split.train_end].tolist()))
+
+    def reseeded(self, seed) -> "NegativeSampler":
+        """A sampler that shares this one's pool, which nothing writes
+        after construction, and draws from its own generator seeded with
+        ``seed``."""
+        twin = copy.copy(self)
+        twin.rng = np.random.default_rng(seed)
+        return twin
 
     def _random_dst(self, u: int, t: float, blocked: set[tuple[int, int]]) -> int:
         n = self.stream.num_nodes

@@ -1,7 +1,10 @@
 """Tape mechanics and per-op gradients against central differences."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from lstep import training
 from lstep.autodiff import (
     GradientTape,
     Tensor,
@@ -23,6 +26,12 @@ from lstep.autodiff import (
     sum_all,
     tanh,
 )
+from lstep.config import parse_config
+from lstep.events import chronological_split
+from lstep.lpe import PositionalStore
+from lstep.model import ModelDims, init_model_params
+from lstep.sampling import NegativeSampler
+from lstep.synthetic import make_periodic_stream
 
 
 def _fd_check(build, params, h=1e-6, tol=1e-6):
@@ -209,3 +218,83 @@ def test_nested_tape_rejected():
         with pytest.raises(RuntimeError, match="already active"):
             with GradientTape():
                 pass
+
+
+def test_tape_keeps_no_activation_its_vjps_do_not_read():
+    # add's VJP reads nothing, so each sum dies when the next replaces it
+    x = Tensor(np.ones((1000, 100)), learnable=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with GradientTape() as tape:
+            z = x
+            for _ in range(50):
+                z = add(z, x)
+            loss = sum_all(z)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 2 * x.data.nbytes  # the last sum, and the tape's bookkeeping
+    assert np.array_equal(backward(tape, loss, {"x": x})["x"], np.full(x.shape, 51.0))
+
+
+def test_backward_sweeps_a_tape_once_and_len_counts_recorded_ops():
+    x = Tensor(np.array([1.0, 2.0]), learnable=True)
+    with GradientTape() as tape:
+        loss = sum_all(tanh(scale(x, 2.0)))
+    assert len(tape) == 3
+    backward(tape, loss, {"x": x})
+    assert len(tape) == 3
+    with pytest.raises(ValueError, match="already swept"):
+        backward(tape, loss, {"x": x})
+
+
+def test_backward_rejects_a_loss_recorded_on_another_tape():
+    x = Tensor(np.array([1.0, 2.0]), learnable=True)
+    with GradientTape() as tape_a:
+        loss_a = sum_all(tanh(x))
+    with GradientTape() as tape_b:
+        sum_all(scale(x, 3.0))
+    with pytest.raises(ValueError, match="not recorded"):
+        backward(tape_b, loss_a, {"x": x})
+    assert np.allclose(backward(tape_a, loss_a, {"x": x})["x"], 1.0 - np.tanh(x.data) ** 2)
+
+
+def _tensors_in(obj, seen=None):
+    """Tensors reachable from ``obj`` through containers and closure cells."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, Tensor):
+        return [obj]
+    if isinstance(obj, (tuple, list)):
+        items = obj
+    elif isinstance(obj, dict):
+        items = list(obj.values())
+    elif callable(obj) and getattr(obj, "__closure__", None):
+        items = [cell.cell_contents for cell in obj.__closure__]
+    else:
+        return []
+    return [t for item in items for t in _tensors_in(item, seen)]
+
+
+def test_no_tape_entry_or_vjp_holds_a_tensor_after_a_training_batch():
+    cfg = parse_config(
+        "d_t = 4\nd_n = 6\nd_e = 6\nd_p = 4\nhistory_len = 4\n"
+        "t_gap = 12.0\nrecent_k = 2\nbatch_size = 10\n"
+    )
+    stream = make_periodic_stream(num_pairs=3, num_events=80, d_n=6, d_e=6)
+    split = chronological_split(stream)
+    params = init_model_params(ModelDims.from_config(cfg), seed=0)
+    store = PositionalStore(stream.interaction_counts(), cfg.d_p, cfg.history_len)
+    store.reset(training.build_initial_pe(stream, split, cfg))
+    batch = np.arange(cfg.batch_size)
+    neg = NegativeSampler(stream, split, "random", 0).sample(batch)
+    with GradientTape() as tape:
+        fwd = training._batch_forward(stream, store, params, cfg, batch, batch, neg)
+        loss = training._batch_loss(fwd, stream, batch, neg, cfg)
+    assert len(tape) == len(tape._nodes) > 0
+    assert _tensors_in(tape._nodes) == []
+    grads = backward(tape, loss, params.tensors)
+    assert any(np.any(g != 0.0) for g in grads.values())

@@ -365,9 +365,9 @@ def test_eval_damaged_checkpoint_names_path_and_exits_1(tmp_path, capsys):
         assert str(path) in capsys.readouterr().err
 
 
-def _eval_edited_initial_pe(tmp_path, capsys, edit):
+def _eval_edited_initial_pe(tmp_path, capsys, edit, entry="__initial_pe_present"):
     """Exit code and stderr of ``eval`` on a checkpoint whose initial-PE
-    entries went through ``edit``."""
+    entries went through ``edit``; the error must name ``entry``."""
     events = _ingest(tmp_path)
     _, out = _train(tmp_path, events)
     tensors, meta = load_container(out / "checkpoint.lstp")
@@ -377,7 +377,7 @@ def _eval_edited_initial_pe(tmp_path, capsys, edit):
     capsys.readouterr()
     code = main(["eval", "--checkpoint", str(edited), "--out", str(tmp_path / "e")])
     err = capsys.readouterr().err
-    assert str(edited) in err and "__initial_pe_present" in err
+    assert str(edited) in err and entry in err
     return code, err
 
 
@@ -402,6 +402,35 @@ def test_eval_rejects_initial_pe_ids_that_are_not_1d(tmp_path, capsys):
 
     code, err = _eval_edited_initial_pe(tmp_path, capsys, reshape)
     assert code == 1 and "expected 1-D" in err
+
+
+def test_eval_rejects_initial_pe_ids_outside_the_stream(tmp_path, capsys):
+    def shift(tensors):
+        tensors["__initial_pe_present"] = tensors["__initial_pe_present"] + 100
+
+    code, err = _eval_edited_initial_pe(tmp_path, capsys, shift)
+    assert code == 1 and "node id 100 outside [0, 6)" in err
+
+
+def test_eval_rejects_repeated_initial_pe_ids(tmp_path, capsys):
+    def repeat(tensors):
+        ids = tensors["__initial_pe_present"].copy()
+        ids[-1] = ids[0]
+        tensors["__initial_pe_present"] = ids
+
+    code, err = _eval_edited_initial_pe(tmp_path, capsys, repeat)
+    assert code == 1 and "repeats node id" in err
+
+
+@pytest.mark.parametrize("rows, cols", [(-1, 0), (0, 1)])
+def test_eval_rejects_an_initial_pe_table_that_does_not_fit(tmp_path, capsys, rows, cols):
+    def resize(tensors):
+        n, d = tensors["__initial_pe_table"].shape
+        tensors["__initial_pe_table"] = np.zeros((n + rows, d + cols))
+
+    code, err = _eval_edited_initial_pe(tmp_path, capsys, resize, entry="__initial_pe_table")
+    shape = (6 + rows, 2 + cols)
+    assert code == 1 and f"has shape {shape}, expected (6, 2)" in err
 
 
 def test_eval_unknown_setting_and_strategy(tmp_path, capsys):

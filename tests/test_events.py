@@ -98,6 +98,14 @@ def test_out_of_order_input_is_sorted_and_counted():
     assert s.src.tolist() == [1, 2, 0]
 
 
+def test_out_of_order_stream_leaves_the_callers_arrays_alone():
+    src, dst, ts = np.array([0, 1, 2]), np.array([3, 4, 5]), np.array([3.0, 1.0, 2.0])
+    feats = np.array([[3.0], [1.0], [2.0]])
+    EventStream(src, dst, ts, edge_features=feats)
+    assert ts.tolist() == [3.0, 1.0, 2.0] and src.tolist() == [0, 1, 2]
+    assert feats.ravel().tolist() == [3.0, 1.0, 2.0]
+
+
 def test_sort_count_and_index_match_loop_references():
     rng = np.random.default_rng(5)
     for n in (2, 3, 17, 64, 101):
