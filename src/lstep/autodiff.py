@@ -268,12 +268,9 @@ def tanh(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    # stable in both tails
-    y = np.where(
-        x.data >= 0.0,
-        1.0 / (1.0 + np.exp(-np.abs(x.data))),
-        np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))),
-    )
+    # stable in both tails: e = exp(-|x|) never overflows
+    e = np.exp(-np.abs(x.data))
+    y = np.where(x.data >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
     return _emit(y, (x,), lambda g: (g * y * (1.0 - y),))
 
 

@@ -1,14 +1,18 @@
 """Property check suites runnable from the CLI and the acceptance tests.
 
-Each check returns a plain dict with at least ``name``, ``passed``, and
-``seconds``. ``run_suite`` prints one PASS/FAIL line per check and
-reports overall success. The expensive learnability and scaling checks
+Each check returns a plain dict that starts with ``name`` and
+``passed`` and ends with ``seconds``: the check's body returns
+``passed`` and its figures, and one wrapper, ``_check``, names the
+report after the function (``check_bound`` -> ``bound``) and times the
+call. ``run_suite`` prints one PASS/FAIL line per check and reports
+overall success. The expensive learnability and scaling checks
 live here too so every acceptance property has exactly one
 implementation.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import os
 import time
 from pathlib import Path
@@ -56,6 +60,19 @@ __all__ = [
 ]
 
 
+def _check(fn):
+    """Wrap a check so its report is ``{name, **report, seconds}``."""
+    name = fn.__name__.removeprefix("check_")
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs) -> dict:
+        t0 = time.monotonic()
+        report = fn(*args, **kwargs)
+        return {"name": name, **report, "seconds": time.monotonic() - t0}
+
+    return run
+
+
 def _fd_check(build, tensors: dict[str, Tensor]) -> tuple[float, str, int]:
     """Worst relative error of the tape gradients of the scalar ``build()``
     against central differences, its element, and the element count."""
@@ -82,13 +99,13 @@ def _fd_check(build, tensors: dict[str, Tensor]) -> tuple[float, str, int]:
     return max_rel, worst, count
 
 
+@_check
 def check_gradients(seed: int = 0) -> dict:
     """Finite-difference check of the full batch loss on a tiny model.
 
     Covers every learnable tensor, both filter parts included; the filter
     is pushed off identity so the frequency chain always runs.
     """
-    t0 = time.monotonic()
     rng = np.random.default_rng(seed)
     cfg = parse_config(
         "d_t = 4\nd_n = 4\nd_e = 4\nd_p = 4\nhistory_len = 3\n"
@@ -131,13 +148,11 @@ def check_gradients(seed: int = 0) -> dict:
 
     max_rel, worst, count = _fd_check(build, params.tensors)
     return {
-        "name": "gradients",
         "passed": bool(max_rel < 1e-4),
         "max_rel_err": max_rel,
         "tolerance": 1e-4,
         "worst_parameter": worst,
         "num_elements": count,
-        "seconds": time.monotonic() - t0,
     }
 
 
@@ -151,11 +166,11 @@ def _oracle_dft_matrix(length: int) -> np.ndarray:
     )
 
 
+@_check
 def check_fourier(seed: int = 0) -> dict:
     """100 random roundtrips, loop-oracle agreement per length, and the
     filter kernel against the O(L^2) DFT -> filter -> IDFT -> pool chain,
     with its gradients against finite differences."""
-    t0 = time.monotonic()
     rng = np.random.default_rng(seed)
     lengths = (1, 2, 3, 8, 16, 100)
     worst_round = worst_oracle = worst_kernel = worst_grad = 0.0
@@ -183,7 +198,6 @@ def check_fourier(seed: int = 0) -> dict:
         )
         worst_grad = max(worst_grad, grad_err)
     return {
-        "name": "fourier",
         "passed": bool(
             worst_round < 1e-9 and worst_oracle < 1e-10 and worst_kernel < 1e-9 and worst_grad < 1e-4
         ),
@@ -196,13 +210,12 @@ def check_fourier(seed: int = 0) -> dict:
         "kernel_oracle_tolerance": 1e-9,
         "max_kernel_grad_err": worst_grad,
         "kernel_grad_tolerance": 1e-4,
-        "seconds": time.monotonic() - t0,
     }
 
 
+@_check
 def check_eigen(seed: int = 0) -> dict:
     """Residuals and conventions on random matrices; Laplacian spectra ranges."""
-    t0 = time.monotonic()
     rng = np.random.default_rng(seed)
     worst_resid = 0.0
     worst_ortho = 0.0
@@ -235,7 +248,6 @@ def check_eigen(seed: int = 0) -> dict:
         hi = max(hi, float(w.max()))
     in_range = bool(lo >= -1e-9 and hi <= 2.0 + 1e-9)
     return {
-        "name": "eigen",
         "passed": bool(
             worst_resid < 1e-8 and worst_ortho < 1e-8 and ordered and signs and in_range
         ),
@@ -244,13 +256,12 @@ def check_eigen(seed: int = 0) -> dict:
         "ascending": ordered,
         "sign_convention": signs,
         "laplacian_eigenvalue_range": [lo, hi],
-        "seconds": time.monotonic() - t0,
     }
 
 
+@_check
 def check_metrics(seed: int = 0) -> dict:
     """Exact oracle equality on 200 small instances; untrained-model AUC."""
-    t0 = time.monotonic()
     rng = np.random.default_rng(seed)
     exact = True
     for _ in range(200):
@@ -295,19 +306,17 @@ def check_metrics(seed: int = 0) -> dict:
     _, auc, _ = cell.metrics()
     auc_centered = bool(abs(auc - 0.5) <= 0.1)
     return {
-        "name": "metrics",
         "passed": bool(exact and auc_centered),
         "oracle_instances": 200,
         "oracle_exact": exact,
         "untrained_auc": auc,
         "untrained_auc_samples": 500,
-        "seconds": time.monotonic() - t0,
     }
 
 
+@_check
 def check_pass_through() -> dict:
     """Identity filter + last-column pool + zero MLP holds encodings fixed."""
-    t0 = time.monotonic()
     num_steps = 50
     edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
     cfg = parse_config(
@@ -327,18 +336,12 @@ def check_pass_through() -> dict:
     step = float(np.linalg.norm(np.diff(trace, axis=0), axis=2).max())
     drift = float(np.max(np.abs(trace - initial.table[nodes])))
     worst = max(step, drift)
-    return {
-        "name": "pass_through",
-        "passed": bool(worst == 0.0),
-        "steps": num_steps,
-        "max_step_diff": worst,
-        "seconds": time.monotonic() - t0,
-    }
+    return {"passed": bool(worst == 0.0), "steps": num_steps, "max_step_diff": worst}
 
 
+@_check
 def check_bound(seed: int = 0) -> dict:
     """Train on a static 10-node ring, then test the drift bound on every node."""
-    t0 = time.monotonic()
     edges = [(i, (i + 1) % 10) for i in range(10)]
     stream = make_static_stream(edges, num_steps=50, d_n=6, d_e=6)
     cfg = parse_config(
@@ -356,13 +359,11 @@ def check_bound(seed: int = 0) -> dict:
     node = max(range(stream.num_nodes), key=lambda n: reports[n].max_step_diff)
     report, trace = reports[node], traces[:, node]
     return {
-        "name": "bound",
         "passed": bool(report.satisfied),
         "max_step_diff": report.max_step_diff,
         "bound": report.bound,
         "node": node,
         "trace": trace.tolist(),
-        "seconds": time.monotonic() - t0,
     }
 
 
@@ -373,9 +374,9 @@ SYNTHETIC_RECIPE = (
 )
 
 
+@_check
 def check_synthetic(seed: int = 0) -> dict:
     """Learnability on the periodic stream: transductive and inductive."""
-    t0 = time.monotonic()
     stream = make_periodic_stream(
         num_pairs=10, num_events=2000, holdout_pairs=2, d_n=16, d_e=8
     )
@@ -387,7 +388,6 @@ def check_synthetic(seed: int = 0) -> dict:
         seed, initial_pe=result.initial_pe,
     )
     return {
-        "name": "synthetic",
         "passed": bool(ap_t >= 0.95 and auc_t >= 0.95 and ap_i >= 0.85),
         "transductive_ap": ap_t,
         "transductive_auc": auc_t,
@@ -395,7 +395,6 @@ def check_synthetic(seed: int = 0) -> dict:
         "inductive_auc": auc_i,
         "epochs_run": result.report.epochs_run,
         "new_nodes": sorted(split.new_nodes),
-        "seconds": time.monotonic() - t0,
     }
 
 
@@ -441,6 +440,7 @@ def tape_nodes_per_batch(num_nodes: int, seed: int = 0) -> int:
     return len(tape)
 
 
+@_check
 def check_scaling(seed: int = 0) -> dict:
     """Per-batch forward+commit time ratio for 500 -> 1000 nodes, B ~ n.
 
@@ -449,7 +449,6 @@ def check_scaling(seed: int = 0) -> dict:
     length of one training batch at each size is reported beside the
     times: a count that does not flake with machine speed.
     """
-    t0 = time.monotonic()
     trials = 5
     runs = {n: _timed_batches(n, seed, trials) for n in (500, 1000)}
     times: dict[int, list[float]] = {n: [] for n in runs}
@@ -462,7 +461,6 @@ def check_scaling(seed: int = 0) -> dict:
     large = float(np.median(times[1000]))
     ratio = large / small
     return {
-        "name": "scaling",
         "passed": bool(ratio <= 2.5),
         "batch_seconds_500": small,
         "batch_seconds_1000": large,
@@ -470,13 +468,12 @@ def check_scaling(seed: int = 0) -> dict:
         "limit": 2.5,
         "tape_nodes_500": tape_nodes_per_batch(500, seed),
         "tape_nodes_1000": tape_nodes_per_batch(1000, seed),
-        "seconds": time.monotonic() - t0,
     }
 
 
+@_check
 def check_losses(seed: int = 0) -> dict:
     """Closed-form loss identities and affine-combination linearity."""
-    t0 = time.monotonic()
     rng = np.random.default_rng(seed)
     half = Tensor(np.full((4, 1), 0.5))
     ln2_err = abs(float(loss_lp(half, half).data) - float(np.log(2.0)))
@@ -496,29 +493,21 @@ def check_losses(seed: int = 0) -> dict:
         want = f00 + a * (f10 - f00) + b * (f01 - f00)
         linear_err = max(linear_err, abs(got - want))
     return {
-        "name": "losses",
         "passed": bool(ln2_err < 1e-12 and pe_zero == 0.0 and linear_err < 1e-12),
         "ln2_err": ln2_err,
         "identical_pair_loss": pe_zero,
         "linearity_err": linear_err,
-        "seconds": time.monotonic() - t0,
     }
 
 
+@_check
 def check_uci(seed: int = 0) -> dict:
     """Optional full-dataset run from ``$LSTEP_UCI``, ``data/uci.csv`` or
     ``uci.csv``; skipped (not failed) when none exists."""
-    t0 = time.monotonic()
     candidates = [os.environ.get("LSTEP_UCI", ""), "data/uci.csv", "uci.csv"]
     found = next((c for c in candidates if c and Path(c).exists()), None)
     if found is None:
-        return {
-            "name": "uci",
-            "passed": True,
-            "skipped": True,
-            "reason": "dataset not present",
-            "seconds": time.monotonic() - t0,
-        }
+        return {"passed": True, "skipped": True, "reason": "dataset not present"}
     from .config import apply_preset
     from .events import load_events
 
@@ -531,13 +520,11 @@ def check_uci(seed: int = 0) -> dict:
         stream, split, result.params, cfg, seed=seed, initial_pe=result.initial_pe
     )
     return {
-        "name": "uci",
         "passed": bool(ap >= 0.90),
         "skipped": False,
         "transductive_ap": ap,
         "transductive_auc": auc,
         "epochs_run": result.report.epochs_run,
-        "seconds": time.monotonic() - t0,
     }
 
 

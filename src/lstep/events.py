@@ -1,8 +1,10 @@
 """Continuous-time event streams with per-node chronological indexes.
 
-An event stream holds interaction triplets (src, dst, t) sorted by
-timestamp (stable on ties), dense node ids, a node feature table, and a
-per-event edge feature table. A CSR index over nodes (offsets into
+An event stream holds interaction triplets (src, dst, t) in time order,
+dense node ids, a node feature table, and a per-event edge feature
+table. The constructor requires time-sorted arrays and refuses others;
+``load_events`` sorts a file's rows (stably, so ties keep file order)
+before it builds the stream. A CSR index over nodes (offsets into
 neighbor, time and event arrays, each node's entries in event order)
 answers the three temporal queries the encoders need, for a whole array
 of queries at once: the K most recent interactions strictly before t,
@@ -104,7 +106,14 @@ class WindowNeighbors:
 
 
 class EventStream:
-    """Time-sorted interaction events plus feature tables and indexes."""
+    """Time-sorted interaction events plus feature tables and indexes.
+
+    The arrays must already be in time order; tied timestamps keep the
+    order given. An event earlier than the one before it raises
+    ``ValueError`` naming both; the constructor reorders nothing.
+    ``load_events`` sorts a file first and sets ``sort_warnings`` to the
+    pairs it repaired; a stream built here directly has 0.
+    """
 
     def __init__(
         self,
@@ -131,13 +140,13 @@ class EventStream:
         if edge_features is not None:
             edge_features = _feature_table(edge_features, "edge_features", "events")
             _reject_non_finite(edge_features, "edge feature", "event")
-        sort_warnings = 0
-        if ts.size > 1 and np.any(np.diff(ts) < 0.0):
-            sort_warnings = _count_inversions(ts)
-            order = np.argsort(ts, kind="stable")
-            src, dst, ts = src[order], dst[order], ts[order]
-            if edge_features is not None:
-                edge_features = edge_features[order]
+        late = np.flatnonzero(np.diff(ts) < 0.0)
+        if late.size:
+            i = int(late[0]) + 1
+            raise ValueError(
+                f"timestamp {ts[i]} at event {i} is earlier than {ts[i - 1]} at "
+                f"event {i - 1}: events must be time-sorted (load_events sorts a file)"
+            )
         if src.min() < 0 or dst.min() < 0:
             raise ValueError("negative node id in event stream")
         inferred = int(max(src.max(), dst.max())) + 1
@@ -152,7 +161,7 @@ class EventStream:
         self.num_nodes = int(num_nodes)
         self.num_events = int(src.shape[0])
         self.dataset = dataset
-        self.sort_warnings = sort_warnings
+        self.sort_warnings = 0  # load_events counts what it sorted
         self.has_edge_features = edge_features is not None  # else zero-filled
 
         if edge_features is None:
@@ -337,8 +346,9 @@ def load_events(
     arrays. Every error names the file and, for a bad row, the line:
     ``path:line: ...``. Node ids are re-indexed densely from 0 in
     sorted-id order. Rows out of time order are repaired by a stable
-    sort, done in place on the parsed block a column slab at a time;
-    ``sort_warnings`` counts the inverted pairs it repaired (the
+    sort, done in place on the parsed block a column slab at a time,
+    before the block becomes an ``EventStream`` (which refuses unsorted
+    arrays); ``sort_warnings`` counts the inverted pairs it repaired (the
     timestamps 3, 1, 2 give 2), not the rows it moved.
     """
     path = Path(path)
@@ -378,7 +388,7 @@ def load_events(
         reason = "bad node id, timestamp or edge feature"
         raise ValueError(_rejected_block(path, header, has_label, reason))
 
-    # the block is ours, so it is sorted in place, and the stream sorts nothing
+    # the block is ours, so it is sorted in place before the stream sees it
     sort_warnings = 0
     if np.any(np.diff(ts) < 0.0):
         sort_warnings = _count_inversions(ts)

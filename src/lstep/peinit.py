@@ -87,7 +87,13 @@ def laplacian_pe(
 def random_walk_pe(
     src: np.ndarray, dst: np.ndarray, num_nodes: int, d_p: int
 ) -> InitialPE:
-    """PE_k(u) = k-step return probability diag((D^-1 A)^k)_u, k = 1..d_p."""
+    """PE_k(u) = k-step return probability diag((D^-1 A)^k)_u, k = 1..d_p.
+
+    Return probabilities carry no position when every snapshot node looks
+    alike. On a snapshot of disjoint edges every present node gets the
+    same row (0, 1, 0, 1, ...), of norm sqrt(d_p / 2); rows are neither
+    scaled nor centred to tell them apart.
+    """
     edges, present = snapshot_graph(src, dst, num_nodes)
     a = _adjacency(edges, present)
     deg = a.sum(axis=1)

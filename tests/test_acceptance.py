@@ -23,6 +23,8 @@ from lstep.checks import (
 
 
 def _verdict(num: int, rep: dict, detail: str) -> str:
+    keys = list(rep)
+    assert keys[:2] == ["name", "passed"] and keys[-1] == "seconds", keys
     line = (
         f"{'PASS' if rep['passed'] else 'FAIL'} criterion {num} "
         f"({rep['name']}): {detail} [{rep['seconds']:.1f}s]"
@@ -165,6 +167,7 @@ def test_criterion_09_loss_sanity():
 def test_criterion_10_uci_optional():
     rep = check_uci(seed=0)
     if rep.get("skipped"):
+        assert list(rep) == ["name", "passed", "skipped", "reason", "seconds"]
         print("SKIP criterion 10 (uci): dataset not present")
         pytest.skip("uci dataset not present")
     line = _verdict(

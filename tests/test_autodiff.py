@@ -148,6 +148,20 @@ def test_batched_ops_forward_values():
         concat(Tensor(x), Tensor(np.zeros((3, 1))))
 
 
+def test_sigmoid_matches_the_two_branch_formula_bit_for_bit():
+    # exp's overflow and underflow edges, signed zeros and the float range
+    ends = [0.0, -0.0, 709.0, -709.0, 745.0, -745.0, 746.0, -746.0, 1e308, -1e308]
+    x = np.concatenate([ends, np.linspace(-800.0, 800.0, 80_000)])
+    pos = x >= 0.0
+    want = np.empty_like(x)
+    want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    want[~pos] = e / (1.0 + e)
+    got = sigmoid(Tensor(x)).data
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert got[:8].tolist() == [0.5, 0.5, want[2], want[3], 1.0, 5e-324, 1.0, 0.0]
+
+
 def test_log_clamp_gradients():
     x = Tensor(np.array([0.2, 0.8, 0.5]), learnable=True)
 

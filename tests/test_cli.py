@@ -479,6 +479,32 @@ def test_check_suite_writes_json_summary(tmp_path, capsys):
     assert fourier["max_kernel_grad_err"] < fourier["kernel_grad_tolerance"] == 1e-4
 
 
+def test_check_suite_all_writes_every_report_key(tmp_path, capsys):
+    out = tmp_path / "checks"
+    assert main(["check", "--suite", "all", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()[:5]
+    names = ["gradients", "fourier", "eigen", "metrics", "bound"]
+    assert [line.split(":")[0] for line in lines] == [f"PASS {name}" for name in names]
+    assert all(line.rsplit(", ", 1)[1].startswith("seconds=") for line in lines)
+    payload = json.loads((out / "check_all.json").read_text())
+    assert sorted(payload) == ["checks", "passed", "seed", "suite"]
+    common = ["name", "passed", "seconds"]
+    assert {rep["name"]: sorted(rep) for rep in payload["checks"]} == {
+        "gradients": sorted(common + ["max_rel_err", "tolerance", "worst_parameter",
+                                      "num_elements"]),
+        "fourier": sorted(common + [
+            "roundtrips", "max_roundtrip_err", "roundtrip_tolerance", "max_oracle_err",
+            "oracle_tolerance", "max_kernel_oracle_err", "kernel_oracle_tolerance",
+            "max_kernel_grad_err", "kernel_grad_tolerance",
+        ]),
+        "eigen": sorted(common + ["max_residual", "max_orthonormality_err", "ascending",
+                                  "sign_convention", "laplacian_eigenvalue_range"]),
+        "metrics": sorted(common + ["oracle_instances", "oracle_exact", "untrained_auc",
+                                    "untrained_auc_samples"]),
+        "bound": sorted(common + ["max_step_diff", "bound", "node", "trace"]),
+    }
+
+
 def test_check_unknown_suite_fails_validation(capsys):
     assert main(["check", "--suite", "nope"]) == 1
     assert "unknown suite" in capsys.readouterr().err

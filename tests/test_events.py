@@ -85,38 +85,58 @@ def test_keeps_truncation_order_oldest_first():
     assert rec.neighbors.tolist() == [[3, 4, 5]]
 
 
-def test_out_of_order_input_is_sorted_and_counted():
-    s = EventStream(
-        np.array([0, 1, 2]),
-        np.array([3, 4, 5]),
-        np.array([3.0, 1.0, 2.0]),
-        edge_features=np.array([[3.0], [1.0], [2.0]]),
+def test_out_of_order_stream_leaves_the_callers_arrays_alone():
+    src, dst, ts = np.array([0, 1, 2, 3]), np.array([4, 5, 6, 7]), np.array([1.0, 3.0, 2.0, 0.5])
+    feats = np.array([[1.0], [3.0], [2.0], [0.5]])
+    with pytest.raises(ValueError) as exc:
+        EventStream(src, dst, ts, edge_features=feats)
+    # event 2 is the first one earlier than its predecessor; event 3 is not named
+    assert str(exc.value) == (
+        "timestamp 2.0 at event 2 is earlier than 3.0 at event 1: "
+        "events must be time-sorted (load_events sorts a file)"
     )
+    assert ts.tolist() == [1.0, 3.0, 2.0, 0.5] and src.tolist() == [0, 1, 2, 3]
+    assert dst.tolist() == [4, 5, 6, 7] and feats.ravel().tolist() == [1.0, 3.0, 2.0, 0.5]
+
+
+def _write_events(path, src, dst, ts, feats=None):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        width = 0 if feats is None else feats.shape[1]
+        writer.writerow(["src", "dst", "timestamp"] + [f"f{j}" for j in range(width)])
+        for i in range(len(ts)):
+            extra = [] if feats is None else [repr(x) for x in feats[i].tolist()]
+            writer.writerow([int(src[i]), int(dst[i]), repr(float(ts[i]))] + extra)
+
+
+def test_load_events_sorts_and_counts_an_out_of_order_file(tmp_path):
+    path = tmp_path / "late.csv"
+    _write_events(path, [0, 1, 2], [3, 4, 5], [3.0, 1.0, 2.0], np.array([[3.0], [1.0], [2.0]]))
+    s = load_events(path, d_e=1)
     assert s.ts.tolist() == [1.0, 2.0, 3.0]
     assert s.sort_warnings == 2  # (3,1) and (3,2) were inverted
     assert s.edge_features.ravel().tolist() == [1.0, 2.0, 3.0]
     assert s.src.tolist() == [1, 2, 0]
 
 
-def test_out_of_order_stream_leaves_the_callers_arrays_alone():
-    src, dst, ts = np.array([0, 1, 2]), np.array([3, 4, 5]), np.array([3.0, 1.0, 2.0])
-    feats = np.array([[3.0], [1.0], [2.0]])
-    EventStream(src, dst, ts, edge_features=feats)
-    assert ts.tolist() == [3.0, 1.0, 2.0] and src.tolist() == [0, 1, 2]
-    assert feats.ravel().tolist() == [3.0, 1.0, 2.0]
-
-
-def test_sort_count_and_index_match_loop_references():
+def test_load_events_sort_count_and_index_match_loop_references(tmp_path):
     rng = np.random.default_rng(5)
+    path = tmp_path / "ties.csv"
     for n in (2, 3, 17, 64, 101):
         ts = rng.integers(0, 6, size=n).astype(np.float64)  # many ties
         src, dst = rng.integers(0, 9, size=n), rng.integers(0, 9, size=n)
-        s = EventStream(src, dst, ts, num_nodes=10)
+        _write_events(path, src, dst, ts)
+        s = load_events(path)
+        order = sorted(range(n), key=lambda i: ts[i])  # stable on ties
+        assert s.ts.tolist() == [ts[i] for i in order]
+        ids = sorted(set(src.tolist()) | set(dst.tolist()))
+        assert s.src.tolist() == [ids.index(src[i]) for i in order]
+        assert s.dst.tolist() == [ids.index(dst[i]) for i in order]
         assert s.sort_warnings == sum(
             1 for i in range(n) for j in range(i + 1, n) if ts[j] < ts[i]
         )
-        rec = s.recent_interactions_inclusive(np.arange(10), n, k=n)
-        for node in range(10):
+        rec = s.recent_interactions_inclusive(np.arange(s.num_nodes), n, k=n)
+        for node in range(s.num_nodes):
             ends = zip(s.src.tolist(), s.dst.tolist())
             touching = [(i, v if u == node else u) for i, (u, v) in enumerate(ends)
                         if node in (u, v)]
@@ -342,7 +362,8 @@ def test_recent_inclusive_bound_cuts_a_tied_block():
 
 def _reference_load(path, d_e=172):
     """The per-row loader that ``load_events`` replaced: ``csv.reader``
-    and ``float()`` on every field. Kept here as the oracle."""
+    and ``float()`` on every field, then its own stable sort and a
+    brute-force count of the inverted pairs. Kept here as the oracle."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -378,8 +399,13 @@ def _reference_load(path, d_e=172):
         raise ValueError(f"{path}: empty event file")
     _, dense = np.unique(np.asarray(src + dst, dtype=np.int64), return_inverse=True)
     src_a, dst_a = np.split(dense.astype(np.int64), 2)
-    edge_features = np.asarray(feats, dtype=np.float64) if n_feat else None
-    return EventStream(src_a, dst_a, np.asarray(ts), edge_features=edge_features, d_e=d_e)
+    inverted = sum(1 for i in range(len(ts)) for j in range(i + 1, len(ts)) if ts[j] < ts[i])
+    order = np.argsort(ts, kind="stable")
+    edge_features = np.asarray(feats, dtype=np.float64)[order] if n_feat else None
+    stream = EventStream(src_a[order], dst_a[order], np.asarray(ts)[order],
+                         edge_features=edge_features, d_e=d_e)
+    stream.sort_warnings = inverted
+    return stream
 
 
 def _oracle_csv(rng, n, n_feat, label=False):

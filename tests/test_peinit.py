@@ -2,7 +2,10 @@
 import numpy as np
 import pytest
 
+from lstep.checks import SYNTHETIC_RECIPE
+from lstep.config import parse_config
 from lstep.peinit import laplacian_pe, random_walk_pe, snapshot_graph, zero_pe
+from lstep.synthetic import make_periodic_stream
 
 R2 = 1.0 / np.sqrt(2.0)
 
@@ -88,3 +91,23 @@ def test_zero_init_has_no_present_nodes():
     assert pe.table.shape == (4, 3)
     assert not pe.table.any()
     assert pe.present.size == 0
+
+
+def test_disjoint_edge_snapshot_tells_nodes_apart_only_under_laplacian():
+    # the synthetic recipe's first batch: 8 disjoint edges over 16 nodes
+    cfg = parse_config(SYNTHETIC_RECIPE)
+    stream = make_periodic_stream(num_pairs=10, num_events=2000, holdout_pairs=2,
+                                  d_n=cfg.d_n, d_e=cfg.d_e)
+    src, dst = stream.src[: cfg.batch_size], stream.dst[: cfg.batch_size]
+    edges, present = snapshot_graph(src, dst, stream.num_nodes)
+    assert len(edges) == 8 and len(present) == 16
+    walk = random_walk_pe(src, dst, stream.num_nodes, cfg.d_p)
+    rows = walk.table[walk.present]
+    assert walk.present.tolist() == present.tolist()
+    assert (rows == rows[0]).all()  # one row shared by every present node
+    assert np.linalg.norm(rows[0]) == pytest.approx(np.sqrt(8.0))
+    lap = laplacian_pe(src, dst, stream.num_nodes, cfg.d_p)
+    rows = lap.table[lap.present]
+    assert len(np.unique(rows, axis=0)) == 16
+    assert np.allclose(np.linalg.norm(rows, axis=1), 1.0)
+    assert zero_pe(stream.num_nodes, cfg.d_p).present.size == 0
