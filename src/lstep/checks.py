@@ -28,7 +28,7 @@ from .losses import loss_lp, loss_pe, total_loss
 from .lpe import PositionalStore, theorem1_check
 from .metrics import average_precision, roc_auc
 from .model import ModelDims, init_model_params
-from .peinit import InitialPE, zero_pe
+from .peinit import InitialPE, normalized_laplacian, zero_pe
 from .sampling import NegativeSampler
 from .synthetic import make_periodic_stream, make_random_stream, make_static_stream
 from .training import (
@@ -143,7 +143,7 @@ def check_gradients(seed: int = 0) -> dict:
     neg = NegativeSampler(stream, split, "random", seed).sample(batch)
 
     def build():
-        fwd = _batch_forward(stream, store, params, cfg, batch, batch, neg)
+        fwd = _batch_forward(stream, store, params, cfg, batch, [(batch, neg)])
         return _batch_loss(fwd, stream, batch, neg, cfg)
 
     max_rel, worst, count = _fd_check(build, params.tensors)
@@ -239,11 +239,7 @@ def check_eigen(seed: int = 0) -> dict:
         n = int(rng.integers(2, 26))
         a = (rng.random((n, n)) < 0.3).astype(float)
         a = np.triu(a, 1)
-        a = a + a.T
-        deg = a.sum(axis=1)
-        dis = np.where(deg > 0.0, np.where(deg > 0.0, deg, 1.0) ** -0.5, 0.0)
-        lap = np.eye(n) - (dis[:, None] * a) * dis[None, :]
-        w, _ = symmetric_eig(lap)
+        w, _ = symmetric_eig(normalized_laplacian(a + a.T))
         lo = min(lo, float(w.min()))
         hi = max(hi, float(w.max()))
     in_range = bool(lo >= -1e-9 and hi <= 2.0 + 1e-9)
@@ -435,7 +431,7 @@ def tape_nodes_per_batch(num_nodes: int, seed: int = 0) -> int:
     batch = np.arange(cfg.batch_size, 2 * cfg.batch_size)
     neg = NegativeSampler(stream, split, "random", seed).sample(batch)
     with GradientTape() as tape:
-        fwd = _batch_forward(stream, store, params, cfg, batch, batch, neg)
+        fwd = _batch_forward(stream, store, params, cfg, batch, [(batch, neg)])
         _batch_loss(fwd, stream, batch, neg, cfg)
     return len(tape)
 

@@ -14,7 +14,10 @@ import numpy as np
 
 from .eigen import DEFAULT_SIZE_CAP, symmetric_eig
 
-__all__ = ["InitialPE", "snapshot_graph", "laplacian_pe", "random_walk_pe", "zero_pe"]
+__all__ = [
+    "InitialPE", "snapshot_graph", "normalized_laplacian", "laplacian_pe", "random_walk_pe",
+    "zero_pe",
+]
 
 
 @dataclass(frozen=True)
@@ -56,6 +59,14 @@ def _adjacency(edges: np.ndarray, present: np.ndarray) -> np.ndarray:
     return a
 
 
+def normalized_laplacian(a: np.ndarray) -> np.ndarray:
+    """I - D^-1/2 A D^-1/2 of the dense symmetric adjacency ``a``, with
+    the convention 0^(-1/2) = 0 for an isolated node."""
+    deg = a.sum(axis=1)
+    dis = np.where(deg > 0.0, np.where(deg > 0.0, deg, 1.0) ** -0.5, 0.0)
+    return np.eye(a.shape[0]) - (dis[:, None] * a) * dis[None, :]
+
+
 def laplacian_pe(
     src: np.ndarray,
     dst: np.ndarray,
@@ -70,15 +81,8 @@ def laplacian_pe(
     than d_p present nodes the trailing dimensions are zero-padded.
     """
     edges, present = snapshot_graph(src, dst, num_nodes)
-    a = _adjacency(edges, present)
-    n = a.shape[0]
-    deg = a.sum(axis=1)
-    with np.errstate(divide="ignore"):
-        dis = np.where(deg > 0.0, deg, 1.0) ** -0.5
-    dis = np.where(deg > 0.0, dis, 0.0)
-    lap = np.eye(n) - (dis[:, None] * a) * dis[None, :]
-    _, vecs = symmetric_eig(lap, size_cap=size_cap)
-    take = min(d_p, n)
+    _, vecs = symmetric_eig(normalized_laplacian(_adjacency(edges, present)), size_cap=size_cap)
+    take = min(d_p, present.size)
     table = np.zeros((num_nodes, d_p))
     table[present, :take] = vecs[:, :take]
     return InitialPE(table, "laplacian", present)

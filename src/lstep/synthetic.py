@@ -1,4 +1,8 @@
-"""Synthetic event streams for experiments and property checks."""
+"""Synthetic event streams for experiments and property checks.
+
+Each generator builds its src, dst and ts arrays whole, with numpy; no
+event is appended one at a time.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -27,26 +31,22 @@ def make_periodic_stream(
     events have been emitted; a silent slot skips its tick entirely,
     which keeps the other pairs' periods intact while the held-out nodes
     stay unseen by a chronological training split that ends earlier.
+    So a held-out pair's tick is emitted once at least 0.72 *
+    ``num_events`` ticks of the other pairs precede it, every other tick
+    always is, and the stream is the first ``num_events`` emitted ticks.
     """
     if num_pairs < 1 or not 0 <= holdout_pairs < num_pairs:
         raise ValueError(f"bad pair counts ({num_pairs}, {holdout_pairs})")
-    pairs = [(2 * j, 2 * j + 1) for j in range(num_pairs)]
-    open_at = 0.72 * num_events
-    src, dst, ts = [], [], []
-    tick = 0
-    while len(src) < num_events:
-        tick += 1
-        j = tick % num_pairs
-        if j >= num_pairs - holdout_pairs and len(src) < open_at:
-            continue
-        u, v = pairs[j]
-        src.append(u)
-        dst.append(v)
-        ts.append(float(tick))
+    # num_pairs - holdout_pairs of every num_pairs ticks are always
+    # emitted, so these ticks hold num_events emitted ones
+    ticks = np.arange(1, num_events * num_pairs // (num_pairs - holdout_pairs) + num_pairs + 1)
+    live = ticks % num_pairs < num_pairs - holdout_pairs
+    ticks = ticks[live | (np.cumsum(live) >= 0.72 * num_events)][: max(num_events, 0)]
+    j = ticks % num_pairs
     return EventStream(
-        np.asarray(src),
-        np.asarray(dst),
-        np.asarray(ts),
+        2 * j,
+        2 * j + 1,
+        ticks.astype(np.float64),
         num_nodes=2 * num_pairs,
         d_n=d_n,
         d_e=d_e,
@@ -61,18 +61,13 @@ def make_static_stream(
     d_e: int = 8,
 ) -> EventStream:
     """The same edge set replayed at t = 1..num_steps, one batch per step
-    when the batch size equals the edge count."""
+    when the batch size equals the edge count: the edge list tiled
+    ``num_steps`` times beside each step repeated once per edge."""
     if not edges:
         raise ValueError("need at least one edge")
-    src, dst, ts = [], [], []
-    for step in range(1, num_steps + 1):
-        for u, v in edges:
-            src.append(u)
-            dst.append(v)
-            ts.append(float(step))
-    return EventStream(
-        np.asarray(src), np.asarray(dst), np.asarray(ts), d_n=d_n, d_e=d_e, dataset="static"
-    )
+    src, dst = np.tile(np.asarray(edges, dtype=np.int64).T, num_steps)
+    ts = np.repeat(np.arange(1.0, num_steps + 1), len(edges))
+    return EventStream(src, dst, ts, d_n=d_n, d_e=d_e, dataset="static")
 
 
 def make_random_stream(

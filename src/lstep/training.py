@@ -17,9 +17,10 @@ warm replay and its scoring (one segment, sharing one state, whatever
 the number of (setting, strategy) cells scored), the validation pass
 of each epoch, the PE trace, and the runs of the metrics and scaling
 checks. One segment runner, ``_run_segment``, walks every one of
-them: per batch each scored cell draws its positives' negatives and
-runs its own batch forward, and then the batch records any watched p~
-rows and commits once. Each segment makes an ``lpe.FrozenPE`` when it
+them: per batch each scored cell draws its positives' negatives, one
+batch forward scores every cell (each with a representation of its
+own), and the batch records any watched p~ rows and commits once from
+that forward. Each segment makes an ``lpe.FrozenPE`` when it
 starts. Its batches contract only the needed nodes whose commit
 count in the store has moved on since their p~ was last computed,
 against a kernel built once, and read the rest from the state's table;
@@ -31,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 import numpy as np
@@ -80,16 +81,11 @@ class EvalReport:
     train_seconds: float = 0.0
 
     def _payload(self) -> dict:
+        """Every field but the loss rows and the wall time: what the hash covers."""
         return {
-            "dataset": self.dataset,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "metrics": self.metrics,
-            "epoch_train_loss": self.epoch_train_loss,
-            "epoch_val_ap": self.epoch_val_ap,
-            "best_epoch": self.best_epoch,
-            "epochs_run": self.epochs_run,
-            "bound_check": self.bound_check,
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("loss_rows", "train_seconds")
         }
 
     def to_json(self) -> str:
@@ -138,11 +134,12 @@ class _Forward:
     """One batch's forward pass.
 
     ``ptilde`` holds p~ (rows of ``nodes``, sorted) for every node the
-    batch needs; ``pos``/``neg`` are the (n, 1) link probabilities of the
-    scored events and of their negatives, None when nothing is scored.
-    ``touched`` are the batch's endpoints and ``window`` their K most
-    recent interactions up to and including the batch's last event,
-    whose timestamp is the commit time ``t_commit``.
+    batch needs; ``scores`` holds one (pos, neg) pair per scored pair
+    the forward was given: the (n, 1) link probabilities of the scored
+    events and of their negatives. ``touched`` are the batch's endpoints
+    and ``window`` their K most recent interactions up to and including
+    the batch's last event, whose timestamp is the commit time
+    ``t_commit``.
     """
 
     nodes: np.ndarray
@@ -150,8 +147,7 @@ class _Forward:
     touched: np.ndarray
     t_commit: float
     window: RecentInteractions
-    pos: Tensor | None = None
-    neg: Tensor | None = None
+    scores: list[tuple[Tensor, Tensor]] = field(default_factory=list)
 
     def rows(self, nodes: np.ndarray) -> np.ndarray:
         return node_rows(self.nodes, nodes)
@@ -166,13 +162,19 @@ def _batch_forward(
     params: ModelParams,
     cfg: RunConfig,
     batch: np.ndarray,
-    scored: np.ndarray | None = None,
-    neg: Sample | None = None,
+    scoring: Iterable[tuple[np.ndarray, Sample]] = (),
     extra: np.ndarray | None = None,
     frozen: FrozenPE | None = None,
 ) -> _Forward:
-    """p~ for the batch, and link probabilities for ``scored`` (a subset
-    of ``batch``) against ``neg``; ``extra`` nodes also get a p~ row.
+    """p~ for the batch, and link probabilities for each ``(scored,
+    neg)`` pair of ``scoring``: ``scored`` a non-empty subset of
+    ``batch`` scored against its negatives ``neg``. ``extra`` nodes also
+    get a p~ row.
+
+    The commit window, the needed nodes and p~ are built once for every
+    pair. Each pair has a representation of its own, over its own
+    distinct (node, t) queries, so its scores are bit for bit those of a
+    forward given that pair alone.
 
     In a frozen segment, ``frozen`` is its state: only the stale rows
     are gathered and contracted, and the others come from its table.
@@ -186,17 +188,18 @@ def _batch_forward(
     need = [touched, window.neighbors[~window.pad_mask]]
     if extra is not None:
         need.append(np.asarray(extra, dtype=np.int64))
-    scoring = scored is not None and scored.size > 0
-    if scoring:
+    queries = []
+    for scored, neg in scoring:
         ends = np.concatenate([stream.src[scored], stream.dst[scored], neg.src, neg.dst])
         times = np.tile(stream.ts[scored], 4)
         # one representation per distinct (node, t) query
-        queries, which = np.unique(
+        uniq, which = np.unique(
             np.stack([ends.astype(np.float64), times], axis=1), axis=0, return_inverse=True
         )
-        q_nodes, q_ts = queries[:, 0].astype(np.int64), queries[:, 1]
+        q_nodes, q_ts = uniq[:, 0].astype(np.int64), uniq[:, 1]
         recent = stream.recent_interactions(q_nodes, q_ts, k)
         need += [q_nodes, recent.neighbors[~recent.pad_mask]]
+        queries.append((q_nodes, q_ts, recent, which.reshape(-1)))
     nodes = np.unique(np.concatenate(need))
     tensors = params.tensors
     if frozen is None:
@@ -208,13 +211,15 @@ def _batch_forward(
         )
         ptilde = Tensor(frozen.table[nodes])
     fwd = _Forward(nodes, ptilde, touched, t_commit, window)
-    if scoring:
+    for q_nodes, q_ts, recent, which in queries:
         reps = temporal_representation(
             stream, q_nodes, q_ts, tensors, cfg, ptilde, nodes, recent
         )
-        u, v, nu, nv = np.split(which.reshape(-1), 4)
-        fwd.pos = predict_link(gather_rows(reps, u), gather_rows(reps, v), tensors)
-        fwd.neg = predict_link(gather_rows(reps, nu), gather_rows(reps, nv), tensors)
+        u, v, nu, nv = np.split(which, 4)
+        fwd.scores.append((
+            predict_link(gather_rows(reps, u), gather_rows(reps, v), tensors),
+            predict_link(gather_rows(reps, nu), gather_rows(reps, nv), tensors),
+        ))
     return fwd
 
 
@@ -222,7 +227,7 @@ def _batch_loss(
     fwd: _Forward, stream: EventStream, batch: np.ndarray, neg: Sample, cfg: RunConfig
 ) -> Tensor:
     return total_loss(
-        loss_lp(fwd.pos, fwd.neg),
+        loss_lp(*fwd.scores[0]),
         loss_pe(
             fwd.pe_pair(stream.src[batch], stream.dst[batch]),
             fwd.pe_pair(neg.src, neg.dst),
@@ -296,30 +301,28 @@ def _run_segment(
     (part of) the frozen segment ``frozen``, or as one of its own.
 
     In each batch, every one of ``cells`` with a qualifying positive
-    scores those positives against one negative each from its own
-    sampler, in a forward of its own, and records the scores and
-    fallbacks in its entry; a batch that no cell scores runs one forward
-    that scores nothing. Every forward of a batch reads the store as the
-    previous batch left it, so each cell scores as it would alone, and
-    the batch commits once, from its last forward. Returns the p~ rows
-    of the ``watch`` nodes before each commit.
+    draws one negative per positive from its own sampler; one forward
+    scores every such cell's pair, and each cell records its scores and
+    fallbacks in its entry. The forward reads the store as the previous
+    batch left it, so each cell scores as it would alone, and the batch
+    commits once from it. Returns the p~ rows of the ``watch`` nodes
+    before each commit.
     """
     if frozen is None:
         frozen = FrozenPE(store, params.tensors)
     watched = []
     for _, batch in batch_iter(start, end, cfg.batch_size):
-        fwd = None
+        scoring, scorers = [], []
         for cell in cells:
             scored = cell.scored(stream, batch)
             if scored.size:
                 neg = cell.sampler.sample(scored)
                 cell.fallbacks += neg.fallbacks
-                fwd = _batch_forward(
-                    stream, store, params, cfg, batch, scored, neg, extra=watch, frozen=frozen
-                )
-                cell.scores.append(np.hstack([fwd.pos.data, fwd.neg.data]).ravel())
-        if fwd is None:
-            fwd = _batch_forward(stream, store, params, cfg, batch, extra=watch, frozen=frozen)
+                scoring.append((scored, neg))
+                scorers.append(cell)
+        fwd = _batch_forward(stream, store, params, cfg, batch, scoring, watch, frozen)
+        for cell, (pos, neg_probs) in zip(scorers, fwd.scores):
+            cell.scores.append(np.hstack([pos.data, neg_probs.data]).ravel())
         if watch is not None:
             watched.append(fwd.ptilde.data[fwd.rows(watch)])
         _commit_batch(store, params, cfg, fwd)
@@ -350,7 +353,7 @@ def train(stream: EventStream, split: ChronoSplit, cfg: RunConfig) -> TrainResul
         for k, batch in batch_iter(*split.train_range, cfg.batch_size):
             neg = sampler.sample(batch)
             with GradientTape() as tape:
-                fwd = _batch_forward(stream, store, params, cfg, batch, batch, neg)
+                fwd = _batch_forward(stream, store, params, cfg, batch, [(batch, neg)])
                 loss = _batch_loss(fwd, stream, batch, neg, cfg)
             lval = float(loss.data.ravel()[0])
             if not np.isfinite(lval):
@@ -408,11 +411,11 @@ def evaluate_cells(
     and that some test positive qualifies for its setting (the
     transductive setting scores every positive, the inductive one those
     with an endpoint unseen in training). The replay and the scoring are
-    one frozen segment that commits once per batch for all the cells;
-    each cell draws its negatives from its own generator, seeded with
-    ``seed``, on the pair pool its strategy builds once for every cell,
-    and runs its own forward, so it scores exactly as a one-cell call
-    does.
+    one frozen segment that runs one forward and one commit per batch
+    for all the cells; each cell draws its negatives from its own
+    generator, seeded with ``seed``, on the pair pool its strategy
+    builds once for every cell, and has a representation of its own in
+    that forward, so it scores exactly as a one-cell call does.
     """
     validate_config(cfg)
     runs, pools = [], {}

@@ -306,7 +306,7 @@ def test_no_tape_entry_or_vjp_holds_a_tensor_after_a_training_batch():
     batch = np.arange(cfg.batch_size)
     neg = NegativeSampler(stream, split, "random", 0).sample(batch)
     with GradientTape() as tape:
-        fwd = training._batch_forward(stream, store, params, cfg, batch, batch, neg)
+        fwd = training._batch_forward(stream, store, params, cfg, batch, [(batch, neg)])
         loss = training._batch_loss(fwd, stream, batch, neg, cfg)
     assert len(tape) == len(tape._nodes) > 0
     assert _tensors_in(tape._nodes) == []

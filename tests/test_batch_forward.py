@@ -145,10 +145,11 @@ def _check_step(stream, params, store, history, batch, scored, neg, with_loss):
     want_neg = [_ref_prob(stream, params, pt, u, v, t) for u, v, t in zip(neg.src, neg.dst, ts)]
 
     with GradientTape():
-        fwd = training._batch_forward(stream, store, params, CFG, batch, scored, neg)
+        fwd = training._batch_forward(stream, store, params, CFG, batch, [(scored, neg)])
         loss = training._batch_loss(fwd, stream, batch, neg, CFG) if with_loss else None
-    assert np.max(np.abs(fwd.pos.data[:, 0] - want_pos)) < TOL
-    assert np.max(np.abs(fwd.neg.data[:, 0] - want_neg)) < TOL
+    (pos, neg_probs), = fwd.scores
+    assert np.max(np.abs(pos.data[:, 0] - want_pos)) < TOL
+    assert np.max(np.abs(neg_probs.data[:, 0] - want_neg)) < TOL
     if with_loss:
         b = len(batch)
         lp = -(np.sum(np.log(want_pos)) + np.sum(np.log(1.0 - np.array(want_neg)))) / (2 * b)

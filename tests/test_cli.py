@@ -15,6 +15,7 @@ import lstep.cli as cli
 import lstep.training as training
 from lstep.checkpoint import load_container, save_container
 from lstep.cli import main
+from lstep.config import PRESETS, parse_config
 from lstep.events import load_events
 from lstep.synthetic import make_periodic_stream
 
@@ -318,6 +319,52 @@ def test_eval_rejects_shape_mismatch(tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(out / "checkpoint.lstp"),
                  "--config", str(bumped), "--out", str(tmp_path / "e")]) == 1
     assert "shape hash" in capsys.readouterr().err
+
+
+def test_train_preset_sits_under_the_config_file(tmp_path, capsys):
+    events = _ingest(tmp_path)
+    preset = PRESETS["wikipedia"]
+    # the file leaves the preset's fields to it, apart from the batch size
+    left = (set(preset) - {"batch_size"}) | {"dataset"}
+    text = "".join(
+        line + "\n" for line in _cfg_text(events).splitlines()
+        if line.split(" = ")[0] not in left
+    )
+    cfg_path = tmp_path / "p.cfg"
+    cfg_path.write_text(text)
+    out = tmp_path / "p"
+    assert main(["train", "--preset", "wikipedia", "--config", str(cfg_path),
+                 "--out", str(out)]) == 0
+    _, meta = load_container(out / "checkpoint.lstp")
+    cfg = parse_config(meta["config"])
+    assert cfg.dataset == "wikipedia"
+    assert (cfg.history_len, cfg.t_gap, cfg.recent_k) == (100, 1000.0, 15)
+    assert cfg.batch_size == 20 != preset["batch_size"]
+    assert main(["train", "--preset", "wikipedai", "--config", str(cfg_path),
+                 "--out", str(out)]) == 1
+    assert "unknown preset 'wikipedai'; available: can_parl, " in capsys.readouterr().err
+
+
+def test_eval_names_the_parameters_a_checkpoint_lacks(tmp_path, capsys):
+    events = _ingest(tmp_path)
+    _, out = _train(tmp_path, events)
+    tensors, meta = load_container(out / "checkpoint.lstp")
+    del tensors["pred_w2"]
+    short = tmp_path / "short.lstp"
+    save_container(short, tensors, meta)
+    assert main(["eval", "--checkpoint", str(short), "--out", str(tmp_path / "e")]) == 1
+    assert "checkpoint missing parameters: ['pred_w2']" in capsys.readouterr().err
+
+
+def test_train_rejects_an_event_file_narrower_than_d_e(tmp_path, capsys):
+    events = _ingest(tmp_path)  # two feature columns
+    cfg_path = tmp_path / "wide.cfg"
+    cfg_path.write_text(_cfg_text(events, d_e=3))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "w")]) == 1
+    assert (
+        "event file provides 2-dim edge features but config expects d_e = 3"
+        in capsys.readouterr().err
+    )
 
 
 # the boolean flag that once chose separate encoder refinement weights;

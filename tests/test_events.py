@@ -208,6 +208,18 @@ def test_feature_tables_must_be_2d():
         EventStream(src, dst, ts, edge_features=np.zeros((2, 1, 1)))
 
 
+def test_mismatched_array_lengths_rejected():
+    src, dst, ts = np.array([0, 1, 2]), np.array([1, 2, 0]), np.array([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=r"^src/dst/ts shapes disagree: \(3,\), \(2,\), \(3,\)$"):
+        EventStream(src, dst[:2], ts)
+    with pytest.raises(ValueError, match=r"^src/dst/ts shapes disagree: \(3,\), \(3,\), \(1, 3\)$"):
+        EventStream(src, dst, ts[None, :])
+    with pytest.raises(ValueError, match=r"^edge feature rows 2 != events 3$"):
+        EventStream(src, dst, ts, edge_features=np.zeros((2, 4)))
+    with pytest.raises(ValueError, match=r"^node feature rows 4 != nodes 3$"):
+        EventStream(src, dst, ts, node_features=np.zeros((4, 4)))
+
+
 def test_default_feature_tables_are_zero():
     s = _tiny_stream()
     assert s.node_features.shape == (3, 172)
@@ -315,6 +327,14 @@ def test_load_events_field_count_mismatch(tmp_path):
     p.write_text("src,dst,timestamp\n0,1\n")
     with pytest.raises(ValueError, match="expected 3 fields, got 2"):
         load_events(p)
+
+
+def test_load_events_header_needs_three_columns(tmp_path):
+    p = tmp_path / "narrow.csv"
+    p.write_text("src,dst\n0,1\n")
+    with pytest.raises(ValueError) as exc:
+        load_events(p)
+    assert str(exc.value) == f"{p}: header needs at least src,dst,timestamp"
 
 
 def test_load_events_empty_file(tmp_path):

@@ -290,6 +290,15 @@ def test_reset_rejects_mismatched_table():
         assert np.array_equal(store._commits, commits)
 
 
+def test_store_refuses_a_short_history_and_bad_counts():
+    with pytest.raises(ValueError, match=r"^history length must be >= 1, got 0$"):
+        PositionalStore(np.full(3, 2), 2, history_len=0)
+    message = r"^interaction counts must be a 1-D array of counts >= 0$"
+    for counts in (np.array([2, -1, 0]), np.full((2, 2), 1)):
+        with pytest.raises(ValueError, match=message):
+            PositionalStore(counts, 2, history_len=4)
+
+
 def test_commit_shape_check():
     store = PositionalStore(np.full(2, 2), 3, history_len=2)
     with pytest.raises(ValueError, match="commit shape"):

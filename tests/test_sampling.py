@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from lstep.events import EventStream, chronological_split
-from lstep.sampling import STRATEGIES, NegativeSampler, Sample
+from lstep.sampling import _MAX_TRIES, STRATEGIES, NegativeSampler, Sample
 
 
 def _stream():
@@ -149,3 +149,35 @@ def test_two_node_stream_never_draws_a_tied_positive():
 def test_all_duplicate_stream_never_draws_the_positive():
     s = EventStream(np.zeros(8, dtype=int), np.ones(8, dtype=int), np.ones(8))
     _assert_no_tied_positive(s, chronological_split(s), batch_size=3)
+
+
+class _CountedRng:
+    """A generator that keeps every integer it draws."""
+
+    def __init__(self, rng):
+        self.rng, self.drawn = rng, []
+
+    def integers(self, *args, **kwargs):
+        value = self.rng.integers(*args, **kwargs)
+        self.drawn.append(int(value))
+        return value
+
+
+def test_random_draw_sweeps_after_max_tries_and_then_gives_up():
+    # node 0 meets every other node at t = 1, so (0, 0) is its only
+    # admissible negative: a 1-in-1001 draw
+    n = 1001
+    s = EventStream(np.zeros(n - 1, dtype=int), np.arange(1, n), np.ones(n - 1))
+    sampler = NegativeSampler(s, chronological_split(s), "random", seed=0)
+    sampler.rng = _CountedRng(sampler.rng)
+    neg = sampler.sample(np.array([0]))
+    assert neg.dst.tolist() == [0]
+    # every draw was rejected, then one draw picked where the sweep starts
+    assert len(sampler.rng.drawn) == _MAX_TRIES + 1
+    assert 0 not in sampler.rng.drawn[:-1]
+    # with a self-loop at t = 1 too, nothing is admissible
+    s = EventStream(np.zeros(3, dtype=int), np.array([1, 2, 0]), np.ones(3))
+    sampler = NegativeSampler(s, chronological_split(s), "random", seed=0)
+    message = r"^no admissible negative destination for node 0 at t=1\.0$"
+    with pytest.raises(RuntimeError, match=message):
+        sampler.sample(np.array([1]))

@@ -1,5 +1,7 @@
 """Training loop behavior: determinism, learning, early stop, replay."""
 import contextlib
+import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,10 +13,12 @@ from lstep.config import RunConfig, parse_config
 from lstep.events import EventStream, batch_iter, chronological_split
 from lstep.lpe import PositionalStore, approximate_pe
 from lstep.model import ModelDims, init_model_params
+from lstep.peinit import random_walk_pe, zero_pe
 from lstep.sampling import NegativeSampler
 from lstep.synthetic import make_periodic_stream, make_random_stream, make_static_stream
 from lstep.timeenc import time_encode
 from lstep.training import (
+    EvalReport,
     build_initial_pe,
     collect_pe_trace,
     evaluate,
@@ -92,6 +96,22 @@ def test_report_bookkeeping():
     assert all(np.isfinite(v) for _, _, v in r.loss_rows)
 
 
+def test_report_hash_covers_every_field_but_the_loss_rows_and_wall_time():
+    report = EvalReport(
+        "d", 3, "abc", metrics={"x": {"ap": 0.5}}, epoch_train_loss=[0.1], epoch_val_ap=[0.2],
+        loss_rows=[(0, 0, 0.3)], best_epoch=0, epochs_run=1, bound_check={"b": 1.0},
+        train_seconds=2.5,
+    )
+    assert report.content_hash() == "93d3fdc0fbdb8e33"
+    payload = json.loads(report.to_json())
+    names = {f.name for f in fields(EvalReport)}
+    assert set(payload) == (names - {"loss_rows"}) | {"report_hash"}
+    assert payload["report_hash"] == report.content_hash()
+    assert replace(report, loss_rows=[], train_seconds=9.0).content_hash() == "93d3fdc0fbdb8e33"
+    for name in names - {"loss_rows", "train_seconds"}:
+        assert replace(report, **{name: None}).content_hash() != report.content_hash(), name
+
+
 def test_early_stopping_restores_best_parameters(monkeypatch):
     script = iter([0.5, 0.9, 0.4, 0.3, 0.2, 0.1])
     snapshots = {}
@@ -129,6 +149,25 @@ def test_train_validates_config():
     s = _tiny_stream()
     with pytest.raises(ValueError, match="'history_len'"):
         train(s, chronological_split(s), RunConfig())
+
+
+@pytest.mark.parametrize("pe_init", ["random_walk", "zero"])
+def test_train_builds_the_initial_pe_its_config_names(pe_init):
+    s = _tiny_stream()
+    split = chronological_split(s)
+    cfg = parse_config(f"pe_init = {pe_init}\nmax_epochs = 1", base=TINY)
+    result = train(s, split, cfg)
+    snapshot = np.arange(TINY.batch_size)  # the first training batch
+    if pe_init == "zero":
+        want = zero_pe(s.num_nodes, TINY.d_p)
+    else:
+        want = random_walk_pe(s.src[snapshot], s.dst[snapshot], s.num_nodes, TINY.d_p)
+    assert result.initial_pe.method == pe_init
+    assert np.array_equal(result.initial_pe.table, want.table)
+    assert np.array_equal(result.initial_pe.present, want.present)
+    assert np.isfinite(result.report.epoch_train_loss).all()
+    with pytest.raises(ValueError, match="unknown pe_init 'spectral'"):
+        build_initial_pe(s, split, replace(cfg, pe_init="spectral"))
 
 
 def test_pass_through_configuration_is_a_fixed_point():
@@ -241,6 +280,44 @@ def test_one_replay_for_all_cells_scores_each_cell_as_alone(monkeypatch):
     )
     assert commits == 1 + batches
     assert all(n == commits for _, _, n in alone)
+
+
+def test_six_cells_run_one_forward_per_batch(monkeypatch):
+    s = make_periodic_stream(num_pairs=4, num_events=120, holdout_pairs=1, d_n=6, d_e=6)
+    split = chronological_split(s)
+    res = train(s, split, TINY)
+    cells = [(setting, strategy) for setting in training.SETTINGS
+             for strategy in ("random", "historical", "inductive")]
+    alone = [evaluate(s, split, res.params, TINY, *cell, 3, initial_pe=res.initial_pe)
+             for cell in cells]
+    calls = {"forward": [], "filter": 0, "window": 0}
+    forward, contract = training._batch_forward, training.approximate_pe
+    window = EventStream.recent_interactions_inclusive
+
+    def counted_forward(stream, store, params, cfg, batch, scoring=(), *args, **kwargs):
+        calls["forward"].append(len(scoring))
+        return forward(stream, store, params, cfg, batch, scoring, *args, **kwargs)
+
+    def counted_filter(*args, **kwargs):
+        calls["filter"] += 1
+        return contract(*args, **kwargs)
+
+    def counted_window(*args, **kwargs):
+        calls["window"] += 1
+        return window(*args, **kwargs)
+
+    monkeypatch.setattr(training, "_batch_forward", counted_forward)
+    monkeypatch.setattr(training, "approximate_pe", counted_filter)
+    monkeypatch.setattr(EventStream, "recent_interactions_inclusive", counted_window)
+    shared = evaluate_cells(s, split, res.params, TINY, cells, 3, initial_pe=res.initial_pe)
+    assert shared == alone
+    replay = len(list(batch_iter(0, split.val_end, TINY.batch_size)))
+    scoring = len(list(batch_iter(*split.test_range, TINY.batch_size)))
+    assert len(calls["forward"]) == calls["filter"] == calls["window"] == replay + scoring
+    # the replay scores nothing; each scoring batch scores every cell
+    # with a qualifying positive in one forward
+    assert calls["forward"][:replay] == [0] * replay
+    assert max(calls["forward"][replay:]) == len(cells)
 
 
 def test_evaluate_cells_builds_each_strategy_pool_once(monkeypatch):
@@ -384,8 +461,9 @@ def _scores_and_store(stream, split, store, params, start):
     probs = []
     for _, batch in batch_iter(start, stream.num_events, TINY.batch_size):
         neg = sampler.sample(batch)
-        fwd = training._batch_forward(stream, store, params, TINY, batch, batch, neg)
-        probs.append(np.concatenate([fwd.pos.data, fwd.neg.data], axis=1))
+        fwd = training._batch_forward(stream, store, params, TINY, batch, [(batch, neg)])
+        (pos, neg_probs), = fwd.scores
+        probs.append(np.concatenate([pos.data, neg_probs.data], axis=1))
         training._commit_batch(store, params, TINY, fwd)
     return np.concatenate(probs), _store_arrays(store)
 
@@ -482,10 +560,11 @@ def _per_batch(stream, store, params, start, end, taped, sampler=None, watch=Non
         with GradientTape() if taped else contextlib.nullcontext():
             fwd = training._batch_forward(
                 stream, store, params, TINY, batch,
-                batch if sampler else None, neg, extra=watch,
+                [(batch, neg)] if sampler else (), extra=watch,
             )
         if sampler:
-            out.append(np.concatenate([fwd.pos.data, fwd.neg.data], axis=1).reshape(-1))
+            (pos, neg_probs), = fwd.scores
+            out.append(np.concatenate([pos.data, neg_probs.data], axis=1).reshape(-1))
         elif watch is not None:
             out.append(fwd.ptilde.data[fwd.rows(watch)])
         training._commit_batch(store, params, TINY, fwd)
