@@ -3,7 +3,7 @@
 A ``GradientTape`` records every operation executed while it is active.
 Recording order is creation order, which is already a valid topological
 order, so the backward pass is a single reverse sweep over the tape.
-The tape holds no tensor: per op it keeps the output's key and shape,
+The tape holds no tensor: per op it keeps the key of its one output,
 the key of each input that takes a gradient, and the VJP, whose closure
 holds only the arrays it reads. An activation that no VJP reads is freed
 as soon as the forward drops it, and the sweep frees each op's arrays
@@ -71,10 +71,10 @@ class Tensor:
 class GradientTape:
     """Ordered record of operations; inputs always precede their consumers.
 
-    Each entry is (output keys, output shapes, input keys, vjp), with the
-    key None for an input that takes no gradient (neither learnable nor
-    recorded). ``backward`` empties the tape as it sweeps; ``len`` still
-    counts the ops recorded.
+    Each entry is (output key, input keys, vjp): every op has one
+    output, and an input that takes no gradient (neither learnable nor
+    recorded) has the key None. ``backward`` empties the tape as it
+    sweeps; ``len`` still counts the ops recorded.
     """
 
     def __init__(self):
@@ -95,15 +95,10 @@ class GradientTape:
     def __len__(self) -> int:
         return self._recorded
 
-    def record(self, outs, inputs, vjp) -> None:
-        for o in outs:
-            o._rec = True
-        self._nodes.append((
-            tuple(o._key for o in outs),
-            tuple(o.data.shape for o in outs),
-            tuple(t._key if t.learnable or t._rec else None for t in inputs),
-            vjp,
-        ))
+    def record(self, out: Tensor, inputs, vjp) -> None:
+        out._rec = True
+        keys = tuple(t._key if t.learnable or t._rec else None for t in inputs)
+        self._nodes.append((out._key, keys, vjp))
         self._recorded += 1
 
 
@@ -122,20 +117,18 @@ def backward(
     nodes = tape._nodes
     if len(nodes) != tape._recorded:
         raise ValueError("this tape was already swept by backward")
-    if not loss.learnable and not any(loss._key in outs for outs, _, _, _ in nodes):
+    if not loss.learnable and not any(loss._key == out for out, _, _ in nodes):
         raise ValueError("loss is not recorded on this tape")
 
     # an output's entry is consumed when its op is swept, so what remains
     # at the end are the gradients of the learnable leaves
     grads: dict[int, np.ndarray] = {loss._key: np.ones_like(loss.data)}
     while nodes:
-        outs, shapes, inputs, vjp = nodes.pop()
-        gouts = tuple(grads.pop(o, None) for o in outs)
-        if all(g is None for g in gouts):
+        out, inputs, vjp = nodes.pop()
+        gout = grads.pop(out, None)
+        if gout is None:
             continue
-        gouts = tuple(np.zeros(s) if g is None else g for s, g in zip(shapes, gouts))
-        gins = vjp(*gouts)
-        for key, g in zip(inputs, gins):
+        for key, g in zip(inputs, vjp(gout)):
             if g is None or key is None:
                 continue  # constants take no gradient
             grads[key] = grads[key] + g if key in grads else g
@@ -150,7 +143,7 @@ def _as_tensor(x) -> Tensor:
 def _emit(out_data, inputs: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor(out_data)
     if _ACTIVE_TAPE is not None:
-        _ACTIVE_TAPE.record((out,), inputs, vjp)
+        _ACTIVE_TAPE.record(out, inputs, vjp)
     return out
 
 

@@ -11,10 +11,15 @@ A drawn negative is rejected while it coincides with any positive of the
 stream at the same timestamp, in this batch or any other; empty or
 exhausted pools fall back to the random strategy and the fallback count
 is reported.
+
+A pair (u, v) of an N-node stream is named by the int64 key u·N + v,
+which sorts as the pair does and cannot overflow (u·N + v < N², and an N
+near 3e9 would need a node feature table of terabytes). Pools and the
+per-timestamp blocked sets hold keys, and a drawn key is
+``divmod(key, N)``.
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,12 +44,14 @@ class Sample:
 
 
 class NegativeSampler:
-    """Draws negatives from pools fixed at construction.
+    """Draws negatives from a pool of pair keys fixed at construction.
 
     The historical pool before t is the prefix, in first-seen order, of
-    the distinct pairs whose first event is earlier than t; the inductive
-    pool is the distinct pairs first seen at or after the training
-    boundary, in sorted order. The random strategy builds no pool.
+    the distinct keys whose first event is earlier than t; the inductive
+    pool is the distinct keys first seen at or after the training
+    boundary, in sorted order. The random strategy builds no pool. A
+    pool is one ``np.unique`` of the stream's keys, cheap enough that
+    every sampler builds its own: samplers share nothing.
     """
 
     def __init__(
@@ -61,50 +68,43 @@ class NegativeSampler:
         self.stream = stream
         self.strategy = strategy
         self.rng = np.random.default_rng(seed)
-        self._pool: list[tuple[int, int]] = []
+        self._keys = stream.src * stream.num_nodes + stream.dst
         if strategy == "random":
             return
-        pairs, first = np.unique(
-            np.stack([stream.src, stream.dst], axis=1), axis=0, return_index=True
-        )
+        keys, first = np.unique(self._keys, return_index=True)
         if strategy == "historical":
             order = np.argsort(first)
-            self._pool = list(map(tuple, pairs[order].tolist()))
+            self._pool = keys[order]
             self._first_ts = stream.ts[first[order]]  # nondecreasing: the stream is sorted
         else:
-            self._pool = list(map(tuple, pairs[first >= split.train_end].tolist()))
+            self._pool = keys[first >= split.train_end]
 
-    def reseeded(self, seed) -> "NegativeSampler":
-        """A sampler that shares this one's pool, which nothing writes
-        after construction, and draws from its own generator seeded with
-        ``seed``."""
-        twin = copy.copy(self)
-        twin.rng = np.random.default_rng(seed)
-        return twin
-
-    def _random_dst(self, u: int, t: float, blocked: set[tuple[int, int]]) -> int:
+    def _random_key(self, u: int, t: float, blocked: set[int]) -> int:
+        """The key of (u, v) for a uniform v that is not ``blocked``."""
         n = self.stream.num_nodes
         for _ in range(_MAX_TRIES):
-            v = int(self.rng.integers(0, n))
-            if (u, v) not in blocked:
-                return v
+            key = u * n + int(self.rng.integers(0, n))
+            if key not in blocked:
+                return key
         start = int(self.rng.integers(0, n))
         for off in range(n):
-            v = (start + off) % n
-            if (u, v) not in blocked:
-                return v
+            key = u * n + (start + off) % n
+            if key not in blocked:
+                return key
         raise RuntimeError(f"no admissible negative destination for node {u} at t={t}")
 
-    def _pool_draw(self, size: int, blocked: set[tuple[int, int]]) -> tuple[int, int] | None:
-        """A pair of the pool's first ``size`` that is not ``blocked``."""
+    def _pool_key(self, t: float, blocked: set[int]) -> int | None:
+        """A key of the pool admissible at ``t`` that is not ``blocked``."""
         pool = self._pool
-        for _ in range(min(_MAX_TRIES, 4 * size)):
-            u, v = pool[int(self.rng.integers(0, size))]
-            if (u, v) not in blocked:
-                return u, v
-        for i in range(size):  # deterministic sweep before giving up
-            if pool[i] not in blocked:
-                return pool[i]
+        if self.strategy == "historical":  # the pairs first seen strictly before t
+            pool = pool[: np.searchsorted(self._first_ts, t, side="left")]
+        for _ in range(min(_MAX_TRIES, 4 * pool.size)):
+            key = int(pool[self.rng.integers(0, pool.size)])
+            if key not in blocked:
+                return key
+        for key in pool.tolist():  # deterministic sweep before giving up
+            if key not in blocked:
+                return key
         return None
 
     def sample(self, batch_indices: np.ndarray) -> Sample:
@@ -112,37 +112,27 @@ class NegativeSampler:
         idx = np.asarray(batch_indices, dtype=np.int64)
         if idx.size == 0:
             raise ValueError("empty batch")
-        stream = self.stream
+        stream, n = self.stream, self.stream.num_nodes
         src = stream.src[idx]
         ts = stream.ts[idx]
         # the stream's events from the batch's first timestamp to its last
         # hold every positive tied at any of the batch's timestamps
         lo = np.searchsorted(stream.ts, ts.min(), side="left")
         hi = np.searchsorted(stream.ts, ts.max(), side="right")
-        by_time: dict[float, set[tuple[int, int]]] = {}
-        for u, v, t in zip(
-            stream.src[lo:hi].tolist(), stream.dst[lo:hi].tolist(), stream.ts[lo:hi].tolist()
-        ):
-            by_time.setdefault(t, set()).add((u, v))
+        by_time: dict[float, set[int]] = {}
+        for key, t in zip(self._keys[lo:hi].tolist(), stream.ts[lo:hi].tolist()):
+            by_time.setdefault(t, set()).add(key)
 
         neg_src = np.empty_like(src)
         neg_dst = np.empty_like(src)
         fallbacks = 0
         for i, (u, t) in enumerate(zip(src.tolist(), ts.tolist())):
             blocked = by_time[t]
-            if self.strategy == "random":
-                neg_src[i] = u
-                neg_dst[i] = self._random_dst(u, t, blocked)
-                continue
-            size = len(self._pool)
-            if self.strategy == "historical":
-                size = int(np.searchsorted(self._first_ts, t, side="left"))
-            pair = self._pool_draw(size, blocked)
-            if pair is None:
-                fallbacks += 1
-                neg_src[i] = u
-                neg_dst[i] = self._random_dst(u, t, blocked)
-            else:
-                neg_src[i], neg_dst[i] = pair
+            key = None
+            if self.strategy != "random":
+                key = self._pool_key(t, blocked)
+                fallbacks += key is None
+            if key is None:
+                key = self._random_key(u, t, blocked)
+            neg_src[i], neg_dst[i] = divmod(key, n)
         return Sample(neg_src, neg_dst, ts.copy(), self.strategy, fallbacks)
-

@@ -65,6 +65,8 @@ def make_static_stream(
     ``num_steps`` times beside each step repeated once per edge."""
     if not edges:
         raise ValueError("need at least one edge")
+    if num_steps < 0:
+        raise ValueError(f"num_steps must not be negative, got {num_steps}")
     src, dst = np.tile(np.asarray(edges, dtype=np.int64).T, num_steps)
     ts = np.repeat(np.arange(1.0, num_steps + 1), len(edges))
     return EventStream(src, dst, ts, d_n=d_n, d_e=d_e, dataset="static")
@@ -78,6 +80,8 @@ def make_random_stream(
     d_e: int = 8,
 ) -> EventStream:
     """Uniform random distinct-endpoint events at integer timestamps."""
+    if num_nodes < 2:  # distinct endpoints need two nodes
+        raise ValueError(f"need at least two nodes, got num_nodes={num_nodes}")
     rng = np.random.default_rng(seed)
     src = rng.integers(0, num_nodes, size=num_events)
     dst = rng.integers(0, num_nodes, size=num_events)

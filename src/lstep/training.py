@@ -412,20 +412,17 @@ def evaluate_cells(
     transductive setting scores every positive, the inductive one those
     with an endpoint unseen in training). The replay and the scoring are
     one frozen segment that runs one forward and one commit per batch
-    for all the cells; each cell draws its negatives from its own
-    generator, seeded with ``seed``, on the pair pool its strategy
-    builds once for every cell, and has a representation of its own in
-    that forward, so it scores exactly as a one-cell call does.
+    for all the cells; each cell draws its negatives from a sampler of
+    its own, seeded with ``seed``, and has a representation of its own
+    in that forward, so it scores exactly as a one-cell call does.
     """
     validate_config(cfg)
-    runs, pools = [], {}
+    runs = []
     for setting, strategy in cells:
         if setting not in SETTINGS:
             raise ValueError(f"unknown setting {setting!r}")
         new_nodes = np.fromiter(split.new_nodes, np.int64) if setting == "inductive" else None
-        if strategy not in pools:  # the sampler checks the strategy
-            pools[strategy] = NegativeSampler(stream, split, strategy, seed)
-        runs.append(_Cell(setting, pools[strategy].reseeded(seed), new_nodes))
+        runs.append(_Cell(setting, NegativeSampler(stream, split, strategy, seed), new_nodes))
         _require_positives(runs[-1].scored(stream, np.arange(*split.test_range)).size, setting)
     store = PositionalStore(stream.interaction_counts(), cfg.d_p, cfg.history_len)
     store.reset(initial_pe)

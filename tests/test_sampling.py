@@ -181,3 +181,38 @@ def test_random_draw_sweeps_after_max_tries_and_then_gives_up():
     message = r"^no admissible negative destination for node 0 at t=1\.0$"
     with pytest.raises(RuntimeError, match=message):
         sampler.sample(np.array([1]))
+
+
+# (strategy, seed) -> negative src, negative dst and the fallbacks of each
+# batch of 4, recorded from the sampler that kept pairs as (u, v) tuples:
+# naming a pair by its key must not move a single draw
+_PINNED = {
+    ("random", 0): ([0, 1, 2, 0, 3, 1, 2, 4, 0, 3, 4, 4, 3, 4],
+                    [4, 3, 2, 1, 1, 0, 4, 3, 2, 3, 4, 3, 3, 4], [0, 0, 0, 0]),
+    ("random", 1): ([0, 1, 2, 0, 3, 1, 2, 4, 0, 3, 4, 4, 3, 4],
+                    [2, 3, 4, 0, 0, 4, 4, 4, 2, 1, 4, 3, 2, 0], [0, 0, 0, 0]),
+    ("historical", 0): ([0, 1, 2, 0, 0, 0, 0, 0, 1, 4, 1, 1, 2, 0],
+                        [4, 3, 2, 1, 1, 1, 1, 1, 2, 1, 3, 3, 0, 4], [3, 0, 0, 0]),
+    ("historical", 1): ([0, 1, 2, 0, 0, 3, 3, 1, 2, 4, 0, 0, 2, 3],
+                        [2, 3, 4, 1, 1, 4, 4, 2, 3, 1, 2, 2, 3, 4], [3, 0, 0, 0]),
+    ("inductive", 0): ([4, 4, 4, 3, 3, 3, 3, 3, 3, 3, 4, 4, 3, 4],
+                       [2, 2, 2, 0, 0, 0, 0, 0, 0, 2, 0, 0, 3, 4], [0, 0, 3, 2]),
+    ("inductive", 1): ([3, 4, 4, 4, 3, 3, 4, 4, 3, 3, 4, 4, 3, 4],
+                       [0, 2, 2, 2, 0, 0, 2, 2, 0, 2, 3, 4, 2, 4], [0, 0, 3, 2]),
+}
+
+
+@pytest.mark.parametrize("strategy, seed", list(_PINNED))
+def test_draws_match_the_pinned_negatives(strategy, seed):
+    # tied timestamps; the historical pool is empty at t = 1, and the
+    # inductive pool's two pairs, (3, 0) and (4, 2), recur tied at t = 6
+    src = np.array([0, 1, 2, 0, 3, 1, 2, 4, 0, 3, 4, 4, 3, 4])
+    dst = np.array([1, 2, 3, 2, 4, 3, 0, 1, 4, 0, 2, 2, 0, 1])
+    ts = np.array([1.0, 1, 1, 2, 2, 3, 3, 3, 4, 5, 5, 6, 6, 6])
+    s = EventStream(src, dst, ts)
+    sampler = NegativeSampler(s, chronological_split(s), strategy, seed)
+    got = [sampler.sample(np.arange(lo, min(lo + 4, s.num_events))) for lo in range(0, 14, 4)]
+    want_src, want_dst, want_fallbacks = _PINNED[strategy, seed]
+    assert np.concatenate([g.src for g in got]).tolist() == want_src
+    assert np.concatenate([g.dst for g in got]).tolist() == want_dst
+    assert [g.fallbacks for g in got] == want_fallbacks

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from lstep.synthetic import make_periodic_stream, make_static_stream
+from lstep.synthetic import make_periodic_stream, make_random_stream, make_static_stream
 
 
 def _periodic_loop(num_pairs, num_events, holdout_pairs):
@@ -69,3 +69,22 @@ def test_generators_refuse_what_the_loops_refused():
         make_static_stream([], 3)
     with pytest.raises(ValueError, match="event stream is empty"):
         make_static_stream([(0, 1)], 0)
+
+
+@pytest.mark.parametrize("num_steps", [-1, -7])
+def test_static_stream_names_a_negative_step_count(num_steps):
+    with pytest.raises(ValueError, match=rf"^num_steps must not be negative, got {num_steps}$"):
+        make_static_stream([(0, 1)], num_steps)
+
+
+@pytest.mark.parametrize("num_nodes", [0, 1])
+def test_random_stream_needs_two_nodes(num_nodes):
+    # one node has no distinct endpoints: the redraw loop never ended
+    with pytest.raises(ValueError, match=rf"^need at least two nodes, got num_nodes={num_nodes}$"):
+        make_random_stream(num_nodes, 10)
+
+
+def test_random_stream_on_two_nodes_joins_them():
+    stream = make_random_stream(2, 50, seed=3)
+    assert stream.num_nodes == 2
+    assert np.array_equal(stream.dst, 1 - stream.src)

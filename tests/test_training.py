@@ -320,24 +320,6 @@ def test_six_cells_run_one_forward_per_batch(monkeypatch):
     assert max(calls["forward"][replay:]) == len(cells)
 
 
-def test_evaluate_cells_builds_each_strategy_pool_once(monkeypatch):
-    s = make_periodic_stream(num_pairs=4, num_events=120, holdout_pairs=1, d_n=6, d_e=6)
-    split = chronological_split(s)
-    params = init_model_params(ModelDims.from_config(TINY), seed=0)
-    built = []
-
-    class Counted(NegativeSampler):
-        def __init__(self, stream, split, strategy, seed=0):
-            built.append(strategy)
-            super().__init__(stream, split, strategy, seed)
-
-    monkeypatch.setattr(training, "NegativeSampler", Counted)
-    cells = [(setting, strategy) for setting in training.SETTINGS
-             for strategy in ("random", "historical", "inductive")]
-    evaluate_cells(s, split, params, TINY, cells, initial_pe=build_initial_pe(s, split, TINY))
-    assert sorted(built) == ["historical", "inductive", "random"]
-
-
 def test_write_loss_csv_round_trips_floats(tmp_path):
     rows = [(0, 0, 0.6931471805599453), (0, 1, 1.25e-7), (1, 0, 3.0)]
     p = tmp_path / "loss.csv"
