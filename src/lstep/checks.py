@@ -144,7 +144,7 @@ def check_gradients(seed: int = 0) -> dict:
 
     def build():
         fwd = _batch_forward(stream, store, params, cfg, batch, [(batch, neg)])
-        return _batch_loss(fwd, stream, batch, neg, cfg)
+        return _batch_loss(fwd, stream, batch, neg)
 
     max_rel, worst, count = _fd_check(build, params.tensors)
     return {
@@ -432,7 +432,7 @@ def tape_nodes_per_batch(num_nodes: int, seed: int = 0) -> int:
     neg = NegativeSampler(stream, split, "random", seed).sample(batch)
     with GradientTape() as tape:
         fwd = _batch_forward(stream, store, params, cfg, batch, [(batch, neg)])
-        _batch_loss(fwd, stream, batch, neg, cfg)
+        _batch_loss(fwd, stream, batch, neg)
     return len(tape)
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_container, save_container
-from .checks import run_suite
+from .checks import SUITES, run_suite
 from .config import (
     RunConfig,
     apply_preset,
@@ -84,21 +84,6 @@ def _report_problems(problems: list[str]) -> int:
     for problem in problems:
         print(f"error: {problem}", file=sys.stderr)
     return 1
-
-
-def _load_stream(cfg: RunConfig) -> EventStream:
-    stream = load_events(cfg.data, d_n=cfg.d_n, d_e=cfg.d_e, dataset=cfg.dataset)
-    if stream.d_e != cfg.d_e:
-        raise ValueError(
-            f"event file provides {stream.d_e}-dim edge features "
-            f"but config expects d_e = {cfg.d_e}"
-        )
-    return stream
-
-
-def _split_stream(stream: EventStream, cfg: RunConfig):
-    test_ratio = 1.0 - cfg.train_ratio - cfg.val_ratio
-    return chronological_split(stream, (cfg.train_ratio, cfg.val_ratio, test_ratio))
 
 
 _WRITE_ROWS = 1024  # rows formatted per write: bounds the text held at once
@@ -188,16 +173,16 @@ def cmd_train(args) -> int:
     problems = config_problems(cfg) + _data_problems(cfg)
     if problems:
         return _report_problems(problems)
-    stream = _load_stream(cfg)
-    split = _split_stream(stream, cfg)
+    stream = load_events(cfg.data, d_n=cfg.d_n, d_e=cfg.d_e, dataset=cfg.dataset)
+    split = chronological_split(stream)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     seeds = list(range(5)) if args.aggregate else [cfg.seed]
     reports: list[EvalReport] = []
     for seed in seeds:
         run_cfg = replace(cfg, seed=seed)
         result = train(stream, split, run_cfg)
+        out.mkdir(parents=True, exist_ok=True)  # not before train has checked the stream
         tag = f"_seed{seed}" if args.aggregate else ""
         _save_checkpoint(out / f"checkpoint{tag}.lstp", result.params, result.initial_pe, run_cfg)
         (out / f"report{tag}.json").write_text(result.report.to_json() + "\n")
@@ -286,8 +271,8 @@ def cmd_eval(args) -> int:
         raise ValueError(f"checkpoint missing parameters: {missing}")
     params.load_state_arrays(state)
 
-    stream = _load_stream(cfg)
-    split = _split_stream(stream, cfg)
+    stream = load_events(cfg.data, d_n=cfg.d_n, d_e=cfg.d_e, dataset=cfg.dataset)
+    split = chronological_split(stream)
     initial = _stored_initial_pe(
         args.checkpoint, tensors, meta.get("pe_method", cfg.pe_init), stream.num_nodes, cfg.d_p
     )
@@ -356,11 +341,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("check", help="run a property suite")
-    p.add_argument(
-        "--suite", default="all", help="gradients, fourier, eigen, metrics, bound, or all"
-    )
+    p.add_argument("--suite", default="all", help=f"one of: {', '.join(SUITES)}")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="also write the suite report as JSON here")
+    p.add_argument(
+        "--out", default=None,
+        help="directory to also write the suite report into, as check_<suite>.json",
+    )
     p.set_defaults(fn=cmd_check)
     return parser
 

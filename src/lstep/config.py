@@ -17,6 +17,7 @@ __all__ = [
     "apply_preset",
     "config_problems",
     "validate_config",
+    "RETIRED",
 ]
 
 
@@ -30,8 +31,6 @@ class RunConfig:
     d_n: int = 172
     d_e: int = 172
     d_p: int = 172
-    alpha: float = 10.0
-    beta: float = 10.0
     history_len: int = 0  # L
     t_gap: float = 0.0
     recent_k: int = 0  # K
@@ -39,12 +38,7 @@ class RunConfig:
     lr: float = 1e-4
     max_epochs: int = 200
     patience: int = 10
-    alpha_neg: float = 0.3
-    alpha_pe: float = 0.5
-    train_ratio: float = 0.70
-    val_ratio: float = 0.15
     pe_init: str = "laplacian"
-    eigen_size_cap: int = 5000
     seed: int = 0
 
 
@@ -72,8 +66,13 @@ PRESETS: dict[str, dict[str, object]] = {
 }
 
 _REQUIRED_POSITIVE = ("history_len", "t_gap", "recent_k", "batch_size")
-_MINIMUM = {"d_t": 1, "d_n": 1, "d_e": 1, "d_p": 1, "max_epochs": 1, "patience": 0,
-            "eigen_size_cap": 1}
+_MINIMUM = {"d_t": 1, "d_n": 1, "d_e": 1, "d_p": 1, "max_epochs": 1, "patience": 0}
+
+# Fields that configs no longer have, each at the value fixed in the
+# module that uses it (README lists where). A config written while they
+# existed, such as a checkpoint's embedded one, may name them at it.
+RETIRED = {"alpha": 10.0, "beta": 10.0, "alpha_neg": 0.3, "alpha_pe": 0.5,
+           "train_ratio": 0.70, "val_ratio": 0.15, "eigen_size_cap": 5000}
 
 
 def _coerce(kind: type, raw: str, key: str):
@@ -89,10 +88,14 @@ def _coerce(kind: type, raw: str, key: str):
 
 
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Parse ``key = value`` lines over a base config; '#' starts a comment."""
+    """Parse ``key = value`` lines over a base config; '#' starts a comment.
+
+    A ``RETIRED`` field is accepted only at its fixed value, and changes
+    nothing.
+    """
     cfg = base or RunConfig()
-    types = {f.name: f.type for f in fields(RunConfig)}
     py_types = {"int": int, "float": float, "str": str}
+    types = {f.name: py_types[f.type] for f in fields(RunConfig)}
     updates: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -101,10 +104,14 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         if "=" not in stripped:
             raise ValueError(f"config line {lineno}: missing '=' in {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key in RETIRED:
+            fixed = RETIRED[key]
+            if _coerce(type(fixed), raw, key) != fixed:
+                raise ValueError(f"config line {lineno}: field {key!r} is fixed at {fixed!r}")
+            continue
         if key not in types:
             raise ValueError(f"config line {lineno}: unknown field {key!r}")
-        kind = py_types[str(types[key])] if isinstance(types[key], str) else types[key]
-        updates[key] = _coerce(kind, raw, key)
+        updates[key] = _coerce(types[key], raw, key)
     return replace(cfg, **updates)
 
 
@@ -148,21 +155,13 @@ def config_problems(cfg: RunConfig) -> list[str]:
     for key in _REQUIRED_POSITIVE:
         if not 0 < getattr(cfg, key) < math.inf:
             problems.append(f"config field {key!r} must be set to a finite positive value")
-    for key in ("lr", "alpha", "beta"):
-        if not 0.0 < getattr(cfg, key) < math.inf:
-            problems.append(f"config field {key!r} must be finite and > 0")
+    if not 0.0 < cfg.lr < math.inf:
+        problems.append("config field 'lr' must be finite and > 0")
     for key, low in _MINIMUM.items():
         if getattr(cfg, key) < low:
             problems.append(f"config field {key!r} must be >= {low}")
     if cfg.pe_init not in ("laplacian", "random_walk", "zero"):
         problems.append(f"unknown pe_init {cfg.pe_init!r}")
-    for key in ("alpha_neg", "alpha_pe"):
-        if not 0.0 < getattr(cfg, key) < 1.0:
-            problems.append(f"config field {key!r} must lie in (0, 1)")
-    if not 0.0 < cfg.train_ratio < 1.0 or not 0.0 < cfg.val_ratio < 1.0:
-        problems.append("split ratios must lie in (0, 1)")
-    elif cfg.train_ratio + cfg.val_ratio >= 1.0:
-        problems.append("train_ratio + val_ratio must leave room for a test split")
     return problems
 
 

@@ -47,6 +47,26 @@ def _reject_non_finite(values: np.ndarray, what: str, where: str) -> None:
     raise ValueError(f"non-finite {what} {value} at {where} {int(bad)}")
 
 
+_INT64_END = 2.0**63  # int64 holds [-2**63, 2**63)
+
+
+def _int64_ids(ids: np.ndarray) -> np.ndarray:
+    """Which float node ids are integers inside int64; nan fails every
+    comparison, and inf fails the range."""
+    return (ids == np.floor(ids)) & (ids >= -_INT64_END) & (ids < _INT64_END)
+
+
+def _node_ids(values, side: str) -> np.ndarray:
+    """``values`` as int64 node ids; a float id that the cast would
+    truncate or overflow raises, naming the first such event."""
+    values = np.asarray(values)
+    bad = np.flatnonzero(~_int64_ids(values)) if values.dtype.kind == "f" else ()
+    if len(bad):
+        i = int(bad[0])
+        raise ValueError(f"{side} node id {values.flat[i]} at event {i} is not an int64 integer")
+    return np.asarray(values, dtype=np.int64)
+
+
 def _feature_table(values, name: str, rows: str) -> np.ndarray:
     table = np.asarray(values, dtype=np.float64)
     if table.ndim != 2:
@@ -112,7 +132,8 @@ class EventStream:
     order given. An event earlier than the one before it raises
     ``ValueError`` naming both; the constructor reorders nothing.
     ``load_events`` sorts a file first and sets ``sort_warnings`` to the
-    pairs it repaired; a stream built here directly has 0.
+    pairs it repaired; a stream built here directly has 0. Float node
+    ids must be integers inside int64: the constructor truncates none.
     """
 
     def __init__(
@@ -127,8 +148,7 @@ class EventStream:
         d_e: int = 172,
         dataset: str = "unnamed",
     ):
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
+        src, dst = _node_ids(src, "src"), _node_ids(dst, "dst")
         ts = np.asarray(ts, dtype=np.float64)
         if not (src.shape == dst.shape == ts.shape) or src.ndim != 1:
             raise ValueError(
@@ -382,9 +402,7 @@ def load_events(
         raise ValueError(_rejected_block(path, header, has_label, reason))
     ids, ts = block[:, :2], block[:, 2]
     feats = block[:, 4 if has_label else 3 :]
-    # nan fails every comparison, and inf fails the range
-    good_ids = (ids == np.floor(ids)) & (ids >= -_INT64_END) & (ids < _INT64_END)
-    if not (good_ids.all() and np.isfinite(ts).all() and np.isfinite(feats).all()):
+    if not (_int64_ids(ids).all() and np.isfinite(ts).all() and np.isfinite(feats).all()):
         reason = "bad node id, timestamp or edge feature"
         raise ValueError(_rejected_block(path, header, has_label, reason))
 
@@ -413,9 +431,6 @@ def _permute_rows(block: np.ndarray, order: np.ndarray) -> None:
     columns at a time, so the only copy is one (rows, 16) slab."""
     for lo in range(0, block.shape[1], 16):
         block[:, lo : lo + 16] = block[order, lo : lo + 16]
-
-
-_INT64_END = 2.0**63  # int64 holds [-2**63, 2**63)
 
 
 def _row_problem(ids: list[float], t: float, feat: list[float]) -> str | None:

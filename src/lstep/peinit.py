@@ -44,8 +44,6 @@ def snapshot_graph(
     hi = np.maximum(src, dst)
     keep = lo != hi
     edges = np.unique(np.stack([lo[keep], hi[keep]], axis=1), axis=0)
-    if edges.size == 0:
-        edges = edges.reshape(0, 2)
     return edges, present
 
 

@@ -1,8 +1,8 @@
 """Fixed cosine time-delta encoder.
 
 Encodes an elapsed time delta as cos(delta * omega) against a geometric
-frequency ladder omega_i = alpha ** (-(i - 1) / beta), i = 1..d_t, with
-``d_t``, ``alpha`` and ``beta`` read from the run's ``RunConfig``. There
+frequency ladder omega_i = ALPHA ** (-(i - 1) / BETA), i = 1..d_t, with
+``d_t`` read from the run's ``RunConfig`` and ALPHA = BETA = 10. There
 are no learnable parameters; a zero delta encodes to the all-ones vector.
 """
 from __future__ import annotations
@@ -11,12 +11,15 @@ import numpy as np
 
 from .config import RunConfig
 
-__all__ = ["angular_frequencies", "time_encode"]
+__all__ = ["ALPHA", "BETA", "angular_frequencies", "time_encode"]
+
+ALPHA = 10.0
+BETA = 10.0
 
 
 def angular_frequencies(cfg: RunConfig) -> np.ndarray:
     i = np.arange(1, cfg.d_t + 1, dtype=np.float64)
-    return cfg.alpha ** (-(i - 1.0) / cfg.beta)
+    return ALPHA ** (-(i - 1.0) / BETA)
 
 
 def time_encode(deltas: float | np.ndarray, cfg: RunConfig) -> np.ndarray:

@@ -121,7 +121,7 @@ def build_initial_pe(stream: EventStream, split: ChronoSplit, cfg: RunConfig) ->
         raise ValueError("empty training segment")
     src, dst = stream.src[:end], stream.dst[:end]
     if cfg.pe_init == "laplacian":
-        return laplacian_pe(src, dst, stream.num_nodes, cfg.d_p, cfg.eigen_size_cap)
+        return laplacian_pe(src, dst, stream.num_nodes, cfg.d_p)
     if cfg.pe_init == "random_walk":
         return random_walk_pe(src, dst, stream.num_nodes, cfg.d_p)
     if cfg.pe_init == "zero":
@@ -211,6 +211,7 @@ def _batch_forward(
         )
         ptilde = Tensor(frozen.table[nodes])
     fwd = _Forward(nodes, ptilde, touched, t_commit, window)
+    # a representation per pair, not per union: a product row's bits vary with its row count
     for q_nodes, q_ts, recent, which in queries:
         reps = temporal_representation(
             stream, q_nodes, q_ts, tensors, cfg, ptilde, nodes, recent
@@ -223,17 +224,10 @@ def _batch_forward(
     return fwd
 
 
-def _batch_loss(
-    fwd: _Forward, stream: EventStream, batch: np.ndarray, neg: Sample, cfg: RunConfig
-) -> Tensor:
+def _batch_loss(fwd: _Forward, stream: EventStream, batch: np.ndarray, neg: Sample) -> Tensor:
     return total_loss(
         loss_lp(*fwd.scores[0]),
-        loss_pe(
-            fwd.pe_pair(stream.src[batch], stream.dst[batch]),
-            fwd.pe_pair(neg.src, neg.dst),
-            cfg.alpha_neg,
-        ),
-        cfg.alpha_pe,
+        loss_pe(fwd.pe_pair(stream.src[batch], stream.dst[batch]), fwd.pe_pair(neg.src, neg.dst)),
     )
 
 
@@ -329,9 +323,20 @@ def _run_segment(
     return watched
 
 
+def _require_widths(stream: EventStream, cfg: RunConfig) -> None:
+    """Refuse a stream whose feature tables are not as wide as ``cfg`` says."""
+    for key, what in (("d_n", "node"), ("d_e", "edge")):
+        have, want = getattr(stream, key), getattr(cfg, key)
+        if have != want:
+            raise ValueError(
+                f"stream has {have}-dim {what} features but config expects {key} = {want}"
+            )
+
+
 def train(stream: EventStream, split: ChronoSplit, cfg: RunConfig) -> TrainResult:
     """Full training run with per-epoch validation and early stopping."""
     validate_config(cfg)
+    _require_widths(stream, cfg)
     t0 = time.monotonic()
     dims = ModelDims.from_config(cfg)
     params = init_model_params(dims, seed=cfg.seed)
@@ -354,7 +359,7 @@ def train(stream: EventStream, split: ChronoSplit, cfg: RunConfig) -> TrainResul
             neg = sampler.sample(batch)
             with GradientTape() as tape:
                 fwd = _batch_forward(stream, store, params, cfg, batch, [(batch, neg)])
-                loss = _batch_loss(fwd, stream, batch, neg, cfg)
+                loss = _batch_loss(fwd, stream, batch, neg)
             lval = float(loss.data.ravel()[0])
             if not np.isfinite(lval):
                 raise RuntimeError(
@@ -417,6 +422,7 @@ def evaluate_cells(
     in that forward, so it scores exactly as a one-cell call does.
     """
     validate_config(cfg)
+    _require_widths(stream, cfg)
     runs = []
     for setting, strategy in cells:
         if setting not in SETTINGS:

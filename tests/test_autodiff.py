@@ -307,7 +307,7 @@ def test_no_tape_entry_or_vjp_holds_a_tensor_after_a_training_batch():
     neg = NegativeSampler(stream, split, "random", 0).sample(batch)
     with GradientTape() as tape:
         fwd = training._batch_forward(stream, store, params, cfg, batch, [(batch, neg)])
-        loss = training._batch_loss(fwd, stream, batch, neg, cfg)
+        loss = training._batch_loss(fwd, stream, batch, neg)
     assert len(tape) == len(tape._nodes) > 0
     assert _tensors_in(tape._nodes) == []
     grads = backward(tape, loss, params.tensors)

@@ -15,7 +15,8 @@ import lstep.cli as cli
 import lstep.training as training
 from lstep.checkpoint import load_container, save_container
 from lstep.cli import main
-from lstep.config import PRESETS, parse_config
+from lstep.checks import SUITES
+from lstep.config import PRESETS, RETIRED, parse_config
 from lstep.events import load_events
 from lstep.synthetic import make_periodic_stream
 
@@ -226,12 +227,12 @@ def test_train_seed_flag_overrides_config(tmp_path):
 
 def test_train_lists_every_validation_problem_before_compute(tmp_path, capsys):
     cfg_path = tmp_path / "broken.cfg"
-    cfg_path.write_text("d_p = 0\nalpha_pe = 1.5\n")
+    cfg_path.write_text("d_p = 0\npatience = -1\n")
     out = tmp_path / "never"
     assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     for fragment in ("history_len", "t_gap", "recent_k", "batch_size",
-                     "d_p", "alpha_pe", "data"):
+                     "d_p", "patience", "data"):
         assert fragment in err
     assert not out.exists()
 
@@ -362,9 +363,10 @@ def test_train_rejects_an_event_file_narrower_than_d_e(tmp_path, capsys):
     cfg_path.write_text(_cfg_text(events, d_e=3))
     assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "w")]) == 1
     assert (
-        "event file provides 2-dim edge features but config expects d_e = 3"
+        "stream has 2-dim edge features but config expects d_e = 3"
         in capsys.readouterr().err
     )
+    assert not (tmp_path / "w").exists()
 
 
 # the boolean flag that once chose separate encoder refinement weights;
@@ -388,6 +390,49 @@ def test_eval_checkpoint_with_a_removed_config_field(tmp_path, capsys):
     assert f"unknown field '{_REMOVED_FIELD}'" in err
     assert main(["eval", "--checkpoint", str(old), "--config", str(cfg_path),
                  "--out", str(tmp_path / "e")]) == 0
+
+
+def test_train_refuses_a_retired_field_off_its_fixed_value(tmp_path, capsys):
+    events = _ingest(tmp_path)
+    cfg_path = tmp_path / "old.cfg"
+    cfg_path.write_text(_cfg_text(events) + "alpha_pe = 0.4\n")
+    out = tmp_path / "never"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "field 'alpha_pe' is fixed at 0.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_checkpoint_whose_config_carries_the_retired_fields(tmp_path, capsys):
+    # a checkpoint written while the fields existed embeds each of them,
+    # in serialize_config's sorted order, at its fixed value
+    events = _ingest(tmp_path)
+    _, out = _train(tmp_path, events)
+    tensors, meta = load_container(out / "checkpoint.lstp")
+    lines = meta["config"].splitlines() + [f"{k} = {v!r}" for k, v in RETIRED.items()]
+    meta["config"] = "\n".join(sorted(lines)) + "\n"
+    old = tmp_path / "old.lstp"
+    save_container(old, tensors, meta)
+    reports = []
+    for path, name in ((out / "checkpoint.lstp", "new"), (old, "old")):
+        assert main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / name)]) == 0
+        reports.append(json.loads((tmp_path / name / "eval_report.json").read_text()))
+    assert reports[0] == reports[1]
+
+    meta["config"] = meta["config"].replace("alpha = 10.0", "alpha = 11.0")
+    save_container(old, tensors, meta)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(old), "--out", str(tmp_path / "e")]) == 1
+    err = capsys.readouterr().err
+    assert str(old) in err
+    assert "field 'alpha' is fixed at 10.0" in err
+
+
+def test_check_help_names_every_suite_and_the_out_directory(capsys):
+    with pytest.raises(SystemExit):
+        main(["check", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"one of: {', '.join(SUITES)}" in text
+    assert "directory to also write the suite report into, as check_<suite>.json" in text
 
 
 def test_eval_damaged_checkpoint_names_path_and_exits_1(tmp_path, capsys):

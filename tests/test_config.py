@@ -1,8 +1,14 @@
 """Config parsing, presets, serialization round-trip, and hashing."""
+import inspect
+import re
+from dataclasses import fields, replace
+
 import pytest
 
+from lstep import eigen, timeenc
 from lstep.config import (
     PRESETS,
+    RETIRED,
     RunConfig,
     apply_preset,
     config_hash,
@@ -12,17 +18,16 @@ from lstep.config import (
     shape_hash,
     validate_config,
 )
+from lstep.events import chronological_split
+from lstep.losses import loss_pe, total_loss
+from lstep.peinit import laplacian_pe
 
 
 def test_defaults():
     cfg = RunConfig()
     assert cfg.d_t == 100
     assert cfg.d_n == cfg.d_e == cfg.d_p == 172
-    assert cfg.alpha == cfg.beta == 10.0
     assert cfg.lr == 1e-4
-    assert cfg.alpha_neg == 0.3
-    assert cfg.alpha_pe == 0.5
-    assert (cfg.train_ratio, cfg.val_ratio) == (0.70, 0.15)
     assert cfg.pe_init == "laplacian"
 
 
@@ -142,13 +147,49 @@ def test_validate_catches_bad_values():
         validate_config(parse_config(base + "pe_init = fourier\n"))
     with pytest.raises(ValueError, match="'d_p'"):
         validate_config(parse_config(base + "d_p = 0\n"))
-    with pytest.raises(ValueError, match="room for a test split"):
-        validate_config(parse_config(base + "train_ratio = 0.9\nval_ratio = 0.2\n"))
     for line in (
-        "lr = nan", "lr = -1", "t_gap = nan", "t_gap = inf", "alpha = -2",
-        "alpha = inf", "beta = 0", "beta = nan", "max_epochs = 0",
-        "patience = -3", "eigen_size_cap = -1",
+        "lr = nan", "lr = -1", "t_gap = nan", "t_gap = inf", "max_epochs = 0",
+        "patience = -3",
     ):
         field = line.split(" = ")[0]
         with pytest.raises(ValueError, match=f"'{field}'"):
             validate_config(parse_config(base + line + "\n"))
+
+
+def test_run_config_has_fifteen_fields_and_serializes_fifteen_lines():
+    assert len(fields(RunConfig)) == 15
+    assert len(serialize_config(RunConfig()).splitlines()) == 15
+    assert not set(RETIRED) & {f.name for f in fields(RunConfig)}
+
+
+@pytest.mark.parametrize("key", sorted(RETIRED))
+def test_a_retired_field_is_accepted_only_at_its_fixed_value(key):
+    fixed = RETIRED[key]
+    # spelled as serialize_config wrote it while the field existed, and plainly
+    assert parse_config(f"{key} = {fixed!r}\n") == RunConfig()
+    base = apply_preset(RunConfig(), "uci")
+    assert parse_config(f"seed = 3\n{key} = {fixed}\n", base=base) == replace(base, seed=3)
+    message = rf"config line 1: field '{key}' is fixed at {re.escape(repr(fixed))}"
+    for other in (2 * fixed, fixed + 1, -fixed):
+        with pytest.raises(ValueError, match=message):
+            parse_config(f"{key} = {other!r}\nseed = 3\n")
+    if isinstance(fixed, float):
+        with pytest.raises(ValueError, match=message):
+            parse_config(f"{key} = nan\n")
+
+
+def test_retired_values_are_the_constants_their_modules_use():
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    train_ratio, val_ratio, _ = default(chronological_split, "ratios")
+    assert RETIRED == {
+        "alpha": timeenc.ALPHA,
+        "beta": timeenc.BETA,
+        "alpha_neg": default(loss_pe, "alpha_neg"),
+        "alpha_pe": default(total_loss, "alpha_pe"),
+        "train_ratio": train_ratio,
+        "val_ratio": val_ratio,
+        "eigen_size_cap": eigen.DEFAULT_SIZE_CAP,
+    }
+    assert default(laplacian_pe, "size_cap") == eigen.DEFAULT_SIZE_CAP

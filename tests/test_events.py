@@ -177,6 +177,23 @@ def test_negative_ids_rejected():
         EventStream(np.array([-1]), np.array([0]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("bad", [0.5, np.nan, 1e300])
+def test_float_ids_that_are_not_int64_integers_rejected(bad):
+    ids, ts = np.array([0.0, 1.0, bad]), np.array([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=r"^src node id \S+ at event 2 is not an int64 integer"):
+        EventStream(ids, np.array([1.0, 2.0, 3.0]), ts)
+    with pytest.raises(ValueError, match=r"^dst node id \S+ at event 2 is not an int64 integer"):
+        EventStream(np.array([1, 2, 3]), ids, ts)
+
+
+def test_float_ids_are_refused_not_truncated():
+    with pytest.raises(ValueError, match="src node id 0.5 at event 0 is not an int64 integer"):
+        EventStream(np.array([0.5, 1.7]), np.array([1.2, 2.9]), [1.0, 2.0])
+    s = EventStream(np.array([0.0, 3.0]), np.array([1.0, 2.0]), [1.0, 2.0])
+    assert s.src.dtype == s.dst.dtype == np.int64
+    assert s.src.tolist() == [0, 3] and s.dst.tolist() == [1, 2]
+
+
 def test_num_nodes_lower_than_ids_rejected():
     with pytest.raises(ValueError, match="outside"):
         EventStream(np.array([0]), np.array([7]), np.array([1.0]), num_nodes=4)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lstep.config import RunConfig
-from lstep.timeenc import angular_frequencies, time_encode
+from lstep.timeenc import ALPHA, BETA, angular_frequencies, time_encode
 
 
 def test_first_frequency_is_one():
@@ -16,7 +16,8 @@ def test_first_frequency_is_one():
 
 
 def test_frequencies_follow_power_law():
-    cfg = RunConfig(d_t=5, alpha=10.0, beta=10.0)
+    assert ALPHA == BETA == 10.0
+    cfg = RunConfig(d_t=5)
     omega = angular_frequencies(cfg)
     for i in range(5):
         assert abs(omega[i] - 10.0 ** (-i / 10.0)) < 1e-15
@@ -36,7 +37,7 @@ def test_matches_scalar_cosine():
 
 
 def test_large_delta_tail_is_slow():
-    # highest index frequency is alpha^(-(d-1)/beta) = 1e-9.9; at delta = 1e6
+    # highest index frequency is ALPHA^(-(d-1)/BETA) = 1e-9.9; at delta = 1e6
     # the final coordinate has barely moved off 1
     cfg = RunConfig()
     enc = time_encode(1e6, cfg)

@@ -151,6 +151,21 @@ def test_train_validates_config():
         train(s, chronological_split(s), RunConfig())
 
 
+@pytest.mark.parametrize("key, what", [("d_n", "node"), ("d_e", "edge")])
+def test_train_and_evaluate_refuse_a_stream_of_other_feature_widths(key, what):
+    s = make_periodic_stream(num_pairs=3, num_events=80, **{"d_n": 6, "d_e": 6, key: 8})
+    split = chronological_split(s)
+    message = f"stream has 8-dim {what} features but config expects {key} = 6"
+    with pytest.raises(ValueError, match=message):
+        train(s, split, TINY)
+    params = init_model_params(ModelDims.from_config(TINY), seed=0)
+    with pytest.raises(ValueError, match=message):
+        evaluate_cells(
+            s, split, params, TINY, [("transductive", "random")],
+            initial_pe=zero_pe(s.num_nodes, TINY.d_p),
+        )
+
+
 @pytest.mark.parametrize("pe_init", ["random_walk", "zero"])
 def test_train_builds_the_initial_pe_its_config_names(pe_init):
     s = _tiny_stream()
