@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 _ACTIVE_TAPE: "GradientTape | None" = None
+# rows per block of a slot walk: a block's sums and its gathered slot fit in L2
+ROW_BLOCK = 64
 # id() is reused once a tensor dies, and a taped forward drops most of its
 # tensors before the sweep, so the tape names tensors by these keys
 _KEYS = itertools.count()
@@ -222,9 +224,15 @@ def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
     return _emit(x.data[index], (x,), lambda g: (_scatter_rows(shape, index, g),))
 
 
+def _row_blocks(n: int):
+    """(lo, hi) bounds of ROW_BLOCK-row blocks covering n rows."""
+    return ((lo, min(lo + ROW_BLOCK, n)) for lo in range(0, n, ROW_BLOCK))
+
+
 def gather_sum_rows(x: Tensor, index: np.ndarray, mask: np.ndarray) -> Tensor:
     """(n, d) sums of the rows ``x[index[i, k]]`` over the slots k where
-    ``mask[i, k]``; the gradient scatter-adds back to those rows."""
+    ``mask[i, k]``; the gradient scatter-adds back to those rows. Every
+    index, masked or not, must name a row of ``x``."""
     x = _as_tensor(x)
     index = np.asarray(index, dtype=np.int64)
     mask = np.asarray(mask, dtype=bool)
@@ -233,12 +241,21 @@ def gather_sum_rows(x: Tensor, index: np.ndarray, mask: np.ndarray) -> Tensor:
             f"gather_sum_rows expects 2-D data and matching 2-D index and mask, "
             f"got {x.data.shape}, {index.shape}, {mask.shape}"
         )
-    # slot by slot, so no (n, K, d) pick is formed
-    out_data = np.zeros((index.shape[0], x.data.shape[1]))
-    for k in range(index.shape[1]):
-        picked = x.data[index[:, k]]
-        picked[~mask[:, k]] = 0.0
-        out_data += picked
+    if index.size and not 0 <= index.min() <= index.max() < x.data.shape[0]:
+        raise IndexError(f"gather_sum_rows index outside the {x.data.shape[0]} rows")
+    # block by block, slot by slot, so no (n, K, d) pick is formed and each
+    # block's sums stay in cache while its slots add up in order; the
+    # indices are checked above, and "clip" lets take write to buf unbuffered
+    n, d = index.shape[0], x.data.shape[1]
+    out_data = np.zeros((n, d))
+    buf = np.empty((min(n, ROW_BLOCK), d))
+    cols, pads = index.T.copy(), ~mask.T
+    for lo, hi in _row_blocks(n):
+        picked, acc = buf[: hi - lo], out_data[lo:hi]
+        for col, pad in zip(cols[:, lo:hi], pads[:, lo:hi]):
+            np.take(x.data, col, axis=0, out=picked, mode="clip")
+            picked[pad] = 0.0
+            acc += picked
     shape = x.data.shape
 
     def vjp(g):

@@ -9,27 +9,30 @@ interaction partners (``lpe.refine_pe``, the update commits apply).
 Every function takes a batch of (node, t) queries and returns one row
 per query, so a batch costs a fixed handful of matrix products whatever
 its size. The K slots are pooled one slot position at a time from one
-phase row per distinct window event, taken against the batch's latest
-query time t_ref, so no (n, K, .) slot tensor is formed; ``phase_pool``
-turns the pooled rows to each query's phase by cos(a - b) =
-cos a cos b + sin a sin b. Against t_ref a phase is no larger than the
-deltas themselves, so at Unix-epoch timestamps (about 1.7e9) with
-deltas up to 1e5 the time encodings match ``timeenc.time_encode`` of
-each delta within 1e-9; phases against t = 0 would be about 1.7e9 rad
-and miss by about 2e-7. The link predictor is a two-layer MLP
-over the concatenated endpoint representations. Each layer reads the
-model's tensors by their checkpoint names from one dict
-(``ModelParams.tensors``).
+phase row per distinct window event, so no (n, K, .) slot tensor is
+formed. An event's row comes from its stream's phase table
+(``EventStream.phase_rows``): [cos, sin] of omega (t_e - r_e), r_e the
+start of the 2^20-s block that holds t_e, built once per stream. A
+batch turns its events' rows to the block start R of its latest query
+time and ``phase_pool`` turns the pooled rows to each query's phase
+omega (t - R), both by angle addition (cos(a - b) = cos a cos b +
+sin a sin b). No rounded phase is then larger than a block plus the
+window's span, so at Unix-epoch timestamps (about 1.7e9) the time
+encodings match ``timeenc.time_encode`` of each delta within 1e-9;
+phases against t = 0 would be about 1.7e9 rad and miss by about 2e-7.
+The link predictor is a two-layer MLP over the concatenated endpoint
+representations. Each layer reads the model's tensors by their
+checkpoint names from one dict (``ModelParams.tensors``).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, _emit, concat, linear, matmul, relu, sigmoid
+from .autodiff import ROW_BLOCK, Tensor, _emit, _row_blocks, concat, linear, matmul, relu, sigmoid
 from .config import RunConfig
 from .events import EventStream, RecentInteractions
 from .lpe import refine_pe
-from .timeenc import angular_frequencies
+from .timeenc import block_start, phases_at, turn
 
 __all__ = ["node_encoding", "phase_pool", "temporal_representation", "predict_link"]
 
@@ -53,12 +56,6 @@ def node_encoding(
     return out
 
 
-def _phases(times: np.ndarray, t_ref: float, cfg: RunConfig) -> np.ndarray:
-    """(..., 2 d_t) [cos, sin] of omega (times - t_ref), omega the time encoder's ladder."""
-    angle = (times - t_ref)[..., None] * angular_frequencies(cfg)
-    return np.concatenate([np.cos(angle), np.sin(angle)], axis=-1)
-
-
 def phase_pool(
     rows: np.ndarray, index: np.ndarray, w: Tensor, phases: np.ndarray
 ) -> tuple[Tensor, np.ndarray]:
@@ -70,8 +67,9 @@ def phase_pool(
     cos a cos b + sin a sin b, the weighted sums turn into the rows
     [sum_k w_k cos(a - b_k), sum_k w_k x_k] (n, d + e), returned as a
     tensor, and the plain sums into sum_k cos(a - b_k) (n, d), returned
-    as an array. The sums walk the K slots, so no (n, K, .) array is
-    formed; the gradient reaches ``w`` only, and re-gathers each slot.
+    as an array. The sums walk the K slots, ``ROW_BLOCK`` queries at a
+    time, so no (n, K, .) array is formed; the gradient reaches ``w``
+    only, and re-gathers each slot.
     """
     index = np.asarray(index, dtype=np.int64)
     n, k = index.shape
@@ -86,13 +84,17 @@ def phase_pool(
     cos_q, sin_q = phases[:, :d], phases[:, d:]
     weighted = np.zeros((n, rows.shape[1]))
     plain = np.zeros((n, 2 * d))
-    slot = np.empty((n, rows.shape[1]))
-    # the indices are checked above; "clip" lets take write to out unbuffered
-    for j in range(k):
-        np.take(rows, index[:, j], axis=0, out=slot, mode="clip")
-        plain += slot[:, : 2 * d]
-        slot *= w.data[j, 0]
-        weighted += slot
+    buf = np.empty((min(n, ROW_BLOCK), rows.shape[1]))
+    cols = index.T.copy()
+    # block by block, as autodiff.gather_sum_rows walks; the indices are
+    # checked above, and "clip" lets take write to buf unbuffered
+    for lo, hi in _row_blocks(n):
+        slot, acc, acc_w = buf[: hi - lo], plain[lo:hi], weighted[lo:hi]
+        for col, wj in zip(cols[:, lo:hi], w.data[:, 0]):
+            np.take(rows, col, axis=0, out=slot, mode="clip")
+            acc += slot[:, : 2 * d]
+            slot *= wj
+            acc_w += slot
     out = np.empty((n, rows.shape[1] - d))
     np.multiply(cos_q, weighted[:, :d], out=out[:, :d])
     out[:, :d] += sin_q * weighted[:, d : 2 * d]
@@ -101,7 +103,9 @@ def phase_pool(
     tau += sin_q * plain[:, d:]
 
     def vjp(g):
-        # the gradient of every slot row, then its dot with each slot's rows
+        # the gradient of every slot row, then its dot with each slot's
+        # rows: one dot per slot over all n rows, as a blocked walk would
+        # add the same products in another order
         g_rows = np.empty((n, rows.shape[1]))
         np.multiply(cos_q, g[:, :d], out=g_rows[:, :d])
         np.multiply(sin_q, g[:, :d], out=g_rows[:, d : 2 * d])
@@ -128,25 +132,28 @@ def _pool_window(
 
     A slot's row is concat(cos omega (t - t_e), x_e) for its event e and
     the query time t; a padded slot's is zero. The window's distinct
-    events get one phase row each against the batch's latest query time
-    t_ref, and ``phase_pool`` pools the slots and turns them to each
-    query's phase, so a batch evaluates 2 d_t (n + distinct events)
-    sines and cosines, not n K d_t cosines; against t_ref the phases stay
-    as small as the deltas themselves. Pooling the K slots and
-    ``link_w1`` are both linear, so the slots are pooled first and only
+    events read their rows of the stream's phase table
+    (``EventStream.phase_rows``), turned to the start R of the block
+    that holds the batch's latest query time, and ``phase_pool`` pools
+    the slots and turns them to each query's phase omega (t - R). So a
+    batch evaluates sines and cosines only of its distinct query times
+    and of its distinct block gaps, and every phase stays within a block
+    and the window's span of zero. Pooling the K slots and ``link_w1``
+    are both linear, so the slots are pooled first and only
     (n, d_t + d_e) rows meet the weight.
     """
     real = ~recent.pad_mask
     events, which = np.unique(recent.event_ids[real], return_inverse=True)
     index = np.full(real.shape, events.size)
     index[real] = which
-    t_ref = float(ts.max()) if ts.size else 0.0
+    ref = float(block_start(ts.max())) if ts.size else 0.0
     d_t = cfg.d_t
     rows = np.empty((events.size + 1, 2 * d_t + stream.d_e))
-    rows[:-1, : 2 * d_t] = _phases(stream.ts[events], t_ref, cfg)
+    rows[:-1, : 2 * d_t] = stream.phase_rows(d_t)[events]
+    turn(rows[:-1, : 2 * d_t], block_start(stream.ts[events]) - ref)
     rows[:-1, 2 * d_t :] = stream.edge_features[events]
     rows[-1] = 0.0  # what padded slots read
-    pooled, tau = phase_pool(rows, index, params["link_sum_pool"], _phases(ts, t_ref, cfg))
+    pooled, tau = phase_pool(rows, index, params["link_sum_pool"], phases_at(ts, ref, d_t))
     return linear(relu(matmul(pooled, params["link_w1"])), params["link_w2"]), tau
 
 

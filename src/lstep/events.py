@@ -22,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .timeenc import phase_table
+
 __all__ = [
     "PAD_ID",
     "RecentInteractions",
@@ -205,6 +207,7 @@ class EventStream:
         self.node_features = node_features
         self.d_e = int(edge_features.shape[1])
         self.d_n = int(node_features.shape[1])
+        self._phase_rows: dict[int, np.ndarray] = {}
         self._build_index()
 
     def _build_index(self) -> None:
@@ -227,6 +230,16 @@ class EventStream:
         # entries sort by (node, event id), so one searchsorted on this
         # integer key answers an id bound for every query at once
         self._key = node[order] * self.num_events + self._eid
+
+    def phase_rows(self, d_t: int) -> np.ndarray:
+        """(E, 2 d_t) phase row of every event, ``timeenc.phase_table`` of
+        the timestamps: [cos, sin] of omega (t_e - r_e), r_e the start of
+        the block that holds t_e. Built on the first call for each d_t
+        and kept, at E x 2 d_t x 8 bytes."""
+        table = self._phase_rows.get(d_t)
+        if table is None:
+            table = self._phase_rows[d_t] = phase_table(self.ts, d_t)
+        return table
 
     def interaction_counts(self) -> np.ndarray:
         """(num_nodes,) events per node: each event counts once at each

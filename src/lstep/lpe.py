@@ -44,7 +44,7 @@ from .config import RunConfig
 from .events import RecentInteractions
 from .fourier import filter_kernel
 from .peinit import InitialPE
-from .timeenc import time_encode
+from .timeenc import block_start, phases_at, turn
 
 __all__ = [
     "PositionalStore",
@@ -274,13 +274,19 @@ def commit_pe(
     t_commit: float,
     params: dict[str, Tensor],
     cfg: RunConfig,
+    phase_rows: np.ndarray,
 ) -> np.ndarray:
     """Committed encodings ``refine_pe`` of each node's commit ``window``.
 
     The window's slots are encoded by their time before ``t_commit``,
     the batch's last event; padded slots are not encoded and contribute
-    exact zeros to the pooled sums. Training calls it after the batch's
-    tape has closed, so nothing is recorded.
+    exact zeros to the pooled sums. ``phase_rows`` is the stream's phase
+    table (``EventStream.phase_rows(cfg.d_t)``): each window event's row
+    is turned to the start R of the block that holds ``t_commit``, the
+    rows are summed over each node's real slots, and each (n, 2 d_t)
+    sum is turned once to omega (t_commit - R), so no delta is encoded
+    one by one. Training calls it after the batch's tape has closed, so
+    nothing is recorded.
 
     Parameter versions: in training, ``ptilde`` comes from the batch's
     forward pass, before the optimizer step, while W1, W2 and W_self are
@@ -288,15 +294,22 @@ def commit_pe(
     pre-step encodings with post-step MLP weights.
     """
     real = ~window.pad_mask
-    # the window shares one commit time, so a delta repeats once per
-    # endpoint of its event; each distinct one is encoded once
-    distinct, which = np.unique((t_commit - window.times)[real], return_inverse=True)
+    # an event repeats once per endpoint in the window; each distinct one is read once
+    events, first, which = np.unique(
+        window.event_ids[real], return_index=True, return_inverse=True
+    )
+    ref = float(block_start(t_commit))
+    d_t = cfg.d_t
     # padded slots read a final zero row, which stays valid when no slot is real
-    codes = np.zeros((distinct.size + 1, cfg.d_t))
-    codes[:-1] = time_encode(distinct, cfg)
-    slots = np.full(real.shape, distinct.size)
+    rows = np.zeros((events.size + 1, 2 * d_t))
+    rows[:-1] = phase_rows[events]
+    turn(rows[:-1], block_start(window.times[real][first]) - ref)
+    slots = np.full(real.shape, events.size)
     slots[real] = which
-    tau_sum = gather_sum_rows(codes, slots, real).data
+    sums = gather_sum_rows(rows, slots, real).data
+    cos_a, sin_a = np.split(phases_at(np.array([t_commit]), ref, d_t)[0], 2)
+    tau_sum = cos_a * sums[:, :d_t]
+    tau_sum += sin_a * sums[:, d_t:]
     return refine_pe(ptilde, ptilde_nodes, nodes, window, tau_sum, params).data
 
 

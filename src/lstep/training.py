@@ -139,7 +139,8 @@ class _Forward:
     events and of their negatives. ``touched`` are the batch's endpoints
     and ``window`` their K most recent interactions up to and including
     the batch's last event, whose timestamp is the commit time
-    ``t_commit``.
+    ``t_commit``. ``phase_rows`` is the stream's phase table, which the
+    commit reads.
     """
 
     nodes: np.ndarray
@@ -147,6 +148,7 @@ class _Forward:
     touched: np.ndarray
     t_commit: float
     window: RecentInteractions
+    phase_rows: np.ndarray
     scores: list[tuple[Tensor, Tensor]] = field(default_factory=list)
 
     def rows(self, nodes: np.ndarray) -> np.ndarray:
@@ -210,7 +212,7 @@ def _batch_forward(
             stale, approximate_pe(store.history_matrix(stale), tensors, frozen.kernel).data
         )
         ptilde = Tensor(frozen.table[nodes])
-    fwd = _Forward(nodes, ptilde, touched, t_commit, window)
+    fwd = _Forward(nodes, ptilde, touched, t_commit, window, stream.phase_rows(cfg.d_t))
     # a representation per pair, not per union: a product row's bits vary with its row count
     for q_nodes, q_ts, recent, which in queries:
         reps = temporal_representation(
@@ -240,7 +242,8 @@ def _commit_batch(
     ``params`` holds now (see ``commit_pe``).
     """
     vecs = commit_pe(
-        fwd.ptilde, fwd.nodes, fwd.touched, fwd.window, fwd.t_commit, params.tensors, cfg
+        fwd.ptilde, fwd.nodes, fwd.touched, fwd.window, fwd.t_commit, params.tensors, cfg,
+        fwd.phase_rows,
     )
     store.commit(fwd.touched, vecs)
 

@@ -123,6 +123,28 @@ def test_pooling_op_gradients():
         gather_sum_rows(x, index, mask[:, :2])
 
 
+def test_gather_sum_rows_blocks_add_as_one_slot_walk():
+    """The row-blocked walk adds each row's slots in slot order, so its
+    sums equal a whole-batch slot walk bit for bit, across blocks and
+    with padded slots; any index outside the rows raises, padded or not."""
+    rng = np.random.default_rng(8)
+    for n, k in ((1, 1), (63, 3), (64, 5), (200, 20)):
+        x = Tensor(rng.normal(size=(37, 11)))
+        index = rng.integers(0, 37, size=(n, k))
+        mask = rng.random((n, k)) < 0.7
+        want = np.zeros((n, 11))
+        for j in range(k):
+            picked = x.data[index[:, j]]
+            picked[~mask[:, j]] = 0.0
+            want += picked
+        assert np.array_equal(gather_sum_rows(x, index, mask).data, want)
+    mask[0, 0] = False
+    for bad in (37, -1):
+        index[0, 0] = bad
+        with pytest.raises(IndexError, match="outside the 37 rows"):
+            gather_sum_rows(x, index, mask)
+
+
 def test_batched_ops_gradients():
     rng = np.random.default_rng(7)
     table = Tensor(rng.normal(size=(4, 3)), learnable=True)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lstep import encoder
+from lstep import encoder, lpe, timeenc
 from lstep.autodiff import GradientTape, Tensor, backward, gather_rows, sum_all, tanh
 from lstep.config import RunConfig
 from lstep.encoder import (
@@ -15,7 +15,8 @@ from lstep.encoder import (
     temporal_representation,
 )
 from lstep.events import EventStream
-from lstep.timeenc import time_encode
+from lstep.lpe import commit_pe
+from lstep.timeenc import BLOCK, block_start, time_encode
 
 
 def _stream(d_n=3, d_e=2):
@@ -242,6 +243,28 @@ def test_phase_pool_turns_slot_sums_to_each_query_phase():
         phase_pool(rows, index + 1, w, phases)
 
 
+def test_phase_pool_blocks_add_as_one_slot_walk():
+    """Past one row block, the pooled rows equal a whole-batch slot walk
+    bit for bit."""
+    rng = np.random.default_rng(11)
+    d, e, n, k = 4, 3, 150, 6
+    rows = np.vstack([rng.normal(size=(40, 2 * d + e)), np.zeros(2 * d + e)])
+    index = rng.integers(0, 41, size=(n, k))
+    w = Tensor(rng.normal(size=(k, 1)))
+    phases = rng.normal(size=(n, 2 * d))
+    weighted, plain = np.zeros((n, 2 * d + e)), np.zeros((n, 2 * d))
+    for j in range(k):
+        slot = rows[index[:, j]]
+        plain += slot[:, : 2 * d]
+        slot *= w.data[j, 0]
+        weighted += slot
+    out, tau = phase_pool(rows, index, w, phases)
+    cos_q, sin_q = phases[:, :d], phases[:, d:]
+    assert np.array_equal(out.data[:, :d], cos_q * weighted[:, :d] + sin_q * weighted[:, d : 2 * d])
+    assert np.array_equal(out.data[:, d:], weighted[:, 2 * d :])
+    assert np.array_equal(tau, cos_q * plain[:, :d] + sin_q * plain[:, d:])
+
+
 def test_pooling_gradients_match_central_differences():
     """Gradients to ``link_sum_pool`` through the slot pooling, and to a
     learnable p~ table through the slot-by-slot partner sum. Both
@@ -318,56 +341,70 @@ def test_representation_memory_does_not_scale_with_window_slots():
     assert peaks[64] < 1.5 * peaks[4], peaks
 
 
-def _reference_rep(s, p, cfg, table, node, t):
-    """One query's representation from ``time_encode`` of each slot's delta."""
-    w = {name: t_.data for name, t_ in p.items()}
-    recent = s.recent_interactions(np.array([node]), np.array([t]), cfg.recent_k)
-    rows = np.zeros((cfg.recent_k, cfg.d_t + s.d_e))
-    tau, nbr = np.zeros(cfg.d_t), np.zeros(table.shape[1])
-    for k in np.flatnonzero(~recent.pad_mask[0]):
-        code = time_encode(t - recent.times[0, k], cfg)
-        rows[k] = np.concatenate([code, s.edge_features[recent.event_ids[0, k]]])
-        tau += code
-        nbr += table[recent.neighbors[0, k]]
-    pooled = (rows @ w["link_w1"]).T @ w["link_sum_pool"].ravel()
-    h_e = w["link_w2"] @ np.maximum(pooled, 0.0)
-    h_n = node_encoding(s, np.array([node]), np.array([t]), cfg.t_gap)[0]
-    h_ne = w["fuse_w"] @ np.concatenate([h_n, h_e])
-    gate = np.tanh(
-        w["pe_w_self"] @ table[node]
-        + w["pe_w2"] @ np.maximum(w["pe_w1"] @ np.concatenate([tau, nbr]), 0.0)
+def _epoch_taus(span, rng):
+    """Time-encoding sums of a representation batch and of a commit at
+    Unix-epoch timestamps, with ``time_encode`` references.
+
+    60 events over ``span`` seconds end just past a block boundary near
+    1.7e9, so windows straddle it; queries follow the last event. The
+    representation's sums are ``_pool_window``'s, and the commit's are
+    the ``tau_sum`` that ``commit_pe`` hands to ``refine_pe``. Returns
+    (representation, commit) sums and their references.
+    """
+    d, num_nodes, k, num_events = 8, 6, 5, 60
+    boundary = block_start(1.7e9) + 3 * BLOCK
+    times = np.sort(boundary - span * rng.uniform(-0.1, 0.9, size=num_events))
+    s = EventStream(
+        rng.integers(0, 3, size=num_events), rng.integers(3, num_nodes, size=num_events), times,
+        edge_features=rng.normal(size=(num_events, d)), d_n=d, d_e=d,
     )
-    return w["out_w"] @ np.concatenate([h_ne, table[node] + gate])
+    cfg = RunConfig(d_t=100, d_n=d, d_e=d, d_p=d, recent_k=k)
+    p = _params(rng, d_n=d, d_e=d, d_p=d, d_t=100, k=k)
+    nodes = np.arange(num_nodes)
+    ts = times[-1] + rng.uniform(0.0, 10.0, size=num_nodes)
+    recent = s.recent_interactions(nodes, ts, k)
+    window = s.recent_interactions_inclusive(nodes, num_events, k)
+    for w in (recent, window):
+        blocks = block_start(np.where(w.pad_mask, np.nan, w.times))
+        assert (np.nanmin(blocks, axis=1) < np.nanmax(blocks, axis=1)).any()
+
+    def reference(w, t):
+        codes = time_encode(t[:, None] - w.times, cfg)
+        return np.where(w.pad_mask[..., None], 0.0, codes).sum(axis=1)
+
+    taus = []
+    refine = lpe.refine_pe
+
+    def capture(*args):
+        taus.append(args[4])
+        return refine(*args)
+
+    lpe.refine_pe = capture
+    try:
+        table = Tensor(rng.normal(size=(num_nodes, d)))
+        commit_pe(table, nodes, nodes, window, times[-1], p, cfg, s.phase_rows(cfg.d_t))
+    finally:
+        lpe.refine_pe = refine
+    got = _pool_window(s, recent, ts, p, cfg)[1], taus[0]
+    return got, (reference(recent, ts), reference(window, np.full(num_nodes, times[-1])))
 
 
 def test_phases_against_the_batch_reference_time_hold_at_epoch_timestamps(monkeypatch):
-    """Timestamps near 1.7e9 with deltas up to 1e5: the representation
-    matches the per-slot reference within 1e-9. Phases against t = 0
-    (absolute phases) miss it, so the bound tells the two apart."""
-    rng = np.random.default_rng(70)
-    d, num_nodes, k = 8, 6, 5
-    times = 1.7e9 + np.sort(rng.uniform(0.0, 1e5, size=60))
-    src = rng.integers(0, 3, size=60)
-    s = EventStream(
-        src, rng.integers(3, num_nodes, size=60), times,
-        edge_features=rng.normal(size=(60, d)), node_features=rng.normal(size=(num_nodes, d)),
-        d_n=d, d_e=d,
-    )
-    cfg = RunConfig(d_t=100, d_n=d, d_e=d, d_p=d, t_gap=2e4, recent_k=k)
-    p = _params(rng, d_n=d, d_e=d, d_p=d, d_t=100, k=k)
-    table = rng.normal(size=(num_nodes, d))
-    nodes = np.arange(num_nodes)
-    ts = 1.7e9 + 1e5 + rng.uniform(0.0, 10.0, size=num_nodes)
-    want = np.stack([_reference_rep(s, p, cfg, table, u, t) for u, t in zip(nodes, ts)])
-
-    def error():
-        got = temporal_representation(
-            s, nodes, ts, p, cfg, ptilde=Tensor(table), ptilde_nodes=nodes,
-            recent=s.recent_interactions(nodes, ts, k),
-        ).data
-        return np.max(np.abs(got - want))
-
-    assert error() < 1e-9
-    phases = encoder._phases
-    monkeypatch.setattr(encoder, "_phases", lambda times, t_ref, cfg: phases(times, 0.0, cfg))
-    assert error() > 1e-9
+    """Timestamps near 1.7e9, streams spanning 1e5 to 3e7 s, windows that
+    straddle a 2^20-s block boundary: the representation's and the
+    commit's time encodings match ``time_encode`` of each delta within
+    1e-9. Phase rows and references at t = 0 (absolute phases) miss it,
+    so the bound tells the two apart."""
+    spans = (1e5, 3e6, 3e7)
+    for span in spans:
+        got, want = _epoch_taus(span, np.random.default_rng(70))
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) < 1e-9, span
+    zero = lambda ts: np.zeros(np.shape(ts))  # noqa: E731
+    for module in (timeenc, encoder, lpe):
+        monkeypatch.setattr(module, "block_start", zero)
+    for span in spans:
+        # a new stream, so its table is built against t = 0
+        got, want = _epoch_taus(span, np.random.default_rng(70))
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) > 1e-9, span

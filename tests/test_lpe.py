@@ -19,7 +19,7 @@ from lstep.lpe import (
 )
 from lstep.peinit import InitialPE, zero_pe
 from lstep.synthetic import make_random_stream
-from lstep.timeenc import time_encode
+from lstep.timeenc import phase_table, time_encode
 
 
 def _params(d_p, length, rng=None, identity=True, d_t=4):
@@ -438,14 +438,21 @@ def test_frozen_rows_go_stale_when_the_store_commits():
 
 
 def _window(neighbors, times, pad_mask):
-    """A hand-made (n, K) window; padded slots name no partner."""
+    """A hand-made (n, K) window; padded slots name no partner, and a
+    real slot's event is its flat slot position (see ``_phase_rows``)."""
     pad_mask = np.array(pad_mask, dtype=bool)
     return RecentInteractions(
         np.where(pad_mask, PAD_ID, np.array(neighbors)),
         np.array(times, dtype=np.float64),
-        np.where(pad_mask, -1, 0),
+        np.where(pad_mask, -1, np.arange(pad_mask.size).reshape(pad_mask.shape)),
         pad_mask,
     )
+
+
+def _phase_rows(window, d_t):
+    """The phase table of a ``_window``'s events: event i happens at the
+    time of flat slot i."""
+    return phase_table(window.times.ravel(), d_t)
 
 
 def test_commit_matches_hand_computation():
@@ -458,7 +465,8 @@ def test_commit_matches_hand_computation():
     table = rng.normal(size=(3, d_p))
     window = _window([[0, 1, 2]], [[5.0, 3.5, 4.5]], [[True, False, False]])
     got = commit_pe(
-        Tensor(table), np.arange(3), np.array([0]), window, 5.0, params, cfg
+        Tensor(table), np.arange(3), np.array([0]), window, 5.0, params, cfg,
+        _phase_rows(window, d_t),
     )[0]
 
     tau = time_encode(1.5, cfg) + time_encode(0.5, cfg)
@@ -507,7 +515,8 @@ def test_commit_with_zero_weights_is_identity():
     p_tilde = np.array([[0.3, -0.7], [1.5, 2.0]])
     window = _window([[1], [0]], [[1.0], [1.0]], [[False], [False]])
     got = commit_pe(
-        Tensor(p_tilde), np.arange(2), np.arange(2), window, 2.0, params, RunConfig(d_t=4)
+        Tensor(p_tilde), np.arange(2), np.arange(2), window, 2.0, params, RunConfig(d_t=4),
+        _phase_rows(window, 4),
     )
     assert np.array_equal(got, p_tilde)
 
@@ -521,7 +530,10 @@ def test_commit_all_padding_uses_zero_q():
     # which is NaN and must not leak into q
     table = np.stack([np.full(2, np.nan), p_tilde])
     window = _window([[0, 0]], [[3.0, 3.0]], [[True, True]])
-    got = commit_pe(Tensor(table), np.arange(2), np.array([1]), window, 3.0, params, cfg)[0]
+    got = commit_pe(
+        Tensor(table), np.arange(2), np.array([1]), window, 3.0, params, cfg,
+        _phase_rows(window, 4),
+    )[0]
     w1, w2, ws = (params[n].data for n in ("pe_w1", "pe_w2", "pe_w_self"))
     want = p_tilde + np.tanh(ws @ p_tilde + w2 @ np.maximum(w1 @ np.zeros(6), 0.0))
     assert np.max(np.abs(got - want)) < 1e-12

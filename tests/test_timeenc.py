@@ -1,11 +1,22 @@
 """Fixed cosine time encoding."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lstep.config import RunConfig
-from lstep.timeenc import ALPHA, BETA, angular_frequencies, time_encode
+from lstep.timeenc import (
+    ALPHA,
+    BETA,
+    BLOCK,
+    angular_frequencies,
+    block_start,
+    phase_table,
+    phases_at,
+    time_encode,
+    turn,
+)
 
 
 def test_first_frequency_is_one():
@@ -70,3 +81,48 @@ def test_batch_matches_single():
         assert np.array_equal(batch[i], time_encode(float(d), cfg))
     assert time_encode(deltas.reshape(2, 2), cfg).shape == (2, 2, 12)
     assert time_encode(np.array([]), cfg).shape == (0, 12)
+
+
+def test_phase_table_rows_are_phases_within_their_block():
+    cfg = RunConfig(d_t=6)
+    ts = np.array([0.0, 3.5, BLOCK - 1.0, BLOCK, 1.7e9 + 0.25, -2.0])
+    starts = block_start(ts)
+    assert starts.tolist() == [0.0, 0.0, 0.0, BLOCK, 1621 * BLOCK, -BLOCK]
+    angle = (ts - starts)[:, None] * angular_frequencies(cfg)
+    table = phase_table(ts, cfg.d_t)
+    # to rounding: libm and SIMD loops may differ in the last bit
+    assert np.allclose(table, np.hstack([np.cos(angle), np.sin(angle)]), rtol=0.0, atol=1e-15)
+    assert np.allclose(phases_at(ts[[1, 0, 1]], 0.0, 6), table[[1, 0, 1]], rtol=0.0, atol=1e-15)
+
+
+def test_turn_moves_rows_to_another_block_and_leaves_gapless_rows_alone():
+    """A row of an older block, turned by its block gap, is the phase
+    against the newer block's start; a row with no gap keeps its bits."""
+    rng = np.random.default_rng(12)
+    d_t = 100
+    ts = 1.7e9 + np.sort(rng.uniform(0.0, 3e6, size=50))
+    ref = float(block_start(ts[-1]))
+    rows = phase_table(ts, d_t)
+    before = rows.copy()
+    gaps = block_start(ts) - ref
+    turn(rows, gaps)
+    same = gaps == 0.0
+    assert same.any() and not same.all()
+    assert np.array_equal(rows[same], before[same])
+    want = phases_at(ts, ref, d_t)
+    assert np.max(np.abs(rows - want)) < 1e-9
+
+
+def test_phase_table_build_allocates_the_table_alone():
+    """The angles are formed inside the table: the build's tracemalloc
+    peak stays within 1.1x the table, so no (E, d_t) angle, cosine or
+    sine array is allocated beside it."""
+    ts = 1.7e9 + np.sort(np.random.default_rng(13).uniform(0.0, 3e7, size=5000))
+    tracemalloc.start()
+    try:
+        table = phase_table(ts, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (5000, 200)
+    assert peak <= 1.1 * table.nbytes, (peak, table.nbytes)

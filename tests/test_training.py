@@ -6,6 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import lstep.events as events
 import lstep.training as training
 from lstep.autodiff import GradientTape, Tensor
 from lstep.checks import tape_nodes_per_batch
@@ -214,6 +215,30 @@ def test_evaluate_reports_sane_metrics():
     assert 0.0 <= ap <= 1.0
     assert 0.0 <= auc <= 1.0
     assert fallbacks >= 0
+
+
+def test_phase_table_is_built_once_per_stream_and_width(monkeypatch):
+    """Not at load: a train call and two evaluate calls on one stream
+    build its phase table once, and another d_t builds its own."""
+    built = []
+    real = events.phase_table
+
+    def counted(ts, d_t):
+        built.append(d_t)
+        return real(ts, d_t)
+
+    monkeypatch.setattr(events, "phase_table", counted)
+    s = _tiny_stream()
+    split = chronological_split(s)
+    initial = build_initial_pe(s, split, TINY)
+    assert built == []
+    res = train(s, split, parse_config("max_epochs = 1", base=TINY))
+    for strategy in ("random", "historical"):
+        evaluate(s, split, res.params, TINY, strategy=strategy, initial_pe=initial)
+    assert built == [TINY.d_t]
+    assert s.phase_rows(TINY.d_t) is s.phase_rows(TINY.d_t)
+    wide = s.phase_rows(8)
+    assert built == [TINY.d_t, 8] and wide.shape == (s.num_events, 16)
 
 
 def test_evaluate_inductive_requires_new_node_positives():
