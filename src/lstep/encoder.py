@@ -20,21 +20,25 @@ sin a sin b). No rounded phase is then larger than a block plus the
 window's span, so at Unix-epoch timestamps (about 1.7e9) the time
 encodings match ``timeenc.time_encode`` of each delta within 1e-9;
 phases against t = 0 would be about 1.7e9 rad and miss by about 2e-7.
-The link predictor is a two-layer MLP over the concatenated endpoint
-representations. Each layer reads the model's tensors by their
-checkpoint names from one dict (``ModelParams.tensors``).
+``window_tau`` gives the commits their windows' time-encoding sums
+from the same rows. The link predictor is a two-layer MLP over the
+concatenated endpoint representations. Each layer reads the model's
+tensors by their checkpoint names from one dict
+(``ModelParams.tensors``).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import ROW_BLOCK, Tensor, _emit, _row_blocks, concat, linear, matmul, relu, sigmoid
+from .autodiff import (
+    ROW_BLOCK, Tensor, _emit, _row_blocks, concat, gather_sum_rows, linear, matmul, relu, sigmoid,
+)
 from .config import RunConfig
 from .events import EventStream, RecentInteractions
 from .lpe import refine_pe
 from .timeenc import block_start, phases_at, turn
 
-__all__ = ["node_encoding", "phase_pool", "temporal_representation", "predict_link"]
+__all__ = ["node_encoding", "phase_pool", "window_tau", "temporal_representation", "predict_link"]
 
 
 def node_encoding(
@@ -120,6 +124,48 @@ def phase_pool(
     return _emit(out, (w,), vjp), tau
 
 
+def _window_rows(
+    stream: EventStream, window: RecentInteractions, ts: np.ndarray, d_t: int, columns: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, slot index and query phases of the windows ``window`` of
+    queries at times ``ts``, as ``phase_pool`` reads them.
+
+    Each distinct window event has one row: its phase row of the stream's
+    phase table (``EventStream.phase_rows``), turned to the start R of
+    the block that holds the latest query time, then its row of the
+    per-event table ``columns``. A final zero row is what padded slots
+    read, so it stays valid when no slot is real. The phases are each
+    query's omega (t - R). So a batch evaluates sines and cosines only
+    of its distinct query times and of its distinct block gaps, and
+    every phase stays within a block and the window's span of zero.
+    """
+    real = ~window.pad_mask
+    # an event repeats once per endpoint in the windows; each distinct one is read once
+    events, which = np.unique(window.event_ids[real], return_inverse=True)
+    index = np.full(real.shape, events.size)
+    index[real] = which
+    ref = float(block_start(ts.max())) if ts.size else 0.0
+    rows = np.empty((events.size + 1, 2 * d_t + columns.shape[1]))
+    rows[:-1, : 2 * d_t] = stream.phase_rows(d_t)[events]
+    turn(rows[:-1, : 2 * d_t], block_start(stream.ts[events]) - ref)
+    rows[:-1, 2 * d_t :] = columns[events]
+    rows[-1] = 0.0
+    return rows, index, phases_at(ts, ref, d_t)
+
+
+def window_tau(
+    stream: EventStream, window: RecentInteractions, ts: np.ndarray, d_t: int
+) -> np.ndarray:
+    """(n, d_t) sums of the time encodings cos omega (t - t_e) of each
+    query's real window slots, at its time t of ``ts``; padded slots add
+    nothing. The commits read it, at the batch's last event, after the
+    batch's tape has closed.
+    """
+    rows, index, phases = _window_rows(stream, window, ts, d_t, stream.edge_features[:, :0])
+    sums = gather_sum_rows(rows, index, ~window.pad_mask).data
+    return phases[:, :d_t] * sums[:, :d_t] + phases[:, d_t:] * sums[:, d_t:]
+
+
 def _pool_window(
     stream: EventStream,
     recent: RecentInteractions,
@@ -131,29 +177,13 @@ def _pool_window(
     and the sums (n, d_t) of its slots' time encodings.
 
     A slot's row is concat(cos omega (t - t_e), x_e) for its event e and
-    the query time t; a padded slot's is zero. The window's distinct
-    events read their rows of the stream's phase table
-    (``EventStream.phase_rows``), turned to the start R of the block
-    that holds the batch's latest query time, and ``phase_pool`` pools
-    the slots and turns them to each query's phase omega (t - R). So a
-    batch evaluates sines and cosines only of its distinct query times
-    and of its distinct block gaps, and every phase stays within a block
-    and the window's span of zero. Pooling the K slots and ``link_w1``
-    are both linear, so the slots are pooled first and only
-    (n, d_t + d_e) rows meet the weight.
+    the query time t; a padded slot's is zero. ``phase_pool`` pools the
+    rows of ``_window_rows`` and turns them to each query's phase.
+    Pooling the K slots and ``link_w1`` are both linear, so the slots
+    are pooled first and only (n, d_t + d_e) rows meet the weight.
     """
-    real = ~recent.pad_mask
-    events, which = np.unique(recent.event_ids[real], return_inverse=True)
-    index = np.full(real.shape, events.size)
-    index[real] = which
-    ref = float(block_start(ts.max())) if ts.size else 0.0
-    d_t = cfg.d_t
-    rows = np.empty((events.size + 1, 2 * d_t + stream.d_e))
-    rows[:-1, : 2 * d_t] = stream.phase_rows(d_t)[events]
-    turn(rows[:-1, : 2 * d_t], block_start(stream.ts[events]) - ref)
-    rows[:-1, 2 * d_t :] = stream.edge_features[events]
-    rows[-1] = 0.0  # what padded slots read
-    pooled, tau = phase_pool(rows, index, params["link_sum_pool"], phases_at(ts, ref, d_t))
+    rows, index, phases = _window_rows(stream, recent, ts, cfg.d_t, stream.edge_features)
+    pooled, tau = phase_pool(rows, index, params["link_sum_pool"], phases)
     return linear(relu(matmul(pooled, params["link_w1"])), params["link_w2"]), tau
 
 

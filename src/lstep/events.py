@@ -5,7 +5,7 @@ dense node ids, a node feature table, and a per-event edge feature
 table. The constructor requires time-sorted arrays and refuses others;
 ``load_events`` sorts a file's rows (stably, so ties keep file order)
 before it builds the stream. A CSR index over nodes (offsets into
-neighbor, time and event arrays, each node's entries in event order)
+neighbor and event arrays, each node's entries in event order)
 answers the three temporal queries the encoders need, for a whole array
 of queries at once: the K most recent interactions strictly before t,
 the K most recent among the events before a batch end (what a commit
@@ -108,13 +108,12 @@ class RecentInteractions:
     """Fixed-length windows of latest interactions, one row per query.
 
     Every field is (n, K), oldest first within a row. Front positions are
-    sentinel padding (neighbor PAD_ID, timestamp equal to the query time,
-    event index -1) when fewer than K interactions exist; downstream
-    encoders zero the corresponding rows entirely.
+    sentinel padding (neighbor PAD_ID, event index -1) when fewer than K
+    interactions exist; downstream encoders zero the corresponding rows
+    entirely. A real slot's time is its event's, ``ts[event_ids]``.
     """
 
     neighbors: np.ndarray
-    times: np.ndarray
     event_ids: np.ndarray
     pad_mask: np.ndarray
 
@@ -211,7 +210,7 @@ class EventStream:
         self._build_index()
 
     def _build_index(self) -> None:
-        # CSR over nodes: one (neighbor, time, event) entry per endpoint, a
+        # CSR over nodes: one (neighbor, event) entry per endpoint, a
         # self-loop once. Entries are laid out in event order before the
         # stable sort, so each node's entries stay in event order.
         ends = np.stack([self.src, self.dst], axis=1)
@@ -225,7 +224,6 @@ class EventStream:
             [[0], np.cumsum(np.bincount(node, minlength=self.num_nodes))]
         )
         self._nbr = nbr[order]
-        self._nts = self.ts[eid[order]]
         self._eid = eid[order]
         # entries sort by (node, event id), so one searchsorted on this
         # integer key answers an id bound for every query at once
@@ -257,13 +255,23 @@ class EventStream:
         return self._position(nodes, np.searchsorted(self.ts, ts))
 
     def _queries(self, nodes, ts) -> tuple[np.ndarray, np.ndarray]:
+        """1-D node ids in [0, num_nodes) and one finite time per node (a
+        scalar time serves every node); anything else raises ValueError."""
         nodes = np.asarray(nodes, dtype=np.int64)
         if nodes.ndim != 1:
             raise ValueError(f"queries take a 1-D node array, got shape {nodes.shape}")
-        ts = np.broadcast_to(np.asarray(ts, dtype=np.float64), nodes.shape)
-        return nodes, ts
+        bad = (nodes < 0) | (nodes >= self.num_nodes)
+        if bad.any():
+            raise ValueError(f"query node {int(nodes[bad][0])} outside [0, {self.num_nodes})")
+        ts = np.asarray(ts, dtype=np.float64)
+        if ts.ndim and ts.shape != nodes.shape:
+            raise ValueError(f"query times shape {ts.shape} != nodes shape {nodes.shape}")
+        bad = ~np.isfinite(ts)
+        if bad.any():
+            raise ValueError(f"non-finite query time {ts[bad].flat[0]}")
+        return nodes, np.broadcast_to(ts, nodes.shape)
 
-    def _recent(self, nodes, hi, pad_ts, k: int) -> RecentInteractions:
+    def _recent(self, nodes, hi, k: int) -> RecentInteractions:
         if k < 1:
             raise ValueError(f"window size must be >= 1, got {k}")
         pos = hi[:, None] - k + np.arange(k)
@@ -271,7 +279,6 @@ class EventStream:
         pos = np.where(pad, 0, pos)
         return RecentInteractions(
             np.where(pad, PAD_ID, self._nbr[pos]),
-            np.where(pad, pad_ts[:, None], self._nts[pos]),
             np.where(pad, -1, self._eid[pos]),
             pad,
         )
@@ -279,17 +286,16 @@ class EventStream:
     def recent_interactions(self, nodes, ts, k: int) -> RecentInteractions:
         """K most recent interactions of each node strictly before its t."""
         nodes, ts = self._queries(nodes, ts)
-        return self._recent(nodes, self._before(nodes, ts), ts, k)
+        return self._recent(nodes, self._before(nodes, ts), k)
 
     def recent_interactions_inclusive(self, nodes, end: int, k: int) -> RecentInteractions:
         """K most recent interactions of each node among events [0, end),
         the window a commit reads after the batch that ends at ``end``.
-        Later events that share event ``end - 1``'s timestamp stay out;
-        padding carries that timestamp."""
+        Later events that share event ``end - 1``'s timestamp stay out."""
         if not 1 <= end <= self.num_events:
             raise ValueError(f"event bound {end} outside [1, {self.num_events}]")
-        nodes, ts = self._queries(nodes, self.ts[end - 1])
-        return self._recent(nodes, self._position(nodes, end), ts, k)
+        nodes, _ = self._queries(nodes, self.ts[end - 1])
+        return self._recent(nodes, self._position(nodes, end), k)
 
     def window_neighbors(self, nodes, ts, t_gap: float) -> WindowNeighbors:
         """Neighbors of each node with interactions inside [t - t_gap, t)."""

@@ -21,9 +21,11 @@ nodes: the older columns are zero in all of them. The encodings of
 every node a batch needs are one contraction of those stacked
 (d_P, m) histories against the kernel's last m columns.
 ``refine_pe`` adds a gated MLP correction built from a node's most
-recent interactions, and pools that window itself; the representation
-uses it under the tape, and the commits use it detached, so no
-gradient crosses batch boundaries.
+recent interactions: it pools the partners' p~ over that window, and
+takes the window's time-encoding sums from its caller (the encoder's
+window pool, or ``encoder.window_tau`` for a commit). The
+representation uses it under the tape, and the commits use it detached
+(``commit_pe``), so no gradient crosses batch boundaries.
 
 A frozen segment is a run of batches without a gradient tape, so with
 fixed parameters: evaluation's warm replay and scoring, training's
@@ -40,11 +42,9 @@ import numpy as np
 
 from . import autodiff
 from .autodiff import Tensor, _emit, add, concat, gather_rows, gather_sum_rows, linear, relu, tanh
-from .config import RunConfig
 from .events import RecentInteractions
 from .fourier import filter_kernel
 from .peinit import InitialPE
-from .timeenc import block_start, phases_at, turn
 
 __all__ = [
     "PositionalStore",
@@ -271,45 +271,19 @@ def commit_pe(
     ptilde_nodes: np.ndarray,
     nodes: np.ndarray,
     window: RecentInteractions,
-    t_commit: float,
+    tau_sum: np.ndarray,
     params: dict[str, Tensor],
-    cfg: RunConfig,
-    phase_rows: np.ndarray,
 ) -> np.ndarray:
-    """Committed encodings ``refine_pe`` of each node's commit ``window``.
-
-    The window's slots are encoded by their time before ``t_commit``,
-    the batch's last event; padded slots are not encoded and contribute
-    exact zeros to the pooled sums. ``phase_rows`` is the stream's phase
-    table (``EventStream.phase_rows(cfg.d_t)``): each window event's row
-    is turned to the start R of the block that holds ``t_commit``, the
-    rows are summed over each node's real slots, and each (n, 2 d_t)
-    sum is turned once to omega (t_commit - R), so no delta is encoded
-    one by one. Training calls it after the batch's tape has closed, so
-    nothing is recorded.
+    """Committed encodings: ``refine_pe`` of each node's commit
+    ``window``, detached. ``tau_sum`` sums the window's time encodings
+    at the batch's last event (``encoder.window_tau``). Training calls
+    it after the batch's tape has closed, so nothing is recorded.
 
     Parameter versions: in training, ``ptilde`` comes from the batch's
     forward pass, before the optimizer step, while W1, W2 and W_self are
     read here, after ``adam_step`` has updated them. So a commit pairs
     pre-step encodings with post-step MLP weights.
     """
-    real = ~window.pad_mask
-    # an event repeats once per endpoint in the window; each distinct one is read once
-    events, first, which = np.unique(
-        window.event_ids[real], return_index=True, return_inverse=True
-    )
-    ref = float(block_start(t_commit))
-    d_t = cfg.d_t
-    # padded slots read a final zero row, which stays valid when no slot is real
-    rows = np.zeros((events.size + 1, 2 * d_t))
-    rows[:-1] = phase_rows[events]
-    turn(rows[:-1], block_start(window.times[real][first]) - ref)
-    slots = np.full(real.shape, events.size)
-    slots[real] = which
-    sums = gather_sum_rows(rows, slots, real).data
-    cos_a, sin_a = np.split(phases_at(np.array([t_commit]), ref, d_t)[0], 2)
-    tau_sum = cos_a * sums[:, :d_t]
-    tau_sum += sin_a * sums[:, d_t:]
     return refine_pe(ptilde, ptilde_nodes, nodes, window, tau_sum, params).data
 
 

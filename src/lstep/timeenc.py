@@ -10,15 +10,15 @@ table (``phase_table``, ``EventStream.phase_rows``), one row
 [cos omega (t_e - r_e), sin omega (t_e - r_e)] per event, where r_e =
 floor(t_e / BLOCK) * BLOCK is the start of the BLOCK-second (2^20 s,
 about 12 days) block that holds t_e; it costs E x 2 d_t x 8 bytes.
-Readers ``turn`` rows from older blocks to a common block start R by
-angle addition, with the gap's angle split so that its product with
-omega is exact, sum them, and turn the sums to the phase omega (t - R)
-of the time they are read at (``phases_at``). So no rounded angle is
-larger than a block plus a window's span, and at Unix-epoch timestamps
-(about 1.7e9 s), with windows that straddle a block boundary and
-streams that span 1e5 to 3e7 s, the encodings match ``time_encode`` of
-each delta within 1e-9; phases against t = 0 would be about 1.7e9 rad
-and miss by about 2e-7.
+Its one reader, the encoder's window pool, ``turn``s rows from older
+blocks to a common block start R by angle addition, with the gap's
+angle split so that its product with omega is exact, sums them, and
+turns the sums to the phase omega (t - R) of the time they are read at
+(``phases_at``). So no rounded angle is larger than a block plus a
+window's span, and at Unix-epoch timestamps (about 1.7e9 s), with
+windows that straddle a block boundary and streams that span 1e5 to
+3e7 s, the encodings match ``time_encode`` of each delta within 1e-9;
+phases against t = 0 would be about 1.7e9 rad and miss by about 2e-7.
 """
 from __future__ import annotations
 
@@ -43,13 +43,10 @@ BETA = 10.0
 BLOCK = 2.0**20  # seconds; block starts are exact, and so is t minus its start for t >= 0
 
 
-def _omega(d_t: int) -> np.ndarray:
+def angular_frequencies(d_t: int) -> np.ndarray:
+    """The (d_t,) ladder omega_i = ALPHA ** (-(i - 1) / BETA), i = 1..d_t."""
     i = np.arange(1, d_t + 1, dtype=np.float64)
     return ALPHA ** (-(i - 1.0) / BETA)
-
-
-def angular_frequencies(cfg: RunConfig) -> np.ndarray:
-    return _omega(cfg.d_t)
 
 
 def time_encode(deltas: float | np.ndarray, cfg: RunConfig) -> np.ndarray:
@@ -58,7 +55,7 @@ def time_encode(deltas: float | np.ndarray, cfg: RunConfig) -> np.ndarray:
     deltas = np.asarray(deltas, dtype=np.float64)
     if deltas.size and float(deltas.min()) < 0.0:
         raise ValueError(f"negative time delta: {float(deltas.min())}")
-    return np.cos(deltas[..., None] * angular_frequencies(cfg))
+    return np.cos(deltas[..., None] * angular_frequencies(cfg.d_t))
 
 
 def block_start(ts: float | np.ndarray) -> np.ndarray:
@@ -66,29 +63,31 @@ def block_start(ts: float | np.ndarray) -> np.ndarray:
     return np.floor(np.asarray(ts, dtype=np.float64) / BLOCK) * BLOCK
 
 
+def _cos_sin(deltas: np.ndarray, d_t: int) -> np.ndarray:
+    """(m, 2 d_t) rows [cos omega delta, sin omega delta] of the (m,)
+    ``deltas``: the angles are written into the sine half and turned
+    into cosines and sines in place."""
+    rows = np.empty((deltas.size, 2 * d_t))
+    angle = rows[:, d_t:]
+    np.multiply(deltas[:, None], angular_frequencies(d_t), out=angle)
+    np.cos(angle, out=rows[:, :d_t])
+    np.sin(angle, out=angle)
+    return rows
+
+
 def phase_table(ts: np.ndarray, d_t: int) -> np.ndarray:
     """(E, 2 d_t) rows [cos omega (t - r), sin omega (t - r)] of the times
-    ``ts``, r = ``block_start(t)``.
-
-    The angles are written into the sine half and turned into cosines
-    and sines in place, so the build allocates the table and (E,)
-    temporaries only.
-    """
+    ``ts``, r = ``block_start(t)``, built in place, so the build
+    allocates the table and (E,) temporaries only."""
     ts = np.asarray(ts, dtype=np.float64)
-    table = np.empty((ts.size, 2 * d_t))
-    angle = table[:, d_t:]
-    np.multiply((ts - block_start(ts))[:, None], _omega(d_t), out=angle)
-    np.cos(angle, out=table[:, :d_t])
-    np.sin(angle, out=angle)
-    return table
+    return _cos_sin(ts - block_start(ts), d_t)
 
 
 def phases_at(ts: np.ndarray, ref: float, d_t: int) -> np.ndarray:
     """(n, 2 d_t) [cos omega (t - ref), sin omega (t - ref)] of each time,
     evaluated once per distinct time."""
     times, which = np.unique(np.asarray(ts, dtype=np.float64), return_inverse=True)
-    angle = (times - ref)[:, None] * _omega(d_t)
-    return np.concatenate([np.cos(angle), np.sin(angle)], axis=1)[which.reshape(-1)]
+    return _cos_sin(times - ref, d_t)[which.reshape(-1)]
 
 
 def turn(rows: np.ndarray, gaps: np.ndarray) -> None:
@@ -109,7 +108,7 @@ def turn(rows: np.ndarray, gaps: np.ndarray) -> None:
     starts, ends, run_gaps = starts[moved], ends[moved], gaps[starts[moved]]
     # a gap is a multiple of BLOCK, so the product with omega's leading 26
     # bits is exact; the rest of omega adds a small second angle
-    omega = _omega(d_t)
+    omega = angular_frequencies(d_t)
     split = omega * (2.0**27 + 1.0)
     high = split - (split - omega)
     big, small = run_gaps[:, None] * high, run_gaps[:, None] * (omega - high)

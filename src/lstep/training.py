@@ -39,7 +39,7 @@ import numpy as np
 
 from .autodiff import GradientTape, Tensor, backward, gather_rows
 from .config import RunConfig, config_hash, validate_config
-from .encoder import predict_link, temporal_representation
+from .encoder import predict_link, temporal_representation, window_tau
 from .events import ChronoSplit, EventStream, RecentInteractions, batch_iter
 from .losses import loss_lp, loss_pe, total_loss
 from .lpe import FrozenPE, PositionalStore, approximate_pe, commit_pe, node_rows
@@ -139,8 +139,7 @@ class _Forward:
     events and of their negatives. ``touched`` are the batch's endpoints
     and ``window`` their K most recent interactions up to and including
     the batch's last event, whose timestamp is the commit time
-    ``t_commit``. ``phase_rows`` is the stream's phase table, which the
-    commit reads.
+    ``t_commit``.
     """
 
     nodes: np.ndarray
@@ -148,7 +147,6 @@ class _Forward:
     touched: np.ndarray
     t_commit: float
     window: RecentInteractions
-    phase_rows: np.ndarray
     scores: list[tuple[Tensor, Tensor]] = field(default_factory=list)
 
     def rows(self, nodes: np.ndarray) -> np.ndarray:
@@ -212,7 +210,7 @@ def _batch_forward(
             stale, approximate_pe(store.history_matrix(stale), tensors, frozen.kernel).data
         )
         ptilde = Tensor(frozen.table[nodes])
-    fwd = _Forward(nodes, ptilde, touched, t_commit, window, stream.phase_rows(cfg.d_t))
+    fwd = _Forward(nodes, ptilde, touched, t_commit, window)
     # a representation per pair, not per union: a product row's bits vary with its row count
     for q_nodes, q_ts, recent, which in queries:
         reps = temporal_representation(
@@ -234,17 +232,17 @@ def _batch_loss(fwd: _Forward, stream: EventStream, batch: np.ndarray, neg: Samp
 
 
 def _commit_batch(
-    store: PositionalStore, params: ModelParams, cfg: RunConfig, fwd: _Forward
+    stream: EventStream, store: PositionalStore, params: ModelParams, cfg: RunConfig,
+    fwd: _Forward,
 ) -> None:
     """Commit updated encodings for every endpoint of the batch's events.
 
-    Encodings come from the forward pass; the MLP weights are whatever
+    Encodings come from the forward pass, and the commit windows' time
+    encodings are summed at ``t_commit``; the MLP weights are whatever
     ``params`` holds now (see ``commit_pe``).
     """
-    vecs = commit_pe(
-        fwd.ptilde, fwd.nodes, fwd.touched, fwd.window, fwd.t_commit, params.tensors, cfg,
-        fwd.phase_rows,
-    )
+    tau = window_tau(stream, fwd.window, np.full(fwd.touched.size, fwd.t_commit), cfg.d_t)
+    vecs = commit_pe(fwd.ptilde, fwd.nodes, fwd.touched, fwd.window, tau, params.tensors)
     store.commit(fwd.touched, vecs)
 
 
@@ -322,7 +320,7 @@ def _run_segment(
             cell.scores.append(np.hstack([pos.data, neg_probs.data]).ravel())
         if watch is not None:
             watched.append(fwd.ptilde.data[fwd.rows(watch)])
-        _commit_batch(store, params, cfg, fwd)
+        _commit_batch(stream, store, params, cfg, fwd)
     return watched
 
 
@@ -370,7 +368,7 @@ def train(stream: EventStream, split: ChronoSplit, cfg: RunConfig) -> TrainResul
                 )
             grads = backward(tape, loss, params.tensors)
             adam_step(adam, params.tensors, grads)
-            _commit_batch(store, params, cfg, fwd)
+            _commit_batch(stream, store, params, cfg, fwd)
             batch_losses.append(lval)
             report.loss_rows.append((epoch, k, lval))
 

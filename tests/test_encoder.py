@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lstep import encoder, lpe, timeenc
+from lstep import encoder, timeenc
 from lstep.autodiff import GradientTape, Tensor, backward, gather_rows, sum_all, tanh
 from lstep.config import RunConfig
 from lstep.encoder import (
@@ -13,9 +13,9 @@ from lstep.encoder import (
     phase_pool,
     predict_link,
     temporal_representation,
+    window_tau,
 )
 from lstep.events import EventStream
-from lstep.lpe import commit_pe
 from lstep.timeenc import BLOCK, block_start, time_encode
 
 
@@ -108,6 +108,29 @@ def test_link_encoding_padded_rows_contribute_nothing():
     pooled = (rows @ p["link_w1"].data).T @ p["link_sum_pool"].data.ravel()
     want = p["link_w2"].data @ np.maximum(pooled, 0.0)
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_window_tau_sums_time_encodings_of_real_slots():
+    s = _stream()
+    cfg = RunConfig(d_t=4)
+    # at t = 3: node 0's window holds events 0 (t = 1) and 2 (t = 3) after
+    # one pad; node 1's holds events 0 and 1 (t = 2), and node 2 events 1
+    # and 2; event 2's encoding at its own time is all ones
+    window = s.recent_interactions_inclusive(np.array([0, 1, 2]), 3, 3)
+    assert window.pad_mask[:, 0].all() and not window.pad_mask[:, 1:].any()
+    got = window_tau(s, window, np.full(3, 3.0), cfg.d_t)
+    want = [
+        time_encode(2.0, cfg) + time_encode(0.0, cfg),
+        time_encode(2.0, cfg) + time_encode(1.0, cfg),
+        time_encode(1.0, cfg) + time_encode(0.0, cfg),
+    ]
+    assert got.shape == (3, 4)
+    assert np.max(np.abs(got - want)) < 1e-12
+    # each query reads its own time; a window of pads alone sums to zero
+    empty = s.recent_interactions(np.array([0, 2]), np.array([1.0, 3.5]), 2)
+    got = window_tau(s, empty, np.array([1.0, 3.5]), cfg.d_t)
+    assert np.array_equal(got[0], np.zeros(4))
+    assert np.max(np.abs(got[1] - time_encode(1.5, cfg) - time_encode(0.5, cfg))) < 1e-12
 
 
 def test_temporal_representation_matches_hand_trace():
@@ -348,8 +371,8 @@ def _epoch_taus(span, rng):
     60 events over ``span`` seconds end just past a block boundary near
     1.7e9, so windows straddle it; queries follow the last event. The
     representation's sums are ``_pool_window``'s, and the commit's are
-    the ``tau_sum`` that ``commit_pe`` hands to ``refine_pe``. Returns
-    (representation, commit) sums and their references.
+    ``window_tau``'s at the last event. Returns (representation, commit)
+    sums and their references.
     """
     d, num_nodes, k, num_events = 8, 6, 5, 60
     boundary = block_start(1.7e9) + 3 * BLOCK
@@ -362,31 +385,19 @@ def _epoch_taus(span, rng):
     p = _params(rng, d_n=d, d_e=d, d_p=d, d_t=100, k=k)
     nodes = np.arange(num_nodes)
     ts = times[-1] + rng.uniform(0.0, 10.0, size=num_nodes)
+    commit_ts = np.full(num_nodes, times[-1])
     recent = s.recent_interactions(nodes, ts, k)
     window = s.recent_interactions_inclusive(nodes, num_events, k)
     for w in (recent, window):
-        blocks = block_start(np.where(w.pad_mask, np.nan, w.times))
+        blocks = block_start(np.where(w.pad_mask, np.nan, s.ts[w.event_ids]))
         assert (np.nanmin(blocks, axis=1) < np.nanmax(blocks, axis=1)).any()
 
     def reference(w, t):
-        codes = time_encode(t[:, None] - w.times, cfg)
+        codes = time_encode(t[:, None] - s.ts[w.event_ids], cfg)
         return np.where(w.pad_mask[..., None], 0.0, codes).sum(axis=1)
 
-    taus = []
-    refine = lpe.refine_pe
-
-    def capture(*args):
-        taus.append(args[4])
-        return refine(*args)
-
-    lpe.refine_pe = capture
-    try:
-        table = Tensor(rng.normal(size=(num_nodes, d)))
-        commit_pe(table, nodes, nodes, window, times[-1], p, cfg, s.phase_rows(cfg.d_t))
-    finally:
-        lpe.refine_pe = refine
-    got = _pool_window(s, recent, ts, p, cfg)[1], taus[0]
-    return got, (reference(recent, ts), reference(window, np.full(num_nodes, times[-1])))
+    got = _pool_window(s, recent, ts, p, cfg)[1], window_tau(s, window, commit_ts, cfg.d_t)
+    return got, (reference(recent, ts), reference(window, commit_ts))
 
 
 def test_phases_against_the_batch_reference_time_hold_at_epoch_timestamps(monkeypatch):
@@ -401,7 +412,7 @@ def test_phases_against_the_batch_reference_time_hold_at_epoch_timestamps(monkey
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) < 1e-9, span
     zero = lambda ts: np.zeros(np.shape(ts))  # noqa: E731
-    for module in (timeenc, encoder, lpe):
+    for module in (timeenc, encoder):
         monkeypatch.setattr(module, "block_start", zero)
     for span in spans:
         # a new stream, so its table is built against t = 0

@@ -23,35 +23,30 @@ def _tiny_stream():
 
 
 def _rows(rec):
-    """(neighbor, time, event) triples of each query row."""
-    return [
-        list(zip(n, t, e))
-        for n, t, e in zip(
-            rec.neighbors.tolist(), rec.times.tolist(), rec.event_ids.tolist()
-        )
-    ]
+    """(neighbor, event) pairs of each query row."""
+    return [list(zip(n, e)) for n, e in zip(rec.neighbors.tolist(), rec.event_ids.tolist())]
 
 
 def test_neighbor_index_is_bidirectional():
     s = _tiny_stream()
     rec = s.recent_interactions(np.array([1, 2]), 10.0, k=2)
-    assert _rows(rec) == [
-        [(0, 1.0, 0), (2, 2.0, 1)],
-        [(1, 2.0, 1), (0, 3.0, 2)],
-    ]
+    assert _rows(rec) == [[(0, 0), (2, 1)], [(1, 1), (0, 2)]]
+    assert s.ts[rec.event_ids].tolist() == [[1.0, 2.0], [2.0, 3.0]]
 
 
 def test_recent_is_strictly_before_query_time():
     s = _tiny_stream()
     rec = s.recent_interactions(np.array([1]), np.array([2.0]), k=2)
-    assert _rows(rec) == [[(PAD_ID, 2.0, -1), (0, 1.0, 0)]]
+    assert _rows(rec) == [[(PAD_ID, -1), (0, 0)]]
+    assert s.ts[rec.event_ids[~rec.pad_mask]].tolist() == [1.0]
     assert (~rec.pad_mask).sum() == 1
 
 
 def test_recent_inclusive_admits_query_time():
     s = _tiny_stream()
     rec = s.recent_interactions_inclusive(np.array([1]), 2, k=2)
-    assert _rows(rec) == [[(0, 1.0, 0), (2, 2.0, 1)]]
+    assert _rows(rec) == [[(0, 0), (2, 1)]]
+    assert s.ts[rec.event_ids].tolist() == [[1.0, 2.0]]
     assert (~rec.pad_mask).sum() == 2
 
 
@@ -59,9 +54,41 @@ def test_padding_fills_front_with_sentinels():
     s = _tiny_stream()
     rec = s.recent_interactions(np.array([0, 0]), np.array([5.0, 1.0]), k=4)
     assert rec.neighbors.tolist() == [[PAD_ID, PAD_ID, 1, 2], [PAD_ID] * 4]
-    assert rec.times.tolist() == [[5.0, 5.0, 1.0, 3.0], [1.0] * 4]
     assert rec.event_ids.tolist() == [[-1, -1, 0, 2], [-1] * 4]
     assert rec.pad_mask.tolist() == [[True, True, False, False], [True] * 4]
+
+
+# each window query, on the tiny stream's nodes 0, 1 and 2
+_QUERIES = {
+    "recent": lambda s, nodes, ts: s.recent_interactions(nodes, ts, 2),
+    "inclusive": lambda s, nodes, ts: s.recent_interactions_inclusive(nodes, 2, 2),
+    "neighbors": lambda s, nodes, ts: s.window_neighbors(nodes, ts, 1.0),
+}
+
+
+@pytest.mark.parametrize("query", _QUERIES)
+def test_window_queries_reject_a_negative_node(query):
+    with pytest.raises(ValueError, match=r"query node -1 outside \[0, 3\)"):
+        _QUERIES[query](_tiny_stream(), np.array([0, -1]), 2.0)
+
+
+@pytest.mark.parametrize("query", _QUERIES)
+def test_window_queries_reject_a_node_past_the_last(query):
+    with pytest.raises(ValueError, match=r"query node 7 outside \[0, 3\)"):
+        _QUERIES[query](_tiny_stream(), np.array([1, 7, 9]), 2.0)
+
+
+@pytest.mark.parametrize("query", ["recent", "neighbors"])
+def test_window_queries_reject_times_of_another_shape(query):
+    with pytest.raises(ValueError, match=r"query times shape \(3,\) != nodes shape \(2,\)"):
+        _QUERIES[query](_tiny_stream(), np.array([0, 1]), np.array([1.0, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize("query", ["recent", "neighbors"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_window_queries_reject_a_non_finite_time(query, bad):
+    with pytest.raises(ValueError, match=f"non-finite query time {bad}"):
+        _QUERIES[query](_tiny_stream(), np.array([0, 1, 2]), np.array([1.0, bad, np.nan]))
 
 
 def test_window_is_half_open():
@@ -389,7 +416,6 @@ def test_recent_inclusive_bound_cuts_a_tied_block():
                     np.array([1.0, 2.0, 2.0, 3.0]))
     rec = s.recent_interactions_inclusive(np.array([0, 2]), 2, k=3)
     assert rec.event_ids.tolist() == [[-1, -1, 0], [-1, -1, 1]]
-    assert rec.times.tolist() == [[2.0, 2.0, 1.0], [2.0, 2.0, 2.0]]
     rec = s.recent_interactions_inclusive(np.array([0, 2]), 3, k=3)
     assert rec.event_ids.tolist() == [[-1, 0, 2], [-1, 1, 2]]
     for bad in (0, 5):

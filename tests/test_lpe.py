@@ -19,7 +19,7 @@ from lstep.lpe import (
 )
 from lstep.peinit import InitialPE, zero_pe
 from lstep.synthetic import make_random_stream
-from lstep.timeenc import phase_table, time_encode
+from lstep.timeenc import time_encode
 
 
 def _params(d_p, length, rng=None, identity=True, d_t=4):
@@ -437,22 +437,15 @@ def test_frozen_rows_go_stale_when_the_store_commits():
     assert frozen.stale(nodes).tolist() == [0, 1, 3]
 
 
-def _window(neighbors, times, pad_mask):
+def _window(neighbors, pad_mask):
     """A hand-made (n, K) window; padded slots name no partner, and a
-    real slot's event is its flat slot position (see ``_phase_rows``)."""
+    real slot's event is its flat slot position."""
     pad_mask = np.array(pad_mask, dtype=bool)
     return RecentInteractions(
         np.where(pad_mask, PAD_ID, np.array(neighbors)),
-        np.array(times, dtype=np.float64),
         np.where(pad_mask, -1, np.arange(pad_mask.size).reshape(pad_mask.shape)),
         pad_mask,
     )
-
-
-def _phase_rows(window, d_t):
-    """The phase table of a ``_window``'s events: event i happens at the
-    time of flat slot i."""
-    return phase_table(window.times.ravel(), d_t)
 
 
 def test_commit_matches_hand_computation():
@@ -460,16 +453,13 @@ def test_commit_matches_hand_computation():
     d_p, d_t = 3, 4
     params = _params(d_p, 4, rng=rng, identity=False, d_t=d_t)
     cfg = RunConfig(d_t=d_t)
-    # node 0 commits at t = 5 with partners 1 and 2; its padded slot
-    # gathers node 0's own row, which must not count
+    # node 0 commits at t = 5 with partners 1 and 2 (at t = 3.5 and 4.5);
+    # its padded slot gathers node 0's own row, which must not count
     table = rng.normal(size=(3, d_p))
-    window = _window([[0, 1, 2]], [[5.0, 3.5, 4.5]], [[True, False, False]])
-    got = commit_pe(
-        Tensor(table), np.arange(3), np.array([0]), window, 5.0, params, cfg,
-        _phase_rows(window, d_t),
-    )[0]
-
+    window = _window([[0, 1, 2]], [[True, False, False]])
     tau = time_encode(1.5, cfg) + time_encode(0.5, cfg)
+    got = commit_pe(Tensor(table), np.arange(3), np.array([0]), window, tau[None], params)[0]
+
     nbr = table[1] + table[2]
     q = np.concatenate([tau, nbr])
     w1, w2, ws = (params[n].data for n in ("pe_w1", "pe_w2", "pe_w_self"))
@@ -485,7 +475,7 @@ def test_refine_pe_is_the_same_rows_on_and_off_the_tape():
     ids = np.array([2, 5, 7, 9])
     table = Tensor(rng.normal(size=(4, 3)), learnable=True)
     nodes = np.array([5, 9])
-    window = _window([[0, 7], [2, 7]], [[0.0, 0.0], [0.0, 0.0]], [[True, False], [False, False]])
+    window = _window([[0, 7], [2, 7]], [[True, False], [False, False]])
     tau = rng.normal(size=(2, 4))  # each window's time-encoding sum
     detached = refine_pe(table, ids, nodes, window, tau, params).data
     with GradientTape() as tape:
@@ -513,11 +503,9 @@ def test_refine_pe_is_the_same_rows_on_and_off_the_tape():
 def test_commit_with_zero_weights_is_identity():
     params = _params(2, 4)  # all-zero MLP weights
     p_tilde = np.array([[0.3, -0.7], [1.5, 2.0]])
-    window = _window([[1], [0]], [[1.0], [1.0]], [[False], [False]])
-    got = commit_pe(
-        Tensor(p_tilde), np.arange(2), np.arange(2), window, 2.0, params, RunConfig(d_t=4),
-        _phase_rows(window, 4),
-    )
+    window = _window([[1], [0]], [[False], [False]])
+    tau = np.tile(time_encode(1.0, RunConfig(d_t=4)), (2, 1))
+    got = commit_pe(Tensor(p_tilde), np.arange(2), np.arange(2), window, tau, params)
     assert np.array_equal(got, p_tilde)
 
 
@@ -529,11 +517,9 @@ def test_commit_all_padding_uses_zero_q():
     # node 1 commits with no interactions; a padded slot gathers row 0,
     # which is NaN and must not leak into q
     table = np.stack([np.full(2, np.nan), p_tilde])
-    window = _window([[0, 0]], [[3.0, 3.0]], [[True, True]])
-    got = commit_pe(
-        Tensor(table), np.arange(2), np.array([1]), window, 3.0, params, cfg,
-        _phase_rows(window, 4),
-    )[0]
+    window = _window([[0, 0]], [[True, True]])
+    tau = np.zeros((1, cfg.d_t))  # what window_tau sums over no real slot
+    got = commit_pe(Tensor(table), np.arange(2), np.array([1]), window, tau, params)[0]
     w1, w2, ws = (params[n].data for n in ("pe_w1", "pe_w2", "pe_w_self"))
     want = p_tilde + np.tanh(ws @ p_tilde + w2 @ np.maximum(w1 @ np.zeros(6), 0.0))
     assert np.max(np.abs(got - want)) < 1e-12
