@@ -229,37 +229,34 @@ def _row_blocks(n: int):
     return ((lo, min(lo + ROW_BLOCK, n)) for lo in range(0, n, ROW_BLOCK))
 
 
-def gather_sum_rows(x: Tensor, index: np.ndarray, mask: np.ndarray) -> Tensor:
-    """(n, d) sums of the rows ``x[index[i, k]]`` over the slots k where
-    ``mask[i, k]``; the gradient scatter-adds back to those rows. Every
-    index, masked or not, must name a row of ``x``."""
+def gather_sum_rows(x: Tensor, index: np.ndarray) -> Tensor:
+    """(n, d) sums of the rows ``x[index[i, k]]`` over every slot k; the
+    gradient scatter-adds back to those rows. A slot that should add
+    nothing names a zero row of ``x``."""
     x = _as_tensor(x)
     index = np.asarray(index, dtype=np.int64)
-    mask = np.asarray(mask, dtype=bool)
-    if x.data.ndim != 2 or index.ndim != 2 or mask.shape != index.shape:
+    if x.data.ndim != 2 or index.ndim != 2:
         raise ValueError(
-            f"gather_sum_rows expects 2-D data and matching 2-D index and mask, "
-            f"got {x.data.shape}, {index.shape}, {mask.shape}"
+            f"gather_sum_rows expects 2-D data and 2-D index, got {x.data.shape}, {index.shape}"
         )
     if index.size and not 0 <= index.min() <= index.max() < x.data.shape[0]:
         raise IndexError(f"gather_sum_rows index outside the {x.data.shape[0]} rows")
     # block by block, slot by slot, so no (n, K, d) pick is formed and each
     # block's sums stay in cache while its slots add up in order; the
     # indices are checked above, and "clip" lets take write to buf unbuffered
-    n, d = index.shape[0], x.data.shape[1]
+    (n, k), d = index.shape, x.data.shape[1]
     out_data = np.zeros((n, d))
     buf = np.empty((min(n, ROW_BLOCK), d))
-    cols, pads = index.T.copy(), ~mask.T
+    cols = index.T.copy()
     for lo, hi in _row_blocks(n):
         picked, acc = buf[: hi - lo], out_data[lo:hi]
-        for col, pad in zip(cols[:, lo:hi], pads[:, lo:hi]):
+        for col in cols[:, lo:hi]:
             np.take(x.data, col, axis=0, out=picked, mode="clip")
-            picked[pad] = 0.0
             acc += picked
     shape = x.data.shape
 
     def vjp(g):
-        return (_scatter_rows(shape, index[mask], g, select=np.nonzero(mask)[0]),)
+        return (_scatter_rows(shape, index.ravel(), g, select=np.repeat(np.arange(n), k)),)
 
     return _emit(out_data, (x,), vjp)
 

@@ -169,6 +169,8 @@ def _aggregate(reports: list[EvalReport]) -> dict:
 
 def cmd_train(args) -> int:
     """Train; write best checkpoint, JSON report, and loss-trace CSV."""
+    if args.aggregate and args.seed is not None:
+        return _report_problems(["--aggregate runs seeds 0..4 and takes no --seed"])
     cfg = _resolve_config(args)
     problems = config_problems(cfg) + _data_problems(cfg)
     if problems:
@@ -265,11 +267,7 @@ def cmd_eval(args) -> int:
             f"checkpoint shape hash {have} does not match config shape hash {want}"
         )
     params = init_model_params(ModelDims.from_config(cfg), seed=cfg.seed)
-    state = {k: v for k, v in tensors.items() if not k.startswith("__")}
-    missing = sorted(set(params.tensors) - set(state))
-    if missing:
-        raise ValueError(f"checkpoint missing parameters: {missing}")
-    params.load_state_arrays(state)
+    params.load_state_arrays({k: v for k, v in tensors.items() if not k.startswith("__")})
 
     stream = load_events(cfg.data, d_n=cfg.d_n, d_e=cfg.d_e, dataset=cfg.dataset)
     split = chronological_split(stream)

@@ -139,7 +139,7 @@ def _window_rows(
     of its distinct query times and of its distinct block gaps, and
     every phase stays within a block and the window's span of zero.
     """
-    real = ~window.pad_mask
+    real = window.event_ids >= 0
     # an event repeats once per endpoint in the windows; each distinct one is read once
     events, which = np.unique(window.event_ids[real], return_inverse=True)
     index = np.full(real.shape, events.size)
@@ -162,7 +162,7 @@ def window_tau(
     batch's tape has closed.
     """
     rows, index, phases = _window_rows(stream, window, ts, d_t, stream.edge_features[:, :0])
-    sums = gather_sum_rows(rows, index, ~window.pad_mask).data
+    sums = gather_sum_rows(rows, index).data
     return phases[:, :d_t] * sums[:, :d_t] + phases[:, d_t:] * sums[:, d_t:]
 
 
@@ -203,10 +203,10 @@ def temporal_representation(
     time (``EventStream.recent_interactions``). ``ptilde`` holds the
     approximate positional encodings (m, d_p) of the sorted node ids
     ``ptilde_nodes``; it must cover every query node and those
-    interactions' partners. The neighbor window is
-    ``cfg.t_gap`` long. ``params`` holds the model's tensors; the
-    positional branch is ``refine_pe`` with them, the same update the
-    commits apply.
+    interactions' partners, the null node for a padded slot. The
+    neighbor window is ``cfg.t_gap`` long. ``params`` holds the model's
+    tensors; the positional branch is ``refine_pe`` with them, the same
+    update the commits apply.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     ts = np.asarray(ts, dtype=np.float64)

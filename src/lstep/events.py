@@ -25,7 +25,6 @@ import numpy as np
 from .timeenc import phase_table
 
 __all__ = [
-    "PAD_ID",
     "RecentInteractions",
     "WindowNeighbors",
     "EventStream",
@@ -36,7 +35,6 @@ __all__ = [
     "write_manifest",
 ]
 
-PAD_ID = -1
 _LABEL_NAMES = {"label", "state_label"}
 
 
@@ -107,15 +105,16 @@ def _count_inversions(values: np.ndarray) -> int:
 class RecentInteractions:
     """Fixed-length windows of latest interactions, one row per query.
 
-    Every field is (n, K), oldest first within a row. Front positions are
-    sentinel padding (neighbor PAD_ID, event index -1) when fewer than K
-    interactions exist; downstream encoders zero the corresponding rows
-    entirely. A real slot's time is its event's, ``ts[event_ids]``.
+    Both fields are (n, K), oldest first within a row. When fewer than K
+    interactions exist, the front slots are padding: event -1 and the
+    null node ``num_nodes`` as neighbor, whose positional history is
+    zero (``lpe.PositionalStore``), so a window sum reads a zero row for
+    a pad. A slot is padded iff its event is negative; a real slot's
+    time is its event's, ``ts[event_ids]``.
     """
 
     neighbors: np.ndarray
     event_ids: np.ndarray
-    pad_mask: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -278,9 +277,7 @@ class EventStream:
         pad = pos < self._offsets[nodes][:, None]
         pos = np.where(pad, 0, pos)
         return RecentInteractions(
-            np.where(pad, PAD_ID, self._nbr[pos]),
-            np.where(pad, -1, self._eid[pos]),
-            pad,
+            np.where(pad, self.num_nodes, self._nbr[pos]), np.where(pad, -1, self._eid[pos])
         )
 
     def recent_interactions(self, nodes, ts, k: int) -> RecentInteractions:

@@ -8,7 +8,9 @@ than 1 + its interaction count commits between two resets. The store
 gives each node only that many slots, at most L, in one flat array
 with a shared zero row: a gather points every column older than a
 node's fill at that row, so neither the store nor a reset ever writes
-the padding.
+the padding. The null node, id N for N nodes, owns only that zero row
+and never commits: a padded slot of an interaction window names it, so
+its partner p~ is a zero row, with no mask.
 
 The approximation filters the d_P x L history matrix along the time
 axis in the frequency domain, multiplies by a learnable complex filter,
@@ -70,6 +72,11 @@ class PositionalStore:
     share one flat (sum(cap) + 1, d_p) array, node n's slots starting
     at its offset; the last row is zero and never written.
 
+    The null node, id ``num_nodes``, stands in for a padded window slot
+    (``events.RecentInteractions``). Its one slot is the zero row and it
+    never commits, since ``commit`` and ``reset`` refuse it, so its
+    history, and so its p~, is zero at every width.
+
     ``_commits`` counts every commit to each node: slot ``_commits %
     cap`` is the next one written, and ``min(_commits, cap)`` slots are
     filled. Slots a node has not written since the last reset may hold
@@ -87,10 +94,11 @@ class PositionalStore:
         self.num_nodes = int(counts.size)
         self.d_p = int(d_p)
         self.history_len = int(history_len)
-        self._cap = np.minimum(self.history_len, 1 + counts)
+        # the null node's one slot is the zero row, after every real slot
+        self._cap = np.append(np.minimum(self.history_len, 1 + counts), 1)
         self._offset = np.cumsum(self._cap) - self._cap
-        self._ring = np.zeros((int(self._cap.sum()) + 1, self.d_p))
-        self._commits = np.zeros(self.num_nodes, dtype=np.int64)
+        self._ring = np.zeros((int(self._cap.sum()), self.d_p))
+        self._commits = np.zeros(self.num_nodes + 1, dtype=np.int64)
 
     def _check_nodes(self, nodes: np.ndarray, what: str) -> None:
         bad = (nodes < 0) | (nodes >= self.num_nodes)
@@ -193,9 +201,10 @@ def approximate_pe(
 class FrozenPE:
     """p~ of every node through one frozen segment on ``store``.
 
-    ``kernel`` is built once, when the segment starts. ``table`` (N, d_p)
-    holds each node's p~ as last contracted, and ``contracted`` the
-    store's commit count for that node at the time (-1: never). A row
+    ``kernel`` is built once, when the segment starts. ``table`` (N + 1,
+    d_p) holds each node's p~ as last contracted, the null node's too,
+    and ``contracted`` the store's commit count for that node at the
+    time (-1: never). A row
     is stale once the store's count has moved on: only those rows need
     their histories gathered and contracted again. The table is exact
     only while the parameters that built the kernel stay fixed, so a
@@ -205,8 +214,8 @@ class FrozenPE:
     def __init__(self, store: PositionalStore, params: dict[str, Tensor]):
         self.commits = store._commits
         self.kernel = _kernel(params)
-        self.table = np.zeros((store.num_nodes, store.d_p))
-        self.contracted = np.full(store.num_nodes, -1, dtype=np.int64)
+        self.table = np.zeros((store.num_nodes + 1, store.d_p))
+        self.contracted = np.full(store.num_nodes + 1, -1, dtype=np.int64)
 
     def stale(self, nodes: np.ndarray) -> np.ndarray:
         """The ``nodes`` whose rows must be contracted again."""
@@ -243,19 +252,18 @@ def refine_pe(
     per node of ``nodes``.
 
     ``ptilde`` holds p~ (m, d_p) of the sorted node ids ``ptilde_nodes``,
-    which cover ``nodes`` and their interaction partners. q = [tau_sum,
-    nbr_sum] pools each node's ``window`` of K most recent interactions:
-    ``tau_sum`` (n, d_t) sums the time encodings of its real slots, and
-    ``nbr_sum`` their partners' p~. The representation runs it under the
-    tape and the commits detached, so both use the same weights.
+    which cover ``nodes`` and every slot's neighbor in ``window``, the
+    null node too if a slot is padded. q = [tau_sum, nbr_sum] pools each
+    node's ``window`` of K most recent interactions: ``tau_sum`` (n, d_t)
+    sums the time encodings of its real slots, and ``nbr_sum`` the p~ of
+    every slot's neighbor, which is zero for a pad. The representation
+    runs it under the tape and the commits detached, so both use the
+    same weights.
     """
     # under a tape, the order of the two gathers fixes the order in
     # which ptilde's row gradients add up, and so their last bits
     p_tilde = gather_rows(ptilde, node_rows(ptilde_nodes, nodes))
-    real = ~window.pad_mask
-    partners = np.zeros(real.shape, dtype=np.int64)
-    partners[real] = node_rows(ptilde_nodes, window.neighbors[real])
-    nbr_sum = gather_sum_rows(ptilde, partners, real)
+    nbr_sum = gather_sum_rows(ptilde, node_rows(ptilde_nodes, window.neighbors))
     q = concat(tau_sum, nbr_sum)
     gate = tanh(
         add(

@@ -68,6 +68,9 @@ class ModelParams:
         return {name: t.data.copy() for name, t in self.tensors.items()}
 
     def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
+        missing = sorted(set(self.tensors) - set(state))
+        if missing:
+            raise ValueError(f"state missing parameters: {missing}")
         for name, t in self.tensors.items():
             arr = np.asarray(state[name], dtype=np.float64)
             if arr.shape != t.data.shape:

@@ -2,8 +2,8 @@
 
 Encodes an elapsed time delta as cos(delta * omega) against a geometric
 frequency ladder omega_i = ALPHA ** (-(i - 1) / BETA), i = 1..d_t, with
-``d_t`` read from the run's ``RunConfig`` and ALPHA = BETA = 10. There
-are no learnable parameters; a zero delta encodes to the all-ones vector.
+ALPHA = BETA = 10. There are no learnable parameters; a zero delta
+encodes to the all-ones vector.
 
 The model never encodes a delta one by one. Each stream keeps a phase
 table (``phase_table``, ``EventStream.phase_rows``), one row
@@ -23,8 +23,6 @@ phases against t = 0 would be about 1.7e9 rad and miss by about 2e-7.
 from __future__ import annotations
 
 import numpy as np
-
-from .config import RunConfig
 
 __all__ = [
     "ALPHA",
@@ -49,13 +47,13 @@ def angular_frequencies(d_t: int) -> np.ndarray:
     return ALPHA ** (-(i - 1.0) / BETA)
 
 
-def time_encode(deltas: float | np.ndarray, cfg: RunConfig) -> np.ndarray:
+def time_encode(deltas: float | np.ndarray, d_t: int) -> np.ndarray:
     """Encode a non-negative delta, or each entry of an array of them:
     shape (...,) to (..., d_t), so a single delta gives a (d_t,) vector."""
     deltas = np.asarray(deltas, dtype=np.float64)
     if deltas.size and float(deltas.min()) < 0.0:
         raise ValueError(f"negative time delta: {float(deltas.min())}")
-    return np.cos(deltas[..., None] * angular_frequencies(cfg.d_t))
+    return np.cos(deltas[..., None] * angular_frequencies(d_t))
 
 
 def block_start(ts: float | np.ndarray) -> np.ndarray:

@@ -4,10 +4,11 @@ Each epoch resets the positional store to the initial snapshot encodings
 and walks the training batches in time order. One batch forward serves
 training, evaluation, the PE trace and the checks: it computes p~ once
 for every node the batch needs (endpoints, window partners and commit
-partners), the representations once per distinct (node, t) query, and
-the link probabilities as whole-batch matrix products. The batch loss
-is backed through the tape into Adam, and committed encodings
-(detached) enter the store before the next batch. Validation and test
+partners, and the null node that a padded slot names), the
+representations once per distinct (node, t) query, and the link
+probabilities as whole-batch matrix products. The batch loss is backed
+through the tape into Adam, and committed encodings (detached) enter
+the store before the next batch. Validation and test
 replays run the same forward without gradients; commits still happen,
 so the store state a batch sees never depends on anything later than
 itself.
@@ -185,7 +186,7 @@ def _batch_forward(
     end = int(batch.max()) + 1  # batches are contiguous: the commit reads [0, end)
     t_commit = float(stream.ts[end - 1])
     window = stream.recent_interactions_inclusive(touched, end, k)
-    need = [touched, window.neighbors[~window.pad_mask]]
+    need = [touched, window.neighbors.ravel()]
     if extra is not None:
         need.append(np.asarray(extra, dtype=np.int64))
     queries = []
@@ -198,7 +199,7 @@ def _batch_forward(
         )
         q_nodes, q_ts = uniq[:, 0].astype(np.int64), uniq[:, 1]
         recent = stream.recent_interactions(q_nodes, q_ts, k)
-        need += [q_nodes, recent.neighbors[~recent.pad_mask]]
+        need += [q_nodes, recent.neighbors.ravel()]
         queries.append((q_nodes, q_ts, recent, which.reshape(-1)))
     nodes = np.unique(np.concatenate(need))
     tensors = params.tensors

@@ -111,38 +111,69 @@ def test_pooling_op_gradients():
     rng = np.random.default_rng(4)
     x = Tensor(rng.normal(size=(4, 3)), learnable=True)
     index = np.array([[2, 0, 2], [1, 3, 3], [0, 0, 1]])  # repeated rows within a sum
-    mask = np.array([[True, False, True], [False, False, False], [True, True, True]])
-    want = np.stack([x.data[index[i]][mask[i]].sum(axis=0) for i in range(3)])
-    assert np.allclose(gather_sum_rows(x, index, mask).data, want, atol=1e-14)
+    want = np.stack([x.data[index[i]].sum(axis=0) for i in range(3)])
+    assert np.allclose(gather_sum_rows(x, index).data, want, atol=1e-14)
 
     def build():
-        return sum_all(tanh(gather_sum_rows(x, index, mask)))
+        return sum_all(tanh(gather_sum_rows(x, index)))
 
     _fd_check(build, {"x": x})
     with pytest.raises(ValueError, match="gather_sum_rows expects"):
-        gather_sum_rows(x, index, mask[:, :2])
+        gather_sum_rows(x, index[0])
+
+
+def _slot_data(n, k, rng):
+    """37 random rows and a zero row 37; each slot is padded with
+    probability 0.3, and a padded slot names the zero row."""
+    x = np.vstack([rng.normal(size=(37, 11)), np.zeros(11)])
+    index = rng.integers(0, 37, size=(n, k))
+    real = rng.random((n, k)) < 0.7
+    index[~real] = 37
+    return x, index, real
 
 
 def test_gather_sum_rows_blocks_add_as_one_slot_walk():
     """The row-blocked walk adds each row's slots in slot order, so its
-    sums equal a whole-batch slot walk bit for bit, across blocks and
-    with padded slots; any index outside the rows raises, padded or not."""
+    sums equal a whole-batch slot walk bit for bit, across blocks; any
+    index outside the rows raises."""
     rng = np.random.default_rng(8)
     for n, k in ((1, 1), (63, 3), (64, 5), (200, 20)):
-        x = Tensor(rng.normal(size=(37, 11)))
-        index = rng.integers(0, 37, size=(n, k))
-        mask = rng.random((n, k)) < 0.7
+        x, index, _ = _slot_data(n, k, rng)
         want = np.zeros((n, 11))
         for j in range(k):
-            picked = x.data[index[:, j]]
-            picked[~mask[:, j]] = 0.0
-            want += picked
-        assert np.array_equal(gather_sum_rows(x, index, mask).data, want)
-    mask[0, 0] = False
-    for bad in (37, -1):
+            want += x[index[:, j]]
+        assert np.array_equal(gather_sum_rows(Tensor(x), index).data, want)
+    for bad in (38, -1):
         index[0, 0] = bad
-        with pytest.raises(IndexError, match="outside the 37 rows"):
-            gather_sum_rows(x, index, mask)
+        with pytest.raises(IndexError, match="outside the 38 rows"):
+            gather_sum_rows(Tensor(x), index)
+
+
+def test_gather_sum_rows_pads_at_a_zero_row_equal_skipping_them():
+    """A padded slot that names a zero row adds nothing: the sums equal a
+    per-slot loop that skips the pads, bit for bit, and so do the
+    gradients of every other row; the zero row takes the pads' gradient.
+    The output gradient holds small integers, so its sums are exact in
+    any order."""
+    rng = np.random.default_rng(8)
+    for n, k in ((1, 1), (63, 3), (64, 5), (200, 20)):
+        x, index, real = _slot_data(n, k, rng)
+        want = np.zeros((n, 11))
+        for j in range(k):
+            want[real[:, j]] += x[index[real[:, j], j]]
+        g = rng.integers(-8, 9, size=(n, 11)).astype(np.float64)
+        want_grad = np.zeros_like(x)
+        for i, j in zip(*np.nonzero(real)):  # row-major: each row's slots in order
+            want_grad[index[i, j]] += g[i]
+        leaf = Tensor(x, learnable=True)
+        with GradientTape() as tape:
+            out = gather_sum_rows(leaf, index)
+            loss = sum_all(elementwise_mul(out, Tensor(g)))
+        assert np.array_equal(out.data, want)
+        grad = backward(tape, loss, {"x": leaf})["x"]
+        assert np.array_equal(grad[:37], want_grad[:37])
+        pads = (~real).sum(axis=1, keepdims=True)  # each pad slot adds its row's g
+        assert np.array_equal(grad[37], (pads * g).sum(axis=0))
 
 
 def test_batched_ops_gradients():

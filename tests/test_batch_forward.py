@@ -102,8 +102,8 @@ def _ref_rep(stream, params, pt, node, t):
     tau = np.zeros(CFG.d_t)
     nbr = np.zeros(CFG.d_p)
     for slot, (p, te, i) in enumerate(recent):
-        rows[pad + slot] = np.concatenate([time_encode(t - te, CFG), stream.edge_features[i]])
-        tau += time_encode(t - te, CFG)
+        rows[pad + slot] = np.concatenate([time_encode(t - te, CFG.d_t), stream.edge_features[i]])
+        tau += time_encode(t - te, CFG.d_t)
         nbr += pt[int(p)]
     pooled = (rows @ w["link_w1"]).T @ w["link_sum_pool"].ravel()
     h_e = w["link_w2"] @ np.maximum(pooled, 0.0)
@@ -129,7 +129,7 @@ def _ref_commit(stream, params, pt, batch):
     for node in sorted(set(stream.src[batch]) | set(stream.dst[batch])):
         tau, nbr = np.zeros(CFG.d_t), np.zeros(CFG.d_p)
         for p, te, _ in _ref_window(stream, node, t_c, end=batch[-1] + 1):
-            tau += time_encode(t_c - te, CFG)
+            tau += time_encode(t_c - te, CFG.d_t)
             nbr += pt[int(p)]
         q = np.concatenate([tau, nbr])
         hidden = w["pe_w2"] @ np.maximum(w["pe_w1"] @ q, 0.0)

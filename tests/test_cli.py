@@ -237,6 +237,19 @@ def test_train_lists_every_validation_problem_before_compute(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_refuses_aggregate_with_a_seed(tmp_path, monkeypatch, capsys):
+    events = _ingest(tmp_path)
+    cfg_path = tmp_path / "agg.cfg"
+    cfg_path.write_text(_cfg_text(events, max_epochs=1))
+    out = tmp_path / "agg"
+    monkeypatch.setattr(cli, "load_events", lambda *a, **k: pytest.fail("events were loaded"))
+    assert main(["train", "--config", str(cfg_path), "--out", str(out),
+                 "--aggregate", "--seed", "7"]) == 1
+    err = capsys.readouterr().err
+    assert "--aggregate" in err and "--seed" in err
+    assert not out.exists()
+
+
 def test_train_aggregate_emits_per_seed_and_mean_std(tmp_path):
     events = _ingest(tmp_path)
     cfg_path = tmp_path / "agg.cfg"
@@ -354,7 +367,7 @@ def test_eval_names_the_parameters_a_checkpoint_lacks(tmp_path, capsys):
     short = tmp_path / "short.lstp"
     save_container(short, tensors, meta)
     assert main(["eval", "--checkpoint", str(short), "--out", str(tmp_path / "e")]) == 1
-    assert "checkpoint missing parameters: ['pred_w2']" in capsys.readouterr().err
+    assert "state missing parameters: ['pred_w2']" in capsys.readouterr().err
 
 
 def test_train_rejects_an_event_file_narrower_than_d_e(tmp_path, capsys):

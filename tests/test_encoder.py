@@ -88,8 +88,8 @@ def test_link_encoding_matches_hand_trace():
 
     # node 0 history: (1, 1.0, event 0), (2, 3.0, event 2)
     rows = np.zeros((2, 6))
-    rows[0] = np.concatenate([time_encode(3.0, cfg), s.edge_features[0]])
-    rows[1] = np.concatenate([time_encode(1.0, cfg), s.edge_features[2]])
+    rows[0] = np.concatenate([time_encode(3.0, cfg.d_t), s.edge_features[0]])
+    rows[1] = np.concatenate([time_encode(1.0, cfg.d_t), s.edge_features[2]])
     pooled = (rows @ p["link_w1"].data).T @ p["link_sum_pool"].data.ravel()
     want = p["link_w2"].data @ np.maximum(pooled, 0.0)
     assert np.max(np.abs(got - want)) < 1e-12
@@ -103,8 +103,8 @@ def test_link_encoding_padded_rows_contribute_nothing():
     got = _link_encoding(s, np.array([0]), np.array([4.0]), p, cfg).data[0]
 
     rows = np.zeros((5, 6))
-    rows[3] = np.concatenate([time_encode(3.0, cfg), s.edge_features[0]])
-    rows[4] = np.concatenate([time_encode(1.0, cfg), s.edge_features[2]])
+    rows[3] = np.concatenate([time_encode(3.0, cfg.d_t), s.edge_features[0]])
+    rows[4] = np.concatenate([time_encode(1.0, cfg.d_t), s.edge_features[2]])
     pooled = (rows @ p["link_w1"].data).T @ p["link_sum_pool"].data.ravel()
     want = p["link_w2"].data @ np.maximum(pooled, 0.0)
     assert np.max(np.abs(got - want)) < 1e-12
@@ -117,12 +117,12 @@ def test_window_tau_sums_time_encodings_of_real_slots():
     # one pad; node 1's holds events 0 and 1 (t = 2), and node 2 events 1
     # and 2; event 2's encoding at its own time is all ones
     window = s.recent_interactions_inclusive(np.array([0, 1, 2]), 3, 3)
-    assert window.pad_mask[:, 0].all() and not window.pad_mask[:, 1:].any()
+    assert (window.event_ids[:, 0] < 0).all() and (window.event_ids[:, 1:] >= 0).all()
     got = window_tau(s, window, np.full(3, 3.0), cfg.d_t)
     want = [
-        time_encode(2.0, cfg) + time_encode(0.0, cfg),
-        time_encode(2.0, cfg) + time_encode(1.0, cfg),
-        time_encode(1.0, cfg) + time_encode(0.0, cfg),
+        time_encode(2.0, cfg.d_t) + time_encode(0.0, cfg.d_t),
+        time_encode(2.0, cfg.d_t) + time_encode(1.0, cfg.d_t),
+        time_encode(1.0, cfg.d_t) + time_encode(0.0, cfg.d_t),
     ]
     assert got.shape == (3, 4)
     assert np.max(np.abs(got - want)) < 1e-12
@@ -130,7 +130,7 @@ def test_window_tau_sums_time_encodings_of_real_slots():
     empty = s.recent_interactions(np.array([0, 2]), np.array([1.0, 3.5]), 2)
     got = window_tau(s, empty, np.array([1.0, 3.5]), cfg.d_t)
     assert np.array_equal(got[0], np.zeros(4))
-    assert np.max(np.abs(got[1] - time_encode(1.5, cfg) - time_encode(0.5, cfg))) < 1e-12
+    assert np.max(np.abs(got[1] - time_encode(1.5, cfg.d_t) - time_encode(0.5, cfg.d_t))) < 1e-12
 
 
 def test_temporal_representation_matches_hand_trace():
@@ -150,7 +150,7 @@ def test_temporal_representation_matches_hand_trace():
     h_n = s.node_features[0] + (s.node_features[1] + s.node_features[2]) / 2.0
     h_e = _link_encoding(s, np.array([0]), np.array([t]), p, cfg).data[0]
     h_ne = p["fuse_w"].data @ np.concatenate([h_n, h_e])
-    tau = time_encode(3.0, cfg) + time_encode(1.0, cfg)
+    tau = time_encode(3.0, cfg.d_t) + time_encode(1.0, cfg.d_t)
     h_hat = np.concatenate([tau, ptil[1] + ptil[2]])
     gate = np.tanh(
         p["pe_w_self"].data @ ptil[0]
@@ -166,11 +166,12 @@ def test_temporal_representation_no_history_uses_zero_context():
     p = _params(rng)
     cfg = RunConfig(d_t=4, t_gap=0.5, recent_k=2)
     ptil = np.array([0.25, 0.75])
-    # node 2 has no interaction strictly before t=2.0
+    # node 2 has no interaction strictly before t=2.0: both its slots
+    # name the null node 3, whose p~ row is zero
     nodes, ts = np.array([2]), np.array([2.0])
     got = temporal_representation(
         s, nodes, ts, p, cfg,
-        ptilde=Tensor(np.tile(ptil, (3, 1))), ptilde_nodes=np.arange(3),
+        ptilde=Tensor(np.vstack([np.tile(ptil, (3, 1)), np.zeros(2)])), ptilde_nodes=np.arange(4),
         recent=s.recent_interactions(nodes, ts, cfg.recent_k),
     ).data[0]
 
@@ -296,15 +297,16 @@ def test_pooling_gradients_match_central_differences():
     s = _stream()
     p = _params(rng, k=3)
     cfg = RunConfig(d_t=4, t_gap=10.0, recent_k=3)
-    table = Tensor(rng.normal(size=(3, 2)), learnable=True)
+    # row 3 is the null node's, which the padded slots read
+    table = Tensor(np.vstack([rng.normal(size=(3, 2)), np.zeros((1, 2))]), learnable=True)
     nodes, ts = np.array([0, 2]), np.array([4.0, 3.5])
     recent = s.recent_interactions(nodes, ts, cfg.recent_k)
-    assert recent.pad_mask[:, 0].all() and not recent.pad_mask[:, 1:].any()
+    assert (recent.event_ids[:, 0] < 0).all() and (recent.event_ids[:, 1:] >= 0).all()
     assert recent.event_ids[0, 2] == recent.event_ids[1, 2] == 2
 
     def loss():
         reps = temporal_representation(
-            s, nodes, ts, p, cfg, ptilde=table, ptilde_nodes=np.arange(3), recent=recent
+            s, nodes, ts, p, cfg, ptilde=table, ptilde_nodes=np.arange(4), recent=recent
         )
         return sum_all(tanh(reps))
 
@@ -356,7 +358,7 @@ def test_representation_memory_does_not_scale_with_window_slots():
         tracemalloc.start()
         try:
             temporal_representation(
-                s, nodes, ts, p, cfg, ptilde=table, ptilde_nodes=np.arange(3), recent=recent
+                s, nodes, ts, p, cfg, ptilde=table, ptilde_nodes=np.arange(4), recent=recent
             )
             peaks[k] = tracemalloc.get_traced_memory()[1]
         finally:
@@ -389,12 +391,12 @@ def _epoch_taus(span, rng):
     recent = s.recent_interactions(nodes, ts, k)
     window = s.recent_interactions_inclusive(nodes, num_events, k)
     for w in (recent, window):
-        blocks = block_start(np.where(w.pad_mask, np.nan, s.ts[w.event_ids]))
+        blocks = block_start(np.where(w.event_ids < 0, np.nan, s.ts[w.event_ids]))
         assert (np.nanmin(blocks, axis=1) < np.nanmax(blocks, axis=1)).any()
 
     def reference(w, t):
-        codes = time_encode(t[:, None] - s.ts[w.event_ids], cfg)
-        return np.where(w.pad_mask[..., None], 0.0, codes).sum(axis=1)
+        codes = time_encode(t[:, None] - s.ts[w.event_ids], cfg.d_t)
+        return np.where(w.event_ids[..., None] < 0, 0.0, codes).sum(axis=1)
 
     got = _pool_window(s, recent, ts, p, cfg)[1], window_tau(s, window, commit_ts, cfg.d_t)
     return got, (reference(recent, ts), reference(window, commit_ts))

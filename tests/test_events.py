@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from lstep.events import (
-    PAD_ID,
     EventStream,
     batch_iter,
     chronological_split,
@@ -37,9 +36,9 @@ def test_neighbor_index_is_bidirectional():
 def test_recent_is_strictly_before_query_time():
     s = _tiny_stream()
     rec = s.recent_interactions(np.array([1]), np.array([2.0]), k=2)
-    assert _rows(rec) == [[(PAD_ID, -1), (0, 0)]]
-    assert s.ts[rec.event_ids[~rec.pad_mask]].tolist() == [1.0]
-    assert (~rec.pad_mask).sum() == 1
+    assert _rows(rec) == [[(s.num_nodes, -1), (0, 0)]]
+    assert s.ts[rec.event_ids[rec.event_ids >= 0]].tolist() == [1.0]
+    assert (rec.event_ids >= 0).sum() == 1
 
 
 def test_recent_inclusive_admits_query_time():
@@ -47,15 +46,17 @@ def test_recent_inclusive_admits_query_time():
     rec = s.recent_interactions_inclusive(np.array([1]), 2, k=2)
     assert _rows(rec) == [[(0, 0), (2, 1)]]
     assert s.ts[rec.event_ids].tolist() == [[1.0, 2.0]]
-    assert (~rec.pad_mask).sum() == 2
+    assert (rec.event_ids >= 0).sum() == 2
 
 
 def test_padding_fills_front_with_sentinels():
+    # a padded slot names the null node, id num_nodes, and event -1
     s = _tiny_stream()
     rec = s.recent_interactions(np.array([0, 0]), np.array([5.0, 1.0]), k=4)
-    assert rec.neighbors.tolist() == [[PAD_ID, PAD_ID, 1, 2], [PAD_ID] * 4]
+    null = s.num_nodes
+    assert null == 3
+    assert rec.neighbors.tolist() == [[null, null, 1, 2], [null] * 4]
     assert rec.event_ids.tolist() == [[-1, -1, 0, 2], [-1] * 4]
-    assert rec.pad_mask.tolist() == [[True, True, False, False], [True] * 4]
 
 
 # each window query, on the tiny stream's nodes 0, 1 and 2
@@ -167,7 +168,7 @@ def test_load_events_sort_count_and_index_match_loop_references(tmp_path):
             ends = zip(s.src.tolist(), s.dst.tolist())
             touching = [(i, v if u == node else u) for i, (u, v) in enumerate(ends)
                         if node in (u, v)]
-            real = ~rec.pad_mask[node]
+            real = rec.event_ids[node] >= 0
             got = list(zip(rec.event_ids[node][real].tolist(),
                            rec.neighbors[node][real].tolist()))
             assert got == touching
@@ -183,8 +184,8 @@ def test_tied_timestamps_keep_input_order():
 def test_self_loop_indexed_once():
     s = EventStream(np.array([3, 0]), np.array([3, 1]), np.array([1.0, 2.0]))
     rec = s.recent_interactions(np.array([3]), np.array([9.0]), k=3)
-    assert (~rec.pad_mask).sum() == 1
-    assert rec.neighbors.tolist() == [[PAD_ID, PAD_ID, 3]]
+    assert (rec.event_ids >= 0).sum() == 1
+    assert rec.neighbors.tolist() == [[4, 4, 3]]
 
 
 def test_interaction_counts_count_a_self_loop_once():

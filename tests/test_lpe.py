@@ -7,7 +7,7 @@ import pytest
 
 from lstep.autodiff import GradientTape, Tensor, add, backward, norm2, sum_all, tanh
 from lstep.config import RunConfig, apply_preset
-from lstep.events import PAD_ID, RecentInteractions
+from lstep.events import RecentInteractions
 from lstep.lpe import (
     FrozenPE,
     PositionalStore,
@@ -290,6 +290,39 @@ def test_reset_rejects_mismatched_table():
         assert np.array_equal(store._commits, commits)
 
 
+def test_null_node_history_is_zero_at_every_width():
+    # the null node, id num_nodes, stands in for a padded window slot
+    length = 4
+    store = PositionalStore(np.array([5, 0, 2]), 2, history_len=length)
+    null = np.array([store.num_nodes])
+
+    def null_is_zero(width):
+        assert not store.history_matrix(null).any()
+        both = store.history_matrix(np.array([0, store.num_nodes, 2]))
+        assert both.shape == (3, 2, width)
+        assert not both[1].any()
+
+    null_is_zero(1)
+    store.commit(np.array([0, 2]), np.ones((2, 2)))
+    null_is_zero(1)
+    for v in range(5):  # node 0 fills and wraps its ring
+        store.commit(np.array([0]), np.full((1, 2), v + 2.0))
+    null_is_zero(length)
+    assert store.history_matrix(np.array([0]))[0, 0].tolist() == [3.0, 4.0, 5.0, 6.0]
+    store.reset(InitialPE(np.ones((3, 2)), "random", np.array([0, 1, 2])))
+    null_is_zero(1)
+    assert store._ring.shape == (4 + 1 + 3 + 1, 2)  # the zero row is the null node's one slot
+
+
+def test_store_refuses_the_null_node():
+    store = PositionalStore(np.full(3, 2), 2, history_len=2)
+    with pytest.raises(ValueError, match=r"commit node 3 outside \[0, 3\)"):
+        store.commit(np.array([1, 3]), np.ones((2, 2)))
+    with pytest.raises(ValueError, match=r"initial PE node 3 outside \[0, 3\)"):
+        store.reset(InitialPE(np.ones((3, 2)), "random", np.array([3])))
+    assert not store._commits.any() and not store._ring.any()
+
+
 def test_store_refuses_a_short_history_and_bad_counts():
     with pytest.raises(ValueError, match=r"^history length must be >= 1, got 0$"):
         PositionalStore(np.full(3, 2), 2, history_len=0)
@@ -437,15 +470,12 @@ def test_frozen_rows_go_stale_when_the_store_commits():
     assert frozen.stale(nodes).tolist() == [0, 1, 3]
 
 
-def _window(neighbors, pad_mask):
-    """A hand-made (n, K) window; padded slots name no partner, and a
-    real slot's event is its flat slot position."""
-    pad_mask = np.array(pad_mask, dtype=bool)
-    return RecentInteractions(
-        np.where(pad_mask, PAD_ID, np.array(neighbors)),
-        np.where(pad_mask, -1, np.arange(pad_mask.size).reshape(pad_mask.shape)),
-        pad_mask,
-    )
+def _window(neighbors, null):
+    """A hand-made (n, K) window; a slot that names the null node ``null``
+    is padded, and a real slot's event is its flat slot position."""
+    neighbors = np.array(neighbors)
+    pad = neighbors == null
+    return RecentInteractions(neighbors, np.where(pad, -1, np.arange(pad.size).reshape(pad.shape)))
 
 
 def test_commit_matches_hand_computation():
@@ -454,11 +484,11 @@ def test_commit_matches_hand_computation():
     params = _params(d_p, 4, rng=rng, identity=False, d_t=d_t)
     cfg = RunConfig(d_t=d_t)
     # node 0 commits at t = 5 with partners 1 and 2 (at t = 3.5 and 4.5);
-    # its padded slot gathers node 0's own row, which must not count
-    table = rng.normal(size=(3, d_p))
-    window = _window([[0, 1, 2]], [[True, False, False]])
-    tau = time_encode(1.5, cfg) + time_encode(0.5, cfg)
-    got = commit_pe(Tensor(table), np.arange(3), np.array([0]), window, tau[None], params)[0]
+    # its padded slot names the null node 3, whose p~ row is zero
+    table = np.vstack([rng.normal(size=(3, d_p)), np.zeros(d_p)])
+    window = _window([[3, 1, 2]], null=3)
+    tau = time_encode(1.5, cfg.d_t) + time_encode(0.5, cfg.d_t)
+    got = commit_pe(Tensor(table), np.arange(4), np.array([0]), window, tau[None], params)[0]
 
     nbr = table[1] + table[2]
     q = np.concatenate([tau, nbr])
@@ -471,11 +501,12 @@ def test_commit_matches_hand_computation():
 def test_refine_pe_is_the_same_rows_on_and_off_the_tape():
     rng = np.random.default_rng(55)
     params = _params(3, 4, rng=rng, identity=False)
-    # rows of nodes 2, 5, 7, 9: 5 and 9 are queried, 2 is only a partner
-    ids = np.array([2, 5, 7, 9])
-    table = Tensor(rng.normal(size=(4, 3)), learnable=True)
+    # rows of nodes 2, 5, 7, 9 and the null node 10: 5 and 9 are queried,
+    # 2 is only a partner, and 10 is a padded slot with a zero p~
+    ids = np.array([2, 5, 7, 9, 10])
+    table = Tensor(np.vstack([rng.normal(size=(4, 3)), np.zeros(3)]), learnable=True)
     nodes = np.array([5, 9])
-    window = _window([[0, 7], [2, 7]], [[True, False], [False, False]])
+    window = _window([[10, 7], [2, 7]], null=10)
     tau = rng.normal(size=(2, 4))  # each window's time-encoding sum
     detached = refine_pe(table, ids, nodes, window, tau, params).data
     with GradientTape() as tape:
@@ -503,8 +534,8 @@ def test_refine_pe_is_the_same_rows_on_and_off_the_tape():
 def test_commit_with_zero_weights_is_identity():
     params = _params(2, 4)  # all-zero MLP weights
     p_tilde = np.array([[0.3, -0.7], [1.5, 2.0]])
-    window = _window([[1], [0]], [[False], [False]])
-    tau = np.tile(time_encode(1.0, RunConfig(d_t=4)), (2, 1))
+    window = _window([[1], [0]], null=2)
+    tau = np.tile(time_encode(1.0, 4), (2, 1))
     got = commit_pe(Tensor(p_tilde), np.arange(2), np.arange(2), window, tau, params)
     assert np.array_equal(got, p_tilde)
 
@@ -514,12 +545,12 @@ def test_commit_all_padding_uses_zero_q():
     params = _params(2, 4, rng=rng, identity=False)
     cfg = RunConfig(d_t=4)
     p_tilde = rng.normal(size=2)
-    # node 1 commits with no interactions; a padded slot gathers row 0,
-    # which is NaN and must not leak into q
-    table = np.stack([np.full(2, np.nan), p_tilde])
-    window = _window([[0, 0]], [[True, True]])
+    # node 1 commits with no interactions: both slots name the null
+    # node 2, whose p~ row is zero, so q is zero
+    table = np.stack([np.full(2, np.nan), p_tilde, np.zeros(2)])
+    window = _window([[2, 2]], null=2)
     tau = np.zeros((1, cfg.d_t))  # what window_tau sums over no real slot
-    got = commit_pe(Tensor(table), np.arange(2), np.array([1]), window, tau, params)[0]
+    got = commit_pe(Tensor(table), np.arange(3), np.array([1]), window, tau, params)[0]
     w1, w2, ws = (params[n].data for n in ("pe_w1", "pe_w2", "pe_w_self"))
     want = p_tilde + np.tanh(ws @ p_tilde + w2 @ np.maximum(w1 @ np.zeros(6), 0.0))
     assert np.max(np.abs(got - want)) < 1e-12

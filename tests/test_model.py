@@ -96,3 +96,17 @@ def test_state_arrays_round_trip():
     state["fuse_w"] = np.zeros((2, 2))
     with pytest.raises(ValueError, match="stored shape"):
         b.load_state_arrays(state)
+
+
+def test_load_state_names_every_missing_tensor_sorted():
+    params = init_model_params(DIMS, seed=4)
+    before = params.state_arrays()
+    state = init_model_params(DIMS, seed=5).state_arrays()
+    for name in ("pred_w2", "fuse_w", "out_w"):
+        del state[name]
+    message = r"^state missing parameters: \['fuse_w', 'out_w', 'pred_w2'\]$"
+    with pytest.raises(ValueError, match=message):
+        params.load_state_arrays(state)
+    # nothing was loaded
+    for name, arr in before.items():
+        assert np.array_equal(params.tensors[name].data, arr)

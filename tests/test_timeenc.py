@@ -35,14 +35,14 @@ def test_frequencies_follow_power_law():
 
 
 def test_zero_delta_encodes_to_ones():
-    enc = time_encode(0.0, RunConfig())
+    enc = time_encode(0.0, 100)
     assert np.array_equal(enc, np.ones(100))
 
 
 def test_matches_scalar_cosine():
     cfg = RunConfig(d_t=8)
     omega = angular_frequencies(cfg.d_t)
-    enc = time_encode(3.7, cfg)
+    enc = time_encode(3.7, cfg.d_t)
     for i in range(8):
         assert abs(enc[i] - math.cos(3.7 * omega[i])) < 1e-15
 
@@ -51,7 +51,7 @@ def test_large_delta_tail_is_slow():
     # highest index frequency is ALPHA^(-(d-1)/BETA) = 1e-9.9; at delta = 1e6
     # the final coordinate has barely moved off 1
     cfg = RunConfig()
-    enc = time_encode(1e6, cfg)
+    enc = time_encode(1e6, cfg.d_t)
     want = math.cos(1e6 * 10.0 ** (-99.0 / 10.0))
     assert abs(enc[-1] - want) < 1e-15
     assert enc[-1] > 0.999999
@@ -59,28 +59,28 @@ def test_large_delta_tail_is_slow():
 
 def test_negative_delta_rejected():
     with pytest.raises(ValueError, match="negative time delta"):
-        time_encode(-0.5, RunConfig())
+        time_encode(-0.5, 100)
     with pytest.raises(ValueError, match=r"negative time delta: -2\.0"):
-        time_encode(np.array([[1.0, -2.0], [0.0, 3.0]]), RunConfig())
+        time_encode(np.array([[1.0, -2.0], [0.0, 3.0]]), 100)
 
 
 def test_values_bounded():
     rng = np.random.default_rng(41)
     cfg = RunConfig(d_t=16)
     for _ in range(50):
-        enc = time_encode(float(rng.uniform(0, 1e7)), cfg)
+        enc = time_encode(float(rng.uniform(0, 1e7)), cfg.d_t)
         assert np.all(enc <= 1.0) and np.all(enc >= -1.0)
 
 
 def test_batch_matches_single():
     cfg = RunConfig(d_t=12)
     deltas = np.array([0.0, 1.0, 2.5, 100.0])
-    batch = time_encode(deltas, cfg)
+    batch = time_encode(deltas, cfg.d_t)
     assert batch.shape == (4, 12)
     for i, d in enumerate(deltas):
-        assert np.array_equal(batch[i], time_encode(float(d), cfg))
-    assert time_encode(deltas.reshape(2, 2), cfg).shape == (2, 2, 12)
-    assert time_encode(np.array([]), cfg).shape == (0, 12)
+        assert np.array_equal(batch[i], time_encode(float(d), cfg.d_t))
+    assert time_encode(deltas.reshape(2, 2), cfg.d_t).shape == (2, 2, 12)
+    assert time_encode(np.array([]), cfg.d_t).shape == (0, 12)
 
 
 def test_phase_table_rows_are_phases_within_their_block():

@@ -420,7 +420,7 @@ def test_commit_reads_pre_step_encodings_and_post_step_weights(monkeypatch):
         tau, nbr = np.zeros(cfg.d_t), np.zeros(cfg.d_p)
         touching = [i for i in range(batch[-1] + 1) if node in (s.src[i], s.dst[i])]
         for i in touching[-cfg.recent_k:]:
-            tau += time_encode(t_c - s.ts[i], cfg)
+            tau += time_encode(t_c - s.ts[i], cfg.d_t)
             nbr += p_tilde[s.dst[i] if s.src[i] == node else s.src[i]]
         hidden = w["pe_w2"] @ np.maximum(w["pe_w1"] @ np.concatenate([tau, nbr]), 0.0)
         return p_tilde[node] + np.tanh(w["pe_w_self"] @ p_tilde[node] + hidden)
