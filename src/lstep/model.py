@@ -68,16 +68,20 @@ class ModelParams:
         return {name: t.data.copy() for name, t in self.tensors.items()}
 
     def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
+        """Give every tensor a copy of its array in ``state``; a missing
+        tensor or a wrong shape raises before any tensor changes."""
         missing = sorted(set(self.tensors) - set(state))
         if missing:
             raise ValueError(f"state missing parameters: {missing}")
-        for name, t in self.tensors.items():
-            arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != t.data.shape:
+        arrays = {name: np.array(state[name], dtype=np.float64) for name in self.tensors}
+        for name, arr in arrays.items():
+            if arr.shape != self.tensors[name].data.shape:
                 raise ValueError(
-                    f"parameter {name!r}: stored shape {arr.shape} != {t.data.shape}"
+                    f"parameter {name!r}: stored shape {arr.shape} != "
+                    f"{self.tensors[name].data.shape}"
                 )
-            t.data = arr.copy()
+        for name, arr in arrays.items():
+            self.tensors[name].data = arr
 
 
 def init_model_params(dims: ModelDims, seed: int = 0) -> ModelParams:

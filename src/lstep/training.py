@@ -421,8 +421,14 @@ def evaluate_cells(
     one frozen segment that runs one forward and one commit per batch
     for all the cells; each cell draws its negatives from a sampler of
     its own, seeded with ``seed``, and has a representation of its own
-    in that forward, so it scores exactly as a one-cell call does.
+    in that forward, so it scores exactly as a one-cell call does. An
+    empty cell list raises, as it would score nothing.
     """
+    cells = list(cells)
+    if not cells:
+        raise ValueError(
+            "evaluate_cells needs at least one (setting, strategy) cell, got cells=[]"
+        )
     validate_config(cfg)
     _require_widths(stream, cfg)
     runs = []

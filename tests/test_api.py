@@ -2,7 +2,10 @@
 declared, and the package imports only declared names."""
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +40,24 @@ def test_package_imports_only_declared_names():
         module = importlib.import_module(f"lstep.{node.module}")
         for alias in node.names:
             assert alias.name in module.__all__, (node.module, alias.name)
+
+
+def test_the_package_runs_on_numpy_alone():
+    """Importing lstep and every submodule, cli and checks included, in a
+    fresh interpreter loads no scipy: the package declares numpy only,
+    though its tests and the bench's verifier use scipy."""
+    code = (
+        "import importlib, pkgutil, sys, lstep\n"
+        "for m in pkgutil.iter_modules(lstep.__path__):\n"
+        "    importlib.import_module('lstep.' + m.name)\n"
+        "print(sorted(m.name for m in pkgutil.iter_modules(lstep.__path__)))\n"
+        "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(lstep.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path}, check=True,
+    ).stdout.splitlines()
+    assert out == [str(MODULES), "[]"]
+    assert {"cli", "checks"} <= set(MODULES)

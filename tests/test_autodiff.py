@@ -6,6 +6,7 @@ import pytest
 
 from lstep import training
 from lstep.autodiff import (
+    SLAB_COLS,
     GradientTape,
     Tensor,
     add,
@@ -174,6 +175,67 @@ def test_gather_sum_rows_pads_at_a_zero_row_equal_skipping_them():
         assert np.array_equal(grad[:37], want_grad[:37])
         pads = (~real).sum(axis=1, keepdims=True)  # each pad slot adds its row's g
         assert np.array_equal(grad[37], (pads * g).sum(axis=0))
+
+
+def _gather_sum_vjp(x, index):
+    """The VJP that one taped ``gather_sum_rows(x, index)`` records."""
+    with GradientTape() as tape:
+        gather_sum_rows(Tensor(x, learnable=True), index)
+    (_, _, vjp), = tape._nodes
+    return vjp
+
+
+def _whole_width_scatter(num_rows, index, g):
+    """Reference: each slot's output-gradient row, copied out whole and
+    summed per target row by one whole-width ``np.add.reduceat``."""
+    flat = index.ravel()
+    order = np.argsort(flat, kind="stable")
+    rows = flat[order]
+    starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    out = np.zeros((num_rows, g.shape[1]))
+    out[rows[starts]] = np.add.reduceat(g[order // index.shape[1]], starts, axis=0)
+    return out
+
+
+@pytest.mark.parametrize("d", [172, 72, 16, 1])
+def test_gather_sum_rows_slab_scatter_equals_one_whole_width_reduceat(d):
+    """The backward gathers the output gradient a slab of columns at a
+    time; as reduceat sums each column on its own, the result equals the
+    whole-width call bit for bit, for float gradients, at widths that are
+    not a multiple of the slab, with one slot or many, targets repeated
+    within and across rows, and pads at a null row."""
+    assert d % SLAB_COLS or d < SLAB_COLS
+    rng = np.random.default_rng(d)
+    for n, k in ((1, 1), (300, 1), (5, 7), (600, 20)):
+        x = np.vstack([rng.normal(size=(40, d)), np.zeros(d)])
+        index = rng.integers(0, 12, size=(n, k))  # few targets, each many times
+        index[rng.random((n, k)) < 0.4] = 40  # the null row
+        g = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-6, 7, size=(n, 1))
+        (grad,) = _gather_sum_vjp(x, index)(g)
+        assert np.array_equal(grad, _whole_width_scatter(41, index, g))
+        if k > 1:  # summation order shows in these sums
+            assert np.unique(index).size < index.size
+
+
+def test_gather_sum_rows_backward_never_copies_a_row_per_slot():
+    """At a reddit training batch (600 rows, 20 slots, 172 columns) the
+    backward's peak holds the result, one slab's pick and a few
+    slot-length index arrays: far below the n*K*d*8 bytes of a copy of
+    the output gradient per slot."""
+    n, k, d, num_rows = 600, 20, 172, 501
+    rng = np.random.default_rng(9)
+    index = rng.integers(0, num_rows, size=(n, k))
+    index[:, : k // 2] = num_rows - 1  # half the slots padded, as early in a stream
+    g = rng.normal(size=(n, d))
+    vjp = _gather_sum_vjp(np.zeros((num_rows, d)), index)
+    tracemalloc.start()
+    try:
+        vjp(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = num_rows * d * 8 + n * k * (SLAB_COLS + 8) * 8
+    assert peak < bound < n * k * d * 8 / 3
 
 
 def test_batched_ops_gradients():

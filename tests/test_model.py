@@ -110,3 +110,17 @@ def test_load_state_names_every_missing_tensor_sorted():
     # nothing was loaded
     for name, arr in before.items():
         assert np.array_equal(params.tensors[name].data, arr)
+
+
+def test_a_wrong_shape_loads_no_tensor():
+    """The last tensor's shape is wrong: the raise leaves every tensor,
+    the twelve before it too, with its old bytes."""
+    params = init_model_params(DIMS, seed=4)
+    before = params.state_arrays()
+    state = init_model_params(DIMS, seed=5).state_arrays()
+    assert list(state)[-1] == "pred_w2"
+    state["pred_w2"] = np.zeros((1, 1))
+    with pytest.raises(ValueError, match=r"'pred_w2': stored shape \(1, 1\) != \(3, 1\)"):
+        params.load_state_arrays(state)
+    for name, arr in before.items():
+        assert params.tensors[name].data.tobytes() == arr.tobytes()

@@ -279,6 +279,21 @@ def test_evaluate_rejects_unknown_arguments_before_any_work(monkeypatch):
             evaluate_cells(s, split, params, TINY, good + [bad], initial_pe=initial)
 
 
+def test_evaluate_cells_refuses_an_empty_cell_list_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("evaluate_cells started work on no cells")
+
+    monkeypatch.setattr(training, "PositionalStore", no_work)
+    monkeypatch.setattr(training, "_run_segment", no_work)
+    s = _tiny_stream()
+    split = chronological_split(s)
+    params = init_model_params(ModelDims.from_config(TINY), seed=0)
+    initial = build_initial_pe(s, split, TINY)
+    for cells in ([], (), iter([])):
+        with pytest.raises(ValueError, match=r"at least one .* cell, got cells=\[\]"):
+            evaluate_cells(s, split, params, TINY, cells, initial_pe=initial)
+
+
 def test_one_replay_for_all_cells_scores_each_cell_as_alone(monkeypatch):
     s = make_periodic_stream(num_pairs=4, num_events=120, holdout_pairs=1, d_n=6, d_e=6)
     split = chronological_split(s)
