@@ -16,7 +16,6 @@ from .lpe import (
     BoundReport,
     PositionalStore,
     approximate_pe,
-    commit_pe,
     refine_pe,
     theorem1_check,
 )

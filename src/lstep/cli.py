@@ -295,6 +295,8 @@ def cmd_eval(args) -> int:
 
 def cmd_check(args) -> int:
     """Run a property suite; nonzero exit when any check fails."""
+    if args.seed < 0:
+        return _report_problems([f"--seed must be >= 0, got {args.seed}"])
     ok, reports = run_suite(args.suite, seed=args.seed)
     if args.out:
         out = Path(args.out)

@@ -66,7 +66,7 @@ PRESETS: dict[str, dict[str, object]] = {
 }
 
 _REQUIRED_POSITIVE = ("history_len", "t_gap", "recent_k", "batch_size")
-_MINIMUM = {"d_t": 1, "d_n": 1, "d_e": 1, "d_p": 1, "max_epochs": 1, "patience": 0}
+_MINIMUM = {"d_t": 1, "d_n": 1, "d_e": 1, "d_p": 1, "max_epochs": 1, "patience": 0, "seed": 0}
 
 # Fields that configs no longer have, each at the value fixed in the
 # module that uses it (README lists where). A config written while they

@@ -25,9 +25,10 @@ every node a batch needs are one contraction of those stacked
 ``refine_pe`` adds a gated MLP correction built from a node's most
 recent interactions: it pools the partners' p~ over that window, and
 takes the window's time-encoding sums from its caller (the encoder's
-window pool, or ``encoder.window_tau`` for a commit). The
-representation uses it under the tape, and the commits use it detached
-(``commit_pe``), so no gradient crosses batch boundaries.
+window pool for a representation, ``encoder.window_tau`` for a
+commit). The representation uses it under the tape; a batch's commit
+(``training.commit_pe``) stores its output detached, so no gradient
+crosses batch boundaries.
 
 A frozen segment is a run of batches without a gradient tape, so with
 fixed parameters: evaluation's warm replay and scoring, training's
@@ -55,7 +56,6 @@ __all__ = [
     "node_rows",
     "approximate_pe",
     "refine_pe",
-    "commit_pe",
     "ring_eigenvalues",
     "theorem1_check",
 ]
@@ -272,27 +272,6 @@ def refine_pe(
         )
     )
     return add(p_tilde, gate)
-
-
-def commit_pe(
-    ptilde: Tensor,
-    ptilde_nodes: np.ndarray,
-    nodes: np.ndarray,
-    window: RecentInteractions,
-    tau_sum: np.ndarray,
-    params: dict[str, Tensor],
-) -> np.ndarray:
-    """Committed encodings: ``refine_pe`` of each node's commit
-    ``window``, detached. ``tau_sum`` sums the window's time encodings
-    at the batch's last event (``encoder.window_tau``). Training calls
-    it after the batch's tape has closed, so nothing is recorded.
-
-    Parameter versions: in training, ``ptilde`` comes from the batch's
-    forward pass, before the optimizer step, while W1, W2 and W_self are
-    read here, after ``adam_step`` has updated them. So a commit pairs
-    pre-step encodings with post-step MLP weights.
-    """
-    return refine_pe(ptilde, ptilde_nodes, nodes, window, tau_sum, params).data
 
 
 @dataclass(frozen=True)

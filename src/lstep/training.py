@@ -43,7 +43,7 @@ from .config import RunConfig, config_hash, validate_config
 from .encoder import predict_link, temporal_representation, window_tau
 from .events import ChronoSplit, EventStream, RecentInteractions, batch_iter
 from .losses import loss_lp, loss_pe, total_loss
-from .lpe import FrozenPE, PositionalStore, approximate_pe, commit_pe, node_rows
+from .lpe import FrozenPE, PositionalStore, approximate_pe, node_rows, refine_pe
 from .metrics import average_precision, roc_auc
 from .model import ModelDims, ModelParams, init_model_params
 from .optim import AdamState, adam_step
@@ -232,19 +232,25 @@ def _batch_loss(fwd: _Forward, stream: EventStream, batch: np.ndarray, neg: Samp
     )
 
 
-def _commit_batch(
+def commit_pe(
     stream: EventStream, store: PositionalStore, params: ModelParams, cfg: RunConfig,
     fwd: _Forward,
 ) -> None:
-    """Commit updated encodings for every endpoint of the batch's events.
+    """Commit the refined encodings p of every endpoint of the batch's
+    events: ``refine_pe`` of each node's commit window, detached, with
+    the window's time encodings summed at ``t_commit``. Training calls
+    it after the batch's tape has closed, so nothing is recorded.
 
-    Encodings come from the forward pass, and the commit windows' time
-    encodings are summed at ``t_commit``; the MLP weights are whatever
-    ``params`` holds now (see ``commit_pe``).
+    Parameter versions: in training, p~ comes from the batch's forward
+    pass, before the optimizer step, while W1, W2 and W_self are read
+    here, after ``adam_step`` has updated them. So a commit pairs
+    pre-step encodings with post-step MLP weights.
+
+    ``benchmarks/tracing.py`` wraps this name as the commit layer.
     """
     tau = window_tau(stream, fwd.window, np.full(fwd.touched.size, fwd.t_commit), cfg.d_t)
-    vecs = commit_pe(fwd.ptilde, fwd.nodes, fwd.touched, fwd.window, tau, params.tensors)
-    store.commit(fwd.touched, vecs)
+    p = refine_pe(fwd.ptilde, fwd.nodes, fwd.touched, fwd.window, tau, params.tensors)
+    store.commit(fwd.touched, p.data)
 
 
 @dataclass
@@ -321,7 +327,7 @@ def _run_segment(
             cell.scores.append(np.hstack([pos.data, neg_probs.data]).ravel())
         if watch is not None:
             watched.append(fwd.ptilde.data[fwd.rows(watch)])
-        _commit_batch(stream, store, params, cfg, fwd)
+        commit_pe(stream, store, params, cfg, fwd)
     return watched
 
 
@@ -339,6 +345,9 @@ def train(stream: EventStream, split: ChronoSplit, cfg: RunConfig) -> TrainResul
     """Full training run with per-epoch validation and early stopping."""
     validate_config(cfg)
     _require_widths(stream, cfg)
+    lo, hi = split.val_range
+    if hi <= lo:
+        raise ValueError(f"empty validation segment: events [{lo}, {hi}) of {split.num_events}")
     t0 = time.monotonic()
     dims = ModelDims.from_config(cfg)
     params = init_model_params(dims, seed=cfg.seed)
@@ -369,7 +378,7 @@ def train(stream: EventStream, split: ChronoSplit, cfg: RunConfig) -> TrainResul
                 )
             grads = backward(tape, loss, params.tensors)
             adam_step(adam, params.tensors, grads)
-            _commit_batch(stream, store, params, cfg, fwd)
+            commit_pe(stream, store, params, cfg, fwd)
             batch_losses.append(lval)
             report.loss_rows.append((epoch, k, lval))
 

@@ -162,7 +162,7 @@ def _check_step(stream, params, store, history, batch, scored, neg, with_loss):
 
     before = store.history_matrix(np.arange(stream.num_nodes)).copy()
     commits = _ref_commit(stream, params, pt, batch)
-    training._commit_batch(stream, store, params, CFG, fwd)
+    training.commit_pe(stream, store, params, CFG, fwd)
     after = store.history_matrix(np.arange(stream.num_nodes))
     for node in range(stream.num_nodes):
         if node in commits:

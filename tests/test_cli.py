@@ -237,6 +237,34 @@ def test_train_lists_every_validation_problem_before_compute(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_negative_seed_fails_validation_before_any_data(tmp_path, monkeypatch, capsys):
+    events = _ingest(tmp_path)
+    cfg_path, out = _train(tmp_path, events, max_epochs=1)
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "load_events", lambda *a, **k: pytest.fail("events were loaded"))
+    never = tmp_path / "never"
+    for argv in (["train", "--config", str(cfg_path)],
+                 ["eval", "--checkpoint", str(out / "checkpoint.lstp")]):
+        assert main(argv + ["--seed", "-1", "--out", str(never)]) == 1
+        assert "config field 'seed' must be >= 0" in capsys.readouterr().err
+    assert not never.exists()
+    monkeypatch.setattr(cli, "run_suite", lambda *a, **k: pytest.fail("a suite ran"))
+    assert main(["check", "--suite", "fourier", "--seed", "-1"]) == 1
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_train_refuses_an_empty_validation_segment(tmp_path, capsys):
+    # 3 events split into train [0, 2), validation [2, 2) and test [2, 3)
+    raw = tmp_path / "events.csv"
+    raw.write_text("src,dst,timestamp,f0,f1\n0,1,1.0,0.5,0.1\n1,2,2.0,0.2,0.3\n0,2,3.0,0.4,0.6\n")
+    cfg_path = tmp_path / "e.cfg"
+    cfg_path.write_text(_cfg_text(raw, batch_size=1))
+    out = tmp_path / "e"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "error: empty validation segment: events [2, 2) of 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_refuses_aggregate_with_a_seed(tmp_path, monkeypatch, capsys):
     events = _ingest(tmp_path)
     cfg_path = tmp_path / "agg.cfg"

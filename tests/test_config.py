@@ -149,7 +149,7 @@ def test_validate_catches_bad_values():
         validate_config(parse_config(base + "d_p = 0\n"))
     for line in (
         "lr = nan", "lr = -1", "t_gap = nan", "t_gap = inf", "max_epochs = 0",
-        "patience = -3",
+        "patience = -3", "seed = -1",
     ):
         field = line.split(" = ")[0]
         with pytest.raises(ValueError, match=f"'{field}'"):

@@ -12,7 +12,6 @@ from lstep.lpe import (
     FrozenPE,
     PositionalStore,
     approximate_pe,
-    commit_pe,
     refine_pe,
     ring_eigenvalues,
     theorem1_check,
@@ -488,7 +487,7 @@ def test_commit_matches_hand_computation():
     table = np.vstack([rng.normal(size=(3, d_p)), np.zeros(d_p)])
     window = _window([[3, 1, 2]], null=3)
     tau = time_encode(1.5, cfg.d_t) + time_encode(0.5, cfg.d_t)
-    got = commit_pe(Tensor(table), np.arange(4), np.array([0]), window, tau[None], params)[0]
+    got = refine_pe(Tensor(table), np.arange(4), np.array([0]), window, tau[None], params).data[0]
 
     nbr = table[1] + table[2]
     q = np.concatenate([tau, nbr])
@@ -536,7 +535,7 @@ def test_commit_with_zero_weights_is_identity():
     p_tilde = np.array([[0.3, -0.7], [1.5, 2.0]])
     window = _window([[1], [0]], null=2)
     tau = np.tile(time_encode(1.0, 4), (2, 1))
-    got = commit_pe(Tensor(p_tilde), np.arange(2), np.arange(2), window, tau, params)
+    got = refine_pe(Tensor(p_tilde), np.arange(2), np.arange(2), window, tau, params).data
     assert np.array_equal(got, p_tilde)
 
 
@@ -550,7 +549,7 @@ def test_commit_all_padding_uses_zero_q():
     table = np.stack([np.full(2, np.nan), p_tilde, np.zeros(2)])
     window = _window([[2, 2]], null=2)
     tau = np.zeros((1, cfg.d_t))  # what window_tau sums over no real slot
-    got = commit_pe(Tensor(table), np.arange(3), np.array([1]), window, tau, params)[0]
+    got = refine_pe(Tensor(table), np.arange(3), np.array([1]), window, tau, params).data[0]
     w1, w2, ws = (params[n].data for n in ("pe_w1", "pe_w2", "pe_w_self"))
     want = p_tilde + np.tanh(ws @ p_tilde + w2 @ np.maximum(w1 @ np.zeros(6), 0.0))
     assert np.max(np.abs(got - want)) < 1e-12

@@ -167,6 +167,19 @@ def test_train_and_evaluate_refuse_a_stream_of_other_feature_widths(key, what):
         )
 
 
+def test_train_refuses_an_empty_validation_segment_before_any_batch(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("train ran a batch with no validation segment")
+
+    monkeypatch.setattr(training, "_batch_forward", no_work)
+    # 70% of 3 events is 2 and 85% is 2: validation [2, 2) is empty
+    s = make_static_stream([(0, 1), (1, 2), (0, 2)], num_steps=1, d_n=6, d_e=6)
+    split = chronological_split(s)
+    assert split.val_range == (2, 2)
+    with pytest.raises(ValueError, match=r"^empty validation segment: events \[2, 2\) of 3$"):
+        train(s, split, TINY)
+
+
 @pytest.mark.parametrize("pe_init", ["random_walk", "zero"])
 def test_train_builds_the_initial_pe_its_config_names(pe_init):
     s = _tiny_stream()
@@ -477,6 +490,46 @@ def test_layer_hooks_run_once_per_batch(monkeypatch):
     assert calls["commit"] == batches + calls["reset"]
 
 
+def test_commit_window_time_sums_run_inside_the_commit(monkeypatch):
+    # the tracer's commit layer is training.commit_pe, so the commit
+    # windows' time-encoding sums must run inside it, once per batch
+    calls = {"commit_pe": 0, "inside": 0, "outside": 0}
+    depth = [0]
+    real_commit, real_tau = training.commit_pe, training.window_tau
+
+    def commit(*args, **kwargs):
+        calls["commit_pe"] += 1
+        depth[0] += 1
+        try:
+            return real_commit(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def tau(*args, **kwargs):
+        calls["inside" if depth[0] else "outside"] += 1
+        return real_tau(*args, **kwargs)
+
+    monkeypatch.setattr(training, "commit_pe", commit)
+    monkeypatch.setattr(training, "window_tau", tau)
+    s = _tiny_stream()
+    split = chronological_split(s)
+
+    def batches(*ranges):
+        return sum(len(list(batch_iter(*r, TINY.batch_size))) for r in ranges)
+
+    res = train(s, split, TINY)
+    n = res.report.epochs_run * batches(split.train_range, split.val_range)
+    assert n > 0
+    assert calls == {"commit_pe": n, "inside": n, "outside": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    evaluate_cells(
+        s, split, res.params, TINY, [("transductive", "random"), ("transductive", "historical")],
+        initial_pe=res.initial_pe,
+    )
+    n = batches((0, split.val_end), split.test_range)
+    assert calls == {"commit_pe": n, "inside": n, "outside": 0}
+
+
 def test_tape_length_does_not_grow_with_batch_size():
     # B = n / 5: training batches of 10, 40 and 100 events; one
     # filter_kernel op builds each batch's (d_p, L) kernel
@@ -501,7 +554,7 @@ def _scores_and_store(stream, split, store, params, start):
         fwd = training._batch_forward(stream, store, params, TINY, batch, [(batch, neg)])
         (pos, neg_probs), = fwd.scores
         probs.append(np.concatenate([pos.data, neg_probs.data], axis=1))
-        training._commit_batch(stream, store, params, TINY, fwd)
+        training.commit_pe(stream, store, params, TINY, fwd)
     return np.concatenate(probs), _store_arrays(store)
 
 
@@ -603,7 +656,7 @@ def _per_batch(stream, store, params, start, end, taped, sampler=None, watch=Non
             out.append(np.concatenate([pos.data, neg_probs.data], axis=1).reshape(-1))
         elif watch is not None:
             out.append(fwd.ptilde.data[fwd.rows(watch)])
-        training._commit_batch(stream, store, params, TINY, fwd)
+        training.commit_pe(stream, store, params, TINY, fwd)
     return np.concatenate(out) if out else None
 
 
