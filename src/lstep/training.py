@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass, field, fields
 from typing import Iterable
@@ -65,6 +66,13 @@ __all__ = [
 SETTINGS = ("transductive", "inductive")
 
 
+def _environment() -> dict[str, str | None]:
+    """numpy's version and the BLAS thread variables (None when unset):
+    byte-identity holds per thread count, beside the config and seed."""
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    return {"numpy": np.__version__, **{k: os.environ.get(k) for k in threads}}
+
+
 @dataclass
 class EvalReport:
     """JSON-shaped summary of a run."""
@@ -80,23 +88,27 @@ class EvalReport:
     epochs_run: int = 0
     bound_check: dict | None = None
     train_seconds: float = 0.0
+    environment: dict[str, str | None] = field(default_factory=_environment)
 
     def _payload(self) -> dict:
-        """Every field but the loss rows and the wall time: what the hash covers."""
+        """Every field but the loss rows, the wall time and the
+        environment: what the hash covers."""
         return {
             f.name: getattr(self, f.name)
             for f in fields(self)
-            if f.name not in ("loss_rows", "train_seconds")
+            if f.name not in ("loss_rows", "train_seconds", "environment")
         }
 
     def to_json(self) -> str:
         payload = self._payload()
         payload["train_seconds"] = self.train_seconds
+        payload["environment"] = self.environment
         payload["report_hash"] = self.content_hash()
         return json.dumps(payload, indent=2, sort_keys=True)
 
     def content_hash(self) -> str:
-        """Hash of the deterministic fields only (wall time excluded)."""
+        """Hash of the deterministic fields only (wall time and
+        environment excluded)."""
         blob = json.dumps(self._payload(), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

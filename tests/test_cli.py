@@ -189,12 +189,24 @@ def test_ingest_bad_node_id_names_line_and_exits_1(tmp_path, capsys):
         assert f"ids.csv:3: malformed row (node id {float(bad)!r}" in err
 
 
-def test_train_writes_checkpoint_report_and_loss_csv(tmp_path):
+def _pin_environment(monkeypatch) -> dict:
+    """Set the BLAS thread variables a report records; return what it
+    should record."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
+    return {"numpy": np.__version__, "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "2"}
+
+
+def test_train_writes_checkpoint_report_and_loss_csv(tmp_path, monkeypatch):
+    environment = _pin_environment(monkeypatch)
     events = _ingest(tmp_path)
     _, out = _train(tmp_path, events)
     assert (out / "checkpoint.lstp").exists()
     report = json.loads((out / "report.json").read_text())
     assert report["dataset"] == "clitest"
+    assert report["environment"] == environment
     assert len(report["report_hash"]) == 16
     assert report["epochs_run"] == 2
     rows = (out / "loss.csv").read_text().splitlines()
@@ -301,7 +313,8 @@ def test_train_aggregate_emits_per_seed_and_mean_std(tmp_path):
     assert stats["ap_std"] == pytest.approx(np.std(aps))
 
 
-def test_eval_all_cells_in_one_report(tmp_path):
+def test_eval_all_cells_in_one_report(tmp_path, monkeypatch):
+    environment = _pin_environment(monkeypatch)
     events = _ingest(tmp_path, num_pairs=4, num_events=80, holdout_pairs=1)
     cfg_path, out = _train(tmp_path, events)
     eval_out = tmp_path / "eval"
@@ -309,6 +322,7 @@ def test_eval_all_cells_in_one_report(tmp_path):
                  "--config", str(cfg_path), "--setting", "both",
                  "--strategy", "all", "--out", str(eval_out)]) == 0
     report = json.loads((eval_out / "eval_report.json").read_text())
+    assert report["environment"] == environment
     assert len(report["metrics"]) == 6
     for setting in ("transductive", "inductive"):
         for strategy in ("random", "historical", "inductive"):
@@ -615,8 +629,10 @@ def test_check_suite_writes_json_summary(tmp_path, capsys):
 def test_check_suite_all_writes_every_report_key(tmp_path, capsys):
     out = tmp_path / "checks"
     assert main(["check", "--suite", "all", "--out", str(out)]) == 0
-    lines = capsys.readouterr().out.splitlines()[:5]
-    names = ["gradients", "fourier", "eigen", "metrics", "bound"]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[7:] == [f"wrote {out / 'check_all.json'}", "suite all: ok"]
+    lines = lines[:7]
+    names = ["gradients", "fourier", "eigen", "metrics", "bound", "pass_through", "losses"]
     assert [line.split(":")[0] for line in lines] == [f"PASS {name}" for name in names]
     assert all(line.rsplit(", ", 1)[1].startswith("seconds=") for line in lines)
     payload = json.loads((out / "check_all.json").read_text())
@@ -635,12 +651,42 @@ def test_check_suite_all_writes_every_report_key(tmp_path, capsys):
         "metrics": sorted(common + ["oracle_instances", "oracle_exact", "untrained_auc",
                                     "untrained_auc_samples"]),
         "bound": sorted(common + ["max_step_diff", "bound", "node", "trace"]),
+        "pass_through": sorted(common + ["steps", "max_step_diff"]),
+        "losses": sorted(common + ["ln2_err", "identical_pair_loss", "linearity_err"]),
     }
+
+
+@pytest.mark.parametrize("suite", ["pass_through", "losses"])
+def test_check_single_suites_print_one_pass_line_and_write_their_json(tmp_path, capsys, suite):
+    out = tmp_path / "checks"
+    assert main(["check", "--suite", suite, "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith(("PASS", "FAIL"))] == lines[:1]
+    assert lines[0].startswith(f"PASS {suite}: ")
+    assert lines[1:] == [f"wrote {out / f'check_{suite}.json'}", f"suite {suite}: ok"]
+    payload = json.loads((out / f"check_{suite}.json").read_text())
+    assert payload["suite"] == suite and payload["passed"] is True
+    assert [rep["name"] for rep in payload["checks"]] == [suite]
 
 
 def test_check_unknown_suite_fails_validation(capsys):
     assert main(["check", "--suite", "nope"]) == 1
-    assert "unknown suite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"unknown suite 'nope', expected one of {', '.join(sorted(SUITES))}" in err
+
+
+def test_check_uci_refuses_a_variable_that_names_no_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for bad in (tmp_path / "missing.csv", tmp_path):
+        monkeypatch.setenv("LSTEP_UCI", str(bad))
+        assert main(["check", "--suite", "uci"]) == 1
+        assert f"$LSTEP_UCI names no regular file: {bad}" in capsys.readouterr().err
+    # empty or unset, with neither default file present, the check skips
+    monkeypatch.setenv("LSTEP_UCI", "")
+    assert main(["check", "--suite", "uci"]) == 0
+    monkeypatch.delenv("LSTEP_UCI")
+    assert main(["check", "--suite", "uci"]) == 0
+    assert capsys.readouterr().out.count("SKIP uci: reason=dataset not present") == 2
 
 
 def test_runtime_failures_exit_2(tmp_path, monkeypatch, capsys):

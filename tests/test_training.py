@@ -109,8 +109,17 @@ def test_report_hash_covers_every_field_but_the_loss_rows_and_wall_time():
     assert set(payload) == (names - {"loss_rows"}) | {"report_hash"}
     assert payload["report_hash"] == report.content_hash()
     assert replace(report, loss_rows=[], train_seconds=9.0).content_hash() == "93d3fdc0fbdb8e33"
-    for name in names - {"loss_rows", "train_seconds"}:
+    for name in names - {"loss_rows", "train_seconds", "environment"}:
         assert replace(report, **{name: None}).content_hash() != report.content_hash(), name
+
+
+def test_report_records_its_environment_outside_the_hash(monkeypatch):
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        reports.append(EvalReport("d", 0, "abc", metrics={"x": {"ap": 0.5}}))
+    assert [r.environment["OPENBLAS_NUM_THREADS"] for r in reports] == ["1", "2"]
+    assert reports[0].content_hash() == reports[1].content_hash()
 
 
 def test_early_stopping_restores_best_parameters(monkeypatch):
